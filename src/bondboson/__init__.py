@@ -14,7 +14,6 @@ wavelength limit is the 2+1D Dirac equation.  For both it provides
 """
 
 from .blocks import (
-    BlockConventionError,
     BlockRow,
     DiracBlock,
     SpectrumTable,
@@ -22,7 +21,6 @@ from .blocks import (
     correspondence_report,
     dirac_boson_block,
     dirac_boson_closed_eigs,
-    reconcile_ssh_convention,
     ssh_boson_block,
     ssh_boson_closed_eigs,
 )
@@ -30,7 +28,6 @@ from .fermion_model import (
     BandEnergy,
     dirac2d_band_energy,
     dirac2d_hopping_matrix,
-    exact_spectrum,
     ssh_band_energy,
     ssh_hopping_matrix,
 )
@@ -48,7 +45,6 @@ from .fock import (
     combo_operator,
     commutator,
     creation_op,
-    density_bilinear,
     dirac_hamiltonian,
     h_bond_commutator_residuals,
     square_bond_offsets,

@@ -13,19 +13,13 @@ mixed-component combinations (+, -).
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fermion_model import dirac2d_band_energy, ssh_band_energy
 from .lattice import ChainSpec, SquareSpec, chain_momenta, square_momenta
-from .numerics import HermitianMatrix, hermitian_eigenvalues
-
-
-class BlockConventionError(RuntimeError):
-    """Raised when no basis/sign convention reconciles block and closed form."""
+from .numerics import HermitianMatrix, hermitian_eigenvalues, max_residual
 
 
 @dataclass(frozen=True)
@@ -37,8 +31,7 @@ class SSHBlock:
     cross_term = e^{ik/2} (2 t0 cos(k/2 - q) + 4i alpha_u sin(k/2 - q))
                                     (cross-sublattice coupling)
 
-    The spin channel tag is bookkeeping only: the same-spin ("E") and
-    mixed-spin ("D") sectors produce identical blocks because the
+    The same-spin and mixed-spin sectors share this block because the
     hopping is spin independent.
     """
 
@@ -50,7 +43,6 @@ class SSHBlock:
     sin_term: float
     cross_term: complex
     matrix: HermitianMatrix
-    channel: str = "E"
 
 
 @dataclass(frozen=True)
@@ -77,14 +69,15 @@ class DiracBlock:
     matrix: HermitianMatrix
 
 
-def _ssh_block_array(q, k, t0, alpha_u, sign_x=1.0, sign_z=1.0):
+def ssh_boson_block(q: float, k: float, t0: float, alpha_u: float) -> SSHBlock:
+    """Chain bond-boson block at (q, k); momenta may be arbitrary reals."""
     y = 2.0 * t0 * np.cos(q)
-    x = 4.0 * alpha_u * np.sin(q) * sign_x
-    z = sign_z * np.exp(0.5j * k) * (
+    x = 4.0 * alpha_u * np.sin(q)
+    z = np.exp(0.5j * k) * (
         2.0 * t0 * np.cos(k / 2.0 - q) + 4.0j * alpha_u * np.sin(k / 2.0 - q)
     )
     zc = np.conj(z)
-    return y, x, z, np.array(
+    arr = np.array(
         [
             [y, -1j * x, zc, 0.0],
             [1j * x, -y, 0.0, -zc],
@@ -93,18 +86,10 @@ def _ssh_block_array(q, k, t0, alpha_u, sign_x=1.0, sign_z=1.0):
         ],
         dtype=complex,
     )
-
-
-def ssh_boson_block(q: float, k: float, t0: float, alpha_u: float,
-                    channel: str = "E") -> SSHBlock:
-    """Chain bond-boson block at (q, k); momenta may be arbitrary reals."""
-    if channel not in ("E", "D"):
-        raise ValueError(f"channel must be 'E' or 'D', got {channel!r}")
-    y, x, z, arr = _ssh_block_array(q, k, t0, alpha_u)
     return SSHBlock(
         q=float(q), k=float(k), t0=float(t0), alpha_u=float(alpha_u),
         cos_term=float(y), sin_term=float(x), cross_term=complex(z),
-        matrix=HermitianMatrix(arr), channel=channel,
+        matrix=HermitianMatrix(arr),
     )
 
 
@@ -159,49 +144,6 @@ def dirac_boson_closed_eigs(s: float, p: float, kx: float, ky: float, m: float) 
 
 
 # ---------------------------------------------------------------------------
-# Convention reconciliation (contingency path)
-# ---------------------------------------------------------------------------
-
-def reconcile_ssh_convention(q: float, k: float, t0: float, alpha_u: float,
-                             tol: float = 1e-10) -> dict:
-    """Find the block convention whose spectrum matches the closed form.
-
-    Normally the literal block already matches and the
-    ``{"convention": "literal"}`` answer comes back without any search.
-    On a mismatch, the 24 basis permutations combined with sign flips
-    of the q <-> q-pi mixing and of the cross-sublattice coupling are
-    scanned; the first reconciling combination is returned.  If none
-    reconciles, the discrepancy is irreducible and
-    :class:`BlockConventionError` is raised.
-    """
-    closed = ssh_boson_closed_eigs(q, k, t0, alpha_u)
-
-    def mismatch(arr):
-        return float(np.max(np.abs(hermitian_eigenvalues(HermitianMatrix(arr)) - closed)))
-
-    _, _, _, literal = _ssh_block_array(q, k, t0, alpha_u)
-    if mismatch(literal) <= tol:
-        return {"convention": "literal", "max_discrepancy": mismatch(literal)}
-    for sign_x, sign_z in itertools.product((1.0, -1.0), repeat=2):
-        _, _, _, arr = _ssh_block_array(q, k, t0, alpha_u, sign_x, sign_z)
-        for perm in itertools.permutations(range(4)):
-            permuted = arr[np.ix_(perm, perm)]
-            d = mismatch(permuted)
-            if d <= tol:
-                return {
-                    "convention": "reconciled",
-                    "permutation": perm,
-                    "sign_x": sign_x,
-                    "sign_z": sign_z,
-                    "max_discrepancy": d,
-                }
-    raise BlockConventionError(
-        f"no basis permutation or sign flip reconciles the block at "
-        f"(q={q}, k={k}, t0={t0}, alpha_u={alpha_u}) with its closed form"
-    )
-
-
-# ---------------------------------------------------------------------------
 # Correspondence table
 # ---------------------------------------------------------------------------
 
@@ -234,17 +176,14 @@ class SpectrumTable:
     passed: bool
 
     def flagged_rows(self):
-        return [row for row in self.rows if row.max_discrepancy > self.tolerance]
+        return [row for row in self.rows if not row.max_discrepancy <= self.tolerance]
 
 
 def _three_way(momenta, numeric, closed, pairs) -> BlockRow:
     numeric = np.sort(np.asarray(numeric, dtype=float))
     closed = np.sort(np.asarray(closed, dtype=float))
     pairs = np.sort(np.asarray(pairs, dtype=float))
-    spread = max(
-        float(np.max(np.abs(numeric - closed))),
-        float(np.max(np.abs(numeric - pairs))),
-    )
+    spread = float(np.max(np.abs(np.concatenate((numeric - closed, numeric - pairs)))))
     return BlockRow(
         momenta=tuple(momenta),
         numeric=tuple(numeric),
@@ -286,46 +225,31 @@ def _dirac_rows_at(spec: SquareSpec, sp):
     return rows
 
 
-def correspondence_report(spec, tolerance: float = 1e-10, threads: int = 1) -> SpectrumTable:
+def correspondence_report(spec, tolerance: float = 1e-10) -> SpectrumTable:
     """Three-route eigenvalue table over the full momentum grid.
 
     For every block the numeric spectrum is compared against the closed
     form and against the signed sums of single-fermion band energies at
     the paired momenta (q and k/2 - q on the chain; (s, p) and
     (kx - s, ky - p) on the square lattice).  Rows exceeding the
-    tolerance stay in the table and flip the verdict; nothing is
-    dropped.
-
-    Blocks are independent, so outer grid points may be evaluated on
-    ``threads`` worker threads; the row order is deterministic either
-    way (sorted by momentum tuple).
+    tolerance (or carrying a NaN) stay in the table and flip the
+    verdict; nothing is dropped.  Rows are ordered by momentum tuple.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     if isinstance(spec, ChainSpec):
-        outer = list(chain_momenta(spec.n_cells))
-        per_outer = lambda q: _ssh_rows_at(spec, q)
+        rows = [row for q in chain_momenta(spec.n_cells) for row in _ssh_rows_at(spec, q)]
         model = "ssh"
         params = {"n_sites": spec.n_sites, "t0": spec.t0, "alpha_u": spec.alpha_u}
     elif isinstance(spec, SquareSpec):
-        outer = [tuple(sp) for sp in square_momenta(spec.lx, spec.ly)]
-        per_outer = lambda sp: _dirac_rows_at(spec, sp)
+        rows = [row for sp in square_momenta(spec.lx, spec.ly) for row in _dirac_rows_at(spec, sp)]
         model = "dirac2d"
         params = {"lx": spec.lx, "ly": spec.ly, "delta": spec.delta}
     else:
         raise TypeError(f"expected ChainSpec or SquareSpec, got {type(spec).__name__}")
-    if threads == 1:
-        groups = [per_outer(point) for point in outer]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            groups = list(pool.map(per_outer, outer))
-    rows = tuple(row for group in groups for row in group)
-    worst = max(row.max_discrepancy for row in rows)
     return SpectrumTable(
         model=model,
         params=params,
         tolerance=tolerance,
-        rows=rows,
-        max_discrepancy=worst,
-        passed=worst <= tolerance,
+        rows=tuple(rows),
+        max_discrepancy=max_residual(row.max_discrepancy for row in rows),
+        passed=all(row.max_discrepancy <= tolerance for row in rows),
     )

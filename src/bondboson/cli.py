@@ -10,11 +10,10 @@ Two commands:
 
 Reports are deterministic: canonical key order, floats rendered in
 scientific notation with an explicit sign and 15 significant digits,
-momenta rendered as rational multiples of pi where exact.  Exit codes:
-0 pass, 1 I/O failure, 2 usage error, 3 Fock-space resource limit.
-
-The environment variable BONDBOSON_THREADS (integer >= 1) caps the
-number of worker threads used for block evaluation.
+momenta rendered as rational multiples of pi where exact.  A verdict
+is "pass" only if every one of its checks passes; a NaN residual fails.
+Exit codes: 0 pass, 1 I/O failure or failed verdict, 2 usage error,
+3 Fock-space resource limit.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import argparse
 import csv
 import io
 import json
-import os
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +46,7 @@ from .interactions import (
     creation_pair_direct,
 )
 from .lattice import ChainSpec, SquareSpec, chain_momenta, square_momenta
+from .numerics import max_residual
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -102,7 +102,6 @@ class RunConfig:
     tolerance: float = 0.0
     fmt: str = "json"
     output: str = ""
-    threads: int = 1
 
     def chain_spec(self) -> ChainSpec:
         return ChainSpec(self.sites, t0=self.t0, alpha_u=self.alpha_u, spinful=self.spinful)
@@ -130,17 +129,6 @@ class RunConfig:
         else:
             out.update(lx=self.lx, ly=self.ly, mass=fmt_float(self.mass))
         return out
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("BONDBOSON_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ValueError(f"BONDBOSON_THREADS must be an integer >= 1, got {raw!r}")
-    if threads < 1:
-        raise ValueError(f"BONDBOSON_THREADS must be >= 1, got {threads}")
-    return threads
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,24 +170,42 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
+    """Check every flag the command reads; each error names its flag."""
     command = args.command
     suite = getattr(args, "suite", "")
     model = args.model
-    if suite == "interactions" and model != "ssh":
-        raise ValueError("the interactions suite is defined on the chain model")
-    if model == "ssh":
-        if args.sites is None:
-            raise ValueError("--sites is required for the chain model")
-    else:
-        if args.lx is None or args.ly is None:
-            raise ValueError("--lx and --ly are required for the 2D model")
+    spinful = getattr(args, "spinful", False)
+    holes = getattr(args, "holes", 0)
     tolerance = args.tolerance
     if tolerance is None:
         tolerance = DEFAULT_TOLERANCES[suite or "spectrum"]
+    for flag, value in (("--t0", args.t0), ("--alpha-u", args.alpha_u), ("--mass", args.mass),
+                        ("--tolerance", tolerance)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if getattr(args, "holes", 0) < 0:
-        raise ValueError("hole count must be non-negative")
+        raise ValueError(f"--tolerance must be positive, got {tolerance}")
+    if suite == "interactions" and model != "ssh":
+        raise ValueError("the interactions suite is defined on the chain model")
+    if spinful and (suite, model) != ("identities", "ssh"):
+        raise ValueError("--spinful applies only to the identities suite on the chain model")
+    if model == "ssh":
+        if args.sites is None:
+            raise ValueError("--sites is required for the chain model")
+        if args.sites <= 0 or args.sites % 2 != 0:
+            raise ValueError(f"--sites must be a positive even integer, got {args.sites}")
+        if args.t0 <= 0:
+            raise ValueError(f"--t0 must be positive for the chain model, got {args.t0}")
+    else:
+        if args.lx is None or args.ly is None:
+            raise ValueError("--lx and --ly are required for the 2D model")
+        for flag, extent in (("--lx", args.lx), ("--ly", args.ly)):
+            if extent < 1:
+                raise ValueError(f"{flag} must be >= 1, got {extent}")
+    if holes < 0:
+        raise ValueError(f"--holes must be non-negative, got {holes}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     return RunConfig(
         command=command,
         model=model,
@@ -210,13 +216,12 @@ def _config_from_args(args) -> RunConfig:
         t0=args.t0,
         alpha_u=args.alpha_u,
         mass=args.mass,
-        spinful=getattr(args, "spinful", False),
-        holes=getattr(args, "holes", 0),
+        spinful=spinful,
+        holes=holes,
         seed=args.seed,
         tolerance=tolerance,
         fmt=args.fmt,
         output=args.output,
-        threads=_threads_from_env(),
     )
 
 
@@ -265,7 +270,7 @@ def _table_payload(table, config: RunConfig) -> dict:
         "config": config.echo(),
         "blocks": blocks,
         "max_discrepancy": fmt_float(table.max_discrepancy),
-        "verdict": "pass" if table.max_discrepancy <= config.tolerance else "fail",
+        "verdict": "pass" if table.passed else "fail",
     }
 
 
@@ -317,7 +322,7 @@ def _emit_json(payload: dict, output: str) -> int:
 
 def cmd_spectrum(config: RunConfig) -> int:
     spec = config.chain_spec() if config.model == "ssh" else config.square_spec()
-    table = correspondence_report(spec, tolerance=config.tolerance, threads=config.threads)
+    table = correspondence_report(spec, tolerance=config.tolerance)
     if config.fmt == "csv":
         return _emit(_table_csv(table, config), config.output)
     return _emit_json(_table_payload(table, config), config.output)
@@ -325,7 +330,7 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 def _suite_correspondence(config: RunConfig) -> dict:
     spec = config.chain_spec() if config.model == "ssh" else config.square_spec()
-    table = correspondence_report(spec, tolerance=config.tolerance, threads=config.threads)
+    table = correspondence_report(spec, tolerance=config.tolerance)
     payload = _table_payload(table, config)
     payload["suite"] = "correspondence"
     return payload
@@ -351,13 +356,12 @@ def _suite_identities(config: RunConfig) -> dict:
                 "pass": bool(r.residual <= config.tolerance),
             }
         )
-    worst = max(r.residual for r in residuals)
     return {
         "config": config.echo(),
         "suite": "identities",
         "checks": checks,
-        "max_residual": fmt_float(worst),
-        "verdict": "pass" if worst <= config.tolerance else "fail",
+        "max_residual": fmt_float(max_residual(r.residual for r in residuals)),
+        "verdict": _verdict(checks),
     }
 
 
@@ -379,14 +383,16 @@ def _suite_commutators(config: RunConfig) -> dict:
         # one offset per {d, -d} class: the reversed offset recreates the
         # same pairs and is not an independent bond
         lengths = square_bond_offsets(spec.lx, spec.ly)
+        if not lengths:
+            raise ValueError("--lx and --ly: a 1x1 lattice has no bonds to commute")
         pairs = [(l, k) for l in lengths for k in momenta]
         as_label = lambda l, k: {
             "l": list(l),
             "k": [fmt_momentum(v) for v in k],
         }
 
-    matched_dev = 0.0
-    unmatched_mag = 0.0
+    matched_devs = []
+    unmatched_mags = []
     self_paired_cells = []
     for l1, k1 in pairs:
         for l2, k2 in pairs:
@@ -396,12 +402,15 @@ def _suite_commutators(config: RunConfig) -> dict:
                 cell["expectation"] = fmt_float(rep.expectation.real)
                 self_paired_cells.append(cell)
             elif rep.target:
-                matched_dev = max(matched_dev, rep.deviation)
+                matched_devs.append(rep.deviation)
             else:
-                unmatched_mag = max(unmatched_mag, abs(rep.expectation))
+                unmatched_mags.append(abs(rep.expectation))
+    matched_dev = max_residual(matched_devs)
+    unmatched_mag = max_residual(unmatched_mags)
 
     holes_table = []
-    for holes in range(0, 4):
+    # up to three holes, each on its own pair-carrying mode (one per site)
+    for holes in range(0, min(4, site_count + 1)):
         for l, k in pairs:
             if k != momenta[0]:
                 continue
@@ -429,23 +438,23 @@ def _suite_commutators(config: RunConfig) -> dict:
         space, highlight[0], highlight[0], highlight[1], highlight[1],
         n_holes=config.holes, seed=config.seed,
     )
-    passed = matched_dev <= config.tolerance and unmatched_mag <= config.tolerance
+    checks = [
+        {
+            "name": "filled_matched_law",
+            "residual": fmt_float(matched_dev),
+            "pass": bool(matched_dev <= config.tolerance),
+        },
+        {
+            "name": "filled_unmatched_law",
+            "residual": fmt_float(unmatched_mag),
+            "pass": bool(unmatched_mag <= config.tolerance),
+        },
+    ]
     return {
         "config": config.echo(),
         "suite": "commutators",
         "site_count": site_count,
-        "checks": [
-            {
-                "name": "filled_matched_law",
-                "residual": fmt_float(matched_dev),
-                "pass": bool(matched_dev <= config.tolerance),
-            },
-            {
-                "name": "filled_unmatched_law",
-                "residual": fmt_float(unmatched_mag),
-                "pass": bool(unmatched_mag <= config.tolerance),
-            },
-        ],
+        "checks": checks,
         "highlighted": {
             "holes": config.holes,
             "expectation": fmt_float(highlighted.expectation.real),
@@ -457,7 +466,7 @@ def _suite_commutators(config: RunConfig) -> dict:
         },
         "self_paired_cells": self_paired_cells,
         "deviation_vs_holes": holes_table,
-        "verdict": "pass" if passed else "fail",
+        "verdict": _verdict(checks),
     }
 
 
@@ -469,13 +478,11 @@ def _suite_interactions(config: RunConfig) -> dict:
     pair_form = coulomb_pair_form(space, alpha)
     form_distance = (density_form - pair_form).norm()
 
-    reconstruction_max = 0.0
-    for p in range(spec.n_sites):
-        for l in range(1, spec.n_sites):
-            direct = creation_pair_direct(space, p, l)
-            reconstruction_max = max(
-                reconstruction_max, (pair_from_bonds(space, p, l) - direct).norm()
-            )
+    reconstruction_max = max_residual(
+        (creation_pair_direct(space, p, l) - pair_from_bonds(space, p, l)).norm()
+        for p in range(spec.n_sites)
+        for l in range(1, spec.n_sites)
+    )
 
     assembled_residual = interaction_equivalence_residual(space, alpha)
     scale = pair_form.norm()
@@ -499,14 +506,18 @@ def _suite_interactions(config: RunConfig) -> dict:
             "pass": bool(assembled_residual <= config.tolerance * max(scale, 1.0)),
         },
     ]
-    passed = all(c["pass"] for c in checks)
     return {
         "config": config.echo(),
         "suite": "interactions",
         "interaction_norm": fmt_float(scale),
         "checks": checks,
-        "verdict": "pass" if passed else "fail",
+        "verdict": _verdict(checks),
     }
+
+
+def _verdict(checks) -> str:
+    """The verdict of a report: pass exactly when every check passes (NaN never does)."""
+    return "pass" if all(c["pass"] for c in checks) else "fail"
 
 
 def cmd_verify(config: RunConfig) -> int:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ChainSpec, SquareSpec
-from .numerics import HermitianMatrix, hermitian_eigenvalues
+from .lattice import ChainSpec, SquareSpec, square_mode
+from .numerics import HermitianMatrix
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,6 @@ def ssh_band_energy(momentum: float, t0: float, alpha_u: float) -> BandEnergy:
     return BandEnergy(momentum=float(momentum), plus_branch=e, minus_branch=-e, gap=float(gap))
 
 
-def square_mode_index(spec: SquareSpec, x: int, y: int, component: int) -> int:
-    """Site-major mode index on the square lattice; component 0 = c, 1 = b."""
-    return 2 * ((x % spec.lx) * spec.ly + (y % spec.ly)) + component
-
-
 def dirac2d_hopping_matrix(spec: SquareSpec) -> HermitianMatrix:
     """Real-space matrix of the two-component square-lattice model.
 
@@ -76,7 +71,7 @@ def dirac2d_hopping_matrix(spec: SquareSpec) -> HermitianMatrix:
     lx, ly = spec.lx, spec.ly
     dim = 2 * lx * ly
     h = np.zeros((dim, dim), dtype=complex)
-    idx = lambda x, y, c: square_mode_index(spec, x, y, c)
+    idx = lambda x, y, c: square_mode(lx, ly, x, y, c)
     for x in range(lx):
         for y in range(ly):
             c = idx(x, y, 0)
@@ -105,8 +100,3 @@ def dirac2d_band_energy(kx: float, ky: float, m: float) -> BandEnergy:
         minus_branch=-e,
         gap=2.0 * float(m),
     )
-
-
-def exact_spectrum(matrix) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, vectors discarded."""
-    return hermitian_eigenvalues(matrix)

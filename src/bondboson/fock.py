@@ -1,7 +1,7 @@
 """Exact many-body engine on occupation-bitset Fock spaces (<= 16 modes).
 
 Creation/annihilation operators, momentum-superposed pair ("bond")
-operators, number-conserving bilinears, and the commutator machinery
+operators, hopping Hamiltonians, and the commutator machinery
 needed to verify the bond-operator algebra exactly.
 
 Basis state ``i`` occupies mode ``b`` iff bit ``b`` of ``i`` is set.
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .lattice import ChainSpec, SquareSpec, chain_momenta, on_grid, square_momenta
+from .lattice import ChainSpec, SquareSpec, chain_momenta, on_grid, square_mode, square_momenta
+from .numerics import max_residual
 
 MAX_MODES = 16
 
@@ -106,10 +107,6 @@ class FockSpace:
         if spin != 0:
             raise ValueError("spinless space has a single species")
         return site
-
-    def square_mode(self, x: int, y: int, component: int) -> int:
-        lx, ly = self.geometry["lx"], self.geometry["ly"]
-        return 2 * ((x % lx) * ly + (y % ly)) + component
 
     def _creation_matrix(self, mode: int):
         if mode < 0 or mode >= self.n_modes:
@@ -264,19 +261,20 @@ def dirac_hamiltonian(space: FockSpace, spec: SquareSpec) -> SparseOperator:
     if space.kind != "square" or (space.geometry["lx"], space.geometry["ly"]) != (spec.lx, spec.ly):
         raise ValueError("space geometry does not match the square spec")
     acc = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    create = space._creation_matrix
-    for x in range(spec.lx):
-        for y in range(spec.ly):
-            c = create(space.square_mode(x, y, 0))
-            b = create(space.square_mode(x, y, 1))
-            b_xm = create(space.square_mode(x - 1, y, 1)).conj().T
-            b_xp = create(space.square_mode(x + 1, y, 1)).conj().T
-            b_yp = create(space.square_mode(x, y + 1, 1)).conj().T
-            b_ym = create(space.square_mode(x, y - 1, 1)).conj().T
-            c_xp = create(space.square_mode(x + 1, y, 0)).conj().T
-            c_xm = create(space.square_mode(x - 1, y, 0)).conj().T
-            c_yp = create(space.square_mode(x, y + 1, 0)).conj().T
-            c_ym = create(space.square_mode(x, y - 1, 0)).conj().T
+    lx, ly = spec.lx, spec.ly
+    create = lambda x, y, comp: space._creation_matrix(square_mode(lx, ly, x, y, comp))
+    for x in range(lx):
+        for y in range(ly):
+            c = create(x, y, 0)
+            b = create(x, y, 1)
+            b_xm = create(x - 1, y, 1).conj().T
+            b_xp = create(x + 1, y, 1).conj().T
+            b_yp = create(x, y + 1, 1).conj().T
+            b_ym = create(x, y - 1, 1).conj().T
+            c_xp = create(x + 1, y, 0).conj().T
+            c_xm = create(x - 1, y, 0).conj().T
+            c_yp = create(x, y + 1, 0).conj().T
+            c_ym = create(x, y - 1, 0).conj().T
             acc = acc + c @ (b_xm - b_xp) + 1j * (c @ (b_yp - b_ym))
             acc = acc + b @ (c_xp - c_xm) + 1j * (b @ (c_yp - c_ym))
             acc = acc + spec.delta * (c @ c.conj().T - b @ b.conj().T)
@@ -397,8 +395,8 @@ def _square_pair_sum(space: FockSpace, l: int, m: int, kx: float, ky: float,
     acc = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
     for x in range(lx):
         for y in range(ly):
-            c1 = space._creation_matrix(space.square_mode(x, y, comp1))
-            c2 = space._creation_matrix(space.square_mode(x + l, y + m, comp2))
+            c1 = space._creation_matrix(square_mode(lx, ly, x, y, comp1))
+            c2 = space._creation_matrix(square_mode(lx, ly, x + l, y + m, comp2))
             acc = acc + np.exp(1j * (kx * x + ky * y)) * (c1 @ c2)
     op = SparseOperator(space, acc)
     space._op_cache[key] = op
@@ -472,47 +470,6 @@ def square_combo_operator(space: FockSpace, l: int, m: int, kx: float, ky: float
     return _square_combo_sum(space, l, m, kx, ky, family, parity)
 
 
-def density_bilinear(space: FockSpace, a: int, b: int, k, component: str = "c") -> SparseOperator:
-    """Number-conserving bilinear with momentum phase.
-
-    Chain spaces use the single offset ``a`` (``b`` must be 0) and sum
-    every species: ``sum_{n,s} e^{ikn} c^dag_{n,s} c_{n+a,s}``.  Square
-    spaces take offsets (a, b), momentum ``k = (kx, ky)`` and act on one
-    component (default "c").  At zero offset and zero momentum this is
-    the number operator of the summed modes.
-    """
-    if space.kind == "chain":
-        n_sites = space.geometry["n_sites"]
-        if b != 0:
-            raise ValueError("chain spaces take a single offset; b must be 0")
-        if not 0 <= a < n_sites:
-            raise ValueError(f"offset {a} out of range 0..{n_sites - 1}")
-        if not on_grid(float(k), n_sites):
-            raise ValueError(f"momentum {k} off the {n_sites}-site grid")
-        spins = (0, 1) if space.spinful else (0,)
-        acc = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-        for site in range(n_sites):
-            for spin in spins:
-                c1 = space._creation_matrix(space.chain_mode(site, spin))
-                c2 = space._creation_matrix(space.chain_mode(site + a, spin))
-                acc = acc + np.exp(1j * float(k) * site) * (c1 @ c2.conj().T)
-        return SparseOperator(space, acc)
-    lx, ly = space.geometry["lx"], space.geometry["ly"]
-    if not 0 <= a < lx or not 0 <= b < ly:
-        raise ValueError(f"offsets ({a}, {b}) out of range for {lx}x{ly}")
-    kx, ky = float(k[0]), float(k[1])
-    if not on_grid(kx, lx) or not on_grid(ky, ly):
-        raise ValueError(f"momentum ({kx}, {ky}) off the {lx}x{ly} grid")
-    comp = {"c": 0, "b": 1}[component]
-    acc = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for x in range(lx):
-        for y in range(ly):
-            c1 = space._creation_matrix(space.square_mode(x, y, comp))
-            c2 = space._creation_matrix(space.square_mode(x + a, y + b, comp))
-            acc = acc + np.exp(1j * (kx * x + ky * y)) * (c1 @ c2.conj().T)
-    return SparseOperator(space, acc)
-
-
 # ---------------------------------------------------------------------------
 # Near-filling boson commutator report
 # ---------------------------------------------------------------------------
@@ -569,7 +526,7 @@ def boson_commutator_report(space: FockSpace, l, lp, k, kp, n_holes: int = 0,
         lb, mb = int(lp[0]), int(lp[1])
         e1 = _square_pair_sum(space, la, ma, float(k[0]), float(k[1]), "cc")
         e2 = _square_pair_sum(space, lb, mb, float(kp[0]), float(kp[1]), "cc")
-        anchor_modes = [space.square_mode(x, y, 0) for x in range(lx) for y in range(ly)]
+        anchor_modes = [square_mode(lx, ly, x, y, 0) for x in range(lx) for y in range(ly)]
         matched = (la % lx, ma % ly) == (lb % lx, mb % ly) and _momenta_match(k, kp)
         self_paired = matched and (2 * la % lx, 2 * ma % ly) == (0, 0)
     if n_holes > space.n_modes:
@@ -757,4 +714,4 @@ def verify_H_bond_commutators(spec) -> float:
     residual points at a phase or sign convention error and can be
     localised with :func:`h_bond_commutator_residuals`.
     """
-    return max(r.residual for r in h_bond_commutator_residuals(spec))
+    return max_residual(r.residual for r in h_bond_commutator_residuals(spec))

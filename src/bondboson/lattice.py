@@ -79,19 +79,11 @@ class SquareSpec:
         return self.lx * self.ly
 
 
-def chain_momenta(n_cells: int, antiperiodic: bool = False) -> np.ndarray:
-    """Momenta allowed by the boundary condition on an n-cell ring.
-
-    Periodic boundaries give ``{2*pi*j/n_cells}``; the antiperiodic
-    variant shifts every value by half a grid step.  All production
-    sweeps use the periodic grid.
-    """
+def chain_momenta(n_cells: int) -> np.ndarray:
+    """Periodic momentum grid ``{2*pi*j/n_cells}`` of an n-cell ring."""
     if n_cells < 1:
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
-    j = np.arange(n_cells, dtype=float)
-    if antiperiodic:
-        j = j + 0.5
-    return TWO_PI * j / n_cells
+    return TWO_PI * np.arange(n_cells, dtype=float) / n_cells
 
 
 def square_momenta(lx: int, ly: int) -> np.ndarray:
@@ -102,6 +94,11 @@ def square_momenta(lx: int, ly: int) -> np.ndarray:
     ky = chain_momenta(ly)
     grid = [(x, y) for x in kx for y in ky]
     return np.array(grid, dtype=float).reshape(lx * ly, 2)
+
+
+def square_mode(lx: int, ly: int, x: int, y: int, component: int) -> int:
+    """Site-major mode index on the periodic square lattice; component 0 = c, 1 = b."""
+    return 2 * ((x % lx) * ly + (y % ly)) + component
 
 
 def on_grid(k: float, n: int, tol: float = 1e-9) -> bool:

@@ -1,10 +1,10 @@
-"""Dense complex Hermitian matrices and their exact eigensystems.
+"""Dense complex Hermitian matrices, their exact eigensystems, residual maxima.
 
 Every spectrum computed anywhere in this package (band structures,
-4x4 momentum blocks, many-body cross-checks) funnels through
-:func:`hermitian_eigensystem`, so input validation is concentrated here:
-a matrix that is not Hermitian within tolerance is rejected with the
-offending entry pair named, and non-finite entries never enter.
+4x4 momentum blocks) funnels through :func:`hermitian_eigenvalues`, so
+input validation is concentrated here: a matrix that is not Hermitian
+within tolerance is rejected with the offending entry pair named, and
+non-finite entries never enter.
 
 Matrices live at desk scale (dim <= a few thousand), so the solver is
 LAPACK's Hermitian eigensolver via numpy; robustness and exact sorting
@@ -91,6 +91,15 @@ def hermitian_eigenvalues(matrix):
     """Ascending eigenvalues of a Hermitian matrix (vectors discarded)."""
     h = _as_hermitian(matrix)
     return np.linalg.eigvalsh(h.array)
+
+
+def max_residual(values) -> float:
+    """Largest of the non-negative ``values`` (0.0 if there are none); NaN if any is NaN.
+
+    The builtin ``max`` keeps its running value when compared with NaN,
+    so a NaN residual anywhere but first would vanish from a report.
+    """
+    return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
 
 
 def frobenius_norm(matrix) -> float:

@@ -13,16 +13,11 @@ import numpy as np
 from bondboson.blocks import (
     dirac_boson_block,
     dirac_boson_closed_eigs,
-    reconcile_ssh_convention,
     ssh_boson_block,
     ssh_boson_closed_eigs,
 )
 from bondboson.cli import main
-from bondboson.fermion_model import (
-    dirac2d_hopping_matrix,
-    exact_spectrum,
-    ssh_band_energy,
-)
+from bondboson.fermion_model import dirac2d_hopping_matrix, ssh_band_energy
 from bondboson.fock import (
     FockSpace,
     annihilation_op,
@@ -62,27 +57,19 @@ def test_a1_closed_form_vs_numeric_ssh():
             closed = ssh_boson_closed_eigs(q, k, 1.0, 0.1)
             worst = max(worst, float(np.max(np.abs(numeric - closed))))
     rng = np.random.default_rng(1)
-    worst_draw = None
     for _ in range(100):
         q, k = rng.uniform(0, 2 * np.pi, 2)
         t0 = float(rng.uniform(0.2, 3.0))
         alpha_u = float(rng.uniform(-1.0, 1.0))
         numeric = hermitian_eigenvalues(ssh_boson_block(q, k, t0, alpha_u).matrix)
         closed = ssh_boson_closed_eigs(q, k, t0, alpha_u)
-        d = float(np.max(np.abs(numeric - closed)))
-        if d > worst:
-            worst, worst_draw = d, (q, k, t0, alpha_u)
+        worst = max(worst, float(np.max(np.abs(numeric - closed))))
     elapsed = time.perf_counter() - start
-    if worst > tol:
-        # mismatch path: the reconciliation search must settle the convention
-        convention = reconcile_ssh_convention(*worst_draw, tol=tol)
-        report("A1", False, f"mismatch {worst:.3e}; search adopted {convention}")
-    convention = reconcile_ssh_convention(0.0, 0.0, 1.0, 0.1, tol=tol)
+    # the literal block itself must match its closed form: no convention is adjusted
     report(
         "A1",
-        worst <= tol and elapsed < 1.0 and convention["convention"] == "literal",
-        f"max |numeric - closed| = {worst:.3e} <= {tol}, runtime {elapsed:.3f}s < 1s, "
-        f"convention = {convention['convention']}",
+        worst <= tol and elapsed < 1.0,
+        f"max |numeric - closed| = {worst:.3e} <= {tol}, runtime {elapsed:.3f}s < 1s",
     )
 
 
@@ -175,7 +162,7 @@ def test_a5_closed_form_vs_numeric_dirac():
 
 def test_a6_fermion_correspondence_dirac():
     spec = SquareSpec(4, 4, delta=1.2)
-    numeric = exact_spectrum(dirac2d_hopping_matrix(spec))
+    numeric = hermitian_eigenvalues(dirac2d_hopping_matrix(spec))
     analytic = []
     for kx, ky in square_momenta(4, 4):
         e = np.sqrt(spec.delta**2 + 4 * np.sin(kx) ** 2 + 4 * np.sin(ky) ** 2)
@@ -225,7 +212,6 @@ def test_a8_property_suites():
     hermitian_ok = True
     negation_ok = True
     zero_mode_ok = True
-    sector_ok = True
     space4 = FockSpace.chain(4)
     space_sq = FockSpace.square(2, 2)
     for _ in range(cases):
@@ -254,15 +240,10 @@ def test_a8_property_suites():
         zero_dirac = np.abs(hermitian_eigenvalues(dirac_boson_block(s, p, 0.0, 0.0, m).matrix))
         zero_mode_ok &= int(np.sum(zero_chain < 1e-10)) >= 2
         zero_mode_ok &= int(np.sum(zero_dirac < 1e-10)) >= 2
-
-        same = ssh_boson_block(q, k, t0, alpha_u, channel="E")
-        mixed = ssh_boson_block(q, k, t0, alpha_u, channel="D")
-        sector_ok &= bool(np.array_equal(same.matrix.array, mixed.matrix.array))
     report(
         "A8",
-        anticommutation_ok and hermitian_ok and negation_ok and zero_mode_ok and sector_ok,
+        anticommutation_ok and hermitian_ok and negation_ok and zero_mode_ok,
         f"{cases} seeded cases: anticommutators exact {anticommutation_ok}, "
         f"block Hermiticity {hermitian_ok}, spectral negation {negation_ok}, "
-        f"zero modes at zero total momentum {zero_mode_ok}, "
-        f"mixed-spin = same-spin blocks {sector_ok}",
+        f"zero modes at zero total momentum {zero_mode_ok}",
     )

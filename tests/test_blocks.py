@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-import bondboson.blocks as blocks
 from bondboson.blocks import (
-    BlockConventionError,
     correspondence_report,
     dirac_boson_block,
     dirac_boson_closed_eigs,
-    reconcile_ssh_convention,
     ssh_boson_block,
     ssh_boson_closed_eigs,
 )
@@ -91,15 +88,6 @@ def test_ssh_gauge_periodicity():
     assert np.allclose(base, block_eigs(ssh_boson_block(q, k + 4 * np.pi, 1.0, 0.2)), atol=1e-10)
 
 
-def test_mixed_spin_sector_equals_same_spin_sector():
-    same = ssh_boson_block(0.9, 2.1, 1.0, 0.15, channel="E")
-    mixed = ssh_boson_block(0.9, 2.1, 1.0, 0.15, channel="D")
-    assert np.array_equal(same.matrix.array, mixed.matrix.array)
-    assert mixed.channel == "D"
-    with pytest.raises(ValueError):
-        ssh_boson_block(0.0, 0.0, 1.0, 0.0, channel="F")
-
-
 def test_dirac_block_mass_only_point():
     block = dirac_boson_block(0.0, 0.0, 0.0, 0.0, 0.5)
     assert np.allclose(block_eigs(block), [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
@@ -152,32 +140,6 @@ def test_dirac_zero_modes_at_zero_total_momentum():
         assert np.sum(eigs < 1e-10) >= 2
 
 
-def test_reconcile_returns_literal_when_consistent():
-    out = reconcile_ssh_convention(0.7, 1.9, 1.0, 0.25)
-    assert out["convention"] == "literal"
-    assert out["max_discrepancy"] <= 1e-10
-
-
-def test_reconcile_search_failure_raises(monkeypatch):
-    # force an impossible closed form so no convention can reconcile
-    monkeypatch.setattr(
-        blocks, "ssh_boson_closed_eigs", lambda *a: np.array([1e6, 2e6, 3e6, 4e6])
-    )
-    with pytest.raises(BlockConventionError):
-        reconcile_ssh_convention(0.7, 1.9, 1.0, 0.25)
-
-
-def test_sign_flips_leave_spectrum_invariant():
-    # the reconciliation search space cannot change eigenvalues, which
-    # is why a literal match is expected in the first place
-    q, k, t0, au = 0.9, 2.3, 1.1, 0.3
-    base = block_eigs(ssh_boson_block(q, k, t0, au))
-    for sign_x in (1.0, -1.0):
-        for sign_z in (1.0, -1.0):
-            _, _, _, arr = blocks._ssh_block_array(q, k, t0, au, sign_x, sign_z)
-            assert np.allclose(np.linalg.eigvalsh(arr), base, atol=1e-12)
-
-
 def test_correspondence_report_ssh():
     table = correspondence_report(ChainSpec(6, t0=1.0, alpha_u=0.1))
     assert table.model == "ssh"
@@ -205,14 +167,6 @@ def test_correspondence_report_dirac():
     assert len(table.rows) == 256
     assert table.passed
     assert table.max_discrepancy <= 1e-10
-
-
-def test_correspondence_report_threads_deterministic():
-    serial = correspondence_report(ChainSpec(6, t0=1.0, alpha_u=0.1), threads=1)
-    threaded = correspondence_report(ChainSpec(6, t0=1.0, alpha_u=0.1), threads=3)
-    assert serial.rows == threaded.rows
-    with pytest.raises(ValueError):
-        correspondence_report(ChainSpec(6), threads=0)
 
 
 def test_correspondence_report_rejects_unknown_spec():

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import math
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from bondboson.cli import fmt_float, fmt_momentum, main
 
@@ -183,20 +189,6 @@ def test_json_output_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_thread_env_var(tmp_path, monkeypatch, capsys):
-    args = ["spectrum", "dirac2d", "--lx", "2", "--ly", "2", "--mass", "0.8"]
-    base = tmp_path / "base.json"
-    assert main(args + ["--output", str(base)]) == 0
-    monkeypatch.setenv("BONDBOSON_THREADS", "3")
-    threaded = tmp_path / "threaded.json"
-    assert main(args + ["--output", str(threaded)]) == 0
-    assert base.read_bytes() == threaded.read_bytes()
-    monkeypatch.setenv("BONDBOSON_THREADS", "zero")
-    code, _, err = run_cli(args, capsys)
-    assert code == 2
-    assert "BONDBOSON_THREADS" in err
-
-
 @pytest.mark.parametrize(
     "name,args",
     [
@@ -230,3 +222,132 @@ def test_module_entry_point_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(out.read_text())
     assert payload["verdict"] == "pass"
+
+
+def test_commutators_hole_table_stops_at_the_site_count(capsys):
+    code, out, _ = run_cli(["verify", "commutators", "--model", "ssh", "--sites", "2"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "pass"
+    assert sorted({row["holes"] for row in payload["deviation_vs_holes"]}) == [0, 1, 2]
+
+
+def test_overflowing_mass_fails_the_verdict(capsys):
+    # 1e308 is finite, but the Hamiltonian products overflow: NaN residuals must fail
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = run_cli(
+            ["verify", "identities", "--model", "dirac2d", "--lx", "2", "--ly", "2",
+             "--mass", "1e308"],
+            capsys,
+        )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "fail"
+    assert payload["max_residual"] == "+nan"
+    assert not all(c["pass"] for c in payload["checks"])
+
+
+BAD_FLAGS = [
+    ("--tolerance", ["verify", "correspondence", "--model", "ssh", "--sites", "4",
+                     "--tolerance", "nan"]),
+    ("--tolerance", ["verify", "correspondence", "--model", "ssh", "--sites", "4",
+                     "--tolerance", "inf"]),
+    ("--tolerance", ["verify", "correspondence", "--model", "ssh", "--sites", "4",
+                     "--tolerance", "0"]),
+    ("--t0", ["verify", "identities", "--model", "ssh", "--sites", "4", "--t0", "nan"]),
+    ("--t0", ["spectrum", "ssh", "--sites", "4", "--t0=-1"]),
+    ("--alpha-u", ["spectrum", "ssh", "--sites", "4", "--alpha-u=-inf"]),
+    ("--mass", ["spectrum", "dirac2d", "--lx", "2", "--ly", "2", "--mass", "inf"]),
+    ("--sites", ["spectrum", "ssh", "--sites", "5"]),
+    ("--sites", ["verify", "commutators", "--model", "ssh", "--sites", "0"]),
+    ("--lx", ["spectrum", "dirac2d", "--lx", "0", "--ly", "2"]),
+    ("--ly", ["verify", "identities", "--model", "dirac2d", "--lx", "2", "--ly=-1"]),
+    ("--lx", ["verify", "commutators", "--model", "dirac2d", "--lx", "1", "--ly", "1"]),
+    ("--spinful", ["verify", "commutators", "--model", "dirac2d", "--lx", "2", "--ly", "2",
+                   "--spinful"]),
+    ("--spinful", ["verify", "correspondence", "--model", "ssh", "--sites", "4", "--spinful"]),
+    ("--holes", ["verify", "commutators", "--model", "ssh", "--sites", "4", "--holes=-1"]),
+    ("--seed", ["verify", "interactions", "--model", "ssh", "--sites", "4", "--seed=-1"]),
+]
+
+
+@pytest.mark.parametrize("flag,args", BAD_FLAGS, ids=[" ".join(args) for _, args in BAD_FLAGS])
+def test_bad_flag_is_usage_error_naming_the_flag(capsys, flag, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: {flag}" in err
+
+
+EDGE_VALUES = {
+    "--t0": [math.nan, math.inf, -math.inf, 1e308, 1e200, 0.0, -0.5],
+    "--alpha-u": [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e200],
+    "--mass": [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e200, -2.5],
+    "--tolerance": [math.nan, math.inf, 0.0, -1.0, 1e308],
+}
+
+
+@st.composite
+def cli_runs(draw):
+    """argv for one CLI run on at most 8 Fock modes, with the numeric flags it sets.
+
+    At most one numeric flag takes an edge value (NaN, +-inf, 1e308, zero or
+    a negative number), so that most runs get past validation to a report.
+    """
+    command = draw(st.sampled_from(["spectrum", "correspondence", "identities",
+                                    "commutators", "interactions"]))
+    model = draw(st.sampled_from(["ssh", "dirac2d"]))
+    argv = ["spectrum", model] if command == "spectrum" else ["verify", command, "--model", model]
+    spinful = command != "spectrum" and draw(st.sampled_from([False] * 5 + [True]))
+    if model == "ssh":
+        sites = draw(st.sampled_from([2, 4, 6, 8, 2, 4, 6, 8, 0, 3]))
+        argv.append(f"--sites={min(sites, 4) if spinful else sites}")
+    else:
+        lx, ly = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (1, 4), (0, 2)]))
+        argv += [f"--lx={lx}", f"--ly={ly}"]
+    if spinful:
+        argv.append("--spinful")
+    numbers = {
+        "--t0": draw(st.floats(0.1, 3.0)),
+        "--alpha-u": draw(st.floats(-3.0, 3.0)),
+        "--mass": draw(st.floats(-3.0, 3.0)),
+        "--tolerance": draw(st.sampled_from([1e-12, 1e-10, 0.5])),
+    }
+    edge = draw(st.sampled_from([None, None, None, *EDGE_VALUES]))
+    if edge is not None:
+        numbers[edge] = draw(st.sampled_from(EDGE_VALUES[edge]))
+    argv += [f"{flag}={value!r}" for flag, value in numbers.items()]
+    if command == "commutators":
+        argv.append(f"--holes={draw(st.integers(0, 2))}")
+    return argv, numbers
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cli_runs())
+def test_cli_input_boundary(run):
+    argv, numbers = run
+    with tempfile.TemporaryDirectory() as tmp:
+        report = pathlib.Path(tmp) / "report.json"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                np.errstate(over="ignore", invalid="ignore"):
+            code = main(argv + ["--output", str(report)])
+        event(f"exit {code}")
+        if code == 2:
+            assert err.getvalue().startswith("error:")
+            non_finite = [flag for flag, value in numbers.items() if not math.isfinite(value)]
+            if non_finite:
+                assert any(flag in err.getvalue() for flag in non_finite)
+            return
+        assert code in (0, 1), (code, err.getvalue())
+        payload = json.loads(report.read_text())
+    if "checks" in payload:
+        passed = all(c["pass"] for c in payload["checks"])
+    else:
+        tolerance = numbers["--tolerance"]
+        passed = all(float(b["max_discrepancy"]) <= tolerance for b in payload["blocks"])
+    assert payload["verdict"] == ("pass" if passed else "fail")
+    if argv[0] == "verify":
+        assert code == (0 if passed else 1)
+    else:
+        assert code == 0

@@ -15,7 +15,6 @@ from bondboson.fock import (
     combo_operator,
     commutator,
     creation_op,
-    density_bilinear,
     dirac_hamiltonian,
     h_bond_commutator_residuals,
     square_combo_operator,
@@ -268,52 +267,6 @@ def test_square_combo_normalization():
     bb = square_pair_operator(space, 1, 0, 0.0, 0.0, pairing="bb")
     combo = square_combo_operator(space, 1, 0, 0.0, 0.0, family=1, parity=+1)
     assert (combo - (1 / np.sqrt(2)) * (cc + bb)).norm() == 0.0
-
-
-# -- density bilinears --------------------------------------------------------
-
-def test_density_bilinear_number_operator():
-    space = FockSpace.chain(4)
-    h = density_bilinear(space, 0, 0, 0.0)
-    states = np.arange(space.dim)
-    expected = np.bitwise_count(states.astype(np.uint32)).astype(float)
-    assert np.allclose(h.to_dense().diagonal().real, expected)
-    assert h.expectation(space.filled_state) == pytest.approx(space.n_modes)
-
-
-def test_density_bilinear_adjoint_relation():
-    space = FockSpace.chain(6)
-    k = 2 * np.pi / 6
-    h_plus = density_bilinear(space, 2, 0, k)
-    # the lowering variant is the adjoint by construction
-    assert (h_plus.adjoint().adjoint() - h_plus).norm() == 0.0
-
-
-def test_density_bilinear_preserves_particle_number():
-    space = FockSpace.chain(6)
-    total = SparseOperator.zero(space)
-    for mode in range(space.n_modes):
-        total = total + creation_op(space, mode) @ annihilation_op(space, mode)
-    h = density_bilinear(space, 2, 0, 2 * np.pi / 6)
-    assert commutator(total, h).norm() < 1e-12
-
-
-def test_density_bilinear_square_case():
-    space = FockSpace.square(2, 2)
-    h = density_bilinear(space, 0, 0, (0.0, 0.0), component="c")
-    assert h.expectation(space.filled_state) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        density_bilinear(space, 2, 0, (0.0, 0.0))
-    with pytest.raises(ValueError):
-        density_bilinear(space, 0, 0, (0.3, 0.0))
-
-
-def test_density_bilinear_chain_validation():
-    space = FockSpace.chain(4)
-    with pytest.raises(ValueError):
-        density_bilinear(space, 4, 0, 0.0)
-    with pytest.raises(ValueError):
-        density_bilinear(space, 1, 1, 0.0)
 
 
 # -- near-filling commutator reports -----------------------------------------

@@ -37,11 +37,6 @@ def test_grid_closure_under_shift(n):
     assert np.allclose(np.sort(grid), shifted, atol=1e-12)
 
 
-def test_antiperiodic_flag():
-    grid = chain_momenta(4, antiperiodic=True)
-    assert np.allclose(np.exp(1j * grid * 4), -1.0)
-
-
 def test_square_momenta_degenerate():
     assert np.allclose(square_momenta(1, 1), [[0.0, 0.0]])
 

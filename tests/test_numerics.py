@@ -8,6 +8,7 @@ from bondboson.numerics import (
     frobenius_norm,
     hermitian_eigensystem,
     hermitian_eigenvalues,
+    max_residual,
 )
 
 
@@ -95,3 +96,17 @@ def test_frobenius_norm_examples():
     assert frobenius_norm(np.zeros((3, 3))) == 0.0
     assert frobenius_norm(np.eye(4)) == pytest.approx(2.0)
     assert frobenius_norm(np.array([[0, 1], [1, 0]])) == pytest.approx(np.sqrt(2.0))
+
+
+def test_hermitian_eigenvalues_examples():
+    assert np.allclose(hermitian_eigenvalues(np.eye(3)), [1.0, 1.0, 1.0])
+    assert np.allclose(hermitian_eigenvalues(np.diag([2.0, -2.0])), [-2.0, 2.0])
+
+
+def test_max_residual_propagates_nan():
+    assert max_residual([]) == 0.0
+    assert max_residual([1e-13, 3e-12, 2e-12]) == 3e-12
+    # the builtin max keeps 1.0 here and would hide the failed residual
+    assert max(1.0, float("nan")) == 1.0
+    assert np.isnan(max_residual([1.0, float("nan"), 2.0]))
+    assert np.isnan(max_residual(r for r in (0.0, float("nan"))))
