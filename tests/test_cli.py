@@ -201,6 +201,9 @@ def test_json_output_is_deterministic(tmp_path):
          ["spectrum", "dirac2d", "--lx", "2", "--ly", "2", "--mass", "0.8"]),
         ("verify_commutators_ssh6.json",
          ["verify", "commutators", "--model", "ssh", "--sites", "6", "--holes", "0"]),
+        ("verify_commutators_dirac2x3.json",
+         ["verify", "commutators", "--model", "dirac2d", "--lx", "2", "--ly", "3",
+          "--mass", "0.8", "--holes", "1", "--seed", "5"]),
         ("verify_interactions_ssh6.json",
          ["verify", "interactions", "--model", "ssh", "--sites", "6", "--seed", "3"]),
     ],
