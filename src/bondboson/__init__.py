@@ -40,6 +40,7 @@ from .fock import (
     annihilation_op,
     anticommutator,
     bond_operator,
+    bond_self_paired,
     boson_commutator_report,
     chain_hamiltonian,
     combo_operator,
@@ -47,6 +48,7 @@ from .fock import (
     creation_op,
     dirac_hamiltonian,
     h_bond_commutator_residuals,
+    near_filling_commutator_table,
     square_bond_offsets,
     square_combo_operator,
     square_pair_operator,

@@ -33,8 +33,10 @@ from .blocks import correspondence_report
 from .fock import (
     FockSizeError,
     FockSpace,
+    bond_self_paired,
     boson_commutator_report,
     h_bond_commutator_residuals,
+    near_filling_commutator_table,
     square_bond_offsets,
 )
 from .interactions import (
@@ -324,8 +326,12 @@ def cmd_spectrum(config: RunConfig) -> int:
     spec = config.chain_spec() if config.model == "ssh" else config.square_spec()
     table = correspondence_report(spec, tolerance=config.tolerance)
     if config.fmt == "csv":
-        return _emit(_table_csv(table, config), config.output)
-    return _emit_json(_table_payload(table, config), config.output)
+        code = _emit(_table_csv(table, config), config.output)
+    else:
+        code = _emit_json(_table_payload(table, config), config.output)
+    if code != EXIT_OK:
+        return code
+    return EXIT_OK if table.passed else 1
 
 
 def _suite_correspondence(config: RunConfig) -> dict:
@@ -391,20 +397,22 @@ def _suite_commutators(config: RunConfig) -> dict:
             "k": [fmt_momentum(v) for v in k],
         }
 
+    # grid labels are distinct, so (l, k) = (l', k') exactly on the diagonal
+    table, _ = near_filling_commutator_table(space, pairs, n_holes=0, seed=config.seed)
     matched_devs = []
     unmatched_mags = []
     self_paired_cells = []
-    for l1, k1 in pairs:
-        for l2, k2 in pairs:
-            rep = boson_commutator_report(space, l1, l2, k1, k2, n_holes=0, seed=config.seed)
-            if rep.self_paired:
-                cell = as_label(l1, k1)
-                cell["expectation"] = fmt_float(rep.expectation.real)
+    for i, (l, k) in enumerate(pairs):
+        for j in range(len(pairs)):
+            expectation = complex(table[i, j])
+            if i != j:
+                unmatched_mags.append(abs(expectation))
+            elif bond_self_paired(space, l):
+                cell = as_label(l, k)
+                cell["expectation"] = fmt_float(expectation.real)
                 self_paired_cells.append(cell)
-            elif rep.target:
-                matched_devs.append(rep.deviation)
             else:
-                unmatched_mags.append(abs(rep.expectation))
+                matched_devs.append(abs(expectation - float(site_count)))
     matched_dev = max_residual(matched_devs)
     unmatched_mag = max_residual(unmatched_mags)
 
@@ -426,14 +434,7 @@ def _suite_commutators(config: RunConfig) -> dict:
             holes_table.append(entry)
 
     # highlight a bond that is not self-paired whenever one exists
-    highlight = next(
-        (
-            (l, k)
-            for l, k in pairs
-            if not boson_commutator_report(space, l, l, k, k).self_paired
-        ),
-        pairs[0],
-    )
+    highlight = next(((l, k) for l, k in pairs if not bond_self_paired(space, l)), pairs[0])
     highlighted = boson_commutator_report(
         space, highlight[0], highlight[0], highlight[1], highlight[1],
         n_holes=config.holes, seed=config.seed,

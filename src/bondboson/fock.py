@@ -502,33 +502,53 @@ def _momenta_match(k, kp, tol=1e-12) -> bool:
     return bool(np.max(np.abs(d)) < tol)
 
 
-def boson_commutator_report(space: FockSpace, l, lp, k, kp, n_holes: int = 0,
-                            seed: int = 0) -> BosonCommutatorReport:
-    """Measure ``<state| [e_{+lk}, e_{-l'k'}] |state>`` near full filling.
+def bond_self_paired(space: FockSpace, l) -> bool:
+    """Whether bond length ``l`` wraps onto itself (2l = 0 mod the lattice).
 
-    The state is the filled Fock state with ``n_holes`` holes drawn
-    deterministically (``seed``) from the modes the pair operators act
-    on (chain: spin-up modes; square: c modes).  Momenta come from the
-    full site grid.  Raw, un-normalised expectations are reported; the
-    near-filling target is the site count when (l, k) = (l', k').
+    Chain: ``l`` is an int; square lattice: an ``(l, m)`` offset.
     """
     if space.kind == "chain":
-        n_sites = space.geometry["n_sites"]
-        e1 = _bond_sum(space, int(l), float(k), "uu", "all")
-        e2 = _bond_sum(space, int(lp), float(kp), "uu", "all")
-        anchor_modes = [space.chain_mode(site, 0) for site in range(n_sites)]
-        matched = int(l) == int(lp) and _momenta_match(k, kp)
-        self_paired = matched and (2 * int(l)) % n_sites == 0
+        return (2 * int(l)) % space.geometry["n_sites"] == 0
+    lx, ly = space.geometry["lx"], space.geometry["ly"]
+    return (2 * int(l[0]) % lx, 2 * int(l[1]) % ly) == (0, 0)
+
+
+def _near_filling_pair(space: FockSpace, l, k) -> SparseOperator:
+    # chain: spin-up pairs over the full chain; square: c-c pairs
+    if space.kind == "chain":
+        return _bond_sum(space, int(l), float(k), "uu", "all")
+    return _square_pair_sum(space, int(l[0]), int(l[1]), float(k[0]), float(k[1]), "cc")
+
+
+def near_filling_commutator_table(space: FockSpace, labels, n_holes: int = 0,
+                                  seed: int = 0):
+    """``<s| [e_i, e_j^dag] |s>`` for every ordered pair of bond labels.
+
+    ``labels`` is a sequence of ``(l, k)`` bond labels (chain: int l and
+    float k; square lattice: ``(l, m)`` and ``(kx, ky)``).  The state s is
+    the filled Fock state with ``n_holes`` holes drawn deterministically
+    (``seed``) from the modes the pair operators act on (chain: spin-up
+    modes; square: c modes).  Returns ``(table, holes)``: a P x P complex
+    array with ``table[i, j]`` the expectation for labels i and j, and
+    the sorted hole modes.
+
+    Each operator's row and column at s are read once and stacked: R
+    (CSR, row i = row s of e_i) and C (CSC, column i = column s of e_i).
+    Then ``table[i, j] = (R R^H)[i, j] - (C^H C)[j, i]``, two sparse
+    products (no dense BLAS, which would regroup the sums).  A sparse
+    product adds each entry over the shared basis index in the order of
+    the left factor's row: R keeps each operator's stored row order and
+    C^H lists the basis states in ascending order, exactly as the
+    single-pair products ``row_i . row_j^H`` and ``col_j^H . col_i`` do.
+    So every entry is bit-for-bit the value its pair gives alone,
+    whatever else is in the table.
+    """
+    if space.kind == "chain":
+        anchor_modes = [space.chain_mode(site, 0) for site in range(space.geometry["n_sites"])]
     else:
         lx, ly = space.geometry["lx"], space.geometry["ly"]
-        n_sites = lx * ly
-        la, ma = int(l[0]), int(l[1])
-        lb, mb = int(lp[0]), int(lp[1])
-        e1 = _square_pair_sum(space, la, ma, float(k[0]), float(k[1]), "cc")
-        e2 = _square_pair_sum(space, lb, mb, float(kp[0]), float(kp[1]), "cc")
         anchor_modes = [square_mode(lx, ly, x, y, 0) for x in range(lx) for y in range(ly)]
-        matched = (la % lx, ma % ly) == (lb % lx, mb % ly) and _momenta_match(k, kp)
-        self_paired = matched and (2 * la % lx, 2 * ma % ly) == (0, 0)
+    ops = [_near_filling_pair(space, l, k).matrix for l, k in labels]
     if n_holes > space.n_modes:
         raise ValueError(f"{n_holes} holes exceed the {space.n_modes} available modes")
     if n_holes > len(anchor_modes):
@@ -538,22 +558,55 @@ def boson_commutator_report(space: FockSpace, l, lp, k, kp, n_holes: int = 0,
     state = space.filled_state
     for hole in holes:
         state &= ~(1 << hole)
-    # <s|[e1, e2^dag]|s> touches a single diagonal element, so slice the
-    # relevant row/column instead of materializing the product.
-    row1 = e1.matrix.getrow(state)
-    row2 = e2.matrix.getrow(state)
-    col1 = e1.matrix.getcol(state)
-    col2 = e2.matrix.getcol(state)
-    raise_then_lower = (row1 @ row2.conj().T).toarray()[0, 0]
-    lower_then_raise = (col2.conj().T @ col1).toarray()[0, 0]
-    expectation = complex(raise_then_lower - lower_then_raise)
-    target = float(n_sites) if matched else 0.0
+
+    row_data, row_idx, col_data, col_idx = [], [], [], []
+    for m in ops:
+        lo, hi = m.indptr[state], m.indptr[state + 1]
+        row_data.append(m.data[lo:hi])
+        row_idx.append(m.indices[lo:hi])
+        # positions holding column s, in ascending row order
+        at = np.flatnonzero(m.indices == state)
+        col_data.append(m.data[at])
+        col_idx.append(np.searchsorted(m.indptr, at, side="right") - 1)
+
+    def stack(data, idx, cls, shape):
+        ptr = np.concatenate(([0], np.cumsum([len(d) for d in data])))
+        return cls((np.concatenate(data), np.concatenate(idx), ptr), shape=shape)
+
+    P = len(ops)
+    R = stack(row_data, row_idx, sparse.csr_matrix, (P, space.dim))
+    C = stack(col_data, col_idx, sparse.csc_matrix, (space.dim, P))
+    raise_then_lower = (R @ R.conj().T).toarray()
+    lower_then_raise = (C.conj().T @ C).toarray()
+    return raise_then_lower - lower_then_raise.T, holes
+
+
+def boson_commutator_report(space: FockSpace, l, lp, k, kp, n_holes: int = 0,
+                            seed: int = 0) -> BosonCommutatorReport:
+    """Measure ``<state| [e_{+lk}, e_{-l'k'}] |state>`` near full filling.
+
+    The state and the expectation are those of
+    :func:`near_filling_commutator_table` on the labels ``(l, k)`` and
+    ``(l', k')``, so a report equals the table entry for the same pair
+    bit for bit.  Momenta come from the full site grid.  Raw,
+    un-normalised expectations are reported; the near-filling target is
+    the site count when (l, k) = (l', k').
+    """
+    table, holes = near_filling_commutator_table(space, [(l, k), (lp, kp)], n_holes, seed)
+    if space.kind == "chain":
+        matched = int(l) == int(lp) and _momenta_match(k, kp)
+    else:
+        lx, ly = space.geometry["lx"], space.geometry["ly"]
+        matched = (int(l[0]) % lx, int(l[1]) % ly) == (int(lp[0]) % lx, int(lp[1]) % ly) \
+            and _momenta_match(k, kp)
+    expectation = complex(table[0, 1])
+    target = float(space.n_sites) if matched else 0.0
     return BosonCommutatorReport(
         expectation=expectation,
         target=target,
         deviation=abs(expectation - target),
         holes=holes,
-        self_paired=self_paired,
+        self_paired=matched and bond_self_paired(space, l),
     )
 
 

@@ -201,11 +201,11 @@ def test_json_output_is_deterministic(tmp_path):
          ["spectrum", "dirac2d", "--lx", "2", "--ly", "2", "--mass", "0.8"]),
         ("verify_commutators_ssh6.json",
          ["verify", "commutators", "--model", "ssh", "--sites", "6", "--holes", "0"]),
+        ("verify_interactions_ssh6.json",
+         ["verify", "interactions", "--model", "ssh", "--sites", "6", "--seed", "3"]),
         ("verify_commutators_dirac2x3.json",
          ["verify", "commutators", "--model", "dirac2d", "--lx", "2", "--ly", "3",
           "--mass", "0.8", "--holes", "1", "--seed", "5"]),
-        ("verify_interactions_ssh6.json",
-         ["verify", "interactions", "--model", "ssh", "--sites", "6", "--seed", "3"]),
     ],
 )
 def test_golden_files(tmp_path, name, args):
@@ -248,6 +248,32 @@ def test_overflowing_mass_fails_the_verdict(capsys):
     assert payload["verdict"] == "fail"
     assert payload["max_residual"] == "+nan"
     assert not all(c["pass"] for c in payload["checks"])
+
+
+def test_spectrum_exits_1_on_a_failed_verdict(capsys):
+    # the closed forms overflow at m*m: NaN discrepancies fail the table
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = run_cli(
+            ["spectrum", "dirac2d", "--lx", "2", "--ly", "2", "--mass", "1e200"], capsys
+        )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "fail"
+    assert payload["max_discrepancy"] == "+nan"
+
+
+def test_commutators_at_the_16_mode_cap(capsys):
+    code, out, _ = run_cli(
+        ["verify", "commutators", "--model", "ssh", "--sites", "16", "--holes", "2",
+         "--seed", "4"],
+        capsys,
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "pass"
+    assert payload["site_count"] == 16
+    assert len(payload["self_paired_cells"]) == 16
+    assert len(payload["deviation_vs_holes"]) == 4 * 8
 
 
 BAD_FLAGS = [
@@ -350,7 +376,4 @@ def test_cli_input_boundary(run):
         tolerance = numbers["--tolerance"]
         passed = all(float(b["max_discrepancy"]) <= tolerance for b in payload["blocks"])
     assert payload["verdict"] == ("pass" if passed else "fail")
-    if argv[0] == "verify":
-        assert code == (0 if passed else 1)
-    else:
-        assert code == 0
+    assert code == (0 if passed else 1)

@@ -17,6 +17,8 @@ from bondboson.fock import (
     creation_op,
     dirac_hamiltonian,
     h_bond_commutator_residuals,
+    near_filling_commutator_table,
+    square_bond_offsets,
     square_combo_operator,
     square_pair_operator,
     verify_H_bond_commutators,
@@ -348,6 +350,65 @@ def test_square_filled_commutator():
     assert abs(rep.expectation) < 1e-12
     rep = boson_commutator_report(space, (0, 1), (0, 1), k, k)
     assert rep.self_paired  # 2*(0,1) wraps to (0,0) on the 3x2 torus
+
+
+def near_filling_labels(space):
+    """Every (l, k) label of the commutators suite, with its pair operator."""
+    if space.kind == "chain":
+        n = space.n_sites
+        return [((l, k), bond_operator(space, l, k))
+                for l in range(1, n // 2 + 1) for k in chain_momenta(n)]
+    lx, ly = space.geometry["lx"], space.geometry["ly"]
+    return [((l, tuple(k)), square_pair_operator(space, *l, *k, pairing="cc"))
+            for l in square_bond_offsets(lx, ly) for k in square_momenta(lx, ly)]
+
+
+def single_pair_expectation(e1, e2, state):
+    """<state|[e1, e2^dag]|state> from one row and one column slice per operator."""
+    row1, row2 = e1.matrix.getrow(state), e2.matrix.getrow(state)
+    col1, col2 = e1.matrix.getcol(state), e2.matrix.getcol(state)
+    raise_then_lower = (row1 @ row2.conj().T).toarray()[0, 0]
+    lower_then_raise = (col2.conj().T @ col1).toarray()[0, 0]
+    return complex(raise_then_lower - lower_then_raise)
+
+
+@pytest.mark.parametrize("holes", [0, 1, 2])
+@pytest.mark.parametrize(
+    "space",
+    [FockSpace.chain(6), FockSpace.chain(8), FockSpace.square(2, 2), FockSpace.square(2, 3)],
+    ids=["ssh6", "ssh8", "dirac2x2", "dirac2x3"],
+)
+def test_batched_table_equals_single_pair_route_exactly(space, holes):
+    labels, ops = zip(*near_filling_labels(space))
+    table, hole_modes = near_filling_commutator_table(space, labels, n_holes=holes, seed=3)
+    assert table.shape == (len(labels), len(labels))
+    assert len(hole_modes) == holes
+    state = space.filled_state
+    for hole in hole_modes:
+        state &= ~(1 << hole)
+    for i, e1 in enumerate(ops):
+        for j, e2 in enumerate(ops):
+            assert complex(table[i, j]) == single_pair_expectation(e1, e2, state), (i, j)
+    (l, k), (lp, kp) = labels[0], labels[-1]
+    rep = boson_commutator_report(space, l, lp, k, kp, n_holes=holes, seed=3)
+    assert rep.expectation == complex(table[0, -1])
+    assert rep.holes == hole_modes
+
+
+@pytest.mark.parametrize("holes", [0, 2])
+def test_batched_table_matches_dense_commutator(holes):
+    space = FockSpace.chain(6)
+    labels, ops = zip(*near_filling_labels(space))
+    table, hole_modes = near_filling_commutator_table(space, labels, n_holes=holes, seed=1)
+    state = space.filled_state
+    for hole in hole_modes:
+        state &= ~(1 << hole)
+    dense = [op.to_dense() for op in ops]
+    for i, e1 in enumerate(dense):
+        for j, e2 in enumerate(dense):
+            e2_dag = e2.conj().T
+            exact = (e1 @ e2_dag - e2_dag @ e1)[state, state]
+            assert abs(table[i, j] - exact) <= 1e-12, (i, j)
 
 
 # -- exact H-bond commutator identities ---------------------------------------
