@@ -39,6 +39,12 @@ CASES = {
     "verify_interactions_ssh6.json": [
         "verify", "interactions", "--model", "ssh", "--sites", "6", "--seed", "3",
     ],
+    "spectrum_dirac2x3.json": [
+        "spectrum", "dirac2d", "--lx", "2", "--ly", "3", "--mass", "1.3",
+    ],
+    "spectrum_ssh10_alpha0.csv": [
+        "spectrum", "ssh", "--sites", "10", "--alpha-u", "0", "--format", "csv",
+    ],
 }
 
 

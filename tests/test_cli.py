@@ -206,6 +206,12 @@ def test_json_output_is_deterministic(tmp_path):
         ("verify_commutators_dirac2x3.json",
          ["verify", "commutators", "--model", "dirac2d", "--lx", "2", "--ly", "3",
           "--mass", "0.8", "--holes", "1", "--seed", "5"]),
+        # non-square grid: catches x-major / repeat / tile mistakes in stacked code
+        ("spectrum_dirac2x3.json",
+         ["spectrum", "dirac2d", "--lx", "2", "--ly", "3", "--mass", "1.3"]),
+        # odd cell count and degenerate eigenvalue ties
+        ("spectrum_ssh10_alpha0.csv",
+         ["spectrum", "ssh", "--sites", "10", "--alpha-u", "0", "--format", "csv"]),
     ],
 )
 def test_golden_files(tmp_path, name, args):
