@@ -47,7 +47,7 @@ from .interactions import (
     random_offdiag_coupling,
     creation_pair_direct,
 )
-from .lattice import ChainSpec, SquareSpec, chain_momenta, square_momenta
+from .lattice import TWO_PI, ChainSpec, SquareSpec, chain_momenta, square_momenta
 from .numerics import max_residual
 
 EXIT_OK = 0
@@ -148,11 +148,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sites", type=int, help="chain site count (even)")
         p.add_argument("--lx", type=int, help="square lattice extent along x")
         p.add_argument("--ly", type=int, help="square lattice extent along y")
-        p.add_argument("--t0", type=float, default=1.0, help="uniform hopping (chain)")
-        p.add_argument("--alpha-u", type=float, default=0.0, dest="alpha_u",
-                       help="alternating hopping modulation (chain)")
-        p.add_argument("--mass", type=float, default=0.5,
-                       help="on-site mass splitting of the 2D model")
+        # None marks a flag not given: _config_from_args rejects flags of the
+        # other model and fills in the RunConfig defaults
+        p.add_argument("--t0", type=float, help="uniform hopping (chain, default 1.0)")
+        p.add_argument("--alpha-u", type=float, dest="alpha_u",
+                       help="alternating hopping modulation (chain, default 0.0)")
+        p.add_argument("--mass", type=float,
+                       help="on-site mass splitting of the 2D model (default 0.5)")
         p.add_argument("--tolerance", type=float, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
@@ -166,27 +168,69 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_params(vp, model_positional=False)
     vp.add_argument("--spinful", action="store_true",
                     help="use the spinful chain space (identities suite)")
-    vp.add_argument("--holes", type=int, default=0,
-                    help="highlighted hole count for the commutators suite")
+    vp.add_argument("--holes", type=int,
+                    help="highlighted hole count for the commutators suite (default 0)")
     return parser
 
 
+# The model flags each model reads; the other model's flags are rejected.
+MODEL_FLAGS = {"ssh": ("--sites", "--t0", "--alpha-u"), "dirac2d": ("--lx", "--ly", "--mass")}
+
+
+def _check_block_bound(model: str, t0: float, alpha_u: float, mass: float) -> None:
+    """Reject model parameters whose 4x4 block entries overflow, naming the flag.
+
+    The entries are bounded by 2|t0| + 4|alpha_u| on the chain and by
+    2|mass| in 2D.  Past that bound a table would hold inf and NaN, so the
+    flag whose term is largest is named instead.
+    """
+    if model == "ssh":
+        terms = {"--t0": 2.0 * abs(t0), "--alpha-u": 4.0 * abs(alpha_u)}
+        bound = "2*|t0| + 4*|alpha_u|"
+    else:
+        terms = {"--mass": 2.0 * abs(mass)}
+        bound = "2*|mass|"
+    if not math.isfinite(sum(terms.values())):
+        flag = max(terms, key=terms.get)
+        raise ValueError(f"{flag} is too large: the block entry bound {bound} overflows")
+
+
 def _config_from_args(args) -> RunConfig:
-    """Check every flag the command reads; each error names its flag."""
+    """Check every flag the command reads and reject the ones it does not.
+
+    Each error names its flag.  Value checks come before checks of sizes
+    and suites, so a bad value is named even when a size is bad too.
+    """
     command = args.command
     suite = getattr(args, "suite", "")
     model = args.model
     spinful = getattr(args, "spinful", False)
-    holes = getattr(args, "holes", 0)
+    given = {"--sites": args.sites, "--lx": args.lx, "--ly": args.ly,
+             "--t0": args.t0, "--alpha-u": args.alpha_u, "--mass": args.mass}
+    other = "dirac2d" if model == "ssh" else "ssh"
+    for flag in MODEL_FLAGS[other]:
+        if given[flag] is not None:
+            raise ValueError(f"{flag} is not read by the {model} model")
+    holes = getattr(args, "holes", None)
+    if holes is not None and suite != "commutators":
+        raise ValueError("--holes applies only to the commutators suite")
+    holes = 0 if holes is None else holes
+    t0 = RunConfig.t0 if args.t0 is None else args.t0
+    alpha_u = RunConfig.alpha_u if args.alpha_u is None else args.alpha_u
+    mass = RunConfig.mass if args.mass is None else args.mass
     tolerance = args.tolerance
     if tolerance is None:
         tolerance = DEFAULT_TOLERANCES[suite or "spectrum"]
-    for flag, value in (("--t0", args.t0), ("--alpha-u", args.alpha_u), ("--mass", args.mass),
+    for flag, value in (("--t0", t0), ("--alpha-u", alpha_u), ("--mass", mass),
                         ("--tolerance", tolerance)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
     if tolerance <= 0:
         raise ValueError(f"--tolerance must be positive, got {tolerance}")
+    if model == "ssh" and t0 <= 0:
+        raise ValueError(f"--t0 must be positive for the chain model, got {t0}")
+    if command == "spectrum" or suite == "correspondence":
+        _check_block_bound(model, t0, alpha_u, mass)
     if suite == "interactions" and model != "ssh":
         raise ValueError("the interactions suite is defined on the chain model")
     if spinful and (suite, model) != ("identities", "ssh"):
@@ -196,8 +240,6 @@ def _config_from_args(args) -> RunConfig:
             raise ValueError("--sites is required for the chain model")
         if args.sites <= 0 or args.sites % 2 != 0:
             raise ValueError(f"--sites must be a positive even integer, got {args.sites}")
-        if args.t0 <= 0:
-            raise ValueError(f"--t0 must be positive for the chain model, got {args.t0}")
     else:
         if args.lx is None or args.ly is None:
             raise ValueError("--lx and --ly are required for the 2D model")
@@ -215,9 +257,9 @@ def _config_from_args(args) -> RunConfig:
         sites=args.sites or 0,
         lx=args.lx or 0,
         ly=args.ly or 0,
-        t0=args.t0,
-        alpha_u=args.alpha_u,
-        mass=args.mass,
+        t0=t0,
+        alpha_u=alpha_u,
+        mass=mass,
         spinful=spinful,
         holes=holes,
         seed=args.seed,
@@ -231,41 +273,47 @@ def _config_from_args(args) -> RunConfig:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _momenta_dict(model: str, momenta) -> dict:
-    # fermion_pair_at names the second band momentum entering the signed
-    # pair sums (the first is q, resp. (s, p)); it lands on the half-step
-    # site grid rather than the block grid.
-    two_pi = 2.0 * np.pi
-    if model == "ssh":
-        q, k = momenta
-        return {
-            "q": fmt_momentum(q),
-            "k": fmt_momentum(k),
-            "fermion_pair_at": fmt_momentum((k / 2.0 - q) % two_pi),
-        }
-    s, p, kx, ky = momenta
-    return {
-        "s": fmt_momentum(s),
-        "p": fmt_momentum(p),
-        "kx": fmt_momentum(kx),
-        "ky": fmt_momentum(ky),
-        "fermion_pair_at": [
-            fmt_momentum((kx - s) % two_pi),
-            fmt_momentum((ky - p) % two_pi),
-        ],
-    }
+MOMENTUM_COLUMNS = {"ssh": ["q", "k"], "dirac2d": ["s", "p", "kx", "ky"]}
+
+
+def _momentum_labels(rows) -> list:
+    """``fmt_momentum`` of every value of ``rows``, each distinct value formatted once.
+
+    A grid table repeats a few momenta in every row, and the rational
+    search of ``fmt_momentum`` costs far more than a lookup.
+    """
+    labels = {value: fmt_momentum(value) for value in {v for row in rows for v in row}}
+    return [[labels[value] for value in row] for row in rows]
+
+
+def _value_rows(table):
+    """Per block: the numeric, closed-form and pair lists and the discrepancy, as floats."""
+    return zip(table.numeric.tolist(), table.closed_form.tolist(),
+               table.fermion_pairs.tolist(), table.discrepancy.tolist())
 
 
 def _table_payload(table, config: RunConfig) -> dict:
+    # fermion_pair_at names the second band momentum entering the signed
+    # pair sums (the first is q, resp. (s, p)); it lands on the half-step
+    # site grid rather than the block grid.
+    if table.model == "ssh":
+        points = [(q, k, (k / 2.0 - q) % TWO_PI) for q, k in table.momenta.tolist()]
+        as_momenta = lambda l: {"q": l[0], "k": l[1], "fermion_pair_at": l[2]}
+    else:
+        points = [(s, p, kx, ky, (kx - s) % TWO_PI, (ky - p) % TWO_PI)
+                  for s, p, kx, ky in table.momenta.tolist()]
+        as_momenta = lambda l: {"s": l[0], "p": l[1], "kx": l[2], "ky": l[3],
+                                "fermion_pair_at": l[4:]}
     blocks = []
-    for row in table.rows:
+    for labels, (numeric, closed, pairs, spread) in zip(_momentum_labels(points),
+                                                        _value_rows(table)):
         blocks.append(
             {
-                "momenta": _momenta_dict(table.model, row.momenta),
-                "numeric": [fmt_float(v) for v in row.numeric],
-                "closed_form": [fmt_float(v) for v in row.closed_form],
-                "fermion_pairs": [fmt_float(v) for v in row.fermion_pairs],
-                "max_discrepancy": fmt_float(row.max_discrepancy),
+                "momenta": as_momenta(labels),
+                "numeric": [fmt_float(v) for v in numeric],
+                "closed_form": [fmt_float(v) for v in closed],
+                "fermion_pairs": [fmt_float(v) for v in pairs],
+                "max_discrepancy": fmt_float(spread),
             }
         )
     return {
@@ -279,23 +327,20 @@ def _table_payload(table, config: RunConfig) -> dict:
 def _table_csv(table, config: RunConfig) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if table.model == "ssh":
-        momentum_cols = ["q", "k"]
-    else:
-        momentum_cols = ["s", "p", "kx", "ky"]
-    writer.writerow(momentum_cols + ["rank", "numeric", "closed_form",
-                                     "fermion_pair", "max_discrepancy"])
-    for row in table.rows:
-        labels = [fmt_momentum(m) for m in row.momenta]
+    writer.writerow(MOMENTUM_COLUMNS[table.model] + ["rank", "numeric", "closed_form",
+                                                     "fermion_pair", "max_discrepancy"])
+    for labels, (numeric, closed, pairs, spread) in zip(_momentum_labels(table.momenta.tolist()),
+                                                        _value_rows(table)):
+        spread = fmt_float(spread)
         for rank in range(4):
             writer.writerow(
                 labels
                 + [
                     rank,
-                    fmt_float(row.numeric[rank]),
-                    fmt_float(row.closed_form[rank]),
-                    fmt_float(row.fermion_pairs[rank]),
-                    fmt_float(row.max_discrepancy),
+                    fmt_float(numeric[rank]),
+                    fmt_float(closed[rank]),
+                    fmt_float(pairs[rank]),
+                    spread,
                 ]
             )
     return buf.getvalue()

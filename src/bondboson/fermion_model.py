@@ -16,16 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import ChainSpec, SquareSpec, square_mode
-from .numerics import HermitianMatrix
+from .numerics import HermitianMatrix, pow2
 
 
 @dataclass(frozen=True)
 class BandEnergy:
-    """Conduction/valence branch pair at one momentum.
+    """Conduction/valence branch pair at one momentum, or at each of an array.
 
-    ``gap`` is the momentum-dependent mass parameter entering the
-    radical: ``4*alpha_u*sin K`` for the chain, ``delta`` for the square
-    lattice.
+    The band functions broadcast: scalar momenta give floats, arrays of
+    momenta give arrays of the same shape.  ``gap`` is the
+    momentum-dependent mass parameter entering the radical:
+    ``4*alpha_u*sin K`` for the chain, ``delta`` for the square lattice.
     """
 
     momentum: object
@@ -52,12 +53,12 @@ def ssh_hopping_matrix(spec: ChainSpec) -> HermitianMatrix:
     return HermitianMatrix(h)
 
 
-def ssh_band_energy(momentum: float, t0: float, alpha_u: float) -> BandEnergy:
-    """Closed-form chain band at one momentum."""
+def ssh_band_energy(momentum, t0: float, alpha_u: float) -> BandEnergy:
+    """Closed-form chain band at one momentum, or elementwise over an array."""
     eps = 2.0 * t0 * np.cos(momentum)
     gap = 4.0 * alpha_u * np.sin(momentum)
-    e = float(np.hypot(eps, gap))
-    return BandEnergy(momentum=float(momentum), plus_branch=e, minus_branch=-e, gap=float(gap))
+    e = np.hypot(eps, gap)
+    return BandEnergy(momentum=momentum, plus_branch=e, minus_branch=-e, gap=gap)
 
 
 def dirac2d_hopping_matrix(spec: SquareSpec) -> HermitianMatrix:
@@ -91,12 +92,7 @@ def dirac2d_hopping_matrix(spec: SquareSpec) -> HermitianMatrix:
     return HermitianMatrix(h)
 
 
-def dirac2d_band_energy(kx: float, ky: float, m: float) -> BandEnergy:
-    """Closed-form square-lattice band at one momentum; m = delta/2."""
-    e = 2.0 * float(np.sqrt(m * m + np.sin(kx) ** 2 + np.sin(ky) ** 2))
-    return BandEnergy(
-        momentum=(float(kx), float(ky)),
-        plus_branch=e,
-        minus_branch=-e,
-        gap=2.0 * float(m),
-    )
+def dirac2d_band_energy(kx, ky, m: float) -> BandEnergy:
+    """Closed-form square-lattice band at one momentum, or elementwise; m = delta/2."""
+    e = 2.0 * np.sqrt(m * m + pow2(np.sin(kx)) + pow2(np.sin(ky)))
+    return BandEnergy(momentum=(kx, ky), plus_branch=e, minus_branch=-e, gap=2.0 * m)

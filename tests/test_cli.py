@@ -303,9 +303,31 @@ BAD_FLAGS = [
     ("--spinful", ["verify", "correspondence", "--model", "ssh", "--sites", "4", "--spinful"]),
     ("--holes", ["verify", "commutators", "--model", "ssh", "--sites", "4", "--holes=-1"]),
     ("--seed", ["verify", "interactions", "--model", "ssh", "--sites", "4", "--seed=-1"]),
+    # finite values whose block entries overflow
+    ("--mass", ["spectrum", "dirac2d", "--lx", "2", "--ly", "2", "--mass", "1e308"]),
+    ("--t0", ["spectrum", "ssh", "--sites", "4", "--t0", "1e308"]),
+    ("--alpha-u", ["spectrum", "ssh", "--sites", "4", "--alpha-u", "1e308"]),
+    ("--alpha-u", ["verify", "correspondence", "--model", "ssh", "--sites", "4",
+                   "--t0", "5e307", "--alpha-u=-3e307"]),
+    ("--mass", ["verify", "correspondence", "--model", "dirac2d", "--lx", "1", "--ly", "1",
+                "--mass=-1e308"]),
+    # flags the model or the suite does not read
+    ("--lx", ["verify", "identities", "--model", "ssh", "--sites", "4", "--holes", "3",
+              "--lx", "0", "--mass", "5"]),
+    ("--ly", ["spectrum", "ssh", "--sites", "4", "--ly", "1"]),
+    ("--mass", ["spectrum", "ssh", "--sites", "4", "--mass", "5"]),
+    ("--sites", ["spectrum", "dirac2d", "--lx", "2", "--ly", "2", "--sites", "4"]),
+    ("--t0", ["verify", "commutators", "--model", "dirac2d", "--lx", "2", "--ly", "2",
+              "--t0", "1"]),
+    ("--alpha-u", ["verify", "identities", "--model", "dirac2d", "--lx", "2", "--ly", "2",
+                   "--alpha-u", "0.1"]),
+    ("--holes", ["verify", "identities", "--model", "ssh", "--sites", "4", "--holes", "3"]),
+    ("--holes", ["verify", "correspondence", "--model", "dirac2d", "--lx", "2", "--ly", "2",
+                 "--holes", "0"]),
 ]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flag,args", BAD_FLAGS, ids=[" ".join(args) for _, args in BAD_FLAGS])
 def test_bad_flag_is_usage_error_naming_the_flag(capsys, flag, args):
     code, out, err = run_cli(args, capsys)
@@ -326,8 +348,10 @@ EDGE_VALUES = {
 def cli_runs(draw):
     """argv for one CLI run on at most 8 Fock modes, with the numeric flags it sets.
 
-    At most one numeric flag takes an edge value (NaN, +-inf, 1e308, zero or
-    a negative number), so that most runs get past validation to a report.
+    Only the model's own numeric flags are set (the other model's are
+    rejected by name).  At most one takes an edge value (NaN, +-inf, 1e308,
+    zero or a negative number), so that most runs get past validation to a
+    report.
     """
     command = draw(st.sampled_from(["spectrum", "correspondence", "identities",
                                     "commutators", "interactions"]))
@@ -342,12 +366,11 @@ def cli_runs(draw):
         argv += [f"--lx={lx}", f"--ly={ly}"]
     if spinful:
         argv.append("--spinful")
-    numbers = {
-        "--t0": draw(st.floats(0.1, 3.0)),
-        "--alpha-u": draw(st.floats(-3.0, 3.0)),
-        "--mass": draw(st.floats(-3.0, 3.0)),
-        "--tolerance": draw(st.sampled_from([1e-12, 1e-10, 0.5])),
-    }
+    if model == "ssh":
+        numbers = {"--t0": draw(st.floats(0.1, 3.0)), "--alpha-u": draw(st.floats(-3.0, 3.0))}
+    else:
+        numbers = {"--mass": draw(st.floats(-3.0, 3.0))}
+    numbers["--tolerance"] = draw(st.sampled_from([1e-12, 1e-10, 0.5]))
     edge = draw(st.sampled_from([None, None, None, *EDGE_VALUES]))
     if edge is not None:
         numbers[edge] = draw(st.sampled_from(EDGE_VALUES[edge]))
@@ -355,6 +378,25 @@ def cli_runs(draw):
     if command == "commutators":
         argv.append(f"--holes={draw(st.integers(0, 2))}")
     return argv, numbers
+
+
+def must_reject(argv, numbers) -> list:
+    """The flags whose values the CLI must reject whatever the other flags say."""
+    flags = [flag for flag, value in numbers.items() if not math.isfinite(value)]
+    if flags:
+        return flags
+    if numbers["--tolerance"] <= 0:
+        flags.append("--tolerance")
+    if numbers.get("--t0", 1.0) <= 0:
+        flags.append("--t0")
+    if argv[0] == "spectrum" or argv[1] == "correspondence":
+        # the block entries are bounded by 2|t0| + 4|alpha_u|, resp. 2|mass|
+        terms = {flag: factor * abs(numbers[flag])
+                 for flag, factor in (("--t0", 2.0), ("--alpha-u", 4.0), ("--mass", 2.0))
+                 if flag in numbers}
+        if not math.isfinite(sum(terms.values())):
+            flags.append(max(terms, key=terms.get))
+    return flags
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -368,11 +410,13 @@ def test_cli_input_boundary(run):
                 np.errstate(over="ignore", invalid="ignore"):
             code = main(argv + ["--output", str(report)])
         event(f"exit {code}")
+        rejected = must_reject(argv, numbers)
+        if rejected:
+            # value checks come first: a bad value is named even beside a bad size
+            assert code == 2
+            assert any(err.getvalue().startswith(f"error: {flag}") for flag in rejected)
         if code == 2:
             assert err.getvalue().startswith("error:")
-            non_finite = [flag for flag, value in numbers.items() if not math.isfinite(value)]
-            if non_finite:
-                assert any(flag in err.getvalue() for flag in non_finite)
             return
         assert code in (0, 1), (code, err.getvalue())
         payload = json.loads(report.read_text())

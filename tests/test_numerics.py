@@ -110,3 +110,47 @@ def test_max_residual_propagates_nan():
     assert max(1.0, float("nan")) == 1.0
     assert np.isnan(max_residual([1.0, float("nan"), 2.0]))
     assert np.isnan(max_residual(r for r in (0.0, float("nan"))))
+
+
+def test_stack_eigenvalues_match_one_matrix_at_a_time():
+    rng = np.random.default_rng(11)
+    stack = np.array([random_hermitian(rng, 4) for _ in range(5)])
+    assert HermitianMatrix(stack).dim == 4
+    together = hermitian_eigenvalues(stack)
+    assert together.shape == (5, 4)
+    for matrix, eigs in zip(stack, together):
+        assert hermitian_eigenvalues(matrix).tobytes() == eigs.tobytes()
+
+
+def alone_error(matrix):
+    with pytest.raises(ValueError) as err:
+        HermitianMatrix(matrix)
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("order", ["non-hermitian first", "non-finite first"])
+def test_stack_raises_the_error_of_its_first_failing_matrix(order):
+    good = np.eye(3)
+    # 1e-6 off, but within tolerance at scale 1e9: only the scale of its own block counts
+    good_large = np.diag([1e9, 1.0, 1.0]).astype(complex)
+    good_large[0, 1] = 1e-6
+    non_hermitian = np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    non_finite = np.array([[0.0, np.inf, 0.0], [np.inf, 0.0, 0.0], [0.0, 0.0, np.nan]])
+    failing = [non_hermitian, non_finite]
+    if order == "non-finite first":
+        failing.reverse()
+    stack = np.array([good, good_large, failing[0], good, failing[1]])
+    with pytest.raises(ValueError) as err:
+        HermitianMatrix(stack)
+    assert (type(err.value), str(err.value)) == alone_error(failing[0])
+    with pytest.raises(ValueError) as err:
+        hermitian_eigenvalues(stack.reshape(5, 1, 3, 3))
+    assert (type(err.value), str(err.value)) == alone_error(failing[0])
+    assert alone_error(non_hermitian)[0] is NonHermitianError
+    assert alone_error(non_finite) == (ValueError, "non-finite entry at (0, 1)")
+
+
+def test_stack_diagonals_are_made_real():
+    stack = np.array([[[1.0 + 1e-17j, 2.0], [2.0, 3.0 - 1e-17j]]] * 2)
+    h = HermitianMatrix(stack)
+    assert np.all(np.diagonal(h.array, axis1=-2, axis2=-1).imag == 0.0)

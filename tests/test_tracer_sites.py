@@ -59,7 +59,10 @@ def test_traced_commands_run_and_uninstall(tmp_path):
     finally:
         tracer.uninstall()
     metrics = tracer.metrics()
-    assert metrics["blocks.block_build.calls"] == 4
+    # the 4-block spectrum is one stacked build, closed form and eigensolve
+    assert metrics["blocks.block_build.calls"] == 1
+    assert metrics["blocks.closed_form.calls"] == 1
+    assert metrics["numerics.hermitian_eigenvalues.calls"] == 1
     assert metrics["fock.boson_commutator_report.calls"] > 0
     assert metrics["interactions.pair_from_bonds.calls"] > 0
     # uninstall puts every original back: no wrapper is left in the package
