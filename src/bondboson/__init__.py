@@ -5,14 +5,26 @@ periodic chain and a two-component square-lattice model whose long
 wavelength limit is the 2+1D Dirac equation.  For both it provides
 
 * single-particle Hamiltonians and closed-form bands (`fermion_model`),
-* exact many-body pair ("bond") operators on bitset Fock spaces and
-  the commutator identities they satisfy (`fock`),
+* the quadratic pair algebra on n x n coefficient matrices and the
+  H-bond commutator identities checked on it (`bilinear`),
+* exact many-body pair ("bond") operators on bitset Fock spaces (`fock`),
 * 4x4 momentum-space bond-boson blocks whose eigenvalues are signed
   sums of two fermion band energies (`blocks`),
 * the quartic-to-quadratic interaction rewrite (`interactions`),
 * a CLI emitting deterministic JSON/CSV reports (`cli`).
 """
 
+from .bilinear import (
+    ChainPair,
+    CommutatorResidual,
+    Identity,
+    PairCoefficients,
+    SquarePair,
+    bond_identities,
+    h_bond_commutator_residuals,
+    pair_norm,
+    verify_H_bond_commutators,
+)
 from .blocks import (
     BlockRow,
     DiracBlock,
@@ -33,7 +45,6 @@ from .fermion_model import (
 )
 from .fock import (
     BosonCommutatorReport,
-    CommutatorResidual,
     FockSizeError,
     FockSpace,
     SparseOperator,
@@ -47,12 +58,11 @@ from .fock import (
     commutator,
     creation_op,
     dirac_hamiltonian,
-    h_bond_commutator_residuals,
     near_filling_commutator_table,
+    pair_bilinear,
     square_bond_offsets,
     square_combo_operator,
     square_pair_operator,
-    verify_H_bond_commutators,
 )
 from .interactions import (
     coulomb_operator,
@@ -60,6 +70,7 @@ from .interactions import (
     creation_pair_direct,
     interaction_equivalence_residual,
     pair_from_bonds,
+    pair_reconstruction_max,
     random_offdiag_coupling,
 )
 from .lattice import ChainSpec, SquareSpec, chain_momenta, square_momenta

@@ -1,0 +1,359 @@
+"""Quadratic fermion algebra on n x n coefficient matrices.
+
+A pair bilinear ``P_A = sum_ij A_ij c+_i c+_j`` and a hopping operator
+``H = sum_ij h_ij c+_i c_j`` on n modes close under commutation,
+
+    [H, P_A] = P_{hA + A h^T},
+
+an identity between n x n matrices (S. Bravyi, "Lagrangian
+representation for fermionic linear optics", quant-ph/0404180).  Since
+``c+_i c+_j = -c+_j c+_i`` only the antisymmetric part of a coefficient
+matrix matters, and the terms ``c+_i c+_j`` (i < j) are orthogonal in
+the Frobenius inner product of the 2^n-dimensional Fock space, each
+with 2^(n-2) entries of modulus one.  So the Fock-space norm is exact
+on coefficients:
+
+    ||P_M||_F = 2^((n-2)/2) * ||M - M^T||_F / sqrt(2).
+
+The H-bond identities are stated here once, as data: each
+:class:`Identity` lists its target bond (or combination) and the
+weighted pair sums of its right-hand side.  :func:`h_bond_commutator_residuals`
+evaluates both sides on coefficients and reports the Fock-space
+Frobenius norm of LHS - RHS; the tests evaluate the same data on Fock
+matrices as a cross-check.  Every phase comes from one exact table per
+grid axis (:func:`bondboson.lattice.unit_roots`), indexed by integer
+momentum, so ``e^{i pi}`` is exactly -1.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .fermion_model import dirac2d_hopping_matrix, ssh_hopping_matrix
+from .fock import CHAIN_CHANNEL_SPINS, SQUARE_PAIRING_COMPONENTS, check_mode_cap
+from .lattice import (
+    ChainSpec,
+    SquareSpec,
+    chain_anchors,
+    chain_mode,
+    chain_momenta,
+    phase_position,
+    square_mode,
+    square_momenta,
+    unit_roots,
+)
+from .numerics import max_residual
+
+_SQRT2 = float(np.sqrt(2.0))
+
+
+@dataclass(frozen=True)
+class ChainPair:
+    """``sum_n w[K*p(n)] c+_{n,s1} c+_{n+l,s2}`` over the anchors n of a sublattice.
+
+    ``K`` is the momentum index on the site grid (k = 2*pi*K/n_sites).
+    The anchors are every site ("all"), the odd sites ("A", p(n) = n) or
+    the even sites ("B", p(n) = n // 2, the cell index); on the full
+    chain p(n) = n.  ``channel`` names the two spins (see
+    :data:`bondboson.fock.CHAIN_CHANNEL_SPINS`).
+    """
+
+    l: int
+    K: int
+    channel: str = "uu"
+    sublattice: str = "all"
+
+
+@dataclass(frozen=True)
+class SquarePair:
+    """``sum_r w_x[Kx*x] w_y[Ky*y] a+_r a'+_{r+(l,m)}`` on the square lattice.
+
+    ``Kx``, ``Ky`` index the two axis grids; ``pairing`` names the
+    components of the two created fermions ("cc", "bb", "cb", "bc").
+    """
+
+    l: int
+    m: int
+    Kx: int
+    Ky: int
+    pairing: str = "cc"
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One H-bond identity ``[H, sum target] = sum rhs``.
+
+    ``target`` and ``rhs`` are tuples of ``(weight, pair)`` with pairs
+    :class:`ChainPair` or :class:`SquarePair`; ``channel``,
+    ``sublattice``, ``l`` and ``k`` label the check in reports (k as
+    the float momenta of the grid).
+    """
+
+    channel: str
+    sublattice: str
+    l: object
+    k: object
+    target: tuple
+    rhs: tuple
+
+
+@dataclass(frozen=True)
+class CommutatorResidual:
+    """Frobenius norm of LHS - RHS for one H-bond commutator identity."""
+
+    channel: str
+    sublattice: str
+    l: object
+    k: object
+    residual: float
+
+
+def commutator_with_hopping(h: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Coefficients of ``[H, P_A]``: ``hA + A h^T``."""
+    return h @ a + a @ h.T
+
+
+def pair_norm(m: np.ndarray) -> float:
+    """Fock-space Frobenius norm of the pair bilinear of the n x n matrix m."""
+    n = m.shape[0]
+    return float(np.sqrt(2.0 ** (n - 3)) * np.linalg.norm(m - m.T))
+
+
+def _scaled(weight, terms) -> tuple:
+    return tuple((weight * w, pair) for w, pair in terms)
+
+
+class PairCoefficients:
+    """Coefficient matrices of the pair sums of one lattice, each built once.
+
+    ``spec`` is a :class:`ChainSpec` (its site count and spinfulness are
+    read) or a :class:`SquareSpec` (its extents).
+    """
+
+    def __init__(self, spec):
+        if isinstance(spec, ChainSpec):
+            self.n_modes = spec.n_sites * (2 if spec.spinful else 1)
+            self._roots = (unit_roots(spec.n_sites),)
+        elif isinstance(spec, SquareSpec):
+            self.n_modes = 2 * spec.lx * spec.ly
+            self._roots = (unit_roots(spec.lx), unit_roots(spec.ly))
+        else:
+            raise TypeError(f"expected ChainSpec or SquareSpec, got {type(spec).__name__}")
+        self.spec = spec
+        self._cache = {}
+
+    def pair(self, pair) -> np.ndarray:
+        cached = self._cache.get(pair)
+        if cached is None:
+            cached = self._chain(pair) if isinstance(pair, ChainPair) else self._square(pair)
+            cached.setflags(write=False)
+            self._cache[pair] = cached
+        return cached
+
+    def combination(self, terms) -> np.ndarray:
+        """``sum weight * pair`` over the ``(weight, pair)`` terms."""
+        acc = np.zeros((self.n_modes, self.n_modes), dtype=complex)
+        for weight, pair in terms:
+            acc += weight * self.pair(pair)
+        return acc
+
+    def _chain(self, pair: ChainPair) -> np.ndarray:
+        n_sites, spinful = self.spec.n_sites, self.spec.spinful
+        (roots,) = self._roots
+        anchors = np.array(chain_anchors(n_sites, pair.sublattice))
+        position = phase_position(pair.sublattice, anchors)
+        spin1, spin2 = CHAIN_CHANNEL_SPINS[pair.channel]
+        a = np.zeros((self.n_modes, self.n_modes), dtype=complex)
+        a[chain_mode(n_sites, anchors, spin1, spinful),
+          chain_mode(n_sites, anchors + pair.l, spin2, spinful)] = roots[(pair.K * position) % n_sites]
+        return a
+
+    def _square(self, pair: SquarePair) -> np.ndarray:
+        lx, ly = self.spec.lx, self.spec.ly
+        roots_x, roots_y = self._roots
+        x, y = (v.ravel() for v in np.meshgrid(np.arange(lx), np.arange(ly), indexing="ij"))
+        comp1, comp2 = SQUARE_PAIRING_COMPONENTS[pair.pairing]
+        a = np.zeros((self.n_modes, self.n_modes), dtype=complex)
+        a[square_mode(lx, ly, x, y, comp1), square_mode(lx, ly, x + pair.l, y + pair.m, comp2)] = (
+            roots_x[(pair.Kx * x) % lx] * roots_y[(pair.Ky * y) % ly]
+        )
+        return a
+
+
+def hopping_matrix(spec) -> np.ndarray:
+    """``h`` of the spec's Hamiltonian in the Fock mode order (``h (x) I_2`` when spinful)."""
+    if isinstance(spec, ChainSpec):
+        h = ssh_hopping_matrix(spec).array
+        return np.kron(h, np.eye(2)) if spec.spinful else h
+    return dirac2d_hopping_matrix(spec).array
+
+
+def _chain_identities(spec: ChainSpec) -> list:
+    """The exact [H, bond] identities of the dimerized chain.
+
+    With hopping ``-t0 + (-1)^n 2 alpha_u`` on bond (n, n+1), sublattice
+    A = odd sites (site phase e^{ikn}), B = even sites (cell phase
+    e^{ik n/2}), and t_l = t0 + (-1)^l 2 alpha_u, t_pm = t0 +- 2 alpha_u,
+    the commutators close exactly as
+
+      [H, F_A(l, k)] = -( t_l F_A(l+1, k) + t_{l+1} F_A(l-1, k)
+                          + t_- e^{ik}  F_B(l+1, 2k) + t_+ e^{-ik}  F_B(l-1, 2k) )
+      [H, F_B(l, k)] = -( t_{l+1} F_B(l+1, k) + t_l F_B(l-1, k)
+                          + t_+ e^{ik/2} F_A(l+1, k/2) + t_- e^{-ik/2} F_A(l-1, k/2) )
+
+    for every same-spin or mixed-spin channel F, with k on the cell
+    grid.  The B entries appear at momentum 2k (resp. A at k/2) because
+    the two sublattices carry site and cell phases respectively.  With
+    k = 2 pi j / n_cells, the site-grid index of k is 2j, of 2k is 4j
+    and of k/2 is j.
+    """
+    n_sites, n_cells = spec.n_sites, spec.n_cells
+    roots = unit_roots(n_sites)
+    t0, au = spec.t0, spec.alpha_u
+    t_l = lambda l: t0 + (-1) ** l * 2.0 * au
+    t_plus, t_minus = t0 + 2.0 * au, t0 - 2.0 * au
+    if spec.spinful:
+        channels = [("E(+)", (("uu", 1), ("dd", 1))), ("E(-)", (("uu", 1), ("dd", -1))),
+                    ("D(+)", (("ud", 1), ("du", 1))), ("D(-)", (("ud", 1), ("du", -1)))]
+    else:
+        channels = [("e", (("uu", 1),))]
+
+    identities = []
+    for name, parts in channels:
+        def op(weight, l, K, sublattice):
+            return tuple((weight * sign, ChainPair(l, K % n_sites, channel, sublattice))
+                         for channel, sign in parts)
+
+        for j, k in enumerate(chain_momenta(n_cells)):
+            K = 2 * j
+            phase, phase_c = roots[K % n_sites], roots[-K % n_sites]
+            half, half_c = roots[j], roots[-j % n_sites]
+            for l in range(1, n_cells + 1):
+                identities.append(Identity(name, "A", l, float(k), op(1.0, l, K, "A"), (
+                    op(-t_l(l), l + 1, K, "A") + op(-t_l(l + 1), l - 1, K, "A")
+                    + op(-t_minus * phase, l + 1, 2 * K, "B")
+                    + op(-t_plus * phase_c, l - 1, 2 * K, "B"))))
+                identities.append(Identity(name, "B", l, float(k), op(1.0, l, K, "B"), (
+                    op(-t_l(l + 1), l + 1, K, "B") + op(-t_l(l), l - 1, K, "B")
+                    + op(-t_plus * half, l + 1, j, "A")
+                    + op(-t_minus * half_c, l - 1, j, "A"))))
+    return identities
+
+
+def _square_identities(spec: SquareSpec) -> list:
+    """The exact [H, combo] identities of the two-component square lattice.
+
+    With E1(s) the same-component and E2(s) the mixed-component
+    combinations (s = +-1), each ``(pair1 + s*pair2)/sqrt(2)``, the
+    commutators with the two-component Hamiltonian close exactly as
+
+      [H, E1(+)] = -(1+X) E2(-; l+1) + (1+X*) E2(-; l-1)
+                   + i(Y-1) E2(+; m+1) - i(Y*-1) E2(+; m-1) + 2 delta E1(-)
+      [H, E1(-)] =  (X-1) E2(+; l+1) + (1-X*) E2(+; l-1)
+                   - i(1+Y) E2(-; m+1) + i(1+Y*) E2(-; m-1) + 2 delta E1(+)
+      [H, E2(+)] =  (1-X) E1(-; l+1) - (1-X*) E1(-; l-1)
+                   + i(Y-1) E1(+; m+1) - i(Y*-1) E1(+; m-1)
+      [H, E2(-)] =  (1+X) E1(+; l+1) - (1+X*) E1(+; l-1)
+                   - i(1+Y) E1(-; m+1) + i(1+Y*) E1(-; m-1)
+
+    where X = e^{i kx}, Y = e^{i ky} and only the shifted index is
+    written.  The mass couples E1(+) and E1(-) with weight 2*delta and
+    leaves the mixed combinations alone.
+    """
+    lx, ly = spec.lx, spec.ly
+    roots_x, roots_y = unit_roots(lx), unit_roots(ly)
+    mass = 2.0 * spec.delta
+    grid = square_momenta(lx, ly)
+
+    identities = []
+    for (Kx, Ky), (kx, ky) in zip(np.ndindex(lx, ly), grid):
+        X, Y = roots_x[Kx], roots_y[Ky]
+        Xc, Yc = roots_x[-Kx % lx], roots_y[-Ky % ly]
+
+        def E(family, parity, l, m):
+            first, second = ("cc", "bb") if family == 1 else ("cb", "bc")
+            return ((1.0 / _SQRT2, SquarePair(l, m, Kx, Ky, first)),
+                    (parity / _SQRT2, SquarePair(l, m, Kx, Ky, second)))
+
+        for l in range(lx):
+            for m in range(ly):
+                checks = [
+                    ("E1(+)", E(1, +1, l, m),
+                     _scaled(-(1 + X), E(2, -1, l + 1, m))
+                     + _scaled(1 + Xc, E(2, -1, l - 1, m))
+                     + _scaled(1j * (Y - 1), E(2, +1, l, m + 1))
+                     + _scaled(-1j * (Yc - 1), E(2, +1, l, m - 1))
+                     + _scaled(mass, E(1, -1, l, m))),
+                    ("E1(-)", E(1, -1, l, m),
+                     _scaled(X - 1, E(2, +1, l + 1, m))
+                     + _scaled(1 - Xc, E(2, +1, l - 1, m))
+                     + _scaled(-1j * (1 + Y), E(2, -1, l, m + 1))
+                     + _scaled(1j * (1 + Yc), E(2, -1, l, m - 1))
+                     + _scaled(mass, E(1, +1, l, m))),
+                    ("E2(+)", E(2, +1, l, m),
+                     _scaled(1 - X, E(1, -1, l + 1, m))
+                     + _scaled(-(1 - Xc), E(1, -1, l - 1, m))
+                     + _scaled(1j * (Y - 1), E(1, +1, l, m + 1))
+                     + _scaled(-1j * (Yc - 1), E(1, +1, l, m - 1))),
+                    ("E2(-)", E(2, -1, l, m),
+                     _scaled(1 + X, E(1, +1, l + 1, m))
+                     + _scaled(-(1 + Xc), E(1, +1, l - 1, m))
+                     + _scaled(-1j * (1 + Y), E(1, -1, l, m + 1))
+                     + _scaled(1j * (1 + Yc), E(1, -1, l, m - 1))),
+                ]
+                for name, target, rhs in checks:
+                    identities.append(Identity(name, "-", (l, m), (float(kx), float(ky)),
+                                               target, rhs))
+    return identities
+
+
+def bond_identities(spec) -> list:
+    """The H-bond identities of a chain or square-lattice spec, in report order.
+
+    Raises :class:`bondboson.fock.FockSizeError` beyond the 16-mode cap:
+    each residual is a Fock-space norm with an absolute bound.
+    """
+    if isinstance(spec, ChainSpec):
+        check_mode_cap(spec.n_sites * (2 if spec.spinful else 1))
+        return _chain_identities(spec)
+    if isinstance(spec, SquareSpec):
+        check_mode_cap(2 * spec.lx * spec.ly)
+        return _square_identities(spec)
+    raise TypeError(f"expected ChainSpec or SquareSpec, got {type(spec).__name__}")
+
+
+def identity_sides(coefficients: PairCoefficients, h: np.ndarray, identity: Identity):
+    """``(hA + A h^T, sum rhs)``: the coefficient matrices of both sides of an identity."""
+    lhs = commutator_with_hopping(h, coefficients.combination(identity.target))
+    return lhs, coefficients.combination(identity.rhs)
+
+
+def h_bond_commutator_residuals(spec) -> list:
+    """Per-(channel, sublattice, l, k) residuals of the H-bond identities.
+
+    Each residual is the Frobenius norm of LHS - RHS as Fock-space
+    operators, evaluated exactly on coefficient matrices by
+    :func:`pair_norm`.
+    """
+    identities = bond_identities(spec)
+    coefficients = PairCoefficients(spec)
+    h = hopping_matrix(spec)
+    results = []
+    for identity in identities:
+        lhs, rhs = identity_sides(coefficients, h, identity)
+        results.append(CommutatorResidual(identity.channel, identity.sublattice, identity.l,
+                                          identity.k, pair_norm(lhs - rhs)))
+    return results
+
+
+def verify_H_bond_commutators(spec) -> float:
+    """Max Frobenius residual of the bond-operator commutator identities.
+
+    These are exact operator identities for the quadratic Hamiltonians,
+    so the result must vanish to machine precision; any structured
+    residual points at a phase or sign convention error and can be
+    localised with :func:`h_bond_commutator_residuals`.
+    """
+    return max_residual(r.residual for r in h_bond_commutator_residuals(spec))

@@ -29,13 +29,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bilinear import h_bond_commutator_residuals
 from .blocks import correspondence_report
 from .fock import (
     FockSizeError,
     FockSpace,
     bond_self_paired,
     boson_commutator_report,
-    h_bond_commutator_residuals,
     near_filling_commutator_table,
     square_bond_offsets,
 )
@@ -43,10 +43,12 @@ from .interactions import (
     coulomb_operator,
     coulomb_pair_form,
     interaction_equivalence_residual,
-    pair_from_bonds,
+    pair_reconstruction_max,
     random_offdiag_coupling,
-    creation_pair_direct,
 )
+# imported for the benchmark tracer, which wraps these names where cli looks them up;
+# the pair reconstruction is measured on coefficients
+from .interactions import creation_pair_direct, pair_from_bonds  # noqa: F401
 from .lattice import TWO_PI, ChainSpec, SquareSpec, chain_momenta, square_momenta
 from .numerics import max_residual
 
@@ -211,6 +213,8 @@ def _config_from_args(args) -> RunConfig:
     for flag in MODEL_FLAGS[other]:
         if given[flag] is not None:
             raise ValueError(f"{flag} is not read by the {model} model")
+    if command == "verify" and args.fmt != "json":
+        raise ValueError(f"--format {args.fmt} is not available for verify: its reports are JSON")
     holes = getattr(args, "holes", None)
     if holes is not None and suite != "commutators":
         raise ValueError("--holes applies only to the commutators suite")
@@ -524,11 +528,7 @@ def _suite_interactions(config: RunConfig) -> dict:
     pair_form = coulomb_pair_form(space, alpha)
     form_distance = (density_form - pair_form).norm()
 
-    reconstruction_max = max_residual(
-        (creation_pair_direct(space, p, l) - pair_from_bonds(space, p, l)).norm()
-        for p in range(spec.n_sites)
-        for l in range(1, spec.n_sites)
-    )
+    reconstruction_max = pair_reconstruction_max(spec.n_sites)
 
     assembled_residual = interaction_equivalence_residual(space, alpha)
     scale = pair_form.norm()

@@ -1,8 +1,12 @@
 """Exact many-body engine on occupation-bitset Fock spaces (<= 16 modes).
 
 Creation/annihilation operators, momentum-superposed pair ("bond")
-operators, hopping Hamiltonians, and the commutator machinery
-needed to verify the bond-operator algebra exactly.
+operators, hopping Hamiltonians, the Fock-space build of a pair
+bilinear from its coefficient matrix, and the near-filling commutator
+table.  The quadratic H-bond identities are checked on coefficient
+matrices in :mod:`bondboson.bilinear`; the operators here are what those
+matrices stand for, and the tests keep the Fock evaluation of the
+identities as an independent cross-check.
 
 Basis state ``i`` occupies mode ``b`` iff bit ``b`` of ``i`` is set.
 Mode order is site-major:
@@ -24,8 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .lattice import ChainSpec, SquareSpec, chain_momenta, on_grid, square_mode, square_momenta
-from .numerics import max_residual
+from .lattice import (
+    ChainSpec,
+    SquareSpec,
+    chain_anchors,
+    chain_mode,
+    on_grid,
+    phase_position,
+    square_mode,
+)
+# imported for the benchmark tracer, which wraps the grids where fock looks them up
+from .lattice import chain_momenta, square_momenta  # noqa: F401
 
 MAX_MODES = 16
 
@@ -36,20 +49,28 @@ PRUNE_TOL = 1e-15
 class FockSizeError(ValueError):
     """Raised when a requested space exceeds the exact-representation cap."""
 
+
+def check_mode_cap(n_modes: int) -> None:
+    """Raise :class:`FockSizeError` if ``n_modes`` exceeds :data:`MAX_MODES`."""
+    if n_modes > MAX_MODES:
+        raise FockSizeError(f"{n_modes} modes exceed the exact-representation cap of {MAX_MODES}")
+
+
 _SQRT2 = float(np.sqrt(2.0))
 
-_CHAIN_CHANNELS = ("uu", "dd", "ud", "du")
-_SQUARE_PAIRINGS = ("cc", "bb", "cb", "bc")
+# The spins of the two created fermions of a chain channel, and the
+# components of a square-lattice pairing (0 = c, 1 = b).
+CHAIN_CHANNEL_SPINS = {"uu": (0, 0), "dd": (1, 1), "ud": (0, 1), "du": (1, 0)}
+SQUARE_PAIRING_COMPONENTS = {"cc": (0, 0), "bb": (1, 1), "cb": (0, 1), "bc": (1, 0)}
+_CHAIN_CHANNELS = tuple(CHAIN_CHANNEL_SPINS)
+_SQUARE_PAIRINGS = tuple(SQUARE_PAIRING_COMPONENTS)
 
 
 class FockSpace:
     """Full 2^n_modes occupation basis for a chain or square lattice."""
 
     def __init__(self, kind, n_modes, mode_labels, geometry):
-        if n_modes > MAX_MODES:
-            raise FockSizeError(
-                f"{n_modes} modes exceed the exact-representation cap of {MAX_MODES}"
-            )
+        check_mode_cap(n_modes)
         self.kind = kind
         self.n_modes = n_modes
         self.dim = 1 << n_modes
@@ -100,13 +121,9 @@ class FockSpace:
         return self.dim - 1
 
     def chain_mode(self, site: int, spin: int = 0) -> int:
-        n_sites = self.geometry["n_sites"]
-        site = site % n_sites
-        if self.spinful:
-            return 2 * site + spin
-        if spin != 0:
+        if spin != 0 and not self.spinful:
             raise ValueError("spinless space has a single species")
-        return site
+        return chain_mode(self.geometry["n_sites"], site, spin, self.spinful)
 
     def _creation_matrix(self, mode: int):
         if mode < 0 or mode >= self.n_modes:
@@ -234,6 +251,39 @@ def anticommutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     return SparseOperator(a.space, a.matrix @ b.matrix + b.matrix @ a.matrix)
 
 
+def pair_bilinear(space: FockSpace, coefficients) -> SparseOperator:
+    """The pair bilinear ``sum_ij M_ij c+_i c+_j`` of an n x n coefficient matrix M.
+
+    Since ``c+_i c+_j = -c+_j c+_i``, the operator is
+    ``sum_{i<j} (M_ij - M_ji) c+_i c+_j``.  Each such term has one entry
+    per basis state s with modes i and j empty, at row
+    ``s | 2^i | 2^j``, so every Fock entry is one antisymmetric
+    coefficient with a Jordan-Wigner sign: weights below the pruning
+    tolerance are dropped before the build, which is what pruning the
+    built operator would do.  All remaining pairs are built in one
+    vectorized pass over the 2^(n-2) states each acts on.
+    """
+    m = np.asarray(coefficients, dtype=complex)
+    n = space.n_modes
+    if m.shape != (n, n):
+        raise ValueError(f"coefficient shape {m.shape} does not match {n} modes")
+    weights = np.triu(m - m.T, 1)
+    i, j = np.nonzero(np.abs(weights) >= PRUNE_TOL)
+    if i.size == 0:
+        return SparseOperator.zero(space)
+    i, j = i[:, None], j[:, None]
+    # the states with modes i < j empty: insert a zero bit at i, then at j
+    free = np.arange(1 << (n - 2), dtype=np.int64)[None, :]
+    free = ((free >> i) << (i + 1)) | (free & ((1 << i) - 1))
+    free = ((free >> j) << (j + 1)) | (free & ((1 << j) - 1))
+    below = np.bitwise_count(free & ((1 << i) - 1)) + np.bitwise_count(free & ((1 << j) - 1))
+    data = weights[i, j] * (1.0 - 2.0 * (below & 1))
+    rows = free | (1 << i) | (1 << j)
+    matrix = sparse.csr_matrix((data.ravel(), (rows.ravel(), free.ravel())),
+                               shape=(space.dim, space.dim))
+    return SparseOperator(space, matrix)
+
+
 # ---------------------------------------------------------------------------
 # Many-body Hamiltonians (mirror the single-particle builders exactly)
 # ---------------------------------------------------------------------------
@@ -285,24 +335,6 @@ def dirac_hamiltonian(space: FockSpace, spec: SquareSpec) -> SparseOperator:
 # Bond (pair) operators
 # ---------------------------------------------------------------------------
 
-def _chain_anchors(space: FockSpace, sublattice: str):
-    n_sites = space.geometry["n_sites"]
-    if sublattice == "all":
-        return range(n_sites)
-    if sublattice == "A":
-        return range(1, n_sites, 2)
-    if sublattice == "B":
-        return range(0, n_sites, 2)
-    raise ValueError(f"unknown sublattice {sublattice!r}; expected 'all', 'A' or 'B'")
-
-
-def _chain_phase(sublattice: str, k: float, site: int) -> complex:
-    # A and the full chain use the site phase; B uses its cell index.
-    if sublattice == "B":
-        return np.exp(1j * k * (site // 2))
-    return np.exp(1j * k * site)
-
-
 def _bond_sum(space: FockSpace, l: int, k: float, channel: str, sublattice: str) -> SparseOperator:
     """Unvalidated pair-raising sum; l = 0 yields the zero operator."""
     n_sites = space.geometry["n_sites"]
@@ -310,12 +342,12 @@ def _bond_sum(space: FockSpace, l: int, k: float, channel: str, sublattice: str)
     cached = space._op_cache.get(key)
     if cached is not None:
         return cached
-    spin1, spin2 = {"uu": (0, 0), "dd": (1, 1), "ud": (0, 1), "du": (1, 0)}[channel]
+    spin1, spin2 = CHAIN_CHANNEL_SPINS[channel]
     acc = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for site in _chain_anchors(space, sublattice):
+    for site in chain_anchors(n_sites, sublattice):
         c1 = space._creation_matrix(space.chain_mode(site, spin1))
         c2 = space._creation_matrix(space.chain_mode(site + l, spin2))
-        acc = acc + _chain_phase(sublattice, k, site) * (c1 @ c2)
+        acc = acc + np.exp(1j * k * phase_position(sublattice, site)) * (c1 @ c2)
     op = SparseOperator(space, acc)
     space._op_cache[key] = op
     return op
@@ -356,14 +388,6 @@ def bond_operator(space: FockSpace, l: int, k: float, channel: str = "uu",
     return _bond_sum(space, l, k, channel, sublattice)
 
 
-def _combo_sum(space: FockSpace, l: int, k: float, family: str, parity: int,
-               sublattice: str) -> SparseOperator:
-    first, second = {"E": ("uu", "dd"), "D": ("ud", "du")}[family]
-    return _bond_sum(space, l, k, first, sublattice) + parity * _bond_sum(
-        space, l, k, second, sublattice
-    )
-
-
 def combo_operator(space: FockSpace, l: int, k: float, family: str = "E",
                    parity: int = +1, sublattice: str = "all") -> SparseOperator:
     """Spin-channel combination of bond operators.
@@ -391,7 +415,7 @@ def _square_pair_sum(space: FockSpace, l: int, m: int, kx: float, ky: float,
     cached = space._op_cache.get(key)
     if cached is not None:
         return cached
-    comp1, comp2 = {"cc": (0, 0), "bb": (1, 1), "cb": (0, 1), "bc": (1, 0)}[pairing]
+    comp1, comp2 = SQUARE_PAIRING_COMPONENTS[pairing]
     acc = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
     for x in range(lx):
         for y in range(ly):
@@ -608,163 +632,3 @@ def boson_commutator_report(space: FockSpace, l, lp, k, kp, n_holes: int = 0,
         holes=holes,
         self_paired=matched and bond_self_paired(space, l),
     )
-
-
-# ---------------------------------------------------------------------------
-# Exact H-bond commutator identities
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CommutatorResidual:
-    """Frobenius norm of LHS - RHS for one H-bond commutator identity."""
-
-    channel: str
-    sublattice: str
-    l: object
-    k: object
-    residual: float
-
-
-def _chain_identity_residuals(spec: ChainSpec) -> list:
-    """Residuals of the exact [H, bond] identities on a chain Fock space.
-
-    With hopping ``-t0 + (-1)^n 2 alpha_u`` on bond (n, n+1), sublattice
-    A = odd sites (site phase e^{ikn}), B = even sites (cell phase
-    e^{ik n/2}), and t_l = t0 + (-1)^l 2 alpha_u, t_pm = t0 +- 2 alpha_u,
-    the commutators close exactly as
-
-      [H, F_A(l, k)] = -( t_l F_A(l+1, k) + t_{l+1} F_A(l-1, k)
-                          + t_- e^{ik}  F_B(l+1, 2k) + t_+ e^{-ik}  F_B(l-1, 2k) )
-      [H, F_B(l, k)] = -( t_{l+1} F_B(l+1, k) + t_l F_B(l-1, k)
-                          + t_+ e^{ik/2} F_A(l+1, k/2) + t_- e^{-ik/2} F_A(l-1, k/2) )
-
-    for every same-spin or mixed-spin channel F, with k on the cell
-    grid.  The B entries appear at momentum 2k (resp. A at k/2) because
-    the two sublattices carry site and cell phases respectively.
-    """
-    space = FockSpace.chain(spec.n_sites, spec.spinful)
-    h = chain_hamiltonian(space, spec)
-    n_cells = spec.n_cells
-    t0, au = spec.t0, spec.alpha_u
-    t_l = lambda l: t0 + (-1) ** l * 2.0 * au
-    t_plus, t_minus = t0 + 2.0 * au, t0 - 2.0 * au
-
-    if spec.spinful:
-        channels = [
-            ("E(+)", lambda l, k, s: _combo_sum(space, l, k, "E", +1, s)),
-            ("E(-)", lambda l, k, s: _combo_sum(space, l, k, "E", -1, s)),
-            ("D(+)", lambda l, k, s: _combo_sum(space, l, k, "D", +1, s)),
-            ("D(-)", lambda l, k, s: _combo_sum(space, l, k, "D", -1, s)),
-        ]
-    else:
-        channels = [("e", lambda l, k, s: _bond_sum(space, l, k, "uu", s))]
-
-    results = []
-    for name, op in channels:
-        for k in chain_momenta(n_cells):
-            phase = np.exp(1j * k)
-            half = np.exp(1j * k / 2.0)
-            for l in range(1, n_cells + 1):
-                lhs = commutator(h, op(l, k, "A"))
-                rhs = -(
-                    t_l(l) * op(l + 1, k, "A")
-                    + t_l(l + 1) * op(l - 1, k, "A")
-                    + (t_minus * phase) * op(l + 1, 2.0 * k, "B")
-                    + (t_plus / phase) * op(l - 1, 2.0 * k, "B")
-                )
-                results.append(CommutatorResidual(name, "A", l, float(k), (lhs - rhs).norm()))
-                lhs = commutator(h, op(l, k, "B"))
-                rhs = -(
-                    t_l(l + 1) * op(l + 1, k, "B")
-                    + t_l(l) * op(l - 1, k, "B")
-                    + (t_plus * half) * op(l + 1, k / 2.0, "A")
-                    + (t_minus / half) * op(l - 1, k / 2.0, "A")
-                )
-                results.append(CommutatorResidual(name, "B", l, float(k), (lhs - rhs).norm()))
-    return results
-
-
-def _square_identity_residuals(spec: SquareSpec) -> list:
-    """Residuals of the exact [H, combo] identities on a square Fock space.
-
-    With E1(s) the same-component and E2(s) the mixed-component
-    combinations (s = +-1), the commutators with the two-component
-    Hamiltonian close exactly as
-
-      [H, E1(+)] = -(1+X) E2(-; l+1) + (1+X*) E2(-; l-1)
-                   + i(Y-1) E2(+; m+1) - i(Y*-1) E2(+; m-1) + 2 delta E1(-)
-      [H, E1(-)] =  (X-1) E2(+; l+1) + (1-X*) E2(+; l-1)
-                   - i(1+Y) E2(-; m+1) + i(1+Y*) E2(-; m-1) + 2 delta E1(+)
-      [H, E2(+)] =  (1-X) E1(-; l+1) - (1-X*) E1(-; l-1)
-                   + i(Y-1) E1(+; m+1) - i(Y*-1) E1(+; m-1)
-      [H, E2(-)] =  (1+X) E1(+; l+1) - (1+X*) E1(+; l-1)
-                   - i(1+Y) E1(-; m+1) + i(1+Y*) E1(-; m-1)
-
-    where X = e^{i kx}, Y = e^{i ky} and only the shifted index is
-    written.  The mass couples E1(+) and E1(-) with weight 2*delta and
-    leaves the mixed combinations alone.
-    """
-    space = FockSpace.square(spec.lx, spec.ly)
-    h = dirac_hamiltonian(space, spec)
-    lx, ly = spec.lx, spec.ly
-
-    def op(fam, par, l, m, kx, ky):
-        return _square_combo_sum(space, l, m, kx, ky, fam, par)
-
-    results = []
-    for kx, ky in square_momenta(lx, ly):
-        X, Y = np.exp(1j * kx), np.exp(1j * ky)
-        Xc, Yc = np.conj(X), np.conj(Y)
-        for l in range(lx):
-            for m in range(ly):
-                checks = [
-                    ("E1(+)", op(1, +1, l, m, kx, ky),
-                     -(1 + X) * op(2, -1, l + 1, m, kx, ky)
-                     + (1 + Xc) * op(2, -1, l - 1, m, kx, ky)
-                     + 1j * (Y - 1) * op(2, +1, l, m + 1, kx, ky)
-                     - 1j * (Yc - 1) * op(2, +1, l, m - 1, kx, ky)
-                     + (2.0 * spec.delta) * op(1, -1, l, m, kx, ky)),
-                    ("E1(-)", op(1, -1, l, m, kx, ky),
-                     (X - 1) * op(2, +1, l + 1, m, kx, ky)
-                     + (1 - Xc) * op(2, +1, l - 1, m, kx, ky)
-                     - 1j * (1 + Y) * op(2, -1, l, m + 1, kx, ky)
-                     + 1j * (1 + Yc) * op(2, -1, l, m - 1, kx, ky)
-                     + (2.0 * spec.delta) * op(1, +1, l, m, kx, ky)),
-                    ("E2(+)", op(2, +1, l, m, kx, ky),
-                     (1 - X) * op(1, -1, l + 1, m, kx, ky)
-                     - (1 - Xc) * op(1, -1, l - 1, m, kx, ky)
-                     + 1j * (Y - 1) * op(1, +1, l, m + 1, kx, ky)
-                     - 1j * (Yc - 1) * op(1, +1, l, m - 1, kx, ky)),
-                    ("E2(-)", op(2, -1, l, m, kx, ky),
-                     (1 + X) * op(1, +1, l + 1, m, kx, ky)
-                     - (1 + Xc) * op(1, +1, l - 1, m, kx, ky)
-                     - 1j * (1 + Y) * op(1, -1, l, m + 1, kx, ky)
-                     + 1j * (1 + Yc) * op(1, -1, l, m - 1, kx, ky)),
-                ]
-                for name, target_op, rhs in checks:
-                    lhs = commutator(h, target_op)
-                    results.append(
-                        CommutatorResidual(name, "-", (l, m), (float(kx), float(ky)),
-                                           (lhs - rhs).norm())
-                    )
-    return results
-
-
-def h_bond_commutator_residuals(spec) -> list:
-    """Per-(channel, sublattice, l, k) residuals of the H-bond identities."""
-    if isinstance(spec, ChainSpec):
-        return _chain_identity_residuals(spec)
-    if isinstance(spec, SquareSpec):
-        return _square_identity_residuals(spec)
-    raise TypeError(f"expected ChainSpec or SquareSpec, got {type(spec).__name__}")
-
-
-def verify_H_bond_commutators(spec) -> float:
-    """Max Frobenius residual of the bond-operator commutator identities.
-
-    These are exact operator identities for the quadratic Hamiltonians,
-    so the result must vanish to machine precision; any structured
-    residual points at a phase or sign convention error and can be
-    localised with :func:`h_bond_commutator_residuals`.
-    """
-    return max_residual(r.residual for r in h_bond_commutator_residuals(spec))

@@ -4,8 +4,10 @@ The quartic density-density coupling on a chain can be rewritten as a
 pair-hopping form (exact for distinct sites, where the two forms agree
 termwise), and every pair bilinear can in turn be assembled from the
 momentum bond operators by an inverse transform over the full site
-grid.  All three statements are operator identities on small Fock
-spaces and are checked as such.
+grid.  The pair reconstruction is quadratic, so it is done and measured
+on n x n coefficient matrices (:mod:`bondboson.bilinear`); only the two
+quartic statements, the density-vs-pair form and the bond-assembled
+interaction, are checked on Fock-space operators.
 
 The same pair-reconstruction mechanism would turn density couplings to
 quantized lattice vibrations or to gauge fields into interactions
@@ -18,8 +20,13 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .fock import FockSpace, SparseOperator, _bond_sum
-from .lattice import chain_momenta
+from .bilinear import ChainPair, PairCoefficients, pair_norm
+from .fock import FockSpace, SparseOperator, pair_bilinear
+from .lattice import ChainSpec, unit_roots
+from .numerics import max_residual
+# imported for the benchmark tracer, which wraps these names where interactions looks them up
+from .fock import _bond_sum  # noqa: F401
+from .lattice import chain_momenta  # noqa: F401
 
 
 def _check_chain_space(space: FockSpace):
@@ -97,24 +104,56 @@ def coulomb_pair_form(space: FockSpace, alpha) -> SparseOperator:
     return SparseOperator(space, acc)
 
 
-def pair_from_bonds(space: FockSpace, p: int, l: int) -> SparseOperator:
-    """Reassemble ``c+_p c+_{p+l}`` from bond operators.
+def pair_reconstruction_terms(n_sites: int, p: int, l: int) -> tuple:
+    """The inverse transform of ``c+_p c+_{p+l}`` as ``(weight, bond)`` terms.
 
-    Inverse transform over the full site momentum grid:
-    ``(1/n_sites) sum_k e^{-ipk} e_{+lk}``.  The grid-size factor is
-    required for the momentum sum to project out the single anchor p;
-    the identity is exact for every offset 1 <= l <= n_sites - 1.
+    ``c+_p c+_{p+l} = (1/n_sites) sum_K e^{-ipk} e_{+lk}`` over the full
+    site grid k = 2 pi K / n_sites, with ``e_{+lk}`` the full-chain
+    spin-up bond :class:`~bondboson.bilinear.ChainPair`.  The grid-size
+    factor is required for the momentum sum to project out the single
+    anchor p; the identity is exact for every offset
+    1 <= l <= n_sites - 1.
     """
-    _check_chain_space(space)
-    n_sites = space.geometry["n_sites"]
     if not 0 <= p < n_sites:
         raise ValueError(f"anchor {p} out of range 0..{n_sites - 1}")
     if not 1 <= l <= n_sites - 1:
         raise ValueError(f"offset {l} out of range 1..{n_sites - 1}")
-    acc = SparseOperator.zero(space)
-    for k in chain_momenta(n_sites):
-        acc = acc + np.exp(-1j * k * p) * _bond_sum(space, l, k, "uu", "all")
-    return (1.0 / n_sites) * acc
+    roots = unit_roots(n_sites)
+    return tuple((roots[-K * p % n_sites] / n_sites, ChainPair(l, K)) for K in range(n_sites))
+
+
+def pair_coefficients(coefficients: PairCoefficients, p: int, l: int) -> np.ndarray:
+    """Coefficient matrix of ``c+_p c+_{p+l}`` reassembled from bond coefficients."""
+    return coefficients.combination(pair_reconstruction_terms(coefficients.spec.n_sites, p, l))
+
+
+def pair_from_bonds(space: FockSpace, p: int, l: int) -> SparseOperator:
+    """Reassemble ``c+_p c+_{p+l}`` from bond operators.
+
+    The inverse transform (:func:`pair_reconstruction_terms`) runs on
+    the n x n bond coefficient matrices; the result is built on the
+    Fock space in one pass (:func:`bondboson.fock.pair_bilinear`).
+    """
+    _check_chain_space(space)
+    coefficients = PairCoefficients(ChainSpec(space.geometry["n_sites"]))
+    return pair_bilinear(space, pair_coefficients(coefficients, p, l))
+
+
+def pair_reconstruction_max(n_sites: int) -> float:
+    """Largest Fock-space distance between ``c+_p c+_{p+l}`` and its bond reconstruction.
+
+    Over every anchor p and offset 1 <= l <= n_sites - 1, measured on
+    coefficients (:func:`bondboson.bilinear.pair_norm`) with no entry
+    pruned.
+    """
+    coefficients = PairCoefficients(ChainSpec(n_sites))
+    worst = []
+    for p in range(n_sites):
+        for l in range(1, n_sites):
+            target = np.zeros((n_sites, n_sites), dtype=complex)
+            target[p, (p + l) % n_sites] = 1.0
+            worst.append(pair_norm(pair_coefficients(coefficients, p, l) - target))
+    return max_residual(worst)
 
 
 def interaction_equivalence_residual(space: FockSpace, alpha) -> float:

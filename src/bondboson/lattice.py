@@ -96,6 +96,51 @@ def square_momenta(lx: int, ly: int) -> np.ndarray:
     return np.array(grid, dtype=float).reshape(lx * ly, 2)
 
 
+def unit_roots(n: int) -> np.ndarray:
+    """Phase table ``w[m] = exp(2*pi*i*m/n)``, m = 0..n-1, exact at quarter turns.
+
+    A momentum on the n-point grid is an integer index K, and the phase
+    of ``k*x`` is ``w[K*x mod n]``: arguments never grow with x.  Each
+    entry is taken from its angle folded into the first eighth of a
+    turn and turned by an exact power of i, so ``w[0] = 1``,
+    ``w[n/2] = -1`` and ``w[n/4] = i`` hold exactly and ``w[n - m]`` is
+    exactly the conjugate of ``w[m]``; every entry is within about one
+    rounding of the true root.
+    """
+    if n < 1:
+        raise ValueError(f"grid size must be >= 1, got {n}")
+    # quarter turns and the remainder, both in units of a quarter turn / n
+    quarter, rest = np.divmod(4 * np.arange(n), n)
+    low = 2 * rest <= n
+    angle = (np.pi / 2.0) * np.where(low, rest, n - rest) / n
+    cos = np.cos(angle)
+    # at an eighth turn the rounded angle sits below pi/4; cos is the rounded sqrt(1/2)
+    sin = np.where(2 * rest == n, cos, np.sin(angle))
+    folded = np.where(low, cos + 1j * sin, sin + 1j * cos)
+    return folded * np.array([1.0, 1.0j, -1.0, -1.0j])[quarter]
+
+
+def chain_anchors(n_sites: int, sublattice: str) -> range:
+    """Anchor sites of a chain pair sum: every site ("all"), A (odd) or B (even)."""
+    if sublattice == "all":
+        return range(n_sites)
+    if sublattice == "A":
+        return range(1, n_sites, 2)
+    if sublattice == "B":
+        return range(0, n_sites, 2)
+    raise ValueError(f"unknown sublattice {sublattice!r}; expected 'all', 'A' or 'B'")
+
+
+def phase_position(sublattice: str, site):
+    """What a bond phase e^{ik x} multiplies: x = the site, or on sublattice B its cell index."""
+    return site // 2 if sublattice == "B" else site
+
+
+def chain_mode(n_sites: int, site, spin=0, spinful: bool = False):
+    """Site-major mode index on the periodic chain (spin 0 = up, 1 = down)."""
+    return (2 * (site % n_sites) + spin) if spinful else site % n_sites
+
+
 def square_mode(lx: int, ly: int, x: int, y: int, component: int) -> int:
     """Site-major mode index on the periodic square lattice; component 0 = c, 1 = b."""
     return 2 * ((x % lx) * ly + (y % ly)) + component

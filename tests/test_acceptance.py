@@ -16,6 +16,7 @@ from bondboson.blocks import (
     ssh_boson_block,
     ssh_boson_closed_eigs,
 )
+from bondboson.bilinear import verify_H_bond_commutators
 from bondboson.cli import main
 from bondboson.fermion_model import dirac2d_hopping_matrix, ssh_band_energy
 from bondboson.fock import (
@@ -24,7 +25,6 @@ from bondboson.fock import (
     anticommutator,
     boson_commutator_report,
     creation_op,
-    verify_H_bond_commutators,
 )
 from bondboson.blocks import correspondence_report
 from bondboson.interactions import (

@@ -282,6 +282,25 @@ def test_commutators_at_the_16_mode_cap(capsys):
     assert len(payload["deviation_vs_holes"]) == 4 * 8
 
 
+@pytest.mark.parametrize(
+    "args,checks",
+    [
+        (["identities", "--model", "ssh", "--sites", "16", "--alpha-u", "0.1"], 128),
+        (["identities", "--model", "ssh", "--sites", "8", "--spinful", "--alpha-u", "0.1"], 128),
+        (["identities", "--model", "dirac2d", "--lx", "2", "--ly", "4", "--mass", "1.3"], 256),
+        (["interactions", "--model", "ssh", "--sites", "14"], 3),
+    ],
+    ids=["identities-ssh16", "identities-ssh8-spinful", "identities-dirac2x4",
+         "interactions-ssh14"],
+)
+def test_suites_pass_at_the_16_mode_cap(capsys, args, checks):
+    code, out, _ = run_cli(["verify"] + args, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "pass"
+    assert len(payload["checks"]) == checks
+
+
 BAD_FLAGS = [
     ("--tolerance", ["verify", "correspondence", "--model", "ssh", "--sites", "4",
                      "--tolerance", "nan"]),
@@ -324,6 +343,8 @@ BAD_FLAGS = [
     ("--holes", ["verify", "identities", "--model", "ssh", "--sites", "4", "--holes", "3"]),
     ("--holes", ["verify", "correspondence", "--model", "dirac2d", "--lx", "2", "--ly", "2",
                  "--holes", "0"]),
+    # verify writes JSON only
+    ("--format", ["verify", "identities", "--model", "ssh", "--sites", "4", "--format", "csv"]),
 ]
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import dense_jw_creation
 
+from bondboson.bilinear import h_bond_commutator_residuals, verify_H_bond_commutators
 from bondboson.fermion_model import dirac2d_hopping_matrix, ssh_hopping_matrix
 from bondboson.fock import (
     FockSizeError,
@@ -16,12 +17,10 @@ from bondboson.fock import (
     commutator,
     creation_op,
     dirac_hamiltonian,
-    h_bond_commutator_residuals,
     near_filling_commutator_table,
     square_bond_offsets,
     square_combo_operator,
     square_pair_operator,
-    verify_H_bond_commutators,
 )
 from bondboson.lattice import ChainSpec, SquareSpec, chain_momenta, square_momenta
 
