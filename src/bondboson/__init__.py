@@ -5,9 +5,11 @@ periodic chain and a two-component square-lattice model whose long
 wavelength limit is the 2+1D Dirac equation.  For both it provides
 
 * single-particle Hamiltonians and closed-form bands (`fermion_model`),
-* the quadratic pair algebra on n x n coefficient matrices and the
-  H-bond commutator identities checked on it (`bilinear`),
-* exact many-body pair ("bond") operators on bitset Fock spaces (`fock`),
+* the quadratic pair algebra on n x n coefficient matrices, with the
+  H-bond commutator identities and the near-filling commutator table
+  (Wick's theorem on a basis state) evaluated on it (`bilinear`),
+* exact many-body pair ("bond") operators on bitset Fock spaces, used by
+  the quartic interaction checks and as the tests' oracle (`fock`),
 * 4x4 momentum-space bond-boson blocks whose eigenvalues are signed
   sums of two fermion band energies (`blocks`),
 * the quartic-to-quadratic interaction rewrite (`interactions`),
@@ -15,14 +17,19 @@ wavelength limit is the 2+1D Dirac equation.  For both it provides
 """
 
 from .bilinear import (
+    BosonCommutatorReport,
     ChainPair,
     CommutatorResidual,
     Identity,
     PairCoefficients,
     SquarePair,
     bond_identities,
+    bond_self_paired,
+    boson_commutator_report,
     h_bond_commutator_residuals,
+    pair_commutator_table,
     pair_norm,
+    square_bond_offsets,
     verify_H_bond_commutators,
 )
 from .blocks import (
@@ -44,23 +51,18 @@ from .fermion_model import (
     ssh_hopping_matrix,
 )
 from .fock import (
-    BosonCommutatorReport,
     FockSizeError,
     FockSpace,
     SparseOperator,
     annihilation_op,
     anticommutator,
     bond_operator,
-    bond_self_paired,
-    boson_commutator_report,
     chain_hamiltonian,
     combo_operator,
     commutator,
     creation_op,
     dirac_hamiltonian,
-    near_filling_commutator_table,
     pair_bilinear,
-    square_bond_offsets,
     square_combo_operator,
     square_pair_operator,
 )

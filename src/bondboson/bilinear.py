@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .fermion_model import dirac2d_hopping_matrix, ssh_hopping_matrix
 from .fock import CHAIN_CHANNEL_SPINS, SQUARE_PAIRING_COMPONENTS, check_mode_cap
@@ -357,3 +358,123 @@ def verify_H_bond_commutators(spec) -> float:
     localised with :func:`h_bond_commutator_residuals`.
     """
     return max_residual(r.residual for r in h_bond_commutator_residuals(spec))
+
+
+# ---------------------------------------------------------------------------
+# Near-filling commutator table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BosonCommutatorReport:
+    """Expectation of one pair-operator commutator in a near-filled state.
+
+    ``target`` is the canonical-boson value (site count when the two
+    pair labels are equal, zero otherwise); ``deviation`` is the
+    distance of the measured expectation from it.  ``self_paired`` flags
+    bond lengths that wrap onto themselves (2l = 0 mod the lattice),
+    where the pair sum degenerates and the canonical value cannot be
+    expected.
+    """
+
+    expectation: complex
+    target: float
+    deviation: float
+    holes: tuple
+    self_paired: bool
+
+
+def square_bond_offsets(lx: int, ly: int) -> list:
+    """One representative per {d, -d} class of nonzero lattice offsets.
+
+    Pair sums at offset d and at its reversal -d (mod lattice) create
+    the same fermion pairs with opposite orientation, so only one of
+    each class is an independent bond; self-reversed offsets
+    (2d = 0 mod lattice) stay in the list and are flagged by
+    :func:`bond_self_paired`.
+    """
+    offsets = []
+    seen = set()
+    for l in range(lx):
+        for m in range(ly):
+            if (l, m) == (0, 0) or (l, m) in seen:
+                continue
+            seen.add(((-l) % lx, (-m) % ly))
+            offsets.append((l, m))
+    return offsets
+
+
+def bond_self_paired(spec, pair) -> bool:
+    """Whether the offset of ``pair`` wraps onto itself (2l = 0 mod the lattice)."""
+    if isinstance(spec, ChainSpec):
+        return (2 * pair.l) % spec.n_sites == 0
+    return (2 * pair.l % spec.lx, 2 * pair.m % spec.ly) == (0, 0)
+
+
+def pair_commutator_table(spec, pairs, n_holes: int = 0, seed: int = 0):
+    """``<s| [P_A, P_B^dag] |s>`` for every ordered pair of the labels ``pairs``.
+
+    ``pairs`` are :class:`ChainPair` or :class:`SquarePair` labels of
+    the spec's lattice.  The state s is the filled state with
+    ``n_holes`` holes drawn deterministically (``seed``) from the
+    pair-carrying modes (chain: spin-up modes; square lattice: c
+    modes).  Returns ``(table, holes)``: a P x P complex array with
+    ``table[p, q]`` the expectation for labels p and q, and the sorted
+    hole modes.
+
+    With occupations n_i of s, ``a = A - A^T`` and ``b = B - B^T``,
+    Wick's theorem gives
+
+        <s|[P_A, P_B^dag]|s> = sum_{i<j} a_ij conj(b_ij) (n_i n_j - (1-n_i)(1-n_j)):
+
+    ``P_A P_B^dag`` removes a pair (i, j) and puts it back, which needs
+    both modes occupied, ``P_B^dag P_A`` adds it first, which needs both
+    empty, and the Jordan-Wigner signs of a round trip cancel.  With the
+    labels' ``a_ij`` (i < j) stacked as the rows of X and the bracket as
+    the diagonal W, the table is ``X W X^H``.  It is one sparse product,
+    which adds each entry in the same order on every machine (a BLAS
+    product's order depends on the CPU kernel), so reports are
+    reproducible to the last digit.
+    """
+    coefficients = PairCoefficients(spec)
+    n = coefficients.n_modes
+    check_mode_cap(n)
+    if isinstance(spec, ChainSpec):
+        modes = [chain_mode(spec.n_sites, site, 0, spec.spinful) for site in range(spec.n_sites)]
+    else:
+        modes = [square_mode(spec.lx, spec.ly, x, y, 0)
+                 for x in range(spec.lx) for y in range(spec.ly)]
+    if n_holes > len(modes):
+        raise ValueError(f"{n_holes} holes exceed the {len(modes)} pair-carrying modes")
+    rng = np.random.default_rng(seed)
+    holes = tuple(sorted(int(h) for h in rng.choice(modes, size=n_holes, replace=False)))
+    occupied = np.ones(n)
+    occupied[list(holes)] = 0.0
+    i, j = np.triu_indices(n, 1)
+    weights = occupied[i] * occupied[j] - (1.0 - occupied[i]) * (1.0 - occupied[j])
+    rows = np.array([(a - a.T)[i, j] for a in map(coefficients.pair, pairs)])
+    x = sparse.csr_matrix(rows)
+    return (x.multiply(weights).tocsr() @ x.conj().T).toarray(), holes
+
+
+def boson_commutator_report(spec, pair, other, n_holes: int = 0,
+                            seed: int = 0) -> BosonCommutatorReport:
+    """Measure ``<s| [P_pair, P_other^dag] |s>`` near full filling.
+
+    The state and the expectation are those of
+    :func:`pair_commutator_table` on the two labels, so a report equals
+    the table entry for the same pair bit for bit.  Raw, un-normalised
+    expectations are reported; the near-filling target is the site
+    count when the labels are equal (momentum indices are taken on
+    their grid, 0 <= K < n).
+    """
+    table, holes = pair_commutator_table(spec, [pair, other], n_holes, seed)
+    matched = pair == other
+    expectation = complex(table[0, 1])
+    target = float(spec.n_sites) if matched else 0.0
+    return BosonCommutatorReport(
+        expectation=expectation,
+        target=target,
+        deviation=abs(expectation - target),
+        holes=holes,
+        self_paired=matched and bond_self_paired(spec, pair),
+    )

@@ -29,16 +29,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bilinear import h_bond_commutator_residuals
-from .blocks import correspondence_report
-from .fock import (
-    FockSizeError,
-    FockSpace,
+from .bilinear import (
+    ChainPair,
+    SquarePair,
     bond_self_paired,
     boson_commutator_report,
-    near_filling_commutator_table,
+    h_bond_commutator_residuals,
+    pair_commutator_table,
     square_bond_offsets,
 )
+from .blocks import correspondence_report
+from .fock import FockSizeError, FockSpace
 from .interactions import (
     coulomb_operator,
     coulomb_pair_form,
@@ -424,55 +425,46 @@ def _suite_commutators(config: RunConfig) -> dict:
     """Near-filling commutator law plus the deviation-vs-holes table."""
     if config.model == "ssh":
         spec = config.chain_spec()
-        space = FockSpace.chain(spec.n_sites)
-        site_count = spec.n_sites
-        momenta = list(chain_momenta(spec.n_sites))
-        lengths = list(range(1, spec.n_cells + 1))
-        pairs = [(l, k) for l in lengths for k in momenta]
-        as_label = lambda l, k: {"l": l, "k": fmt_momentum(k)}
+        momenta = chain_momenta(spec.n_sites)
+        pairs = [ChainPair(l, K) for l in range(1, spec.n_cells + 1)
+                 for K in range(spec.n_sites)]
+        as_label = lambda pair: {"l": pair.l, "k": fmt_momentum(momenta[pair.K])}
     else:
         spec = config.square_spec()
-        space = FockSpace.square(spec.lx, spec.ly)
-        site_count = spec.lx * spec.ly
-        momenta = [tuple(v) for v in square_momenta(spec.lx, spec.ly)]
+        momenta = square_momenta(spec.lx, spec.ly)
         # one offset per {d, -d} class: the reversed offset recreates the
         # same pairs and is not an independent bond
         lengths = square_bond_offsets(spec.lx, spec.ly)
         if not lengths:
             raise ValueError("--lx and --ly: a 1x1 lattice has no bonds to commute")
-        pairs = [(l, k) for l in lengths for k in momenta]
-        as_label = lambda l, k: {
-            "l": list(l),
-            "k": [fmt_momentum(v) for v in k],
+        pairs = [SquarePair(l, m, Kx, Ky) for l, m in lengths
+                 for Kx, Ky in np.ndindex(spec.lx, spec.ly)]
+        as_label = lambda pair: {
+            "l": [pair.l, pair.m],
+            "k": [fmt_momentum(v) for v in momenta[pair.Kx * spec.ly + pair.Ky]],
         }
+    site_count = spec.n_sites
 
-    # grid labels are distinct, so (l, k) = (l', k') exactly on the diagonal
-    table, _ = near_filling_commutator_table(space, pairs, n_holes=0, seed=config.seed)
-    matched_devs = []
-    unmatched_mags = []
+    # grid labels are distinct, so two labels match exactly on the diagonal
+    table, _ = pair_commutator_table(spec, pairs, n_holes=0, seed=config.seed)
+    matched = np.diagonal(table)
+    unmatched_mag = max_residual(np.abs(table[~np.eye(len(pairs), dtype=bool)]))
+    self_paired = np.array([bond_self_paired(spec, pair) for pair in pairs])
+    matched_dev = max_residual(np.abs(matched[~self_paired] - float(site_count)))
     self_paired_cells = []
-    for i, (l, k) in enumerate(pairs):
-        for j in range(len(pairs)):
-            expectation = complex(table[i, j])
-            if i != j:
-                unmatched_mags.append(abs(expectation))
-            elif bond_self_paired(space, l):
-                cell = as_label(l, k)
-                cell["expectation"] = fmt_float(expectation.real)
-                self_paired_cells.append(cell)
-            else:
-                matched_devs.append(abs(expectation - float(site_count)))
-    matched_dev = max_residual(matched_devs)
-    unmatched_mag = max_residual(unmatched_mags)
+    for pair, wraps, expectation in zip(pairs, self_paired, matched):
+        if wraps:
+            cell = as_label(pair)
+            cell["expectation"] = fmt_float(expectation.real)
+            self_paired_cells.append(cell)
 
     holes_table = []
-    # up to three holes, each on its own pair-carrying mode (one per site)
+    # up to three holes, each on its own pair-carrying mode (one per site);
+    # the rows are the bonds at the first grid momentum
     for holes in range(0, min(4, site_count + 1)):
-        for l, k in pairs:
-            if k != momenta[0]:
-                continue
-            rep = boson_commutator_report(space, l, l, k, k, n_holes=holes, seed=config.seed)
-            entry = as_label(l, k)
+        for pair in pairs[::len(momenta)]:
+            rep = boson_commutator_report(spec, pair, pair, n_holes=holes, seed=config.seed)
+            entry = as_label(pair)
             entry.update(
                 holes=holes,
                 hole_modes=list(rep.holes),
@@ -483,11 +475,9 @@ def _suite_commutators(config: RunConfig) -> dict:
             holes_table.append(entry)
 
     # highlight a bond that is not self-paired whenever one exists
-    highlight = next(((l, k) for l, k in pairs if not bond_self_paired(space, l)), pairs[0])
-    highlighted = boson_commutator_report(
-        space, highlight[0], highlight[0], highlight[1], highlight[1],
-        n_holes=config.holes, seed=config.seed,
-    )
+    highlight = next((pair for pair, wraps in zip(pairs, self_paired) if not wraps), pairs[0])
+    highlighted = boson_commutator_report(spec, highlight, highlight,
+                                          n_holes=config.holes, seed=config.seed)
     checks = [
         {
             "name": "filled_matched_law",

@@ -1,12 +1,13 @@
 """Exact many-body engine on occupation-bitset Fock spaces (<= 16 modes).
 
 Creation/annihilation operators, momentum-superposed pair ("bond")
-operators, hopping Hamiltonians, the Fock-space build of a pair
-bilinear from its coefficient matrix, and the near-filling commutator
-table.  The quadratic H-bond identities are checked on coefficient
-matrices in :mod:`bondboson.bilinear`; the operators here are what those
-matrices stand for, and the tests keep the Fock evaluation of the
-identities as an independent cross-check.
+operators, hopping Hamiltonians and the Fock-space build of a pair
+bilinear from its coefficient matrix.  The quadratic statements (the
+H-bond identities and the near-filling commutator table) are evaluated
+on coefficient matrices in :mod:`bondboson.bilinear`; the operators here
+are what those matrices stand for.  The package builds them only for
+the quartic interaction checks, and the tests keep the Fock evaluation
+of the quadratic statements as an independent cross-check.
 
 Basis state ``i`` occupies mode ``b`` iff bit ``b`` of ``i`` is set.
 Mode order is site-major:
@@ -22,8 +23,6 @@ fixed convention exists so golden files are deterministic.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -427,26 +426,6 @@ def _square_pair_sum(space: FockSpace, l: int, m: int, kx: float, ky: float,
     return op
 
 
-def square_bond_offsets(lx: int, ly: int) -> list:
-    """One representative per {d, -d} class of nonzero lattice offsets.
-
-    Pair sums at offset d and at its reversal -d (mod lattice) create
-    the same fermion pairs with opposite orientation, so only one of
-    each class is an independent bond; self-reversed offsets
-    (2d = 0 mod lattice) stay in the list and are flagged by
-    :func:`boson_commutator_report` as self-paired.
-    """
-    offsets = []
-    seen = set()
-    for l in range(lx):
-        for m in range(ly):
-            if (l, m) == (0, 0) or (l, m) in seen:
-                continue
-            seen.add(((-l) % lx, (-m) % ly))
-            offsets.append((l, m))
-    return offsets
-
-
 def square_pair_operator(space: FockSpace, l: int, m: int, kx: float, ky: float,
                          pairing: str = "cc") -> SparseOperator:
     """2D pair-raising operator ``sum_r e^{i k.r} a^dag_r a'^dag_{r+(l,m)}``.
@@ -492,143 +471,3 @@ def square_combo_operator(space: FockSpace, l: int, m: int, kx: float, ky: float
     if not on_grid(kx, space.geometry["lx"]) or not on_grid(ky, space.geometry["ly"]):
         raise ValueError("momentum off the lattice grid")
     return _square_combo_sum(space, l, m, kx, ky, family, parity)
-
-
-# ---------------------------------------------------------------------------
-# Near-filling boson commutator report
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BosonCommutatorReport:
-    """Expectation of one pair-operator commutator in a near-filled state.
-
-    ``target`` is the canonical-boson value (site count when the two
-    operators match, zero otherwise); ``deviation`` is the distance of
-    the measured expectation from it.  ``self_paired`` flags bond
-    lengths that wrap onto themselves (2l = 0 mod ring), where the
-    full-chain pair sum degenerates and the canonical value cannot be
-    expected.
-    """
-
-    expectation: complex
-    target: float
-    deviation: float
-    holes: tuple
-    self_paired: bool
-
-
-def _momenta_match(k, kp, tol=1e-12) -> bool:
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    kp = np.atleast_1d(np.asarray(kp, dtype=float))
-    if k.shape != kp.shape:
-        return False
-    d = np.mod(k - kp + np.pi, 2.0 * np.pi) - np.pi
-    return bool(np.max(np.abs(d)) < tol)
-
-
-def bond_self_paired(space: FockSpace, l) -> bool:
-    """Whether bond length ``l`` wraps onto itself (2l = 0 mod the lattice).
-
-    Chain: ``l`` is an int; square lattice: an ``(l, m)`` offset.
-    """
-    if space.kind == "chain":
-        return (2 * int(l)) % space.geometry["n_sites"] == 0
-    lx, ly = space.geometry["lx"], space.geometry["ly"]
-    return (2 * int(l[0]) % lx, 2 * int(l[1]) % ly) == (0, 0)
-
-
-def _near_filling_pair(space: FockSpace, l, k) -> SparseOperator:
-    # chain: spin-up pairs over the full chain; square: c-c pairs
-    if space.kind == "chain":
-        return _bond_sum(space, int(l), float(k), "uu", "all")
-    return _square_pair_sum(space, int(l[0]), int(l[1]), float(k[0]), float(k[1]), "cc")
-
-
-def near_filling_commutator_table(space: FockSpace, labels, n_holes: int = 0,
-                                  seed: int = 0):
-    """``<s| [e_i, e_j^dag] |s>`` for every ordered pair of bond labels.
-
-    ``labels`` is a sequence of ``(l, k)`` bond labels (chain: int l and
-    float k; square lattice: ``(l, m)`` and ``(kx, ky)``).  The state s is
-    the filled Fock state with ``n_holes`` holes drawn deterministically
-    (``seed``) from the modes the pair operators act on (chain: spin-up
-    modes; square: c modes).  Returns ``(table, holes)``: a P x P complex
-    array with ``table[i, j]`` the expectation for labels i and j, and
-    the sorted hole modes.
-
-    Each operator's row and column at s are read once and stacked: R
-    (CSR, row i = row s of e_i) and C (CSC, column i = column s of e_i).
-    Then ``table[i, j] = (R R^H)[i, j] - (C^H C)[j, i]``, two sparse
-    products (no dense BLAS, which would regroup the sums).  A sparse
-    product adds each entry over the shared basis index in the order of
-    the left factor's row: R keeps each operator's stored row order and
-    C^H lists the basis states in ascending order, exactly as the
-    single-pair products ``row_i . row_j^H`` and ``col_j^H . col_i`` do.
-    So every entry is bit-for-bit the value its pair gives alone,
-    whatever else is in the table.
-    """
-    if space.kind == "chain":
-        anchor_modes = [space.chain_mode(site, 0) for site in range(space.geometry["n_sites"])]
-    else:
-        lx, ly = space.geometry["lx"], space.geometry["ly"]
-        anchor_modes = [square_mode(lx, ly, x, y, 0) for x in range(lx) for y in range(ly)]
-    ops = [_near_filling_pair(space, l, k).matrix for l, k in labels]
-    if n_holes > space.n_modes:
-        raise ValueError(f"{n_holes} holes exceed the {space.n_modes} available modes")
-    if n_holes > len(anchor_modes):
-        raise ValueError(f"{n_holes} holes exceed the {len(anchor_modes)} pair-carrying modes")
-    rng = np.random.default_rng(seed)
-    holes = tuple(sorted(int(h) for h in rng.choice(anchor_modes, size=n_holes, replace=False)))
-    state = space.filled_state
-    for hole in holes:
-        state &= ~(1 << hole)
-
-    row_data, row_idx, col_data, col_idx = [], [], [], []
-    for m in ops:
-        lo, hi = m.indptr[state], m.indptr[state + 1]
-        row_data.append(m.data[lo:hi])
-        row_idx.append(m.indices[lo:hi])
-        # positions holding column s, in ascending row order
-        at = np.flatnonzero(m.indices == state)
-        col_data.append(m.data[at])
-        col_idx.append(np.searchsorted(m.indptr, at, side="right") - 1)
-
-    def stack(data, idx, cls, shape):
-        ptr = np.concatenate(([0], np.cumsum([len(d) for d in data])))
-        return cls((np.concatenate(data), np.concatenate(idx), ptr), shape=shape)
-
-    P = len(ops)
-    R = stack(row_data, row_idx, sparse.csr_matrix, (P, space.dim))
-    C = stack(col_data, col_idx, sparse.csc_matrix, (space.dim, P))
-    raise_then_lower = (R @ R.conj().T).toarray()
-    lower_then_raise = (C.conj().T @ C).toarray()
-    return raise_then_lower - lower_then_raise.T, holes
-
-
-def boson_commutator_report(space: FockSpace, l, lp, k, kp, n_holes: int = 0,
-                            seed: int = 0) -> BosonCommutatorReport:
-    """Measure ``<state| [e_{+lk}, e_{-l'k'}] |state>`` near full filling.
-
-    The state and the expectation are those of
-    :func:`near_filling_commutator_table` on the labels ``(l, k)`` and
-    ``(l', k')``, so a report equals the table entry for the same pair
-    bit for bit.  Momenta come from the full site grid.  Raw,
-    un-normalised expectations are reported; the near-filling target is
-    the site count when (l, k) = (l', k').
-    """
-    table, holes = near_filling_commutator_table(space, [(l, k), (lp, kp)], n_holes, seed)
-    if space.kind == "chain":
-        matched = int(l) == int(lp) and _momenta_match(k, kp)
-    else:
-        lx, ly = space.geometry["lx"], space.geometry["ly"]
-        matched = (int(l[0]) % lx, int(l[1]) % ly) == (int(lp[0]) % lx, int(lp[1]) % ly) \
-            and _momenta_match(k, kp)
-    expectation = complex(table[0, 1])
-    target = float(space.n_sites) if matched else 0.0
-    return BosonCommutatorReport(
-        expectation=expectation,
-        target=target,
-        deviation=abs(expectation - target),
-        holes=holes,
-        self_paired=matched and bond_self_paired(space, l),
-    )

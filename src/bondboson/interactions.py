@@ -17,6 +17,8 @@ is implemented here.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy import sparse
 
@@ -127,15 +129,22 @@ def pair_coefficients(coefficients: PairCoefficients, p: int, l: int) -> np.ndar
     return coefficients.combination(pair_reconstruction_terms(coefficients.spec.n_sites, p, l))
 
 
+@lru_cache(maxsize=1)
+def _chain_coefficients(n_sites: int) -> PairCoefficients:
+    """The spinless chain's bond coefficients, shared by consecutive reconstructions."""
+    return PairCoefficients(ChainSpec(n_sites))
+
+
 def pair_from_bonds(space: FockSpace, p: int, l: int) -> SparseOperator:
     """Reassemble ``c+_p c+_{p+l}`` from bond operators.
 
     The inverse transform (:func:`pair_reconstruction_terms`) runs on
-    the n x n bond coefficient matrices; the result is built on the
-    Fock space in one pass (:func:`bondboson.fock.pair_bilinear`).
+    the n x n bond coefficient matrices, built once per chain length;
+    the result is built on the Fock space in one pass
+    (:func:`bondboson.fock.pair_bilinear`).
     """
     _check_chain_space(space)
-    coefficients = PairCoefficients(ChainSpec(space.geometry["n_sites"]))
+    coefficients = _chain_coefficients(space.geometry["n_sites"])
     return pair_bilinear(space, pair_coefficients(coefficients, p, l))
 
 
@@ -146,7 +155,7 @@ def pair_reconstruction_max(n_sites: int) -> float:
     coefficients (:func:`bondboson.bilinear.pair_norm`) with no entry
     pruned.
     """
-    coefficients = PairCoefficients(ChainSpec(n_sites))
+    coefficients = _chain_coefficients(n_sites)
     worst = []
     for p in range(n_sites):
         for l in range(1, n_sites):

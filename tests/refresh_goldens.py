@@ -18,6 +18,8 @@ from bondboson.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
+# golden file name -> the CLI argv that writes it (``tests/test_cli.py``
+# checks each file against this same list)
 CASES = {
     "spectrum_ssh6.json": [
         "spectrum", "ssh", "--sites", "6", "--t0", "1.0", "--alpha-u", "0.1",
@@ -39,9 +41,11 @@ CASES = {
     "verify_interactions_ssh6.json": [
         "verify", "interactions", "--model", "ssh", "--sites", "6", "--seed", "3",
     ],
+    # non-square grid: catches x-major / repeat / tile mistakes in stacked code
     "spectrum_dirac2x3.json": [
         "spectrum", "dirac2d", "--lx", "2", "--ly", "3", "--mass", "1.3",
     ],
+    # odd cell count and degenerate eigenvalue ties
     "spectrum_ssh10_alpha0.csv": [
         "spectrum", "ssh", "--sites", "10", "--alpha-u", "0", "--format", "csv",
     ],

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -12,7 +13,11 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from refresh_goldens import CASES
+
+import bondboson
 from bondboson.cli import fmt_float, fmt_momentum, main
+from bondboson.fock import FockSpace
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -171,6 +176,16 @@ def test_oversize_fock_space_is_resource_error(capsys):
     assert "16" in err
 
 
+@pytest.mark.parametrize("args", [["--model", "ssh", "--sites", "18"],
+                                  ["--model", "dirac2d", "--lx", "3", "--ly", "3"]],
+                         ids=["ssh18", "dirac3x3"])
+def test_commutators_past_the_mode_cap_are_a_resource_error(capsys, args):
+    code, out, err = run_cli(["verify", "commutators"] + args, capsys)
+    assert code == 3
+    assert out == ""
+    assert "18 modes exceed" in err
+
+
 def test_unwritable_output_is_io_error(capsys):
     code, _, err = run_cli(
         ["spectrum", "ssh", "--sites", "2", "--output",
@@ -189,31 +204,7 @@ def test_json_output_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "name,args",
-    [
-        ("spectrum_ssh6.json",
-         ["spectrum", "ssh", "--sites", "6", "--t0", "1.0", "--alpha-u", "0.1"]),
-        ("spectrum_ssh6.csv",
-         ["spectrum", "ssh", "--sites", "6", "--t0", "1.0", "--alpha-u", "0.1",
-          "--format", "csv"]),
-        ("spectrum_dirac2x2.json",
-         ["spectrum", "dirac2d", "--lx", "2", "--ly", "2", "--mass", "0.8"]),
-        ("verify_commutators_ssh6.json",
-         ["verify", "commutators", "--model", "ssh", "--sites", "6", "--holes", "0"]),
-        ("verify_interactions_ssh6.json",
-         ["verify", "interactions", "--model", "ssh", "--sites", "6", "--seed", "3"]),
-        ("verify_commutators_dirac2x3.json",
-         ["verify", "commutators", "--model", "dirac2d", "--lx", "2", "--ly", "3",
-          "--mass", "0.8", "--holes", "1", "--seed", "5"]),
-        # non-square grid: catches x-major / repeat / tile mistakes in stacked code
-        ("spectrum_dirac2x3.json",
-         ["spectrum", "dirac2d", "--lx", "2", "--ly", "3", "--mass", "1.3"]),
-        # odd cell count and degenerate eigenvalue ties
-        ("spectrum_ssh10_alpha0.csv",
-         ["spectrum", "ssh", "--sites", "10", "--alpha-u", "0", "--format", "csv"]),
-    ],
-)
+@pytest.mark.parametrize("name,args", list(CASES.items()), ids=list(CASES))
 def test_golden_files(tmp_path, name, args):
     out = tmp_path / name
     assert main(args + ["--output", str(out)]) == 0
@@ -280,6 +271,46 @@ def test_commutators_at_the_16_mode_cap(capsys):
     assert payload["site_count"] == 16
     assert len(payload["self_paired_cells"]) == 16
     assert len(payload["deviation_vs_holes"]) == 4 * 8
+
+
+@pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(),
+                    reason="reads the peak RSS from /proc")
+def test_commutators_at_the_16_mode_cap_stay_small(tmp_path):
+    # The child reports its own peak: RUSAGE_CHILDREN would also count the
+    # children of other tests.  It reads VmHWM, the peak of its own address
+    # space, because ru_maxrss also keeps the RSS the process had just
+    # before exec, which is the test runner's (over 300 MB in a full run).
+    out = tmp_path / "report.json"
+    argv = ["verify", "commutators", "--model", "ssh", "--sites", "16", "--holes", "2",
+            "--seed", "4", "--output", str(out)]
+    script = ("import pathlib\n"
+              "from bondboson.cli import main\n"
+              f"code = main({argv!r})\n"
+              "status = pathlib.Path('/proc/self/status').read_text()\n"
+              "print(code, status.split('VmHWM:')[1].split()[0])\n")
+    src = pathlib.Path(bondboson.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = proc.stdout.split()
+    assert int(code) == 0
+    assert json.loads(out.read_text())["verdict"] == "pass"
+    assert int(peak_kb) / 1024 < 100
+
+
+@pytest.mark.parametrize("args", [["--model", "ssh", "--sites", "6"],
+                                  ["--model", "dirac2d", "--lx", "2", "--ly", "3"]],
+                         ids=["ssh6", "dirac2x3"])
+def test_commutators_build_no_fock_space(monkeypatch, capsys, args):
+    def refuse(*_):
+        raise AssertionError("verify commutators built a Fock space")
+
+    monkeypatch.setattr(FockSpace, "__init__", refuse)
+    code, out, _ = run_cli(["verify", "commutators"] + args, capsys)
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,24 @@
+import dataclasses
+import functools
+import json
+
 import numpy as np
 import pytest
 from conftest import dense_jw_creation
+from fock_oracle import fock_space
+from scipy import sparse
 
-from bondboson.bilinear import h_bond_commutator_residuals, verify_H_bond_commutators
+from bondboson.bilinear import (
+    ChainPair,
+    PairCoefficients,
+    SquarePair,
+    boson_commutator_report,
+    h_bond_commutator_residuals,
+    pair_commutator_table,
+    square_bond_offsets,
+    verify_H_bond_commutators,
+)
+from bondboson.cli import main
 from bondboson.fermion_model import dirac2d_hopping_matrix, ssh_hopping_matrix
 from bondboson.fock import (
     FockSizeError,
@@ -11,18 +27,17 @@ from bondboson.fock import (
     annihilation_op,
     anticommutator,
     bond_operator,
-    boson_commutator_report,
     chain_hamiltonian,
     combo_operator,
     commutator,
     creation_op,
     dirac_hamiltonian,
-    near_filling_commutator_table,
-    square_bond_offsets,
     square_combo_operator,
     square_pair_operator,
 )
-from bondboson.lattice import ChainSpec, SquareSpec, chain_momenta, square_momenta
+from bondboson.lattice import ChainSpec, SquareSpec, chain_momenta
+
+EPS = np.finfo(float).eps
 
 
 def test_single_mode_creation_matrix():
@@ -179,8 +194,6 @@ def test_bond_adjoint_equals_independent_lowering_operator():
 
 
 def test_square_bond_offsets_canonical():
-    from bondboson.fock import square_bond_offsets
-
     # one representative per {d, -d} class of nonzero offsets
     assert square_bond_offsets(3, 2) == [(0, 1), (1, 0), (1, 1)]
     assert square_bond_offsets(2, 2) == [(0, 1), (1, 0), (1, 1)]
@@ -271,143 +284,223 @@ def test_square_combo_normalization():
 
 
 # -- near-filling commutator reports -----------------------------------------
+#
+# The package evaluates the table on coefficient matrices
+# (``bilinear.pair_commutator_table``); the Fock operators built from
+# float momenta are the oracle here.
+
+CHAIN6 = ChainSpec(6)
+
 
 def test_filled_commutator_matched():
-    space = FockSpace.chain(6)
-    rep = boson_commutator_report(space, 1, 1, 0.0, 0.0)
+    bond = ChainPair(1, 0)
+    rep = boson_commutator_report(CHAIN6, bond, bond)
     assert rep.expectation == pytest.approx(6.0, abs=1e-12)
     assert rep.deviation == pytest.approx(0.0, abs=1e-12)
     assert not rep.self_paired
 
 
 def test_filled_commutator_four_mode_chain():
-    rep = boson_commutator_report(FockSpace.chain(4), 1, 1, 0.0, 0.0)
+    rep = boson_commutator_report(ChainSpec(4), ChainPair(1, 0), ChainPair(1, 0))
     assert rep.expectation == pytest.approx(4.0, abs=1e-12)
 
 
 def test_filled_commutator_momentum_mismatch():
-    space = FockSpace.chain(6)
-    k1, k2 = 2 * np.pi / 6, 4 * np.pi / 6
-    rep = boson_commutator_report(space, 1, 1, k1, k2)
+    rep = boson_commutator_report(CHAIN6, ChainPair(1, 1), ChainPair(1, 2))
     assert abs(rep.expectation) < 1e-12
     assert rep.target == 0.0
 
 
 def test_filled_commutator_length_mismatch():
-    space = FockSpace.chain(6)
-    rep = boson_commutator_report(space, 1, 2, 0.0, 0.0)
+    rep = boson_commutator_report(CHAIN6, ChainPair(1, 0), ChainPair(2, 0))
     assert abs(rep.expectation) < 1e-12
 
 
 @pytest.mark.parametrize("holes", [0, 1, 2, 3])
 @pytest.mark.parametrize("l", [1, 2])
 def test_hole_count_drops_expectation_by_two_each(holes, l):
-    space = FockSpace.chain(6)
-    rep = boson_commutator_report(space, l, l, 0.0, 0.0, n_holes=holes, seed=11)
+    bond = ChainPair(l, 0)
+    rep = boson_commutator_report(CHAIN6, bond, bond, n_holes=holes, seed=11)
     assert rep.expectation == pytest.approx(6.0 - 2.0 * holes, abs=1e-12)
     assert rep.deviation == pytest.approx(2.0 * holes, abs=1e-12)
 
 
 def test_hole_positions_do_not_matter():
-    space = FockSpace.chain(6)
-    values = [
-        boson_commutator_report(space, 1, 1, 0.0, 0.0, n_holes=2, seed=s).expectation
-        for s in range(6)
-    ]
+    bond = ChainPair(1, 0)
+    values = [boson_commutator_report(CHAIN6, bond, bond, n_holes=2, seed=s).expectation
+              for s in range(6)]
     assert all(v == pytest.approx(2.0, abs=1e-12) for v in values)
 
 
 def test_self_paired_bond_report():
-    space = FockSpace.chain(6)
-    rep = boson_commutator_report(space, 3, 3, 0.0, 0.0)
+    bond = ChainPair(3, 0)
+    rep = boson_commutator_report(CHAIN6, bond, bond)
     assert rep.self_paired
     assert rep.expectation == pytest.approx(0.0)  # operator vanishes at this k
-    odd_j = 2 * np.pi / 6
-    rep = boson_commutator_report(space, 3, 3, odd_j, odd_j)
+    odd_j = ChainPair(3, 1)
+    rep = boson_commutator_report(CHAIN6, odd_j, odd_j)
     assert rep.self_paired
     # doubled amplitudes on the surviving momenta: twice the site count
     assert rep.expectation == pytest.approx(12.0, abs=1e-12)
 
 
 def test_too_many_holes_rejected():
-    space = FockSpace.chain(4)
+    spec, bond = ChainSpec(4), ChainPair(1, 0)
     with pytest.raises(ValueError):
-        boson_commutator_report(space, 1, 1, 0.0, 0.0, n_holes=17)
+        boson_commutator_report(spec, bond, bond, n_holes=17)
     with pytest.raises(ValueError):
-        boson_commutator_report(space, 1, 1, 0.0, 0.0, n_holes=5)
+        boson_commutator_report(spec, bond, bond, n_holes=5)
 
 
 def test_square_filled_commutator():
-    space = FockSpace.square(3, 2)
-    grid = square_momenta(3, 2)
-    k = tuple(grid[1])
-    rep = boson_commutator_report(space, (1, 0), (1, 0), k, k)
+    spec = SquareSpec(3, 2)
+    # momentum indices (Kx, Ky): (0, 1) and (1, 0) are grid points 1 and 2
+    bond = SquarePair(1, 0, 0, 1)
+    rep = boson_commutator_report(spec, bond, bond)
     assert not rep.self_paired
     assert rep.expectation == pytest.approx(6.0, abs=1e-12)  # site count
-    other = tuple(grid[2])
-    rep = boson_commutator_report(space, (1, 0), (1, 0), k, other)
+    rep = boson_commutator_report(spec, bond, SquarePair(1, 0, 1, 0))
     assert abs(rep.expectation) < 1e-12
-    rep = boson_commutator_report(space, (0, 1), (0, 1), k, k)
+    wrapped = SquarePair(0, 1, 0, 1)
+    rep = boson_commutator_report(spec, wrapped, wrapped)
     assert rep.self_paired  # 2*(0,1) wraps to (0,0) on the 3x2 torus
 
 
-def near_filling_labels(space):
-    """Every (l, k) label of the commutators suite, with its pair operator."""
-    if space.kind == "chain":
-        n = space.n_sites
-        return [((l, k), bond_operator(space, l, k))
-                for l in range(1, n // 2 + 1) for k in chain_momenta(n)]
+def near_filling_labels(spec):
+    """Every pair label of the commutators suite, in report order."""
+    if isinstance(spec, ChainSpec):
+        return [ChainPair(l, K) for l in range(1, spec.n_cells + 1) for K in range(spec.n_sites)]
+    return [SquarePair(l, m, Kx, Ky) for l, m in square_bond_offsets(spec.lx, spec.ly)
+            for Kx, Ky in np.ndindex(spec.lx, spec.ly)]
+
+
+def fock_bond(space, pair):
+    """The Fock operator of a near-filling label, built with float momenta."""
+    if isinstance(pair, ChainPair):
+        return bond_operator(space, pair.l, chain_momenta(space.n_sites)[pair.K])
     lx, ly = space.geometry["lx"], space.geometry["ly"]
-    return [((l, tuple(k)), square_pair_operator(space, *l, *k, pairing="cc"))
-            for l in square_bond_offsets(lx, ly) for k in square_momenta(lx, ly)]
+    return square_pair_operator(space, pair.l, pair.m, chain_momenta(lx)[pair.Kx],
+                                chain_momenta(ly)[pair.Ky], pairing="cc")
 
 
-def single_pair_expectation(e1, e2, state):
-    """<state|[e1, e2^dag]|state> from one row and one column slice per operator."""
-    row1, row2 = e1.matrix.getrow(state), e2.matrix.getrow(state)
-    col1, col2 = e1.matrix.getcol(state), e2.matrix.getcol(state)
-    raise_then_lower = (row1 @ row2.conj().T).toarray()[0, 0]
-    lower_then_raise = (col2.conj().T @ col1).toarray()[0, 0]
-    return complex(raise_then_lower - lower_then_raise)
-
-
-@pytest.mark.parametrize("holes", [0, 1, 2])
-@pytest.mark.parametrize(
-    "space",
-    [FockSpace.chain(6), FockSpace.chain(8), FockSpace.square(2, 2), FockSpace.square(2, 3)],
-    ids=["ssh6", "ssh8", "dirac2x2", "dirac2x3"],
-)
-def test_batched_table_equals_single_pair_route_exactly(space, holes):
-    labels, ops = zip(*near_filling_labels(space))
-    table, hole_modes = near_filling_commutator_table(space, labels, n_holes=holes, seed=3)
-    assert table.shape == (len(labels), len(labels))
-    assert len(hole_modes) == holes
+def holed_state(space, hole_modes):
     state = space.filled_state
     for hole in hole_modes:
         state &= ~(1 << hole)
-    for i, e1 in enumerate(ops):
-        for j, e2 in enumerate(ops):
-            assert complex(table[i, j]) == single_pair_expectation(e1, e2, state), (i, j)
-    (l, k), (lp, kp) = labels[0], labels[-1]
-    rep = boson_commutator_report(space, l, lp, k, kp, n_holes=holes, seed=3)
+    return state
+
+
+def single_pair_expectation(slices1, slices2):
+    """<s|[e1, e2^dag]|s> from each operator's row and column at s."""
+    (row1, col1), (row2, col2) = slices1, slices2
+    return complex(np.vdot(row2, row1) - np.vdot(col2, col1))
+
+
+def dense_support(vectors):
+    """Stack sparse 1 x dim vectors, restricted to the union of their supports, as a dense array."""
+    stacked = sparse.vstack(vectors, format="csr")
+    return stacked[:, np.unique(stacked.indices)].toarray()
+
+
+ORACLE_SPECS = {"ssh6": ChainSpec(6), "ssh8": ChainSpec(8), "ssh12": ChainSpec(12),
+                "ssh16": ChainSpec(16), "dirac2x2": SquareSpec(2, 2),
+                "dirac2x3": SquareSpec(2, 3), "dirac2x4": SquareSpec(2, 4)}
+ORACLE_HOLES = (0, 1, 2, 3)
+ORACLE_SEED = 3
+
+
+@functools.lru_cache(maxsize=None)
+def fock_near_filling(name):
+    """Per hole count: the table, its hole modes and every label's Fock row and column at s."""
+    spec = ORACLE_SPECS[name]
+    space = fock_space(spec)
+    labels = near_filling_labels(spec)
+    tables = {holes: pair_commutator_table(spec, labels, n_holes=holes, seed=ORACLE_SEED)
+              for holes in ORACLE_HOLES}
+    states = {holes: holed_state(space, hole_modes) for holes, (_, hole_modes) in tables.items()}
+    rows, cols = {holes: [] for holes in ORACLE_HOLES}, {holes: [] for holes in ORACLE_HOLES}
+    for pair in labels:
+        matrix = fock_bond(space, pair).matrix
+        # one operator at a time: all 128 at 16 sites would hold 700 MB
+        space._op_cache.clear()
+        for holes, state in states.items():
+            rows[holes].append(matrix[[state], :])
+            cols[holes].append(matrix[:, [state]].T)
+    return {holes: (table, hole_modes, dense_support(rows[holes]), dense_support(cols[holes]))
+            for holes, (table, hole_modes) in tables.items()}
+
+
+@pytest.mark.parametrize("name,holes", [(name, holes) for name in ORACLE_SPECS
+                                        for holes in ORACLE_HOLES])
+def test_table_matches_the_fock_single_pair_route(name, holes):
+    spec = ORACLE_SPECS[name]
+    table, hole_modes, rows, cols = fock_near_filling(name)[holes]
+    labels = near_filling_labels(spec)
+    assert table.shape == (len(labels), len(labels))
+    assert len(hole_modes) == holes
+    bound = 64 * spec.n_sites * EPS
+    for i in range(len(labels)):
+        for j in range(len(labels)):
+            expected = single_pair_expectation((rows[i], cols[i]), (rows[j], cols[j]))
+            assert abs(table[i, j] - expected) <= bound, (labels[i], labels[j])
+    rep = boson_commutator_report(spec, labels[0], labels[-1], n_holes=holes, seed=ORACLE_SEED)
     assert rep.expectation == complex(table[0, -1])
     assert rep.holes == hole_modes
 
 
-@pytest.mark.parametrize("holes", [0, 2])
-def test_batched_table_matches_dense_commutator(holes):
+@pytest.mark.parametrize("holes", ORACLE_HOLES)
+def test_table_matches_dense_commutator(holes):
     space = FockSpace.chain(6)
-    labels, ops = zip(*near_filling_labels(space))
-    table, hole_modes = near_filling_commutator_table(space, labels, n_holes=holes, seed=1)
-    state = space.filled_state
-    for hole in hole_modes:
-        state &= ~(1 << hole)
-    dense = [op.to_dense() for op in ops]
+    labels = near_filling_labels(CHAIN6)
+    table, hole_modes = pair_commutator_table(CHAIN6, labels, n_holes=holes, seed=1)
+    state = holed_state(space, hole_modes)
+    dense = [fock_bond(space, pair).to_dense() for pair in labels]
     for i, e1 in enumerate(dense):
         for j, e2 in enumerate(dense):
             e2_dag = e2.conj().T
             exact = (e1 @ e2_dag - e2_dag @ e1)[state, state]
-            assert abs(table[i, j] - exact) <= 1e-12, (i, j)
+            assert abs(table[i, j] - exact) <= 64 * 6 * EPS, (i, j)
+
+
+def wrong_momentum_step(coefficients, pair, matrix):
+    """The coefficients of the next momentum on the grid."""
+    if isinstance(pair, ChainPair):
+        return coefficients.pair(dataclasses.replace(pair, K=pair.K + 1))
+    return coefficients.pair(dataclasses.replace(pair, Ky=pair.Ky + 1))
+
+
+def flipped_sign(coefficients, pair, matrix):
+    """The first nonzero coefficient negated."""
+    flipped = matrix.copy()
+    flipped[tuple(np.argwhere(matrix)[0])] *= -1.0
+    return flipped
+
+
+# the second label of each suite: (l, K) = (1, 1) on the chain
+MUTATED_LABELS = {"ssh": ChainPair(1, 1), "dirac2d": SquarePair(0, 1, 0, 1)}
+
+
+@pytest.mark.parametrize("mutation", [wrong_momentum_step, flipped_sign])
+@pytest.mark.parametrize("argv", [["--model", "ssh", "--sites", "6"],
+                                  ["--model", "dirac2d", "--lx", "2", "--ly", "3"]],
+                         ids=["ssh6", "dirac2x3"])
+def test_one_wrong_coefficient_matrix_fails_the_unmatched_law(monkeypatch, tmp_path,
+                                                              argv, mutation):
+    out = tmp_path / "report.json"
+    command = ["verify", "commutators"] + argv + ["--output", str(out)]
+    assert main(command) == 0
+    target = MUTATED_LABELS[argv[1]]
+    original = PairCoefficients.pair
+
+    def mutated(self, label):
+        matrix = original(self, label)
+        return mutation(self, label, matrix) if label == target else matrix
+
+    monkeypatch.setattr(PairCoefficients, "pair", mutated)
+    assert main(command) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert not checks["filled_unmatched_law"]["pass"]
+    assert float(checks["filled_unmatched_law"]["residual"]) > 1e-12
 
 
 # -- exact H-bond commutator identities ---------------------------------------
