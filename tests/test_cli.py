@@ -290,7 +290,7 @@ def test_commutators_at_the_16_mode_cap_stay_small(tmp_path):
               "print(code, status.split('VmHWM:')[1].split()[0])\n")
     src = pathlib.Path(bondboson.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr
