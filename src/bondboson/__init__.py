@@ -8,8 +8,9 @@ wavelength limit is the 2+1D Dirac equation.  For both it provides
 * the quadratic pair algebra on n x n coefficient matrices, with the
   H-bond commutator identities and the near-filling commutator table
   (Wick's theorem on a basis state) evaluated on it (`bilinear`),
-* exact many-body pair ("bond") operators on bitset Fock spaces, used by
-  the quartic interaction checks and as the tests' oracle (`fock`),
+* exact many-body operators on bitset Fock spaces: the engine of the
+  quartic interaction checks, and the pair sums of integer pair labels
+  that the tests use as an independent oracle (`fock`),
 * 4x4 momentum-space bond-boson blocks whose eigenvalues are signed
   sums of two fermion band energies (`blocks`),
 * the quartic-to-quadratic interaction rewrite (`interactions`),
@@ -30,10 +31,8 @@ from .bilinear import (
     pair_commutator_table,
     pair_norm,
     square_bond_offsets,
-    verify_H_bond_commutators,
 )
 from .blocks import (
-    BlockRow,
     DiracBlock,
     SpectrumTable,
     SSHBlock,
@@ -54,17 +53,11 @@ from .fock import (
     FockSizeError,
     FockSpace,
     SparseOperator,
-    annihilation_op,
-    anticommutator,
-    bond_operator,
     chain_hamiltonian,
-    combo_operator,
     commutator,
     creation_op,
     dirac_hamiltonian,
     pair_bilinear,
-    square_combo_operator,
-    square_pair_operator,
 )
 from .interactions import (
     coulomb_operator,
@@ -79,8 +72,6 @@ from .lattice import ChainSpec, SquareSpec, chain_momenta, square_momenta
 from .numerics import (
     HermitianMatrix,
     NonHermitianError,
-    frobenius_norm,
-    hermitian_eigensystem,
     hermitian_eigenvalues,
 )
 

@@ -45,7 +45,6 @@ from .lattice import (
     square_momenta,
     unit_roots,
 )
-from .numerics import max_residual
 
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -347,17 +346,6 @@ def h_bond_commutator_residuals(spec) -> list:
         results.append(CommutatorResidual(identity.channel, identity.sublattice, identity.l,
                                           identity.k, pair_norm(lhs - rhs)))
     return results
-
-
-def verify_H_bond_commutators(spec) -> float:
-    """Max Frobenius residual of the bond-operator commutator identities.
-
-    These are exact operator identities for the quadratic Hamiltonians,
-    so the result must vanish to machine precision; any structured
-    residual points at a phase or sign convention error and can be
-    localised with :func:`h_bond_commutator_residuals`.
-    """
-    return max_residual(r.residual for r in h_bond_commutator_residuals(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -192,17 +192,6 @@ def dirac_boson_closed_eigs(s, p, kx, ky, m: float) -> np.ndarray:
 # Correspondence table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockRow:
-    """One momentum block: three eigenvalue routes and their spread."""
-
-    momenta: tuple
-    numeric: tuple
-    closed_form: tuple
-    fermion_pairs: tuple
-    max_discrepancy: float
-
-
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
     """Per-block eigenvalue table with a global pass/fail verdict.
@@ -233,18 +222,6 @@ class SpectrumTable:
     def passed(self) -> bool:
         """True if every block agrees within the tolerance (a NaN never does)."""
         return bool(np.all(self.discrepancy <= self.tolerance))
-
-    @property
-    def rows(self) -> tuple:
-        return tuple(
-            BlockRow(tuple(m), tuple(n), tuple(c), tuple(f), d)
-            for m, n, c, f, d in zip(self.momenta.tolist(), self.numeric.tolist(),
-                                     self.closed_form.tolist(), self.fermion_pairs.tolist(),
-                                     self.discrepancy.tolist())
-        )
-
-    def flagged_rows(self):
-        return [row for row in self.rows if not row.max_discrepancy <= self.tolerance]
 
 
 def correspondence_report(spec, tolerance: float = 1e-10) -> SpectrumTable:

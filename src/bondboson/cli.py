@@ -253,6 +253,10 @@ def _config_from_args(args) -> RunConfig:
                 raise ValueError(f"{flag} must be >= 1, got {extent}")
     if holes < 0:
         raise ValueError(f"--holes must be non-negative, got {holes}")
+    # each hole empties the pair-carrying mode of one site
+    n_sites = args.sites if model == "ssh" else args.lx * args.ly
+    if holes > n_sites:
+        raise ValueError(f"--holes must not exceed the {n_sites} sites, got {holes}")
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     return RunConfig(
@@ -460,17 +464,20 @@ def _suite_commutators(config: RunConfig) -> dict:
 
     holes_table = []
     # up to three holes, each on its own pair-carrying mode (one per site);
-    # the rows are the bonds at the first grid momentum
+    # the rows are the bonds at the first grid momentum, read off the
+    # diagonal of one table per hole count
+    row_pairs = pairs[::len(momenta)]
     for holes in range(0, min(4, site_count + 1)):
-        for pair in pairs[::len(momenta)]:
-            rep = boson_commutator_report(spec, pair, pair, n_holes=holes, seed=config.seed)
+        table, hole_modes = pair_commutator_table(spec, row_pairs, n_holes=holes,
+                                                  seed=config.seed)
+        for pair, expectation in zip(row_pairs, map(complex, np.diagonal(table))):
             entry = as_label(pair)
             entry.update(
                 holes=holes,
-                hole_modes=list(rep.holes),
-                expectation=fmt_float(rep.expectation.real),
-                deviation=fmt_float(rep.deviation),
-                self_paired=rep.self_paired,
+                hole_modes=list(hole_modes),
+                expectation=fmt_float(expectation.real),
+                deviation=fmt_float(abs(expectation - float(site_count))),
+                self_paired=bond_self_paired(spec, pair),
             )
             holes_table.append(entry)
 

@@ -1,13 +1,16 @@
 """Exact many-body engine on occupation-bitset Fock spaces (<= 16 modes).
 
-Creation/annihilation operators, momentum-superposed pair ("bond")
-operators, hopping Hamiltonians and the Fock-space build of a pair
-bilinear from its coefficient matrix.  The quadratic statements (the
-H-bond identities and the near-filling commutator table) are evaluated
-on coefficient matrices in :mod:`bondboson.bilinear`; the operators here
-are what those matrices stand for.  The package builds them only for
-the quartic interaction checks, and the tests keep the Fock evaluation
-of the quadratic statements as an independent cross-check.
+Creation operators, sparse operator algebra, hopping Hamiltonians and
+the Fock-space build of a pair bilinear from its coefficient matrix.
+The package uses them for the quartic interaction checks
+(:mod:`bondboson.interactions`); every quadratic statement is evaluated
+on n x n coefficient matrices in :mod:`bondboson.bilinear`.
+
+The pair sums :func:`_bond_sum` and :func:`_square_pair_sum` build the
+Fock operator of an integer-momentum pair label (a ``ChainPair`` or
+``SquarePair``) directly from creation matrices, with ``np.exp`` phases.
+No command calls them: they are the tests' independent cross-check of
+the coefficient route.
 
 Basis state ``i`` occupies mode ``b`` iff bit ``b`` of ``i`` is set.
 Mode order is site-major:
@@ -32,12 +35,11 @@ from .lattice import (
     SquareSpec,
     chain_anchors,
     chain_mode,
-    on_grid,
     phase_position,
     square_mode,
 )
-# imported for the benchmark tracer, which wraps the grids where fock looks them up
-from .lattice import chain_momenta, square_momenta  # noqa: F401
+# imported for the benchmark tracer, which wraps these names where fock looks them up
+from .lattice import chain_momenta, on_grid, square_momenta  # noqa: F401
 
 MAX_MODES = 16
 
@@ -55,29 +57,24 @@ def check_mode_cap(n_modes: int) -> None:
         raise FockSizeError(f"{n_modes} modes exceed the exact-representation cap of {MAX_MODES}")
 
 
-_SQRT2 = float(np.sqrt(2.0))
-
 # The spins of the two created fermions of a chain channel, and the
 # components of a square-lattice pairing (0 = c, 1 = b).
 CHAIN_CHANNEL_SPINS = {"uu": (0, 0), "dd": (1, 1), "ud": (0, 1), "du": (1, 0)}
 SQUARE_PAIRING_COMPONENTS = {"cc": (0, 0), "bb": (1, 1), "cb": (0, 1), "bc": (1, 0)}
-_CHAIN_CHANNELS = tuple(CHAIN_CHANNEL_SPINS)
-_SQUARE_PAIRINGS = tuple(SQUARE_PAIRING_COMPONENTS)
 
 
 class FockSpace:
     """Full 2^n_modes occupation basis for a chain or square lattice."""
 
-    def __init__(self, kind, n_modes, mode_labels, geometry):
+    def __init__(self, kind, n_modes, geometry):
         check_mode_cap(n_modes)
         self.kind = kind
         self.n_modes = n_modes
         self.dim = 1 << n_modes
-        self.mode_labels = tuple(mode_labels)
         self.geometry = geometry
         self._creation_cache = {}
-        # Built pair sums, keyed by their defining parameters; operators
-        # are immutable after construction, so sharing is safe.
+        # Built pair sums, keyed by their pair label; operators are
+        # immutable after construction, so sharing is safe.
         self._op_cache = {}
 
     @classmethod
@@ -85,24 +82,14 @@ class FockSpace:
         """Fock space of a periodic chain; sublattice A = odd sites, B = even."""
         if n_sites <= 0 or n_sites % 2 != 0:
             raise ValueError(f"n_sites must be a positive even integer, got {n_sites}")
-        spins = ("up", "down") if spinful else ("up",)
-        labels = []
-        for site in range(n_sites):
-            for spin in spins:
-                labels.append((site, "A" if site % 2 == 1 else "B", spin))
-        return cls("chain", n_sites * len(spins), labels, {"n_sites": n_sites, "spinful": spinful})
+        return cls("chain", n_sites * (2 if spinful else 1), {"n_sites": n_sites, "spinful": spinful})
 
     @classmethod
     def square(cls, lx: int, ly: int) -> "FockSpace":
         """Fock space of the two-component periodic square lattice."""
         if lx < 1 or ly < 1:
             raise ValueError(f"lattice dims must be >= 1, got {lx}x{ly}")
-        labels = []
-        for x in range(lx):
-            for y in range(ly):
-                for comp in ("c", "b"):
-                    labels.append(((x, y), "-", comp))
-        return cls("square", 2 * lx * ly, labels, {"lx": lx, "ly": ly})
+        return cls("square", 2 * lx * ly, {"lx": lx, "ly": ly})
 
     # -- geometry accessors -------------------------------------------------
     @property
@@ -233,21 +220,10 @@ def creation_op(space: FockSpace, mode: int) -> SparseOperator:
     return SparseOperator(space, space._creation_matrix(mode))
 
 
-def annihilation_op(space: FockSpace, mode: int) -> SparseOperator:
-    """Annihilation operator of one mode; adjoint of :func:`creation_op`."""
-    return SparseOperator(space, space._creation_matrix(mode).conj().T)
-
-
 def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     """AB - BA, pruned; rejects operators from different spaces."""
     a._check_space(b)
     return SparseOperator(a.space, a.matrix @ b.matrix - b.matrix @ a.matrix)
-
-
-def anticommutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    """AB + BA, pruned."""
-    a._check_space(b)
-    return SparseOperator(a.space, a.matrix @ b.matrix + b.matrix @ a.matrix)
 
 
 def pair_bilinear(space: FockSpace, coefficients) -> SparseOperator:
@@ -331,143 +307,51 @@ def dirac_hamiltonian(space: FockSpace, spec: SquareSpec) -> SparseOperator:
 
 
 # ---------------------------------------------------------------------------
-# Bond (pair) operators
+# Pair sums of integer-momentum labels: the tests' independent oracle
 # ---------------------------------------------------------------------------
 
-def _bond_sum(space: FockSpace, l: int, k: float, channel: str, sublattice: str) -> SparseOperator:
-    """Unvalidated pair-raising sum; l = 0 yields the zero operator."""
-    n_sites = space.geometry["n_sites"]
-    key = ("chain", l % n_sites, round(float(k), 14), channel, sublattice)
-    cached = space._op_cache.get(key)
+def _bond_sum(space: FockSpace, pair) -> SparseOperator:
+    """The Fock operator of a chain pair label (a :class:`bondboson.bilinear.ChainPair`).
+
+    ``sum_n e^{2 pi i (K p(n) mod N)/N} c+_{n,s1} c+_{n+l,s2}`` over the
+    anchors n of the label's sublattice, N the site count.  Unvalidated;
+    l = 0 gives the zero operator.  Each phase comes from ``np.exp``, not
+    from the exact root table of the coefficient route.
+    """
+    cached = space._op_cache.get(pair)
     if cached is not None:
         return cached
-    spin1, spin2 = CHAIN_CHANNEL_SPINS[channel]
+    n_sites = space.geometry["n_sites"]
+    spin1, spin2 = CHAIN_CHANNEL_SPINS[pair.channel]
     acc = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for site in chain_anchors(n_sites, sublattice):
+    for site in chain_anchors(n_sites, pair.sublattice):
         c1 = space._creation_matrix(space.chain_mode(site, spin1))
-        c2 = space._creation_matrix(space.chain_mode(site + l, spin2))
-        acc = acc + np.exp(1j * k * phase_position(sublattice, site)) * (c1 @ c2)
+        c2 = space._creation_matrix(space.chain_mode(site + pair.l, spin2))
+        turn = (pair.K * phase_position(pair.sublattice, site)) % n_sites
+        acc = acc + np.exp(2j * np.pi * turn / n_sites) * (c1 @ c2)
     op = SparseOperator(space, acc)
-    space._op_cache[key] = op
+    space._op_cache[pair] = op
     return op
 
 
-def bond_operator(space: FockSpace, l: int, k: float, channel: str = "uu",
-                  sublattice: str = "all") -> SparseOperator:
-    """Momentum-superposed pair-raising operator on a chain.
+def _square_pair_sum(space: FockSpace, pair) -> SparseOperator:
+    """The Fock operator of a square-lattice pair label (a :class:`bondboson.bilinear.SquarePair`).
 
-    ``sum_n phase(n) * c^dag_{n,s1} c^dag_{n+l,s2}`` with the anchor n
-    running over the chosen sublattice and the site index wrapping
-    periodically.  Phases: ``e^{ikn}`` for the full chain and for
-    sublattice A (odd sites); ``e^{ik n/2}`` (cell index) for
-    sublattice B (even sites).  The adjoint is the matching
-    pair-lowering operator.
-
-    k must close on the periodic ring: the full-chain/A phase needs
-    ``e^{ik n_sites} = 1``, the B phase ``e^{ik n_cells} = 1``.
+    ``sum_r e^{2 pi i ((Kx x mod lx)/lx + (Ky y mod ly)/ly)} a+_r a'+_{r+(l,m)}``
+    over every site r = (x, y), with ``np.exp`` phases as in :func:`_bond_sum`.
     """
-    if space.kind != "chain":
-        raise ValueError("bond_operator is defined on chain spaces; see square_pair_operator")
-    if channel not in _CHAIN_CHANNELS:
-        raise ValueError(f"unknown channel {channel!r}; expected one of {_CHAIN_CHANNELS}")
-    if channel != "uu" and not space.spinful:
-        raise ValueError(f"channel {channel!r} needs a spinful space")
-    n_sites = space.geometry["n_sites"]
-    n_cells = n_sites // 2
-    if l == 0:
-        raise ValueError("l = 0 rejected: the same-site pair vanishes identically")
-    if not 1 <= l <= n_cells:
-        raise ValueError(f"bond length l must lie in 1..{n_cells}, got {l}")
-    closure = n_cells if sublattice == "B" else n_sites
-    if not on_grid(k, closure):
-        raise ValueError(
-            f"momentum {k} is off-grid: e^(i k {closure}) must equal 1 for "
-            f"sublattice {sublattice!r}"
-        )
-    return _bond_sum(space, l, k, channel, sublattice)
-
-
-def combo_operator(space: FockSpace, l: int, k: float, family: str = "E",
-                   parity: int = +1, sublattice: str = "all") -> SparseOperator:
-    """Spin-channel combination of bond operators.
-
-    family "E": same-spin sum/difference (uu + parity * dd);
-    family "D": mixed-spin sum/difference (ud + parity * du).
-    Needs a spinful chain space.
-    """
-    if family not in ("E", "D"):
-        raise ValueError(f"unknown family {family!r}; expected 'E' or 'D'")
-    if parity not in (+1, -1):
-        raise ValueError(f"parity must be +1 or -1, got {parity}")
-    if space.kind != "chain" or not space.spinful:
-        raise ValueError(f"family {family!r} combinations need a spinful chain space")
-    # Delegate validation of l, k, sublattice.
-    first = bond_operator(space, l, k, "uu" if family == "E" else "ud", sublattice)
-    second = bond_operator(space, l, k, "dd" if family == "E" else "du", sublattice)
-    return first + parity * second
-
-
-def _square_pair_sum(space: FockSpace, l: int, m: int, kx: float, ky: float,
-                     pairing: str) -> SparseOperator:
-    lx, ly = space.geometry["lx"], space.geometry["ly"]
-    key = ("square", l % lx, m % ly, round(float(kx), 14), round(float(ky), 14), pairing)
-    cached = space._op_cache.get(key)
+    cached = space._op_cache.get(pair)
     if cached is not None:
         return cached
-    comp1, comp2 = SQUARE_PAIRING_COMPONENTS[pairing]
+    lx, ly = space.geometry["lx"], space.geometry["ly"]
+    comp1, comp2 = SQUARE_PAIRING_COMPONENTS[pair.pairing]
     acc = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
     for x in range(lx):
         for y in range(ly):
             c1 = space._creation_matrix(square_mode(lx, ly, x, y, comp1))
-            c2 = space._creation_matrix(square_mode(lx, ly, x + l, y + m, comp2))
-            acc = acc + np.exp(1j * (kx * x + ky * y)) * (c1 @ c2)
+            c2 = space._creation_matrix(square_mode(lx, ly, x + pair.l, y + pair.m, comp2))
+            turns = (pair.Kx * x) % lx / lx + (pair.Ky * y) % ly / ly
+            acc = acc + np.exp(2j * np.pi * turns) * (c1 @ c2)
     op = SparseOperator(space, acc)
-    space._op_cache[key] = op
+    space._op_cache[pair] = op
     return op
-
-
-def square_pair_operator(space: FockSpace, l: int, m: int, kx: float, ky: float,
-                         pairing: str = "cc") -> SparseOperator:
-    """2D pair-raising operator ``sum_r e^{i k.r} a^dag_r a'^dag_{r+(l,m)}``.
-
-    ``pairing`` picks the components of the two created fermions
-    ("cc", "bb", "cb", "bc").  Same-component pairings at offset
-    (0, 0) mod lattice vanish identically and are rejected.
-    """
-    if space.kind != "square":
-        raise ValueError("square_pair_operator is defined on square spaces")
-    if pairing not in _SQUARE_PAIRINGS:
-        raise ValueError(f"unknown pairing {pairing!r}; expected one of {_SQUARE_PAIRINGS}")
-    lx, ly = space.geometry["lx"], space.geometry["ly"]
-    if pairing in ("cc", "bb") and (l % lx, m % ly) == (0, 0):
-        raise ValueError("same-component pair at zero offset vanishes identically")
-    if not on_grid(kx, lx) or not on_grid(ky, ly):
-        raise ValueError(f"momentum ({kx}, {ky}) is off the {lx}x{ly} grid")
-    return _square_pair_sum(space, l, m, kx, ky, pairing)
-
-
-def _square_combo_sum(space: FockSpace, l: int, m: int, kx: float, ky: float,
-                      family: int, parity: int) -> SparseOperator:
-    first, second = ("cc", "bb") if family == 1 else ("cb", "bc")
-    op = _square_pair_sum(space, l, m, kx, ky, first) + parity * _square_pair_sum(
-        space, l, m, kx, ky, second
-    )
-    return (1.0 / _SQRT2) * op
-
-
-def square_combo_operator(space: FockSpace, l: int, m: int, kx: float, ky: float,
-                          family: int = 1, parity: int = +1) -> SparseOperator:
-    """Component combination ``(pair1 + parity*pair2)/sqrt(2)`` in 2D.
-
-    family 1 combines the same-component pairs (cc, bb); family 2 the
-    mixed pairs (cb, bc).
-    """
-    if family not in (1, 2):
-        raise ValueError(f"family must be 1 or 2, got {family}")
-    if parity not in (+1, -1):
-        raise ValueError(f"parity must be +1 or -1, got {parity}")
-    if space.kind != "square":
-        raise ValueError("square_combo_operator is defined on square spaces")
-    if not on_grid(kx, space.geometry["lx"]) or not on_grid(ky, space.geometry["ly"]):
-        raise ValueError("momentum off the lattice grid")
-    return _square_combo_sum(space, l, m, kx, ky, family, parity)

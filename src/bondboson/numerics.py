@@ -1,4 +1,4 @@
-"""Dense complex Hermitian matrices, their exact eigensystems, residual maxima.
+"""Dense complex Hermitian matrices, their eigenvalues, residual maxima.
 
 Every spectrum computed anywhere in this package (band structures,
 4x4 momentum blocks) funnels through :func:`hermitian_eigenvalues`, so
@@ -77,35 +77,12 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim})"
 
 
-def _as_hermitian(matrix) -> HermitianMatrix:
-    if isinstance(matrix, HermitianMatrix):
-        return matrix
-    return HermitianMatrix(matrix)
-
-
-def hermitian_eigensystem(matrix):
-    """Eigenvalues and eigenvectors of a Hermitian matrix.
-
-    Parameters
-    ----------
-    matrix : HermitianMatrix or array_like
-        One matrix or a stack ``(..., n, n)``; array input is validated
-        as for :class:`HermitianMatrix`.
-
-    Returns
-    -------
-    (eigenvalues, eigenvectors)
-        Eigenvalues ascending; eigenvectors as orthonormal columns,
-        ``eigenvectors[..., :, i]`` belonging to ``eigenvalues[..., i]``.
-    """
-    h = _as_hermitian(matrix)
-    eigenvalues, eigenvectors = np.linalg.eigh(h.array)
-    return eigenvalues, eigenvectors
-
-
 def hermitian_eigenvalues(matrix):
-    """Ascending eigenvalues of a Hermitian matrix, or of each matrix of a stack."""
-    h = _as_hermitian(matrix)
+    """Ascending eigenvalues of a Hermitian matrix, or of each matrix of a stack.
+
+    Array input is validated as for :class:`HermitianMatrix`.
+    """
+    h = matrix if isinstance(matrix, HermitianMatrix) else HermitianMatrix(matrix)
     return np.linalg.eigvalsh(h.array)
 
 
@@ -127,9 +104,3 @@ def max_residual(values) -> float:
     so a NaN residual anywhere but first would vanish from a report.
     """
     return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
-
-
-def frobenius_norm(matrix) -> float:
-    """Square root of the sum of squared entry moduli (any matrix)."""
-    a = matrix.array if isinstance(matrix, HermitianMatrix) else np.asarray(matrix)
-    return float(np.linalg.norm(a, "fro"))

@@ -4,8 +4,8 @@ The package checks the H-bond identities and the pair reconstruction on
 n x n coefficient matrices (``bondboson.bilinear``).  Here the same
 formula data (:class:`~bondboson.bilinear.Identity` terms, the
 reconstruction terms) are evaluated on 2^n-dimensional sparse Fock
-operators instead: pair sums from ``_bond_sum`` / ``_square_pair_sum``
-with float phases, the Hamiltonian from ``chain_hamiltonian`` /
+operators instead: pair sums of the integer labels from ``_bond_sum`` /
+``_square_pair_sum`` with ``np.exp`` phases, the Hamiltonian from ``chain_hamiltonian`` /
 ``dirac_hamiltonian`` and the left-hand side from ``commutator``.
 """
 
@@ -21,7 +21,7 @@ from bondboson.fock import (
     commutator,
     dirac_hamiltonian,
 )
-from bondboson.lattice import TWO_PI, ChainSpec
+from bondboson.lattice import ChainSpec
 
 
 def fock_space(spec) -> FockSpace:
@@ -39,11 +39,8 @@ def fock_hamiltonian(space, spec) -> SparseOperator:
 def fock_pair(space, pair) -> SparseOperator:
     """The Fock operator of one :class:`ChainPair` or :class:`SquarePair`."""
     if isinstance(pair, ChainPair):
-        k = TWO_PI * pair.K / space.geometry["n_sites"]
-        return _bond_sum(space, pair.l, k, pair.channel, pair.sublattice)
-    lx, ly = space.geometry["lx"], space.geometry["ly"]
-    return _square_pair_sum(space, pair.l, pair.m, TWO_PI * pair.Kx / lx,
-                            TWO_PI * pair.Ky / ly, pair.pairing)
+        return _bond_sum(space, pair)
+    return _square_pair_sum(space, pair)
 
 
 def fock_combination(space, terms) -> SparseOperator:

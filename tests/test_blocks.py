@@ -143,28 +143,27 @@ def test_dirac_zero_modes_at_zero_total_momentum():
 def test_correspondence_report_ssh():
     table = correspondence_report(ChainSpec(6, t0=1.0, alpha_u=0.1))
     assert table.model == "ssh"
-    assert len(table.rows) == 9
+    assert table.numeric.shape == (9, 4)
     assert table.passed
     assert table.max_discrepancy <= 1e-10
-    assert table.flagged_rows() == []
+    assert np.all(table.discrepancy <= table.tolerance)
 
 
 def test_correspondence_report_ssh_degenerate_chain():
     # alpha_u = 0: every block decomposes into pure cosine-band pairs
     table = correspondence_report(ChainSpec(6, t0=1.0, alpha_u=0.0))
     assert table.passed
-    for row in table.rows:
-        q, k = row.momenta
+    for (q, k), numeric in zip(table.momenta, table.numeric):
         e1 = abs(2 * np.cos(q))
         e2 = abs(2 * np.cos(k / 2 - q))
         expected = np.sort([s1 * e1 + s2 * e2 for s1 in (1, -1) for s2 in (1, -1)])
-        assert np.allclose(row.numeric, expected, atol=1e-10)
+        assert np.allclose(numeric, expected, atol=1e-10)
 
 
 def test_correspondence_report_dirac():
     table = correspondence_report(SquareSpec(4, 4, delta=1.2))
     assert table.model == "dirac2d"
-    assert len(table.rows) == 256
+    assert table.numeric.shape == (256, 4)
     assert table.passed
     assert table.max_discrepancy <= 1e-10
 
@@ -305,12 +304,11 @@ ORACLE_SPECS = [
 def test_table_is_bit_identical_to_the_per_block_route(spec):
     table = correspondence_report(spec)
     expected = oracle_rows(spec)
-    assert len(table.rows) == len(expected)
-    assert [row.momenta for row in table.rows] == [row[0] for row in expected]
-    for column, name in enumerate(("numeric", "closed_form", "fermion_pairs", "max_discrepancy"),
+    assert len(table.momenta) == len(expected)
+    assert [tuple(point) for point in table.momenta.tolist()] == [row[0] for row in expected]
+    for column, name in enumerate(("numeric", "closed_form", "fermion_pairs", "discrepancy"),
                                   start=1):
-        got = [getattr(row, name) for row in table.rows]
-        assert bits(got) == bits([row[column] for row in expected]), name
+        assert bits(getattr(table, name)) == bits([row[column] for row in expected]), name
     assert bits(table.max_discrepancy) == bits(max(row[4] for row in expected))
     assert table.passed
 

@@ -225,10 +225,13 @@ def test_module_entry_point_subprocess(tmp_path):
 
 
 def test_commutators_hole_table_stops_at_the_site_count(capsys):
-    code, out, _ = run_cli(["verify", "commutators", "--model", "ssh", "--sites", "2"], capsys)
+    # --holes may empty every site; one more is a usage error (BAD_FLAGS)
+    code, out, _ = run_cli(["verify", "commutators", "--model", "ssh", "--sites", "2",
+                            "--holes", "2"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "pass"
+    assert payload["highlighted"]["holes"] == 2
     assert sorted({row["holes"] for row in payload["deviation_vs_holes"]}) == [0, 1, 2]
 
 
@@ -352,6 +355,10 @@ BAD_FLAGS = [
                    "--spinful"]),
     ("--spinful", ["verify", "correspondence", "--model", "ssh", "--sites", "4", "--spinful"]),
     ("--holes", ["verify", "commutators", "--model", "ssh", "--sites", "4", "--holes=-1"]),
+    # more holes than sites, each hole emptying one site's pair-carrying mode
+    ("--holes", ["verify", "commutators", "--model", "ssh", "--sites", "4", "--holes", "5"]),
+    ("--holes", ["verify", "commutators", "--model", "dirac2d", "--lx", "1", "--ly", "2",
+                 "--holes", "3"]),
     ("--seed", ["verify", "interactions", "--model", "ssh", "--sites", "4", "--seed=-1"]),
     # finite values whose block entries overflow
     ("--mass", ["spectrum", "dirac2d", "--lx", "2", "--ly", "2", "--mass", "1e308"]),

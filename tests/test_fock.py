@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 from conftest import dense_jw_creation
-from fock_oracle import fock_space
+from fock_oracle import fock_pair, fock_space
 from scipy import sparse
 
 from bondboson.bilinear import (
@@ -16,7 +16,6 @@ from bondboson.bilinear import (
     h_bond_commutator_residuals,
     pair_commutator_table,
     square_bond_offsets,
-    verify_H_bond_commutators,
 )
 from bondboson.cli import main
 from bondboson.fermion_model import dirac2d_hopping_matrix, ssh_hopping_matrix
@@ -24,18 +23,14 @@ from bondboson.fock import (
     FockSizeError,
     FockSpace,
     SparseOperator,
-    annihilation_op,
-    anticommutator,
-    bond_operator,
     chain_hamiltonian,
-    combo_operator,
     commutator,
     creation_op,
     dirac_hamiltonian,
-    square_combo_operator,
-    square_pair_operator,
+    pair_bilinear,
 )
-from bondboson.lattice import ChainSpec, SquareSpec, chain_momenta
+from bondboson.lattice import ChainSpec, SquareSpec
+from bondboson.numerics import max_residual
 
 EPS = np.finfo(float).eps
 
@@ -66,19 +61,19 @@ def test_anticommutation_relations_exact(n_modes):
     eye = SparseOperator.identity(space)
     for i in modes:
         ci = creation_op(space, i)
-        ai = annihilation_op(space, i)
+        ai = ci.adjoint()
         for j in modes:
             cj = creation_op(space, j)
-            aj = annihilation_op(space, j)
+            aj = cj.adjoint()
             delta = 1.0 if i == j else 0.0
-            assert (anticommutator(ai, cj) - delta * eye).norm() == 0.0
-            assert anticommutator(ci, cj).norm() == 0.0
-            assert anticommutator(ai, aj).norm() == 0.0
+            assert (ai @ cj + cj @ ai - delta * eye).norm() == 0.0
+            assert (ci @ cj + cj @ ci).norm() == 0.0
+            assert (ai @ aj + aj @ ai).norm() == 0.0
 
 
 def test_adjoint_of_adjoint_is_original():
     space = FockSpace.chain(4)
-    e = bond_operator(space, 1, 0.0)
+    e = fock_pair(space, ChainPair(1, 0))
     assert (e.adjoint().adjoint() - e).norm() == 0.0
 
 
@@ -111,7 +106,7 @@ def test_size_cap_enforced():
 def test_commutator_basics():
     space = FockSpace.chain(4)
     c0 = creation_op(space, 0)
-    n0 = c0 @ annihilation_op(space, 0)
+    n0 = c0 @ c0.adjoint()
     assert commutator(c0, c0).norm() == 0.0
     assert (commutator(n0, c0) - c0).norm() == 0.0
 
@@ -136,59 +131,74 @@ def test_dirac_hamiltonian_single_particle_sector():
             assert h_many[1 << i, 1 << j] == pytest.approx(h_one[i, j], abs=1e-14)
 
 
-# -- bond operators ---------------------------------------------------------
+# -- pair sums of integer labels ----------------------------------------------
+#
+# ``fock_pair`` builds a label's Fock operator from creation matrices with
+# np.exp phases; the package builds it from the label's coefficient matrix
+# (exact root table, ``pair_bilinear``).  A dense Jordan-Wigner build
+# written from the documented conventions is the third route.
 
-def test_bond_operator_uniform_phase_matches_oracle():
-    space = FockSpace.chain(4)
-    dense = dense_jw_creation(4)
-    expected = sum(dense[n] @ dense[(n + 1) % 4] for n in range(4))
-    built = bond_operator(space, 1, 0.0).to_dense()
-    assert np.allclose(built, expected, atol=1e-15)
+def dense_pair(dense, spec, pair):
+    """The pair sum of a label from dense creation matrices and the documented conventions."""
+    if isinstance(spec, ChainSpec):
+        n = spec.n_sites
+        spins = {"uu": (0, 0), "dd": (1, 1), "ud": (0, 1), "du": (1, 0)}[pair.channel]
+        mode = lambda site, spin: 2 * (site % n) + spin if spec.spinful else site % n
+        anchors = {"all": range(n), "A": range(1, n, 2), "B": range(0, n, 2)}[pair.sublattice]
+        # sublattice B carries the cell phase e^{ik n/2}
+        position = (lambda site: site // 2) if pair.sublattice == "B" else (lambda site: site)
+        return sum(np.exp(2j * np.pi * pair.K * position(site) / n)
+                   * dense[mode(site, spins[0])] @ dense[mode(site + pair.l, spins[1])]
+                   for site in anchors)
+    lx, ly = spec.lx, spec.ly
+    comps = {"cc": (0, 0), "bb": (1, 1), "cb": (0, 1), "bc": (1, 0)}[pair.pairing]
+    mode = lambda x, y, comp: 2 * ((x % lx) * ly + (y % ly)) + comp
+    return sum(np.exp(2j * np.pi * (pair.Kx * x / lx + pair.Ky * y / ly))
+               * dense[mode(x, y, comps[0])] @ dense[mode(x + pair.l, y + pair.m, comps[1])]
+               for x in range(lx) for y in range(ly))
 
 
-def test_bond_operator_sublattice_conventions_match_oracle():
-    # A = odd sites with site phase e^{ikn}; B = even sites with cell
-    # phase e^{ik n/2}.
-    space = FockSpace.chain(6)
-    dense = dense_jw_creation(6)
-    k = 2 * np.pi / 3
-    expected_a = sum(np.exp(1j * k * n) * dense[n] @ dense[(n + 2) % 6] for n in (1, 3, 5))
-    built_a = bond_operator(space, 2, k, sublattice="A").to_dense()
-    assert np.allclose(built_a, expected_a, atol=1e-14)
-    expected_b = sum(
-        np.exp(1j * k * (n // 2)) * dense[n] @ dense[(n + 2) % 6] for n in (0, 2, 4)
-    )
-    built_b = bond_operator(space, 2, k, sublattice="B").to_dense()
-    assert np.allclose(built_b, expected_b, atol=1e-14)
+def chain_labels(n_sites, channels, sublattices):
+    return [ChainPair(l, K, channel, sublattice) for channel in channels
+            for sublattice in sublattices for l in range(n_sites) for K in range(n_sites)]
 
 
-def test_bond_operator_validation():
-    space = FockSpace.chain(6)
-    with pytest.raises(ValueError):
-        bond_operator(space, 0, 0.0)  # vanishes identically
-    with pytest.raises(ValueError):
-        bond_operator(space, 4, 0.0)  # beyond n_cells
-    with pytest.raises(ValueError):
-        bond_operator(space, 1, 0.123)  # off-grid momentum
-    with pytest.raises(ValueError):
-        bond_operator(space, 1, 0.0, channel="dd")  # spinless space
-    with pytest.raises(ValueError):
-        bond_operator(space, 1, 0.0, sublattice="C")
-    # B closes on the cell grid only
-    site_only = 2 * np.pi / 6
-    bond_operator(space, 1, site_only, sublattice="A")
-    with pytest.raises(ValueError):
-        bond_operator(space, 1, site_only, sublattice="B")
+def square_labels(lx, ly, pairing):
+    return [SquarePair(l, m, Kx, Ky, pairing) for l, m in np.ndindex(lx, ly)
+            for Kx, Ky in np.ndindex(lx, ly)]
+
+
+PER_LABEL_CASES = (
+    [(f"ssh6-{sub}", ChainSpec(6), chain_labels(6, ["uu"], [sub])) for sub in ("all", "A", "B")]
+    + [(f"ssh4-spinful-{channel}", ChainSpec(4, spinful=True),
+        chain_labels(4, [channel], ["all", "A", "B"])) for channel in ("uu", "dd", "ud", "du")]
+    + [(f"dirac{lx}x{ly}-{pairing}", SquareSpec(lx, ly), square_labels(lx, ly, pairing))
+       for lx, ly in ((1, 2), (2, 2)) for pairing in ("cc", "bb", "cb", "bc")]
+)
+
+
+@pytest.mark.parametrize("spec,labels", [case[1:] for case in PER_LABEL_CASES],
+                         ids=[case[0] for case in PER_LABEL_CASES])
+def test_fock_pair_matches_coefficients_and_dense_build(spec, labels):
+    space = fock_space(spec)
+    coefficients = PairCoefficients(spec)
+    dense = dense_jw_creation(space.n_modes)
+    for pair in labels:
+        built = fock_pair(space, pair)
+        from_coefficients = pair_bilinear(space, coefficients.pair(pair))
+        assert abs(built.matrix - from_coefficients.matrix).max() <= 4 * EPS, pair
+        # the dense build's phase arguments are not reduced mod 2 pi
+        assert np.max(np.abs(built.to_dense() - dense_pair(dense, spec, pair))) <= 32 * EPS, pair
 
 
 def test_bond_adjoint_equals_independent_lowering_operator():
     space = FockSpace.chain(6)
     k = 2 * np.pi / 6
-    raised = bond_operator(space, 2, k)
+    raised = fock_pair(space, ChainPair(2, 1))
     lowering = SparseOperator.zero(space)
     for n in range(6):
         lowering = lowering + np.exp(-1j * k * n) * (
-            annihilation_op(space, (n + 2) % 6) @ annihilation_op(space, n)
+            creation_op(space, (n + 2) % 6).adjoint() @ creation_op(space, n).adjoint()
         )
     assert (raised.adjoint() - lowering).norm() < 1e-14
 
@@ -205,10 +215,11 @@ def test_square_bond_offsets_canonical():
 
 def test_bond_operator_raises_number_by_two():
     space = FockSpace.chain(4)
-    e = bond_operator(space, 1, np.pi)
+    e = fock_pair(space, ChainPair(1, 2))  # k = pi
     total = SparseOperator.zero(space)
     for mode in range(space.n_modes):
-        total = total + creation_op(space, mode) @ annihilation_op(space, mode)
+        c = creation_op(space, mode)
+        total = total + c @ c.adjoint()
     assert (commutator(total, e) - 2.0 * e).norm() < 1e-12
 
 
@@ -216,8 +227,8 @@ def test_filled_state_pair_expectation():
     # only the diagonal n = n' terms survive on the filled state
     space = FockSpace.chain(6)
     for l in (1, 2):
-        for k in chain_momenta(6):
-            e = bond_operator(space, l, k)
+        for K in range(6):
+            e = fock_pair(space, ChainPair(l, K))
             product = e @ e.adjoint()
             assert product.expectation(space.filled_state) == pytest.approx(6.0, abs=1e-12)
 
@@ -226,68 +237,15 @@ def test_half_ring_bond_vanishes_on_cell_grid():
     # the l = n_cells pair sum self-pairs across the ring and cancels
     # for momenta with e^{i k n_cells} = 1 (up to phase-rounding dust)
     space = FockSpace.chain(6)
-    for k in chain_momenta(3):
-        assert bond_operator(space, 3, k).norm() < 1e-13
-
-
-def test_combo_operator_algebra():
-    space = FockSpace.chain(4, spinful=True)
-    plus = combo_operator(space, 1, 0.0, family="E", parity=+1)
-    minus = combo_operator(space, 1, 0.0, family="E", parity=-1)
-    down_only = bond_operator(space, 1, 0.0, channel="dd")
-    assert ((plus - minus) - 2.0 * down_only).norm() == 0.0
-    d_plus = combo_operator(space, 1, 0.0, family="D", parity=+1)
-    ud = bond_operator(space, 1, 0.0, channel="ud")
-    du = bond_operator(space, 1, 0.0, channel="du")
-    assert (d_plus - (ud + du)).norm() == 0.0
-    assert (d_plus.adjoint().adjoint() - d_plus).norm() == 0.0
-
-
-def test_combo_rejected_on_spinless_space():
-    space = FockSpace.chain(4)
-    with pytest.raises(ValueError):
-        combo_operator(space, 1, 0.0, family="D")
-    with pytest.raises(ValueError):
-        combo_operator(space, 1, 0.0, family="E")
-
-
-def test_square_pair_operator_matches_oracle():
-    space = FockSpace.square(2, 2)
-    dense = dense_jw_creation(8)
-    kx, ky = np.pi, 0.0
-    idx = lambda x, y, c: 2 * ((x % 2) * 2 + (y % 2)) + c
-    expected = sum(
-        np.exp(1j * (kx * x + ky * y)) * dense[idx(x, y, 0)] @ dense[idx(x + 1, y, 1)]
-        for x in range(2)
-        for y in range(2)
-    )
-    built = square_pair_operator(space, 1, 0, kx, ky, pairing="cb").to_dense()
-    assert np.allclose(built, expected, atol=1e-14)
-
-
-def test_square_pair_validation():
-    space = FockSpace.square(2, 2)
-    with pytest.raises(ValueError):
-        square_pair_operator(space, 0, 0, 0.0, 0.0, pairing="cc")
-    with pytest.raises(ValueError):
-        square_pair_operator(space, 1, 0, 0.1, 0.0)
-    # mixed pairing at zero offset is a legitimate on-site pair
-    assert square_pair_operator(space, 0, 0, 0.0, 0.0, pairing="cb").nnz > 0
-
-
-def test_square_combo_normalization():
-    space = FockSpace.square(2, 2)
-    cc = square_pair_operator(space, 1, 0, 0.0, 0.0, pairing="cc")
-    bb = square_pair_operator(space, 1, 0, 0.0, 0.0, pairing="bb")
-    combo = square_combo_operator(space, 1, 0, 0.0, 0.0, family=1, parity=+1)
-    assert (combo - (1 / np.sqrt(2)) * (cc + bb)).norm() == 0.0
+    for K in (0, 2, 4):
+        assert fock_pair(space, ChainPair(3, K)).norm() < 1e-13
 
 
 # -- near-filling commutator reports -----------------------------------------
 #
 # The package evaluates the table on coefficient matrices
-# (``bilinear.pair_commutator_table``); the Fock operators built from
-# float momenta are the oracle here.
+# (``bilinear.pair_commutator_table``); the Fock pair sums of the same
+# labels are the oracle here.
 
 CHAIN6 = ChainSpec(6)
 
@@ -374,15 +332,6 @@ def near_filling_labels(spec):
             for Kx, Ky in np.ndindex(spec.lx, spec.ly)]
 
 
-def fock_bond(space, pair):
-    """The Fock operator of a near-filling label, built with float momenta."""
-    if isinstance(pair, ChainPair):
-        return bond_operator(space, pair.l, chain_momenta(space.n_sites)[pair.K])
-    lx, ly = space.geometry["lx"], space.geometry["ly"]
-    return square_pair_operator(space, pair.l, pair.m, chain_momenta(lx)[pair.Kx],
-                                chain_momenta(ly)[pair.Ky], pairing="cc")
-
-
 def holed_state(space, hole_modes):
     state = space.filled_state
     for hole in hole_modes:
@@ -420,7 +369,7 @@ def fock_near_filling(name):
     states = {holes: holed_state(space, hole_modes) for holes, (_, hole_modes) in tables.items()}
     rows, cols = {holes: [] for holes in ORACLE_HOLES}, {holes: [] for holes in ORACLE_HOLES}
     for pair in labels:
-        matrix = fock_bond(space, pair).matrix
+        matrix = fock_pair(space, pair).matrix
         # one operator at a time: all 128 at 16 sites would hold 700 MB
         space._op_cache.clear()
         for holes, state in states.items():
@@ -454,7 +403,7 @@ def test_table_matches_dense_commutator(holes):
     labels = near_filling_labels(CHAIN6)
     table, hole_modes = pair_commutator_table(CHAIN6, labels, n_holes=holes, seed=1)
     state = holed_state(space, hole_modes)
-    dense = [fock_bond(space, pair).to_dense() for pair in labels]
+    dense = [fock_pair(space, pair).to_dense() for pair in labels]
     for i, e1 in enumerate(dense):
         for j, e2 in enumerate(dense):
             e2_dag = e2.conj().T
@@ -505,18 +454,22 @@ def test_one_wrong_coefficient_matrix_fails_the_unmatched_law(monkeypatch, tmp_p
 
 # -- exact H-bond commutator identities ---------------------------------------
 
+def max_identity_residual(spec):
+    return max_residual(r.residual for r in h_bond_commutator_residuals(spec))
+
+
 def test_chain_identities_spinless():
-    assert verify_H_bond_commutators(ChainSpec(6, t0=1.0, alpha_u=0.1)) <= 1e-12
+    assert max_identity_residual(ChainSpec(6, t0=1.0, alpha_u=0.1)) <= 1e-12
 
 
 def test_chain_identities_uniform_limit():
     # alpha_u = 0: all coefficients collapse to t0 and the same-sublattice
     # terms carry the plain shift structure
-    assert verify_H_bond_commutators(ChainSpec(6, t0=1.0, alpha_u=0.0)) <= 1e-12
+    assert max_identity_residual(ChainSpec(6, t0=1.0, alpha_u=0.0)) <= 1e-12
 
 
 def test_chain_identities_spinful():
-    assert verify_H_bond_commutators(ChainSpec(4, t0=1.0, alpha_u=0.2, spinful=True)) <= 1e-12
+    assert max_identity_residual(ChainSpec(4, t0=1.0, alpha_u=0.2, spinful=True)) <= 1e-12
 
 
 def test_chain_identity_detail_covers_all_cells():
@@ -532,7 +485,7 @@ def test_chain_identity_detail_covers_all_cells():
     "lx,ly,delta", [(2, 2, 0.8), (3, 2, 0.6), (2, 3, 1.1)]
 )
 def test_square_identities(lx, ly, delta):
-    assert verify_H_bond_commutators(SquareSpec(lx, ly, delta=delta)) <= 1e-12
+    assert max_identity_residual(SquareSpec(lx, ly, delta=delta)) <= 1e-12
 
 
 def test_square_identity_detail_channels():

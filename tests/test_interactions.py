@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from fock_oracle import fock_pair
 
-from bondboson.fock import FockSpace, SparseOperator, bond_operator, creation_op
+from bondboson.bilinear import ChainPair
+from bondboson.fock import FockSpace, SparseOperator, creation_op
 from bondboson.interactions import (
     coulomb_operator,
     coulomb_pair_form,
@@ -98,11 +100,11 @@ def test_inverse_transform_recovers_bond_operator():
     # summing the reconstructions against e^{+ipk} returns e_{+lk}
     space = FockSpace.chain(6)
     l = 2
-    for k in (0.0, 2 * np.pi / 6, 4 * np.pi / 6):
+    for K in (0, 1, 2):
         acc = SparseOperator.zero(space)
         for p in range(6):
-            acc = acc + np.exp(1j * p * k) * pair_from_bonds(space, p, l)
-        assert (acc - bond_operator(space, l, k)).norm() <= 1e-12
+            acc = acc + np.exp(2j * np.pi * p * K / 6) * pair_from_bonds(space, p, l)
+        assert (acc - fock_pair(space, ChainPair(l, K))).norm() <= 1e-12
 
 
 def test_equivalence_residual_seeded_random():

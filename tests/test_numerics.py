@@ -5,26 +5,22 @@ from conftest import random_hermitian, random_unitary
 from bondboson.numerics import (
     HermitianMatrix,
     NonHermitianError,
-    frobenius_norm,
-    hermitian_eigensystem,
     hermitian_eigenvalues,
     max_residual,
 )
 
 
 def test_identity_eigenvalues():
-    w, v = hermitian_eigensystem(np.eye(2))
-    assert np.allclose(w, [1.0, 1.0])
-    assert np.allclose(v @ v.conj().T, np.eye(2))
+    assert np.allclose(hermitian_eigenvalues(np.eye(2)), [1.0, 1.0])
 
 
 def test_diagonal_sorted_ascending():
-    w, _ = hermitian_eigensystem(np.diag([3.0, -1.0]))
+    w = hermitian_eigenvalues(np.diag([3.0, -1.0]))
     assert np.allclose(w, [-1.0, 3.0])
 
 
 def test_pauli_x_spectrum():
-    w, _ = hermitian_eigensystem(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    w = hermitian_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(w, [-1.0, 1.0])
 
 
@@ -63,11 +59,12 @@ def test_diagonal_imaginary_parts_zeroed():
 def test_eigen_residual_random(dim):
     rng = np.random.default_rng(dim)
     m = random_hermitian(rng, dim)
-    w, v = hermitian_eigensystem(m)
-    norm = frobenius_norm(m)
-    for i in range(dim):
-        assert np.linalg.norm(m @ v[:, i] - w[i] * v[:, i]) <= 1e-10 * norm
-    assert np.allclose(v.conj().T @ v, np.eye(dim), atol=1e-10)
+    w = hermitian_eigenvalues(m)
+    norm = np.linalg.norm(m)
+    # each eigenvalue makes m - w I singular: its smallest singular value vanishes
+    for value in w:
+        smallest = np.linalg.svd(m - value * np.eye(dim), compute_uv=False)[-1]
+        assert smallest <= 1e-10 * norm
     assert np.all(np.diff(w) >= -1e-14)
 
 
@@ -90,12 +87,6 @@ def test_eigenvalues_invariant_under_unitary_similarity(dim):
     assert np.allclose(
         hermitian_eigenvalues(m), hermitian_eigenvalues(rotated), atol=1e-9
     )
-
-
-def test_frobenius_norm_examples():
-    assert frobenius_norm(np.zeros((3, 3))) == 0.0
-    assert frobenius_norm(np.eye(4)) == pytest.approx(2.0)
-    assert frobenius_norm(np.array([[0, 1], [1, 0]])) == pytest.approx(np.sqrt(2.0))
 
 
 def test_hermitian_eigenvalues_examples():
