@@ -49,6 +49,15 @@ CASES = {
     "spectrum_ssh10_alpha0.csv": [
         "spectrum", "ssh", "--sites", "10", "--alpha-u", "0", "--format", "csv",
     ],
+    # four momentum columns: the 2D row layout of the CSV table
+    "spectrum_dirac2x3.csv": [
+        "spectrum", "dirac2d", "--lx", "2", "--ly", "3", "--mass", "1.3", "--format", "csv",
+    ],
+    # the correspondence suite: the table report with its "suite" key
+    "verify_correspondence_dirac2x3.json": [
+        "verify", "correspondence", "--model", "dirac2d", "--lx", "2", "--ly", "3",
+        "--mass", "1.3",
+    ],
 }
 
 
