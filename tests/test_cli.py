@@ -211,6 +211,13 @@ def test_golden_files(tmp_path, name, args):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name,args", list(CASES.items()), ids=list(CASES))
+def test_golden_files_on_stdout(capsys, name, args):
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()
+
+
 def test_module_entry_point_subprocess(tmp_path):
     out = tmp_path / "out.json"
     cmd = [
@@ -276,16 +283,14 @@ def test_commutators_at_the_16_mode_cap(capsys):
     assert len(payload["deviation_vs_holes"]) == 4 * 8
 
 
-@pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(),
-                    reason="reads the peak RSS from /proc")
-def test_commutators_at_the_16_mode_cap_stay_small(tmp_path):
-    # The child reports its own peak: RUSAGE_CHILDREN would also count the
-    # children of other tests.  It reads VmHWM, the peak of its own address
-    # space, because ru_maxrss also keeps the RSS the process had just
-    # before exec, which is the test runner's (over 300 MB in a full run).
-    out = tmp_path / "report.json"
-    argv = ["verify", "commutators", "--model", "ssh", "--sites", "16", "--holes", "2",
-            "--seed", "4", "--output", str(out)]
+def child_peak_mb(argv):
+    """Exit code and peak RSS in MB of ``main(argv)`` run in a fresh interpreter.
+
+    The child reports its own peak: RUSAGE_CHILDREN would also count the
+    children of other tests.  It reads VmHWM, the peak of its own address
+    space, because ru_maxrss also keeps the RSS the process had just
+    before exec, which is the test runner's (over 300 MB in a full run).
+    """
     script = ("import pathlib\n"
               "from bondboson.cli import main\n"
               f"code = main({argv!r})\n"
@@ -298,9 +303,35 @@ def test_commutators_at_the_16_mode_cap_stay_small(tmp_path):
                           env=env)
     assert proc.returncode == 0, proc.stderr
     code, peak_kb = proc.stdout.split()
-    assert int(code) == 0
+    return int(code), int(peak_kb) / 1024
+
+
+needs_proc = pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(),
+                                reason="reads the peak RSS from /proc")
+
+
+@needs_proc
+def test_commutators_at_the_16_mode_cap_stay_small(tmp_path):
+    out = tmp_path / "report.json"
+    code, peak_mb = child_peak_mb(["verify", "commutators", "--model", "ssh", "--sites", "16",
+                                   "--holes", "2", "--seed", "4", "--output", str(out)])
+    assert code == 0
     assert json.loads(out.read_text())["verdict"] == "pass"
-    assert int(peak_kb) / 1024 < 100
+    assert peak_mb < 100
+
+
+@needs_proc
+def test_large_grid_spectrum_is_streamed(tmp_path):
+    # 65,536 blocks: the report is about 50 MB of text, never held whole
+    out = tmp_path / "report.json"
+    code, peak_mb = child_peak_mb(["spectrum", "dirac2d", "--lx", "16", "--ly", "16",
+                                   "--output", str(out)])
+    assert code == 0
+    end = b'"verdict": "pass"\n}\n'
+    with out.open("rb") as fh:
+        fh.seek(-len(end), os.SEEK_END)
+        assert fh.read() == end
+    assert peak_mb < 250
 
 
 @pytest.mark.parametrize("args", [["--model", "ssh", "--sites", "6"],
