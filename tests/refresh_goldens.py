@@ -58,6 +58,18 @@ CASES = {
         "verify", "correspondence", "--model", "dirac2d", "--lx", "2", "--ly", "3",
         "--mass", "1.3",
     ],
+    # the identities suite: one momentum label per check, chain, spinful and 2D
+    "verify_identities_ssh6.json": [
+        "verify", "identities", "--model", "ssh", "--sites", "6", "--alpha-u", "0.1",
+    ],
+    "verify_identities_ssh4_spinful.json": [
+        "verify", "identities", "--model", "ssh", "--sites", "4", "--alpha-u", "0.2",
+        "--spinful",
+    ],
+    "verify_identities_dirac2x3.json": [
+        "verify", "identities", "--model", "dirac2d", "--lx", "2", "--ly", "3",
+        "--mass", "0.8",
+    ],
 }
 
 
