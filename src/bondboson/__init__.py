@@ -20,7 +20,6 @@ wavelength limit is the 2+1D Dirac equation.  For both it provides
 from .bilinear import (
     BosonCommutatorReport,
     ChainPair,
-    CommutatorResidual,
     Identity,
     PairCoefficients,
     SquarePair,

@@ -39,10 +39,8 @@ from .lattice import (
     SquareSpec,
     chain_anchors,
     chain_mode,
-    chain_momenta,
     phase_position,
     square_mode,
-    square_momenta,
     unit_roots,
 )
 
@@ -88,7 +86,8 @@ class Identity:
     ``target`` and ``rhs`` are tuples of ``(weight, pair)`` with pairs
     :class:`ChainPair` or :class:`SquarePair`; ``channel``,
     ``sublattice``, ``l`` and ``k`` label the check in reports (k as
-    the float momenta of the grid).
+    the integer momentum index: K on the chain's site grid, (Kx, Ky) on
+    the two axis grids).
     """
 
     channel: str
@@ -97,17 +96,6 @@ class Identity:
     k: object
     target: tuple
     rhs: tuple
-
-
-@dataclass(frozen=True)
-class CommutatorResidual:
-    """Frobenius norm of LHS - RHS for one H-bond commutator identity."""
-
-    channel: str
-    sublattice: str
-    l: object
-    k: object
-    residual: float
 
 
 def commutator_with_hopping(h: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -226,16 +214,16 @@ def _chain_identities(spec: ChainSpec) -> list:
             return tuple((weight * sign, ChainPair(l, K % n_sites, channel, sublattice))
                          for channel, sign in parts)
 
-        for j, k in enumerate(chain_momenta(n_cells)):
+        for j in range(n_cells):
             K = 2 * j
             phase, phase_c = roots[K % n_sites], roots[-K % n_sites]
             half, half_c = roots[j], roots[-j % n_sites]
             for l in range(1, n_cells + 1):
-                identities.append(Identity(name, "A", l, float(k), op(1.0, l, K, "A"), (
+                identities.append(Identity(name, "A", l, K, op(1.0, l, K, "A"), (
                     op(-t_l(l), l + 1, K, "A") + op(-t_l(l + 1), l - 1, K, "A")
                     + op(-t_minus * phase, l + 1, 2 * K, "B")
                     + op(-t_plus * phase_c, l - 1, 2 * K, "B"))))
-                identities.append(Identity(name, "B", l, float(k), op(1.0, l, K, "B"), (
+                identities.append(Identity(name, "B", l, K, op(1.0, l, K, "B"), (
                     op(-t_l(l + 1), l + 1, K, "B") + op(-t_l(l), l - 1, K, "B")
                     + op(-t_plus * half, l + 1, j, "A")
                     + op(-t_minus * half_c, l - 1, j, "A"))))
@@ -265,10 +253,9 @@ def _square_identities(spec: SquareSpec) -> list:
     lx, ly = spec.lx, spec.ly
     roots_x, roots_y = unit_roots(lx), unit_roots(ly)
     mass = 2.0 * spec.delta
-    grid = square_momenta(lx, ly)
 
     identities = []
-    for (Kx, Ky), (kx, ky) in zip(np.ndindex(lx, ly), grid):
+    for Kx, Ky in np.ndindex(lx, ly):
         X, Y = roots_x[Kx], roots_y[Ky]
         Xc, Yc = roots_x[-Kx % lx], roots_y[-Ky % ly]
 
@@ -304,8 +291,7 @@ def _square_identities(spec: SquareSpec) -> list:
                      + _scaled(1j * (1 + Yc), E(1, -1, l, m - 1))),
                 ]
                 for name, target, rhs in checks:
-                    identities.append(Identity(name, "-", (l, m), (float(kx), float(ky)),
-                                               target, rhs))
+                    identities.append(Identity(name, "-", (l, m), (Kx, Ky), target, rhs))
     return identities
 
 
@@ -331,7 +317,7 @@ def identity_sides(coefficients: PairCoefficients, h: np.ndarray, identity: Iden
 
 
 def h_bond_commutator_residuals(spec) -> list:
-    """Per-(channel, sublattice, l, k) residuals of the H-bond identities.
+    """``(identity, residual)`` for each H-bond identity, in report order.
 
     Each residual is the Frobenius norm of LHS - RHS as Fock-space
     operators, evaluated exactly on coefficient matrices by
@@ -343,8 +329,7 @@ def h_bond_commutator_residuals(spec) -> list:
     results = []
     for identity in identities:
         lhs, rhs = identity_sides(coefficients, h, identity)
-        results.append(CommutatorResidual(identity.channel, identity.sublattice, identity.l,
-                                          identity.k, pair_norm(lhs - rhs)))
+        results.append((identity, pair_norm(lhs - rhs)))
     return results
 
 

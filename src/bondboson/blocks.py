@@ -196,8 +196,9 @@ def dirac_boson_closed_eigs(s, p, kx, ky, m: float) -> np.ndarray:
 class SpectrumTable:
     """Per-block eigenvalue table with a global pass/fail verdict.
 
-    One row per momentum block, held as arrays: ``momenta`` is (N, 2),
-    (q, k), on the chain and (N, 4), (s, p, kx, ky), in 2D;
+    One row per momentum block, held as arrays: ``momenta`` holds integer
+    grid indices, (N, 2), (q, k) on the chain's cell grid, and (N, 4),
+    (s, p, kx, ky) on the x, y, x and y axis grids, in 2D;
     ``numeric``, ``closed_form`` and ``fermion_pairs`` are (N, 4), each
     row ascending: the numerically diagonalized block spectrum, the
     closed-form evaluation, and the reconstruction from signed pairs of
@@ -236,20 +237,21 @@ def correspondence_report(spec, tolerance: float = 1e-10) -> SpectrumTable:
     """
     if isinstance(spec, ChainSpec):
         grid = chain_momenta(spec.n_cells)
-        q, k = np.repeat(grid, grid.size), np.tile(grid, grid.size)
+        momenta = np.column_stack(np.divmod(np.arange(grid.size ** 2), grid.size))
+        q, k = grid[momenta[:, 0]], grid[momenta[:, 1]]
         t0, alpha_u = spec.t0, spec.alpha_u
         block = ssh_boson_block(q, k, t0, alpha_u)
         closed = ssh_boson_closed_eigs(q, k, t0, alpha_u)
         pairs = _signed_sums(ssh_band_energy(q, t0, alpha_u).plus_branch,
                              ssh_band_energy(k / 2.0 - q, t0, alpha_u).plus_branch)
-        momenta = np.column_stack((q, k))
         model = "ssh"
         params = {"n_sites": spec.n_sites, "t0": spec.t0, "alpha_u": spec.alpha_u}
     elif isinstance(spec, SquareSpec):
         grid = square_momenta(spec.lx, spec.ly)
-        momenta = np.column_stack((np.repeat(grid, len(grid), axis=0),
-                                   np.tile(grid, (len(grid), 1))))
-        s, p, kx, ky = momenta.T
+        # flat x-major cell indices of (s, p) and of (kx, ky)
+        first, total = np.divmod(np.arange(len(grid) ** 2), len(grid))
+        momenta = np.column_stack(np.divmod(first, spec.ly) + np.divmod(total, spec.ly))
+        s, p, kx, ky = np.hstack((grid[first], grid[total])).T
         block = dirac_boson_block(s, p, kx, ky, spec.delta)
         closed = dirac_boson_closed_eigs(s, p, kx, ky, spec.delta)
         # The block mass is the on-site splitting delta; the band energies

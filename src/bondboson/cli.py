@@ -10,10 +10,11 @@ Two commands:
 
 Reports are deterministic: canonical key order, floats rendered in
 scientific notation with an explicit sign and 15 significant digits,
-momenta rendered as rational multiples of pi where exact.  A verdict
-is "pass" only if every one of its checks passes; a NaN residual fails.
-Exit codes: 0 pass, 1 I/O failure or failed verdict, 2 usage error,
-3 Fock-space resource limit.
+momenta (integer indices j on an n-point grid) as 2j/n reduced times pi
+("2/3 pi") while its denominator is at most 720, else as the float
+2*pi*j/n.  A verdict is "pass" only if every one of its checks passes; a
+NaN residual fails.  Exit codes: 0 pass, 1 I/O failure or failed verdict,
+2 usage error, 3 Fock-space resource limit.
 
 Spectrum tables (``spectrum`` and ``verify correspondence``) are streamed:
 each distinct float is formatted once into a fixed per-block template laid
@@ -53,9 +54,10 @@ from .interactions import (
     random_offdiag_coupling,
 )
 # imported for the benchmark tracer, which wraps these names where cli looks them up;
-# the pair reconstruction is measured on coefficients
+# the pair reconstruction is measured on coefficients, momenta are integer indices
 from .interactions import creation_pair_direct, pair_from_bonds  # noqa: F401
-from .lattice import TWO_PI, ChainSpec, SquareSpec, chain_momenta, square_momenta
+from .lattice import chain_momenta, square_momenta  # noqa: F401
+from .lattice import TWO_PI, ChainSpec, SquareSpec
 from .numerics import max_residual
 
 EXIT_OK = 0
@@ -80,17 +82,14 @@ def fmt_float(x: float) -> str:
     return f"{float(x):+.14e}"
 
 
-def fmt_momentum(x: float) -> str:
-    """Rational multiple of pi where exact ("2/3 pi"), else a plain float."""
-    ratio = float(x) / np.pi
-    frac = Fraction(ratio).limit_denominator(720)
-    if abs(float(frac) * np.pi - float(x)) < 1e-12:
-        if frac == 0:
-            return "0"
-        if frac.denominator == 1:
-            return f"{frac.numerator} pi"
-        return f"{frac.numerator}/{frac.denominator} pi"
-    return fmt_float(x)
+def fmt_momentum(j: int, n: int) -> str:
+    """The momentum 2*pi*j/n of the n-point grid: "0", "1 pi" or "2/3 pi" while the
+    reduced denominator of 2j/n is at most 720, else ``fmt_float`` of 2*pi*j/n (bit
+    for bit the ``chain_momenta(n)`` entry)."""
+    frac = Fraction(2 * int(j), int(n))
+    if frac.denominator > 720:
+        return fmt_float(TWO_PI * int(j) / int(n))
+    return f"{frac} pi" if frac else "0"
 
 
 @dataclass
@@ -188,9 +187,9 @@ MODEL_FLAGS = {"ssh": ("--sites", "--t0", "--alpha-u"), "dirac2d": ("--lx", "--l
 def _check_block_bound(model: str, t0: float, alpha_u: float, mass: float) -> None:
     """Reject model parameters whose 4x4 block entries overflow, naming the flag.
 
-    The entries are bounded by 2|t0| + 4|alpha_u| on the chain and by
-    2|mass| in 2D.  Past that bound a table would hold inf and NaN, so the
-    flag whose term is largest is named instead.
+    The entries are bounded by 2|t0| + 4|alpha_u| on the chain (a bound on
+    every hopping entry too) and by 2|mass| in 2D.  Past that bound a table
+    would hold inf and NaN, so the flag whose term is largest is named instead.
     """
     if model == "ssh":
         terms = {"--t0": 2.0 * abs(t0), "--alpha-u": 4.0 * abs(alpha_u)}
@@ -239,7 +238,8 @@ def _config_from_args(args) -> RunConfig:
         raise ValueError(f"--tolerance must be positive, got {tolerance}")
     if model == "ssh" and t0 <= 0:
         raise ValueError(f"--t0 must be positive for the chain model, got {t0}")
-    if command == "spectrum" or suite == "correspondence":
+    if command == "spectrum" or suite == "correspondence" or (suite, model) == (
+            "identities", "ssh"):
         _check_block_bound(model, t0, alpha_u, mass)
     if suite == "interactions" and model != "ssh":
         raise ValueError("the interactions suite is defined on the chain model")
@@ -301,12 +301,28 @@ def _format_distinct(values, fmt) -> np.ndarray:
     return labels[inverse.reshape(values.shape)]
 
 
-def _table_fields(table, points) -> np.ndarray:
-    """(N, F) strings: ``fmt_momentum`` of ``points``, then ``fmt_float`` of the
-    numeric, closed-form and pair spectra (4 columns each) and the discrepancy."""
+def _table_points(table):
+    """The table's momentum index columns, then fermion_pair_at's, and each one's grid size.
+    fermion_pair_at is the second band momentum of the signed pair sums (the first is q,
+    resp. (s, p)): k/2 - q on the chain's half-step site grid, (kx - s, ky - p) in 2D."""
+    m = table.momenta
+    if table.model == "ssh":
+        n_sites = table.params["n_sites"]
+        return (np.column_stack([m, (m[:, 1] - 2 * m[:, 0]) % n_sites]),
+                [n_sites // 2, n_sites // 2, n_sites])
+    lx, ly = table.params["lx"], table.params["ly"]
+    return np.hstack([m, (m[:, 2:] - m[:, :2]) % (lx, ly)]), [lx, ly] * 3
+
+
+def _table_fields(table, points, grids) -> np.ndarray:
+    """(N, F) strings: ``fmt_momentum`` of each ``points`` column on its grid of
+    ``grids``, each grid point formatted once, then ``fmt_float`` of the numeric,
+    closed-form and pair spectra (4 columns each) and the discrepancy."""
+    labels = {n: np.array([fmt_momentum(j, n) for j in range(n)], dtype=object)
+              for n in set(grids)}
     values = np.column_stack([table.numeric, table.closed_form, table.fermion_pairs,
                               table.discrepancy])
-    return np.hstack([_format_distinct(points, fmt_momentum),
+    return np.hstack([np.column_stack([labels[n][points[:, c]] for c, n in enumerate(grids)]),
                       _format_distinct(values, fmt_float)])
 
 
@@ -322,15 +338,10 @@ def _table_json(table, config: RunConfig):
     """The table report as text pieces, laid out by ``json.dumps(indent=2, sort_keys=True)``
     itself around one block whose leaves, the field columns, become ``"%s"`` fields
     (no label needs JSON escaping)."""
-    m = table.momenta
-    # fermion_pair_at names the second band momentum entering the signed
-    # pair sums (the first is q, resp. (s, p)); it lands on the half-step
-    # site grid rather than the block grid.
+    points, grids = _table_points(table)
     if table.model == "ssh":
-        points = np.column_stack([m, np.mod(m[:, 1] / 2.0 - m[:, 0], TWO_PI)])
         momenta = {"q": 0, "k": 1, "fermion_pair_at": 2}
     else:
-        points = np.hstack([m, np.mod(m[:, 2:] - m[:, :2], TWO_PI)])
         momenta = {"s": 0, "p": 1, "kx": 2, "ky": 3, "fermion_pair_at": [4, 5]}
     v = points.shape[1]
     block = {"momenta": momenta, "numeric": [v, v + 1, v + 2, v + 3],
@@ -347,7 +358,7 @@ def _table_json(table, config: RunConfig):
         report["suite"] = config.suite
     head, tail = (json.dumps(report, indent=2, sort_keys=True) + "\n").split('"<blocks>"')
     yield head
-    yield from _fill(_table_fields(table, points)[:, order], template, ",\n    ")
+    yield from _fill(_table_fields(table, points, grids)[:, order], template, ",\n    ")
     yield tail
 
 
@@ -356,12 +367,13 @@ def _table_csv(table):
     ``csv.writer(lineterminator="\\n")``: no field needs quoting."""
     columns = MOMENTUM_COLUMNS[table.model]
     n = len(columns)
+    points, grids = _table_points(table)
     # per rank: the momenta, the rank, the three spectra at it and the discrepancy
     order = [c for r in range(4) for c in (*range(n), n + r, n + 4 + r, n + 8 + r, n + 12)]
     template = "".join(",".join(["%s"] * n + [str(r)] + ["%s"] * 4) + "\n" for r in range(4))
     yield ",".join(columns + ["rank", "numeric", "closed_form", "fermion_pair",
                               "max_discrepancy"]) + "\n"
-    yield from _fill(_table_fields(table, table.momenta)[:, order], template, "")
+    yield from _fill(_table_fields(table, points[:, :n], grids[:n])[:, order], template, "")
 
 
 def _emit(pieces, output: str) -> int:
@@ -392,31 +404,33 @@ def cmd_spectrum(config: RunConfig) -> int:
     return EXIT_OK if table.passed else 1
 
 
+def _k_label(spec, k):
+    """The report label of a momentum index: K on the chain's site grid, (Kx, Ky) in 2D."""
+    if isinstance(spec, ChainSpec):
+        return fmt_momentum(k, spec.n_sites)
+    return [fmt_momentum(k[0], spec.lx), fmt_momentum(k[1], spec.ly)]
+
+
 def _suite_identities(config: RunConfig) -> dict:
     spec = config.chain_spec() if config.model == "ssh" else config.square_spec()
     residuals = h_bond_commutator_residuals(spec)
     checks = []
-    for r in residuals:
-        l_label = list(r.l) if isinstance(r.l, tuple) else r.l
-        if isinstance(r.k, tuple):
-            k_label = [fmt_momentum(v) for v in r.k]
-        else:
-            k_label = fmt_momentum(r.k)
+    for identity, residual in residuals:
         checks.append(
             {
-                "channel": r.channel,
-                "sublattice": r.sublattice,
-                "l": l_label,
-                "k": k_label,
-                "residual": fmt_float(r.residual),
-                "pass": bool(r.residual <= config.tolerance),
+                "channel": identity.channel,
+                "sublattice": identity.sublattice,
+                "l": list(identity.l) if isinstance(identity.l, tuple) else identity.l,
+                "k": _k_label(spec, identity.k),
+                "residual": fmt_float(residual),
+                "pass": bool(residual <= config.tolerance),
             }
         )
     return {
         "config": config.echo(),
         "suite": "identities",
         "checks": checks,
-        "max_residual": fmt_float(max_residual(r.residual for r in residuals)),
+        "max_residual": fmt_float(max_residual(residual for _, residual in residuals)),
         "verdict": _verdict(checks),
     }
 
@@ -425,13 +439,11 @@ def _suite_commutators(config: RunConfig) -> dict:
     """Near-filling commutator law plus the deviation-vs-holes table."""
     if config.model == "ssh":
         spec = config.chain_spec()
-        momenta = chain_momenta(spec.n_sites)
         pairs = [ChainPair(l, K) for l in range(1, spec.n_cells + 1)
                  for K in range(spec.n_sites)]
-        as_label = lambda pair: {"l": pair.l, "k": fmt_momentum(momenta[pair.K])}
+        as_label = lambda pair: {"l": pair.l, "k": _k_label(spec, pair.K)}
     else:
         spec = config.square_spec()
-        momenta = square_momenta(spec.lx, spec.ly)
         # one offset per {d, -d} class: the reversed offset recreates the
         # same pairs and is not an independent bond
         lengths = square_bond_offsets(spec.lx, spec.ly)
@@ -439,10 +451,7 @@ def _suite_commutators(config: RunConfig) -> dict:
             raise ValueError("--lx and --ly: a 1x1 lattice has no bonds to commute")
         pairs = [SquarePair(l, m, Kx, Ky) for l, m in lengths
                  for Kx, Ky in np.ndindex(spec.lx, spec.ly)]
-        as_label = lambda pair: {
-            "l": [pair.l, pair.m],
-            "k": [fmt_momentum(v) for v in momenta[pair.Kx * spec.ly + pair.Ky]],
-        }
+        as_label = lambda pair: {"l": [pair.l, pair.m], "k": _k_label(spec, (pair.Kx, pair.Ky))}
     site_count = spec.n_sites
 
     # grid labels are distinct, so two labels match exactly on the diagonal
@@ -461,8 +470,8 @@ def _suite_commutators(config: RunConfig) -> dict:
     holes_table = []
     # up to three holes, each on its own pair-carrying mode (one per site);
     # the rows are the bonds at the first grid momentum, read off the
-    # diagonal of one table per hole count
-    row_pairs = pairs[::len(momenta)]
+    # diagonal of one table per hole count (one pair per bond and grid point)
+    row_pairs = pairs[::site_count]
     for holes in range(0, min(4, site_count + 1)):
         table, hole_modes = pair_commutator_table(spec, row_pairs, n_holes=holes,
                                                   seed=config.seed)

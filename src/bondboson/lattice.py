@@ -5,10 +5,13 @@ Conventions used throughout the package:
 * Chain sites are indexed ``0 .. n_sites-1``.  Sublattice A is the odd
   sites, sublattice B the even sites, so the B cell index ``n // 2`` is
   an integer.
-* Momenta are stored in ``[0, 2*pi)``: the grid for ``n`` cells is
-  ``{2*pi*j/n : j = 0..n-1}``.
+* A momentum is an integer index ``j = 0..n-1`` on the ``n``-point grid
+  of its ring, standing for ``k = 2*pi*j/n``; sums and differences of
+  momenta are index arithmetic mod ``n``.  Radians exist only where a
+  formula takes a sine or cosine, through :func:`chain_momenta` and
+  :func:`square_momenta`.
 * Square-lattice momenta are the Cartesian product of the two axis
-  grids, x-major.
+  grids, x-major: index pairs ``(jx, jy)``.
 """
 
 from __future__ import annotations

@@ -1,20 +1,55 @@
 """The spectrum table written the plain way: a payload dict through ``json.dumps``
-and rows through ``csv.writer``, one ``fmt_float`` call per entry.
+and rows through ``csv.writer``, one ``fmt_float`` call per entry, and momentum
+labels recovered from radians by :func:`float_momentum_label`.
 
-The CLI streams the same bytes from fixed templates; the writer tests
-compare the two.
+The CLI streams the same bytes from fixed templates and labels momenta from
+their integer grid indices; the writer tests compare the two.
 """
 
 import csv
 import io
 import json
+from fractions import Fraction
 
-from bondboson.cli import MOMENTUM_COLUMNS, fmt_float, fmt_momentum
-from bondboson.lattice import TWO_PI
+import numpy as np
+
+from bondboson.cli import MOMENTUM_COLUMNS, fmt_float
+from bondboson.lattice import chain_momenta
 
 
-def _labels(rows):
-    return [[fmt_momentum(v) for v in row] for row in rows]
+def float_momentum_label(x: float) -> str:
+    """Rational multiple of pi where exact ("2/3 pi"), else a plain float.
+
+    The float route to a momentum label: the nearest fraction of
+    denominator at most 720, accepted within 1e-12.  ``cli.fmt_momentum``
+    labels the grid index instead and must agree with this on the grid.
+    """
+    ratio = float(x) / np.pi
+    frac = Fraction(ratio).limit_denominator(720)
+    if abs(float(frac) * np.pi - float(x)) < 1e-12:
+        if frac == 0:
+            return "0"
+        if frac.denominator == 1:
+            return f"{frac.numerator} pi"
+        return f"{frac.numerator}/{frac.denominator} pi"
+    return fmt_float(x)
+
+
+def _labels(table):
+    """Per row: the labels of the momentum columns, then of fermion_pair_at, in radians
+    through ``chain_momenta``; fermion_pair_at is k/2 - q at site-grid index K - 2Q,
+    resp. (kx - s, ky - p) at (Kx - S, Ky - P), mod the grid."""
+    if table.model == "ssh":
+        n_sites = table.params["n_sites"]
+        grids = [n_sites // 2] * 2 + [n_sites]
+        rows = [(q, k, (k - 2 * q) % n_sites) for q, k in table.momenta.tolist()]
+    else:
+        lx, ly = table.params["lx"], table.params["ly"]
+        grids = [lx, ly] * 3
+        rows = [(s, p, kx, ky, (kx - s) % lx, (ky - p) % ly)
+                for s, p, kx, ky in table.momenta.tolist()]
+    radians = [chain_momenta(n) for n in grids]
+    return [[float_momentum_label(radians[c][j]) for c, j in enumerate(row)] for row in rows]
 
 
 def _value_rows(table):
@@ -24,11 +59,8 @@ def _value_rows(table):
 
 def table_json(table, config) -> str:
     if table.model == "ssh":
-        points = [(q, k, (k / 2.0 - q) % TWO_PI) for q, k in table.momenta.tolist()]
         as_momenta = lambda l: {"q": l[0], "k": l[1], "fermion_pair_at": l[2]}
     else:
-        points = [(s, p, kx, ky, (kx - s) % TWO_PI, (ky - p) % TWO_PI)
-                  for s, p, kx, ky in table.momenta.tolist()]
         as_momenta = lambda l: {"s": l[0], "p": l[1], "kx": l[2], "ky": l[3],
                                 "fermion_pair_at": l[4:]}
     blocks = [
@@ -39,7 +71,7 @@ def table_json(table, config) -> str:
             "fermion_pairs": [fmt_float(v) for v in pairs],
             "max_discrepancy": fmt_float(spread),
         }
-        for labels, (numeric, closed, pairs, spread) in zip(_labels(points), _value_rows(table))
+        for labels, (numeric, closed, pairs, spread) in zip(_labels(table), _value_rows(table))
     ]
     payload = {
         "config": config.echo(),
@@ -55,11 +87,12 @@ def table_json(table, config) -> str:
 def table_csv(table) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MOMENTUM_COLUMNS[table.model] + ["rank", "numeric", "closed_form",
-                                                     "fermion_pair", "max_discrepancy"])
-    for labels, (numeric, closed, pairs, spread) in zip(_labels(table.momenta.tolist()),
-                                                        _value_rows(table)):
+    columns = MOMENTUM_COLUMNS[table.model]
+    writer.writerow(columns + ["rank", "numeric", "closed_form", "fermion_pair",
+                               "max_discrepancy"])
+    for labels, (numeric, closed, pairs, spread) in zip(_labels(table), _value_rows(table)):
         for rank in range(4):
-            writer.writerow(labels + [rank, fmt_float(numeric[rank]), fmt_float(closed[rank]),
-                                      fmt_float(pairs[rank]), fmt_float(spread)])
+            writer.writerow(labels[:len(columns)] + [rank, fmt_float(numeric[rank]),
+                                                     fmt_float(closed[rank]),
+                                                     fmt_float(pairs[rank]), fmt_float(spread)])
     return buf.getvalue()

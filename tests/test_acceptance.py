@@ -85,7 +85,7 @@ def test_a3_exact_commutator_identities():
     tol = 1e-12
     start = time.perf_counter()
     spinless, spinful, dirac = (
-        max_residual(r.residual for r in h_bond_commutator_residuals(spec))
+        max_residual(residual for _, residual in h_bond_commutator_residuals(spec))
         for spec in (ChainSpec(6, t0=1.0, alpha_u=0.1),
                      ChainSpec(4, t0=1.0, alpha_u=0.2, spinful=True),
                      SquareSpec(2, 2, delta=0.8)))

@@ -91,17 +91,25 @@ def test_identities_agree_with_the_fock_oracle_per_check(spec):
     h = hopping_matrix(spec)
     identities = bond_identities(spec)
     residuals = h_bond_commutator_residuals(spec)
-    assert len(residuals) == len(identities)
-    for identity, row in zip(identities, residuals):
-        assert (row.channel, row.sublattice, row.l, row.k) == (
-            identity.channel, identity.sublattice, identity.l, identity.k)
+    assert [same for same, _ in residuals] == identities
+    for identity, residual in residuals:
         lhs, rhs = identity_sides(coefficients, h, identity)
         lhs_fock, rhs_fock = fock_identity_sides(space, h_fock, identity)
         tol = ROUNDING * term_scale(coefficients, h, identity)
         # each side separately, as operators, and the reported residual
         assert (pair_bilinear(space, lhs) - lhs_fock).norm() <= tol, identity
         assert (pair_bilinear(space, rhs) - rhs_fock).norm() <= tol, identity
-        assert abs(row.residual - (lhs_fock - rhs_fock).norm()) <= tol, identity
+        assert abs(residual - (lhs_fock - rhs_fock).norm()) <= tol, identity
+
+
+def test_identity_momenta_are_grid_indices():
+    # K on the chain's site grid: k = 2*pi*j/n_cells is site index 2j
+    chain = bond_identities(ChainSpec(6, alpha_u=0.1, spinful=True))
+    assert {identity.k for identity in chain} == {0, 2, 4}
+    square = bond_identities(SquareSpec(2, 3, delta=0.4))
+    assert {identity.k for identity in square} == set(np.ndindex(2, 3))
+    assert all(type(K) is int for identity in chain for K in [identity.k])
+    assert all(type(K) is int for identity in square for K in identity.k)
 
 
 def test_hopping_matrix_is_the_fock_hamiltonian():

@@ -153,7 +153,8 @@ def test_correspondence_report_ssh_degenerate_chain():
     # alpha_u = 0: every block decomposes into pure cosine-band pairs
     table = correspondence_report(ChainSpec(6, t0=1.0, alpha_u=0.0))
     assert table.passed
-    for (q, k), numeric in zip(table.momenta, table.numeric):
+    grid = chain_momenta(3)
+    for (q, k), numeric in zip(grid[table.momenta], table.numeric):
         e1 = abs(2 * np.cos(q))
         e2 = abs(2 * np.cos(k / 2 - q))
         expected = np.sort([s1 * e1 + s2 * e2 for s1 in (1, -1) for s2 in (1, -1)])
@@ -256,26 +257,26 @@ def oracle_rows(spec):
     if isinstance(spec, ChainSpec):
         t0, alpha_u = spec.t0, spec.alpha_u
         grid = chain_momenta(spec.n_cells)
-        for q in grid:
+        for Q, q in enumerate(grid):
             band_q = oracle_ssh_band(q, t0, alpha_u)
-            for k in grid:
+            for K, k in enumerate(grid):
                 numeric = oracle_eigenvalues(oracle_ssh_matrix(q, k, t0, alpha_u))
                 closed = oracle_ssh_closed(q, k, t0, alpha_u)
                 band_pair = oracle_ssh_band(k / 2.0 - q, t0, alpha_u)
                 pairs = oracle_signed_sums(band_q, band_pair, signs=(1, -1))
-                rows.append(oracle_row((float(q), float(k)), numeric, closed, pairs))
+                rows.append(oracle_row((Q, K), numeric, closed, pairs))
         return rows
     m = spec.delta
     grid = square_momenta(spec.lx, spec.ly)
-    for s, p in grid:
+    indices = list(np.ndindex(spec.lx, spec.ly))
+    for (S, P), (s, p) in zip(indices, grid):
         band_sp = oracle_dirac_band(s, p, spec.m)
-        for kx, ky in grid:
+        for (Kx, Ky), (kx, ky) in zip(indices, grid):
             numeric = oracle_eigenvalues(oracle_dirac_matrix(s, p, kx, ky, m))
             closed = oracle_dirac_closed(s, p, kx, ky, m)
             band_pair = oracle_dirac_band(kx - s, ky - p, spec.m)
             pairs = oracle_signed_sums(band_sp, band_pair, signs=(1, -1))
-            rows.append(oracle_row((float(s), float(p), float(kx), float(ky)),
-                                   numeric, closed, pairs))
+            rows.append(oracle_row((S, P, Kx, Ky), numeric, closed, pairs))
     return rows
 
 
@@ -305,6 +306,7 @@ def test_table_is_bit_identical_to_the_per_block_route(spec):
     table = correspondence_report(spec)
     expected = oracle_rows(spec)
     assert len(table.momenta) == len(expected)
+    assert np.issubdtype(table.momenta.dtype, np.integer)
     assert [tuple(point) for point in table.momenta.tolist()] == [row[0] for row in expected]
     for column, name in enumerate(("numeric", "closed_form", "fermion_pairs", "discrepancy"),
                                   start=1):

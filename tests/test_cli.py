@@ -18,6 +18,8 @@ from refresh_goldens import CASES
 import bondboson
 from bondboson.cli import fmt_float, fmt_momentum, main
 from bondboson.fock import FockSpace
+from bondboson.lattice import chain_momenta
+from table_oracle import float_momentum_label
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -35,11 +37,26 @@ def test_fmt_float_is_signed_scientific_15_digits():
 
 
 def test_fmt_momentum_rational_multiples():
-    assert fmt_momentum(0.0) == "0"
-    assert fmt_momentum(2 * np.pi / 3) == "2/3 pi"
-    assert fmt_momentum(np.pi) == "1 pi"
-    assert fmt_momentum(3 * np.pi / 2) == "3/2 pi"
-    assert fmt_momentum(0.1234).startswith("+1.234")
+    assert fmt_momentum(0, 5) == "0"
+    assert fmt_momentum(1, 3) == "2/3 pi"
+    assert fmt_momentum(3, 6) == "1 pi"
+    assert fmt_momentum(3, 4) == "3/2 pi"
+    assert fmt_momentum(360, 720) == "1 pi"
+    assert fmt_momentum(1, 720) == "1/360 pi"
+    # 2/1442 = 1/721: past the largest printed denominator, the grid's float
+    assert fmt_momentum(1, 1442) == fmt_float(chain_momenta(1442)[1]) == "+4.35727136420221e-03"
+
+
+def test_fmt_momentum_matches_the_float_route_on_every_grid_to_1500():
+    rng = np.random.default_rng(0)
+    for n in range(1, 1501):
+        grid = chain_momenta(n)
+        if n <= 100:
+            indices = range(n)
+        else:
+            indices = np.unique(np.r_[0, n // 4, n // 2, n - 1, rng.integers(0, n, 46)]).tolist()
+        for j in indices:
+            assert fmt_momentum(j, n) == float_momentum_label(grid[j]), (j, n)
 
 
 def test_spectrum_ssh_csv_block_count(capsys):
@@ -399,6 +416,10 @@ BAD_FLAGS = [
                    "--t0", "5e307", "--alpha-u=-3e307"]),
     ("--mass", ["verify", "correspondence", "--model", "dirac2d", "--lx", "1", "--ly", "1",
                 "--mass=-1e308"]),
+    # chain hopping entries are bounded by the block bound too (2 sites double one)
+    ("--t0", ["verify", "identities", "--model", "ssh", "--sites", "2", "--t0", "1e308"]),
+    ("--t0", ["verify", "identities", "--model", "ssh", "--sites", "4", "--t0", "1.7e308",
+              "--alpha-u", "1e307"]),
     # flags the model or the suite does not read
     ("--lx", ["verify", "identities", "--model", "ssh", "--sites", "4", "--holes", "3",
               "--lx", "0", "--mass", "5"]),
@@ -479,8 +500,10 @@ def must_reject(argv, numbers) -> list:
         flags.append("--tolerance")
     if numbers.get("--t0", 1.0) <= 0:
         flags.append("--t0")
-    if argv[0] == "spectrum" or argv[1] == "correspondence":
-        # the block entries are bounded by 2|t0| + 4|alpha_u|, resp. 2|mass|
+    if argv[0] == "spectrum" or argv[1] == "correspondence" or argv[1:4] == [
+            "identities", "--model", "ssh"]:
+        # the block entries, and the chain hopping entries, are bounded by
+        # 2|t0| + 4|alpha_u|, resp. 2|mass|
         terms = {flag: factor * abs(numbers[flag])
                  for flag, factor in (("--t0", 2.0), ("--alpha-u", 4.0), ("--mass", 2.0))
                  if flag in numbers}

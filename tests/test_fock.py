@@ -455,7 +455,7 @@ def test_one_wrong_coefficient_matrix_fails_the_unmatched_law(monkeypatch, tmp_p
 # -- exact H-bond commutator identities ---------------------------------------
 
 def max_identity_residual(spec):
-    return max_residual(r.residual for r in h_bond_commutator_residuals(spec))
+    return max_residual(residual for _, residual in h_bond_commutator_residuals(spec))
 
 
 def test_chain_identities_spinless():
@@ -477,8 +477,8 @@ def test_chain_identity_detail_covers_all_cells():
     rows = h_bond_commutator_residuals(spec)
     # 1 channel x 2 sublattices x l in 1..2 x 2 momenta
     assert len(rows) == 8
-    assert {r.sublattice for r in rows} == {"A", "B"}
-    assert max(r.residual for r in rows) <= 1e-12
+    assert {identity.sublattice for identity, _ in rows} == {"A", "B"}
+    assert max(residual for _, residual in rows) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -490,5 +490,5 @@ def test_square_identities(lx, ly, delta):
 
 def test_square_identity_detail_channels():
     rows = h_bond_commutator_residuals(SquareSpec(2, 2, delta=0.5))
-    assert {r.channel for r in rows} == {"E1(+)", "E1(-)", "E2(+)", "E2(-)"}
-    assert max(r.residual for r in rows) <= 1e-12
+    assert {identity.channel for identity, _ in rows} == {"E1(+)", "E1(-)", "E2(+)", "E2(-)"}
+    assert max(residual for _, residual in rows) <= 1e-12

@@ -2,11 +2,13 @@
 
 Real tables, and tables with injected rows: +0.0 and -0.0 side by side,
 NaN of both signs, +-inf, the smallest subnormal and other subnormals,
-and momenta off the grid.  Sizes: one row, one chunk, one chunk plus a
-row.
+and momenta on an x grid of more than 720 cells, where most labels are
+floats.  Sizes: one row, one chunk, one chunk plus a row.
 """
 
 import dataclasses
+import json
+import types
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ import pytest
 import table_oracle
 from bondboson import cli
 from bondboson.blocks import correspondence_report
-from bondboson.lattice import ChainSpec, SquareSpec
+from bondboson.lattice import TWO_PI, ChainSpec, SquareSpec, chain_momenta
 
 SPECIAL = np.array([0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf,
                     5e-324, -5e-324, 2.5e-310, -1.2345e-315, 2.2250738585072009e-308])
@@ -26,20 +28,28 @@ TABLES = {
     "dirac2d": correspondence_report(SquareSpec(6, 6, delta=1.3)),
 }
 SIZES = {"one_row": 1, "one_chunk": cli.CHUNK_ROWS, "chunk_plus_one": cli.CHUNK_ROWS + 1}
+# x-axis cells of injected tables: 2j/1442 = j/721 = j/(7*103) reduces to a
+# denominator of at most 720 only when 7 or 103 divides j
+BIG = 1442
 
 
 def injected(table, n):
-    """The first ``n`` rows of ``table`` with SPECIAL values and off-grid momenta.
+    """The first ``n`` rows of ``table`` with SPECIAL values and momenta on a BIG grid.
 
     Every other entry of the value columns is replaced in turn by the next
     SPECIAL value, and the first numeric column alternates +0.0 and -0.0.
+    The x-axis momentum columns (q and k, resp. s and kx) get seeded indices
+    on a grid of BIG cells, 0 and BIG/2 in the first row.
     """
     values = np.column_stack([getattr(table, name)[:n] for name in VALUES])
     values.reshape(-1)[::2] = np.resize(SPECIAL, values.reshape(-1)[::2].shape)
     values[0::2, 0], values[1::2, 0] = 0.0, -0.0
     momenta = table.momenta[:n].copy()
-    momenta[::5, 0] += 0.1234
-    return dataclasses.replace(table, momenta=momenta, numeric=values[:, 0:4],
+    x = [0, 1] if table.model == "ssh" else [0, 2]
+    momenta[:, x] = np.random.default_rng(7).integers(0, BIG, size=(n, 2))
+    momenta[0, x] = 0, BIG // 2
+    params = {**table.params, **({"n_sites": 2 * BIG} if table.model == "ssh" else {"lx": BIG})}
+    return dataclasses.replace(table, params=params, momenta=momenta, numeric=values[:, 0:4],
                                closed_form=values[:, 4:8], fermion_pairs=values[:, 8:12],
                                discrepancy=values[:, 12])
 
@@ -82,6 +92,16 @@ def test_injected_rows_hold_the_special_values(size):
         assert not np.any(table.numeric[:, 0])
 
 
+@pytest.mark.parametrize("model", list(TABLES))
+def test_injected_momenta_have_exact_and_float_labels(model):
+    rows = "".join(cli._table_csv(injected(TABLES[model], cli.CHUNK_ROWS))).splitlines()[1:]
+    x = [0, 1] if model == "ssh" else [0, 2]
+    labels = {row.split(",")[c] for row in rows for c in x}
+    exact = {label for label in labels if label.endswith(" pi")}
+    assert {"0", "1 pi"} <= labels and len(exact) > 10
+    assert len(labels - exact) > len(labels) // 2
+
+
 @pytest.mark.parametrize("suite", ["", "correspondence"], ids=["spectrum", "correspondence"])
 @pytest.mark.parametrize("model", list(TABLES))
 def test_json_of_real_tables(model, suite):
@@ -114,9 +134,67 @@ def test_each_distinct_pattern_is_formatted_once(monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "fmt_float", lambda x: calls.append(x) or f"{x:+.14e}")
     n = cli.CHUNK_ROWS + 1
-    # grid momenta only: an off-grid label would call fmt_float too
-    table = dataclasses.replace(injected(TABLES["dirac2d"], n),
-                                momenta=TABLES["dirac2d"].momenta[:n])
+    # the 6x6 grid's momenta only: a label on a grid of more than 720 cells calls fmt_float too
+    real = TABLES["dirac2d"]
+    table = dataclasses.replace(injected(real, n), params=real.params, momenta=real.momenta[:n])
     "".join(cli._table_csv(table))
     values = np.concatenate([getattr(table, name).reshape(-1) for name in VALUES])
     assert len(calls) == len(np.unique(values.view(np.uint64)))
+
+
+def grid_table(model, n):
+    """The momentum columns of a table over every block of an n-cell chain, or of an
+    n x 1 lattice, with the radians of fermion_pair_at as the float route computed them:
+    ``np.mod(k/2 - q, 2*pi)``, resp. ``np.mod(kx - s, 2*pi)``."""
+    first, second = np.divmod(np.arange(n * n), n)
+    grid = chain_momenta(n)
+    if model == "ssh":
+        table = types.SimpleNamespace(model=model, params={"n_sites": 2 * n},
+                                      momenta=np.column_stack((first, second)))
+        return table, 2, np.mod(grid[second] / 2.0 - grid[first], TWO_PI)
+    zero = np.zeros_like(first)
+    table = types.SimpleNamespace(model=model, params={"lx": n, "ly": 1},
+                                  momenta=np.column_stack((first, zero, second, zero)))
+    return table, 4, np.mod(grid[second] - grid[first], TWO_PI)
+
+
+def pair_label_mismatches(model, n):
+    """(index, float-route label, index label) for each fermion_pair_at x label that
+    the two routes print differently; the float route is evaluated once per distinct float."""
+    table, column, radians = grid_table(model, n)
+    points, grids = cli._table_points(table)
+    distinct, first, inverse = np.unique(radians.view(np.uint64), return_index=True,
+                                         return_inverse=True)
+    index = points[first, column]
+    # one grid index per float
+    assert np.array_equal(index[inverse.ravel()], points[:, column])
+    labels = ((j, table_oracle.float_momentum_label(x), cli.fmt_momentum(j, grids[column]))
+              for j, x in zip(index.tolist(), distinct.view(np.float64).tolist()))
+    return [label for label in labels if label[1] != label[2]]
+
+
+def test_chain_pair_labels_match_the_float_route():
+    for n_cells in [*range(1, 41), 97, 360, 719, 720]:
+        assert pair_label_mismatches("ssh", n_cells) == [], n_cells
+
+
+def test_square_pair_labels_match_the_float_route():
+    for extent in range(1, 130):
+        assert pair_label_mismatches("dirac2d", extent) == [], extent
+
+
+def test_chain_pair_label_at_1442_sites_is_printed_from_its_index():
+    # block (q, k) = (2, 9) of 721 cells: k/2 - q is index 5 of the 1,442-site grid, and
+    # 2*5/1442 = 5/721 has no denominator of at most 720; the float route printed
+    # np.mod(k/2 - q, 2*pi), one rounding off 2*pi*5/1442
+    real = TABLES["ssh"]
+    table = dataclasses.replace(real, params={**real.params, "n_sites": 1442},
+                                momenta=np.array([[2, 9]]),
+                                **{name: getattr(real, name)[:1] for name in VALUES})
+    report = json.loads("".join(cli._table_json(table, config("ssh", ""))))
+    label = report["blocks"][0]["momenta"]["fermion_pair_at"]
+    assert label == "+2.17863568210110e-02" == cli.fmt_float(chain_momenta(1442)[5])
+    q, k = chain_momenta(721)[[2, 9]]
+    assert table_oracle.float_momentum_label(np.mod(k / 2.0 - q, TWO_PI)) == (
+        "+2.17863568210111e-02")
+    assert pair_label_mismatches("ssh", 721)
