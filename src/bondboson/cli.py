@@ -532,7 +532,7 @@ def _suite_interactions(config: RunConfig) -> dict:
 
     reconstruction_max = pair_reconstruction_max(spec.n_sites)
 
-    assembled_residual = interaction_equivalence_residual(space, alpha)
+    assembled_residual = interaction_equivalence_residual(space, alpha, pair_form)
     scale = pair_form.norm()
     checks = [
         {

@@ -1,7 +1,9 @@
 """Exact many-body engine on occupation-bitset Fock spaces (<= 16 modes).
 
 Creation operators, sparse operator algebra, hopping Hamiltonians and
-the Fock-space build of a pair bilinear from its coefficient matrix.
+the Fock-space builds from coefficient matrices: a pair bilinear
+``P(M)``, and a weighted sum of pair products ``P(A) P(B)^dag`` built
+from whole stacks of coefficient matrices in a few sparse products.
 The package uses them for the quartic interaction checks
 (:mod:`bondboson.interactions`); every quadratic statement is evaluated
 on n x n coefficient matrices in :mod:`bondboson.bilinear`.
@@ -45,6 +47,10 @@ MAX_MODES = 16
 
 # Entries with modulus below this are dropped from stored operators.
 PRUNE_TOL = 1e-15
+
+# Terms per sparse product in :func:`pair_products`: bounds the stacked
+# operands, which would grow with the term count if built all at once.
+PRODUCT_CHUNK = 12
 
 
 class FockSizeError(ValueError):
@@ -226,37 +232,62 @@ def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     return SparseOperator(a.space, a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
-def pair_bilinear(space: FockSpace, coefficients) -> SparseOperator:
-    """The pair bilinear ``sum_ij M_ij c+_i c+_j`` of an n x n coefficient matrix M.
+def _pair_entries(n_modes: int, stack: np.ndarray) -> tuple:
+    """COO entries ``(term, row, col, value)`` of the pair bilinears of a (T, n, n) stack.
 
-    Since ``c+_i c+_j = -c+_j c+_i``, the operator is
-    ``sum_{i<j} (M_ij - M_ji) c+_i c+_j``.  Each such term has one entry
-    per basis state s with modes i and j empty, at row
-    ``s | 2^i | 2^j``, so every Fock entry is one antisymmetric
-    coefficient with a Jordan-Wigner sign: weights below the pruning
-    tolerance are dropped before the build, which is what pruning the
-    built operator would do.  All remaining pairs are built in one
-    vectorized pass over the 2^(n-2) states each acts on.
+    ``sum_ij M_ij c+_i c+_j = sum_{i<j} (M_ij - M_ji) c+_i c+_j``; each pair
+    has one entry per basis state s with modes i and j empty, at row
+    ``s | 2^i | 2^j``, with a Jordan-Wigner sign.  Pairs whose weight is
+    below the pruning tolerance are dropped, as pruning the built
+    operator would do; the rest are built in one vectorized pass.
     """
+    weights = np.triu(stack - stack.transpose(0, 2, 1), 1)
+    t, i, j = np.nonzero(np.abs(weights) >= PRUNE_TOL)
+    t, i, j = t[:, None], i[:, None], j[:, None]
+    # the states with modes i < j empty: insert a zero bit at i, then at j
+    free = np.arange(1 << (n_modes - 2), dtype=np.int64)[None, :]
+    free = ((free >> i) << (i + 1)) | (free & ((1 << i) - 1))
+    free = ((free >> j) << (j + 1)) | (free & ((1 << j) - 1))
+    below = np.bitwise_count(free & ((1 << i) - 1)) + np.bitwise_count(free & ((1 << j) - 1))
+    data = weights[t, i, j] * (1.0 - 2.0 * (below & 1))
+    rows = free | (1 << i) | (1 << j)
+    return np.broadcast_to(t, free.shape).ravel(), rows.ravel(), free.ravel(), data.ravel()
+
+
+def pair_bilinear(space: FockSpace, coefficients) -> SparseOperator:
+    """The pair bilinear ``P(M) = sum_ij M_ij c+_i c+_j`` of an n x n coefficient matrix M."""
     m = np.asarray(coefficients, dtype=complex)
     n = space.n_modes
     if m.shape != (n, n):
         raise ValueError(f"coefficient shape {m.shape} does not match {n} modes")
-    weights = np.triu(m - m.T, 1)
-    i, j = np.nonzero(np.abs(weights) >= PRUNE_TOL)
-    if i.size == 0:
-        return SparseOperator.zero(space)
-    i, j = i[:, None], j[:, None]
-    # the states with modes i < j empty: insert a zero bit at i, then at j
-    free = np.arange(1 << (n - 2), dtype=np.int64)[None, :]
-    free = ((free >> i) << (i + 1)) | (free & ((1 << i) - 1))
-    free = ((free >> j) << (j + 1)) | (free & ((1 << j) - 1))
-    below = np.bitwise_count(free & ((1 << i) - 1)) + np.bitwise_count(free & ((1 << j) - 1))
-    data = weights[i, j] * (1.0 - 2.0 * (below & 1))
-    rows = free | (1 << i) | (1 << j)
-    matrix = sparse.csr_matrix((data.ravel(), (rows.ravel(), free.ravel())),
-                               shape=(space.dim, space.dim))
-    return SparseOperator(space, matrix)
+    _, rows, cols, data = _pair_entries(n, m[None])
+    return SparseOperator(space, sparse.csr_matrix((data, (rows, cols)), shape=(space.dim,) * 2))
+
+
+def pair_products(space: FockSpace, raising, lowering, weights) -> SparseOperator:
+    """``sum_t w_t P(A_t) P(B_t)^dag`` of two (T, n, n) coefficient stacks and T weights.
+
+    Each chunk of :data:`PRODUCT_CHUNK` terms is one sparse product
+    ``[S | w_1 P(A_1) | ...] @ [I ; P(B_1)^dag ; ...]`` carrying the running
+    sum S in as its leading term, so each Fock entry adds its terms to S
+    one by one in stack order; a term's product is formed as
+    ``(w A) B^dag``.  No entry is pruned before the sum is complete.
+    """
+    a, b, w = (np.asarray(x, dtype=complex) for x in (raising, lowering, weights))
+    n, dim = space.n_modes, space.dim
+    if a.shape != b.shape or a.shape[1:] != (n, n) or w.shape != a.shape[:1]:
+        raise ValueError(f"stacks {a.shape}, {b.shape}, weights {w.shape} do not fit {n} modes")
+    eye = sparse.identity(dim, dtype=complex, format="csr")
+    total = sparse.csr_matrix((dim, dim), dtype=complex)
+    for start in range(0, len(w), PRODUCT_CHUNK):
+        t, rows, cols, data = _pair_entries(n, a[start:start + PRODUCT_CHUNK])
+        left = sparse.csr_matrix((w[start + t] * data, (rows, t * dim + cols)),
+                                 shape=(dim, PRODUCT_CHUNK * dim))
+        t, rows, cols, data = _pair_entries(n, b[start:start + PRODUCT_CHUNK])
+        right = sparse.csr_matrix((data.conj(), (t * dim + cols, rows)),
+                                  shape=(PRODUCT_CHUNK * dim, dim))
+        total = sparse.hstack([total, left], format="csr") @ sparse.vstack([eye, right], format="csr")
+    return SparseOperator(space, total)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Density-density interactions rewritten in bond operators, verified exactly.
 
-The quartic density-density coupling on a chain can be rewritten as a
-pair-hopping form (exact for distinct sites, where the two forms agree
-termwise), and every pair bilinear can in turn be assembled from the
-momentum bond operators by an inverse transform over the full site
-grid.  The pair reconstruction is quadratic, so it is done and measured
-on n x n coefficient matrices (:mod:`bondboson.bilinear`); only the two
-quartic statements, the density-vs-pair form and the bond-assembled
-interaction, are checked on Fock-space operators.
+The quartic density-density coupling on a chain is rewritten as a
+pair-hopping form (termwise exact for distinct sites), and every pair
+bilinear in it is assembled from the momentum bond operators by an
+inverse transform over the full site grid.  The reconstruction is
+quadratic, so it is one stack of n x n coefficient matrices, built once
+per chain length and measured on coefficients.  The two quartic
+statements are checked on Fock operators: the density form is read from
+the basis-state bits, and the pair form and its bond assembly are each
+one stacked build of all coupled pairs (:func:`bondboson.fock.pair_products`).
 
 The same pair-reconstruction mechanism would turn density couplings to
 quantized lattice vibrations or to gauge fields into interactions
@@ -23,7 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from .bilinear import ChainPair, PairCoefficients, pair_norm
-from .fock import FockSpace, SparseOperator, pair_bilinear
+from .fock import FockSpace, SparseOperator, pair_bilinear, pair_products
 from .lattice import ChainSpec, unit_roots
 from .numerics import max_residual
 # imported for the benchmark tracer, which wraps these names where interactions looks them up
@@ -37,6 +38,7 @@ def _check_chain_space(space: FockSpace):
 
 
 def _check_coupling(space: FockSpace, alpha) -> np.ndarray:
+    _check_chain_space(space)
     a = np.asarray(alpha, dtype=float)
     n = space.geometry["n_sites"]
     if a.shape != (n, n):
@@ -55,97 +57,79 @@ def random_offdiag_coupling(n_sites: int, seed: int = 0, scale: float = 1.0) -> 
     return a
 
 
-def creation_pair_direct(space: FockSpace, p: int, l: int) -> SparseOperator:
-    """``c+_p c+_{p+l}`` built directly; the reconstruction target."""
+def _chain_sites(space: FockSpace, anchor: int) -> int:
     _check_chain_space(space)
     n_sites = space.geometry["n_sites"]
-    if not 0 <= p < n_sites:
-        raise ValueError(f"anchor {p} out of range 0..{n_sites - 1}")
+    if not 0 <= anchor < n_sites:
+        raise ValueError(f"anchor {anchor} out of range 0..{n_sites - 1}")
+    return n_sites
+
+
+def creation_pair_direct(space: FockSpace, p: int, l: int) -> SparseOperator:
+    """``c+_p c+_{p+l}`` built directly; the reconstruction target."""
+    _chain_sites(space, p)
     c1 = space._creation_matrix(space.chain_mode(p))
     c2 = space._creation_matrix(space.chain_mode(p + l))
     return SparseOperator(space, c1 @ c2)
 
 
 def coulomb_operator(space: FockSpace, alpha) -> SparseOperator:
-    """Density-density interaction ``(1/2) sum_{n,m} alpha_nm n_n n_m``."""
-    _check_chain_space(space)
+    """Density-density interaction ``(1/2) sum_{n,m} alpha_nm n_n n_m``.
+
+    Diagonal: each basis state adds ``alpha_nm / 2`` for every pair of its
+    occupied bits, in row-major (n, m) order.  The occupations are read
+    from the state bits, a route independent of the creation matrices.
+    """
     a = _check_coupling(space, alpha)
-    n_sites = space.geometry["n_sites"]
-    numbers = []
-    for site in range(n_sites):
-        c = space._creation_matrix(space.chain_mode(site))
-        numbers.append(c @ c.conj().T)
-    acc = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for n in range(n_sites):
-        for m in range(n_sites):
-            if a[n, m] != 0.0:
-                acc = acc + 0.5 * a[n, m] * (numbers[n] @ numbers[m])
-    return SparseOperator(space, acc)
+    occupied = (np.arange(space.dim) >> np.arange(space.n_modes)[:, None]) & 1 == 1
+    diagonal = np.zeros(space.dim)
+    for n, m in zip(*np.nonzero(a)):
+        diagonal[occupied[n] & occupied[m]] += 0.5 * a[n, m]
+    return SparseOperator(space, sparse.diags(diagonal, format="csr"))
 
 
 def coulomb_pair_form(space: FockSpace, alpha) -> SparseOperator:
-    """Pair-hopping rewrite ``-(1/2) sum alpha_nm (c+_n c+_m)(c_n c_m)``.
+    """Pair-hopping rewrite ``-(1/2) sum alpha_nm (c+_n c+_m)(c_n c_m)``, n != m.
 
-    For n != m this equals the density-density form termwise as an
-    exact operator identity; the n = m terms vanish identically
-    (a squared creation operator is zero) and are skipped, so a purely
-    diagonal coupling maps to the zero operator.
+    Termwise equal to the density-density form as an exact operator
+    identity; the n = m terms vanish identically and are skipped.  With
+    ``c_n c_m = (c+_m c+_n)^dag`` it is one :func:`~bondboson.fock.pair_products`.
     """
-    _check_chain_space(space)
     a = _check_coupling(space, alpha)
-    n_sites = space.geometry["n_sites"]
-    create = [space._creation_matrix(space.chain_mode(site)) for site in range(n_sites)]
-    acc = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for n in range(n_sites):
-        for m in range(n_sites):
-            if n == m or a[n, m] == 0.0:
-                continue
-            pair = create[n] @ create[m]
-            lower = create[n].conj().T @ create[m].conj().T
-            acc = acc - 0.5 * a[n, m] * (pair @ lower)
-    return SparseOperator(space, acc)
-
-
-def pair_reconstruction_terms(n_sites: int, p: int, l: int) -> tuple:
-    """The inverse transform of ``c+_p c+_{p+l}`` as ``(weight, bond)`` terms.
-
-    ``c+_p c+_{p+l} = (1/n_sites) sum_K e^{-ipk} e_{+lk}`` over the full
-    site grid k = 2 pi K / n_sites, with ``e_{+lk}`` the full-chain
-    spin-up bond :class:`~bondboson.bilinear.ChainPair`.  The grid-size
-    factor is required for the momentum sum to project out the single
-    anchor p; the identity is exact for every offset
-    1 <= l <= n_sites - 1.
-    """
-    if not 0 <= p < n_sites:
-        raise ValueError(f"anchor {p} out of range 0..{n_sites - 1}")
-    if not 1 <= l <= n_sites - 1:
-        raise ValueError(f"offset {l} out of range 1..{n_sites - 1}")
-    roots = unit_roots(n_sites)
-    return tuple((roots[-K * p % n_sites] / n_sites, ChainPair(l, K)) for K in range(n_sites))
-
-
-def pair_coefficients(coefficients: PairCoefficients, p: int, l: int) -> np.ndarray:
-    """Coefficient matrix of ``c+_p c+_{p+l}`` reassembled from bond coefficients."""
-    return coefficients.combination(pair_reconstruction_terms(coefficients.spec.n_sites, p, l))
+    n, m = np.nonzero(a - np.diag(np.diag(a)))  # the coupled pairs, row-major
+    eye = np.eye(len(a))
+    return pair_products(space, eye[n, :, None] * eye[m, None, :], eye[m, :, None] * eye[n, None, :],
+                         -0.5 * a[n, m])
 
 
 @lru_cache(maxsize=1)
-def _chain_coefficients(n_sites: int) -> PairCoefficients:
-    """The spinless chain's bond coefficients, shared by consecutive reconstructions."""
-    return PairCoefficients(ChainSpec(n_sites))
+def reconstruction_stack(n_sites: int) -> np.ndarray:
+    """``R[p, l - 1]``, the coefficients of ``c+_p c+_{p+l}`` reassembled from bonds.
+
+    ``c+_p c+_{p+l} = (1/n_sites) sum_K e^{-ipk} e_{+lk}`` over the full
+    site grid k = 2 pi K / n_sites, with ``e_{+lk}`` the full-chain
+    spin-up bond :class:`~bondboson.bilinear.ChainPair`; the grid-size
+    factor projects out the single anchor p, exactly for every offset
+    1 <= l <= n_sites - 1.  One contraction of the bond coefficient
+    matrices with the exact roots, summed over K in grid order; read-only.
+    """
+    coefficients = PairCoefficients(ChainSpec(n_sites))
+    grid = np.arange(n_sites)
+    weights = unit_roots(n_sites)[-np.outer(grid, grid) % n_sites] / n_sites
+    stack = np.zeros((n_sites, n_sites - 1, n_sites, n_sites), dtype=complex)
+    for K in grid:
+        bonds = np.array([coefficients.pair(ChainPair(l, K)) for l in range(1, n_sites)])
+        stack += weights[:, K, None, None, None] * bonds
+    stack.setflags(write=False)
+    return stack
 
 
 def pair_from_bonds(space: FockSpace, p: int, l: int) -> SparseOperator:
-    """Reassemble ``c+_p c+_{p+l}`` from bond operators.
-
-    The inverse transform (:func:`pair_reconstruction_terms`) runs on
-    the n x n bond coefficient matrices, built once per chain length;
-    the result is built on the Fock space in one pass
-    (:func:`bondboson.fock.pair_bilinear`).
-    """
-    _check_chain_space(space)
-    coefficients = _chain_coefficients(space.geometry["n_sites"])
-    return pair_bilinear(space, pair_coefficients(coefficients, p, l))
+    """Reassemble ``c+_p c+_{p+l}`` from bond operators (:func:`reconstruction_stack`)."""
+    n_sites = _chain_sites(space, p)
+    if not 1 <= l <= n_sites - 1:
+        raise ValueError(f"offset {l} out of range 1..{n_sites - 1}")
+    return pair_bilinear(space, reconstruction_stack(n_sites)[p, l - 1])
 
 
 def pair_reconstruction_max(n_sites: int) -> float:
@@ -155,41 +139,22 @@ def pair_reconstruction_max(n_sites: int) -> float:
     coefficients (:func:`bondboson.bilinear.pair_norm`) with no entry
     pruned.
     """
-    coefficients = _chain_coefficients(n_sites)
-    worst = []
-    for p in range(n_sites):
-        for l in range(1, n_sites):
-            target = np.zeros((n_sites, n_sites), dtype=complex)
-            target[p, (p + l) % n_sites] = 1.0
-            worst.append(pair_norm(pair_coefficients(coefficients, p, l) - target))
-    return max_residual(worst)
+    p, l = np.divmod(np.arange(n_sites * (n_sites - 1)), n_sites - 1)
+    eye = np.eye(n_sites)
+    residuals = (reconstruction_stack(n_sites).reshape(-1, n_sites, n_sites)
+                 - eye[p, :, None] * eye[(p + l + 1) % n_sites, None, :])
+    return max_residual(pair_norm(r) for r in residuals)
 
 
-def interaction_equivalence_residual(space: FockSpace, alpha) -> float:
-    """Frobenius distance between the pair form and its bond assembly.
-
-    The pair-hopping interaction is rebuilt with every pair bilinear
-    replaced by its bond-operator reconstruction; the distance to the
-    directly constructed operator must vanish to machine precision.
-    """
-    _check_chain_space(space)
+def bond_assembled_pair_form(space: FockSpace, alpha) -> SparseOperator:
+    """The pair form with each ``c+_n c+_m`` and ``c_n c_m`` rebuilt from bonds, as one stacked build."""
     a = _check_coupling(space, alpha)
-    n_sites = space.geometry["n_sites"]
-    direct = coulomb_pair_form(space, a)
-    pairs = {}
+    n, m = np.nonzero(a - np.diag(np.diag(a)))  # the coupled pairs, row-major
+    stack = reconstruction_stack(len(a))
+    return pair_products(space, stack[n, (m - n) % len(a) - 1], stack[m, (n - m) % len(a) - 1],
+                         -0.5 * a[n, m])
 
-    def pair(anchor, offset):
-        key = (anchor, offset)
-        if key not in pairs:
-            pairs[key] = pair_from_bonds(space, anchor, offset)
-        return pairs[key]
 
-    assembled = SparseOperator.zero(space)
-    for n in range(n_sites):
-        for m in range(n_sites):
-            if n == m or a[n, m] == 0.0:
-                continue
-            raising = pair(n, (m - n) % n_sites)
-            lowering = pair(m, (n - m) % n_sites).adjoint()
-            assembled = assembled + (-0.5 * a[n, m]) * (raising @ lowering)
-    return (direct - assembled).norm()
+def interaction_equivalence_residual(space: FockSpace, alpha, direct: SparseOperator) -> float:
+    """Frobenius distance of ``direct``, the caller's :func:`coulomb_pair_form`, to its bond assembly."""
+    return (direct - bond_assembled_pair_form(space, alpha)).norm()

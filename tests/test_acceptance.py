@@ -183,8 +183,9 @@ def test_a7_interaction_rewrite():
                 reconstruction,
                 (pair_from_bonds(space, p, l) - creation_pair_direct(space, p, l)).norm(),
             )
-    assembled = interaction_equivalence_residual(space, alpha)
-    scale = coulomb_pair_form(space, alpha).norm()
+    pair_form = coulomb_pair_form(space, alpha)
+    assembled = interaction_equivalence_residual(space, alpha, pair_form)
+    scale = pair_form.norm()
     ok = form_distance <= 1e-12 and reconstruction <= 1e-13 and assembled <= 1e-12 * scale
     report(
         "A7",

@@ -22,6 +22,7 @@ from fock_oracle import (
     fock_pair_bilinear,
     fock_quadratic,
     fock_space,
+    pair_reconstruction_terms,
 )
 
 from bondboson.bilinear import (
@@ -36,10 +37,9 @@ from bondboson.bilinear import (
 from bondboson.fock import FockSizeError, FockSpace, commutator, pair_bilinear
 from bondboson.interactions import (
     creation_pair_direct,
-    pair_coefficients,
     pair_from_bonds,
     pair_reconstruction_max,
-    pair_reconstruction_terms,
+    reconstruction_stack,
 )
 from bondboson.lattice import ChainSpec, SquareSpec, unit_roots
 
@@ -175,7 +175,21 @@ def test_pair_reconstruction_agrees_with_the_fock_oracle():
                 assert (built - creation_pair_direct(space, p, l)).norm() <= 1e-13
                 target = np.zeros((n_sites, n_sites))
                 target[p, (p + l) % n_sites] = 1.0
-                assert pair_norm(pair_coefficients(coefficients, p, l) - target) <= 1e-13
+                assert pair_norm(coefficients.combination(terms) - target) <= 1e-13
+
+
+@pytest.mark.parametrize("n_sites", range(2, 17, 2))
+def test_reconstruction_stack_has_the_bits_of_the_term_sums(n_sites):
+    # the stack is one contraction summed in K order: every entry equals the
+    # term-by-term combination of the reconstruction terms, bit for bit
+    stack = reconstruction_stack(n_sites)
+    coefficients = PairCoefficients(ChainSpec(n_sites))
+    assert stack.shape == (n_sites, n_sites - 1, n_sites, n_sites)
+    assert not stack.flags.writeable
+    for p in range(n_sites):
+        for l in range(1, n_sites):
+            expected = coefficients.combination(pair_reconstruction_terms(n_sites, p, l))
+            assert stack[p, l - 1].tobytes() == expected.tobytes(), (p, l)
 
 
 # -- mutations: one wrong coefficient must fail both routes at the unchanged bound ----

@@ -338,6 +338,23 @@ def test_commutators_at_the_16_mode_cap_stay_small(tmp_path):
 
 
 @needs_proc
+def test_interactions_at_the_16_mode_cap_stay_small(tmp_path):
+    out = tmp_path / "report.json"
+    code, peak_mb = child_peak_mb(["verify", "interactions", "--model", "ssh", "--sites", "16",
+                                   "--output", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["verdict"] == "pass"
+    assert peak_mb < 150
+
+
+def test_interactions_past_the_mode_cap_are_a_resource_error(capsys):
+    code, out, err = run_cli(["verify", "interactions", "--model", "ssh", "--sites", "18"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "18 modes exceed the exact-representation cap of 16" in err
+
+
+@needs_proc
 def test_large_grid_spectrum_is_streamed(tmp_path):
     # 65,536 blocks: the report is about 50 MB of text, never held whole
     out = tmp_path / "report.json"
