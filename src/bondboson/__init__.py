@@ -21,7 +21,6 @@ from .bilinear import (
     BosonCommutatorReport,
     ChainPair,
     Identity,
-    PairCoefficients,
     SquarePair,
     bond_identities,
     bond_self_paired,
@@ -29,6 +28,7 @@ from .bilinear import (
     h_bond_commutator_residuals,
     pair_commutator_table,
     pair_norm,
+    pair_stack,
     square_bond_offsets,
 )
 from .blocks import (

@@ -20,9 +20,15 @@ The H-bond identities are stated here once, as data: each
 weighted pair sums of its right-hand side.  :func:`h_bond_commutator_residuals`
 evaluates both sides on coefficients and reports the Fock-space
 Frobenius norm of LHS - RHS; the tests evaluate the same data on Fock
-matrices as a cross-check.  Every phase comes from one exact table per
-grid axis (:func:`bondboson.lattice.unit_roots`), indexed by integer
-momentum, so ``e^{i pi}`` is exactly -1.
+matrices as a cross-check.  All identities of a lattice are evaluated
+in one batch (:func:`identity_residuals`): one stacked build of every
+distinct pair label (:func:`pair_stack`), the weighted sums of all
+sides accumulated term by term at once, and ``[H, .]`` as one stacked
+product.  Each entry still adds its terms in the listed order, so the
+residuals have the bits of a one-identity-at-a-time evaluation.  Every
+phase comes from one exact table per grid axis
+(:func:`bondboson.lattice.unit_roots`), indexed by integer momentum, so
+``e^{i pi}`` is exactly -1.
 """
 
 from __future__ import annotations
@@ -113,61 +119,51 @@ def _scaled(weight, terms) -> tuple:
     return tuple((weight * w, pair) for w, pair in terms)
 
 
-class PairCoefficients:
-    """Coefficient matrices of the pair sums of one lattice, each built once.
+def mode_count(spec) -> int:
+    """Modes of the spec's lattice: one per site (two when spinful) on the chain, two per site in 2D."""
+    if isinstance(spec, ChainSpec):
+        return spec.n_sites * (2 if spec.spinful else 1)
+    if isinstance(spec, SquareSpec):
+        return 2 * spec.lx * spec.ly
+    raise TypeError(f"expected ChainSpec or SquareSpec, got {type(spec).__name__}")
 
-    ``spec`` is a :class:`ChainSpec` (its site count and spinfulness are
-    read) or a :class:`SquareSpec` (its extents).
+
+def pair_stack(spec, labels) -> np.ndarray:
+    """The ``(P, n, n)`` coefficient matrices of the pair labels, in order; read-only.
+
+    ``labels`` are :class:`ChainPair` labels of a :class:`ChainSpec` (its
+    site count and spinfulness are read) or :class:`SquarePair` labels of
+    a :class:`SquareSpec` (its extents).  Labels that share their anchors
+    are written by one fancy-index assignment: one per sublattice on the
+    chain, one for all labels in 2D.  Every phase is an entry of
+    :func:`~bondboson.lattice.unit_roots` (a product of one per axis in
+    2D), so a label's matrix has the same bits in any list.
     """
-
-    def __init__(self, spec):
-        if isinstance(spec, ChainSpec):
-            self.n_modes = spec.n_sites * (2 if spec.spinful else 1)
-            self._roots = (unit_roots(spec.n_sites),)
-        elif isinstance(spec, SquareSpec):
-            self.n_modes = 2 * spec.lx * spec.ly
-            self._roots = (unit_roots(spec.lx), unit_roots(spec.ly))
-        else:
-            raise TypeError(f"expected ChainSpec or SquareSpec, got {type(spec).__name__}")
-        self.spec = spec
-        self._cache = {}
-
-    def pair(self, pair) -> np.ndarray:
-        cached = self._cache.get(pair)
-        if cached is None:
-            cached = self._chain(pair) if isinstance(pair, ChainPair) else self._square(pair)
-            cached.setflags(write=False)
-            self._cache[pair] = cached
-        return cached
-
-    def combination(self, terms) -> np.ndarray:
-        """``sum weight * pair`` over the ``(weight, pair)`` terms."""
-        acc = np.zeros((self.n_modes, self.n_modes), dtype=complex)
-        for weight, pair in terms:
-            acc += weight * self.pair(pair)
-        return acc
-
-    def _chain(self, pair: ChainPair) -> np.ndarray:
-        n_sites, spinful = self.spec.n_sites, self.spec.spinful
-        (roots,) = self._roots
-        anchors = np.array(chain_anchors(n_sites, pair.sublattice))
-        position = phase_position(pair.sublattice, anchors)
-        spin1, spin2 = CHAIN_CHANNEL_SPINS[pair.channel]
-        a = np.zeros((self.n_modes, self.n_modes), dtype=complex)
-        a[chain_mode(n_sites, anchors, spin1, spinful),
-          chain_mode(n_sites, anchors + pair.l, spin2, spinful)] = roots[(pair.K * position) % n_sites]
-        return a
-
-    def _square(self, pair: SquarePair) -> np.ndarray:
-        lx, ly = self.spec.lx, self.spec.ly
-        roots_x, roots_y = self._roots
+    n = mode_count(spec)
+    stack = np.zeros((len(labels), n, n), dtype=complex)
+    if isinstance(spec, ChainSpec):
+        n_sites, spinful = spec.n_sites, spec.spinful
+        roots = unit_roots(n_sites)
+        for sublattice in dict.fromkeys(label.sublattice for label in labels):
+            anchors = np.array(chain_anchors(n_sites, sublattice))
+            position = phase_position(sublattice, anchors)
+            rows = [p for p, label in enumerate(labels) if label.sublattice == sublattice]
+            l, K, spin1, spin2 = np.array(
+                [(labels[p].l, labels[p].K, *CHAIN_CHANNEL_SPINS[labels[p].channel])
+                 for p in rows]).T[:, :, None]
+            stack[np.array(rows)[:, None], chain_mode(n_sites, anchors, spin1, spinful),
+                  chain_mode(n_sites, anchors + l, spin2, spinful)] = roots[(K * position) % n_sites]
+    else:
+        lx, ly = spec.lx, spec.ly
         x, y = (v.ravel() for v in np.meshgrid(np.arange(lx), np.arange(ly), indexing="ij"))
-        comp1, comp2 = SQUARE_PAIRING_COMPONENTS[pair.pairing]
-        a = np.zeros((self.n_modes, self.n_modes), dtype=complex)
-        a[square_mode(lx, ly, x, y, comp1), square_mode(lx, ly, x + pair.l, y + pair.m, comp2)] = (
-            roots_x[(pair.Kx * x) % lx] * roots_y[(pair.Ky * y) % ly]
-        )
-        return a
+        l, m, Kx, Ky, comp1, comp2 = np.array(
+            [(label.l, label.m, label.Kx, label.Ky, *SQUARE_PAIRING_COMPONENTS[label.pairing])
+             for label in labels], dtype=int).reshape(-1, 6).T[:, :, None]
+        stack[np.arange(len(labels))[:, None], square_mode(lx, ly, x, y, comp1),
+              square_mode(lx, ly, x + l, y + m, comp2)] = (
+            unit_roots(lx)[(Kx * x) % lx] * unit_roots(ly)[(Ky * y) % ly])
+    stack.setflags(write=False)
+    return stack
 
 
 def hopping_matrix(spec) -> np.ndarray:
@@ -301,36 +297,55 @@ def bond_identities(spec) -> list:
     Raises :class:`bondboson.fock.FockSizeError` beyond the 16-mode cap:
     each residual is a Fock-space norm with an absolute bound.
     """
+    check_mode_cap(mode_count(spec))
     if isinstance(spec, ChainSpec):
-        check_mode_cap(spec.n_sites * (2 if spec.spinful else 1))
         return _chain_identities(spec)
-    if isinstance(spec, SquareSpec):
-        check_mode_cap(2 * spec.lx * spec.ly)
-        return _square_identities(spec)
-    raise TypeError(f"expected ChainSpec or SquareSpec, got {type(spec).__name__}")
+    return _square_identities(spec)
 
 
-def identity_sides(coefficients: PairCoefficients, h: np.ndarray, identity: Identity):
-    """``(hA + A h^T, sum rhs)``: the coefficient matrices of both sides of an identity."""
-    lhs = commutator_with_hopping(h, coefficients.combination(identity.target))
-    return lhs, coefficients.combination(identity.rhs)
+def identity_residuals(spec, identities) -> list:
+    """The Fock-space Frobenius norm of LHS - RHS of each identity, in order.
+
+    One batch: the distinct labels of all identities are built once
+    (:func:`pair_stack`), each side becomes an (identity, term) table of
+    weights and stack rows, and its sums are accumulated term by term
+    over all identities at once, so every entry adds its terms in the
+    order the identity lists them.  Shorter sides are padded with zero
+    weights, which can only change the sign of a zero entry.  ``[H, .]``
+    is one stacked product (:func:`commutator_with_hopping`) and each
+    difference is measured by :func:`pair_norm`.
+    """
+    labels = list(dict.fromkeys(pair for identity in identities
+                                for _, pair in identity.target + identity.rhs))
+    row = {label: p for p, label in enumerate(labels)}
+    stack = pair_stack(spec, labels)
+
+    def summed(sides):
+        width = max(map(len, sides), default=0)
+        weights = np.zeros((len(sides), width), dtype=complex)
+        rows = np.zeros((len(sides), width), dtype=int)
+        for i, terms in enumerate(sides):
+            for t, (weight, pair) in enumerate(terms):
+                weights[i, t], rows[i, t] = weight, row[pair]
+        acc = np.zeros((len(sides),) + stack.shape[1:], dtype=complex)
+        for t in range(width):
+            acc += weights[:, t, None, None] * stack[rows[:, t]]
+        return acc
+
+    lhs = commutator_with_hopping(hopping_matrix(spec),
+                                  summed([identity.target for identity in identities]))
+    return [pair_norm(d) for d in lhs - summed([identity.rhs for identity in identities])]
 
 
 def h_bond_commutator_residuals(spec) -> list:
     """``(identity, residual)`` for each H-bond identity, in report order.
 
     Each residual is the Frobenius norm of LHS - RHS as Fock-space
-    operators, evaluated exactly on coefficient matrices by
-    :func:`pair_norm`.
+    operators, evaluated exactly on coefficient matrices
+    (:func:`identity_residuals`).
     """
     identities = bond_identities(spec)
-    coefficients = PairCoefficients(spec)
-    h = hopping_matrix(spec)
-    results = []
-    for identity in identities:
-        lhs, rhs = identity_sides(coefficients, h, identity)
-        results.append((identity, pair_norm(lhs - rhs)))
-    return results
+    return list(zip(identities, identity_residuals(spec, identities)))
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +423,7 @@ def pair_commutator_table(spec, pairs, n_holes: int = 0, seed: int = 0):
     product's order depends on the CPU kernel), so reports are
     reproducible to the last digit.
     """
-    coefficients = PairCoefficients(spec)
-    n = coefficients.n_modes
+    n = mode_count(spec)
     check_mode_cap(n)
     if isinstance(spec, ChainSpec):
         modes = [chain_mode(spec.n_sites, site, 0, spec.spinful) for site in range(spec.n_sites)]
@@ -424,8 +438,8 @@ def pair_commutator_table(spec, pairs, n_holes: int = 0, seed: int = 0):
     occupied[list(holes)] = 0.0
     i, j = np.triu_indices(n, 1)
     weights = occupied[i] * occupied[j] - (1.0 - occupied[i]) * (1.0 - occupied[j])
-    rows = np.array([(a - a.T)[i, j] for a in map(coefficients.pair, pairs)])
-    x = sparse.csr_matrix(rows)
+    a = pair_stack(spec, pairs)
+    x = sparse.csr_matrix((a - a.transpose(0, 2, 1))[:, i, j])
     return (x.multiply(weights).tocsr() @ x.conj().T).toarray(), holes
 
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 
-from .bilinear import ChainPair, PairCoefficients, pair_norm
+from .bilinear import ChainPair, pair_norm, pair_stack
 from .fock import FockSpace, SparseOperator, pair_bilinear, pair_products
 from .lattice import ChainSpec, unit_roots
 from .numerics import max_residual
@@ -111,15 +111,17 @@ def reconstruction_stack(n_sites: int) -> np.ndarray:
     spin-up bond :class:`~bondboson.bilinear.ChainPair`; the grid-size
     factor projects out the single anchor p, exactly for every offset
     1 <= l <= n_sites - 1.  One contraction of the bond coefficient
-    matrices with the exact roots, summed over K in grid order; read-only.
+    matrices (one :func:`~bondboson.bilinear.pair_stack` of every K and
+    l) with the exact roots, summed over K in grid order; read-only.
     """
-    coefficients = PairCoefficients(ChainSpec(n_sites))
     grid = np.arange(n_sites)
     weights = unit_roots(n_sites)[-np.outer(grid, grid) % n_sites] / n_sites
+    bonds = pair_stack(ChainSpec(n_sites), [ChainPair(l, K) for K in range(n_sites)
+                                            for l in range(1, n_sites)])
+    bonds = bonds.reshape(n_sites, n_sites - 1, n_sites, n_sites)
     stack = np.zeros((n_sites, n_sites - 1, n_sites, n_sites), dtype=complex)
     for K in grid:
-        bonds = np.array([coefficients.pair(ChainPair(l, K)) for l in range(1, n_sites)])
-        stack += weights[:, K, None, None, None] * bonds
+        stack += weights[:, K, None, None, None] * bonds[K]
     stack.setflags(write=False)
     return stack
 

@@ -8,6 +8,12 @@ operators instead: pair sums of the integer labels from ``_bond_sum`` /
 ``_square_pair_sum`` with ``np.exp`` phases, the Hamiltonian from ``chain_hamiltonian`` /
 ``dirac_hamiltonian`` and the left-hand side from ``commutator``.
 
+The quadratic builds have their one-at-a-time references here too: one
+coefficient matrix per label (:func:`label_matrix`) and one weighted sum
+per identity side (:func:`combination`), against which the stacked label
+build and the batched identity evaluation of ``bondboson.bilinear`` are
+checked bit for bit.
+
 The quartic interaction builds have their term-by-term references here
 too: one sparse product and one sum per coupled pair, in (n, m) order,
 against which the stacked builds of ``bondboson.interactions`` are
@@ -17,8 +23,16 @@ checked.
 import numpy as np
 from scipy import sparse
 
-from bondboson.bilinear import ChainPair
+from bondboson.bilinear import (
+    ChainPair,
+    commutator_with_hopping,
+    hopping_matrix,
+    mode_count,
+    pair_norm,
+)
 from bondboson.fock import (
+    CHAIN_CHANNEL_SPINS,
+    SQUARE_PAIRING_COMPONENTS,
     FockSpace,
     SparseOperator,
     _bond_sum,
@@ -29,7 +43,14 @@ from bondboson.fock import (
     pair_bilinear,
 )
 from bondboson.interactions import pair_from_bonds
-from bondboson.lattice import ChainSpec, unit_roots
+from bondboson.lattice import (
+    ChainSpec,
+    chain_anchors,
+    chain_mode,
+    phase_position,
+    square_mode,
+    unit_roots,
+)
 
 
 def fock_space(spec) -> FockSpace:
@@ -87,6 +108,48 @@ def fock_pair_bilinear(space, m) -> SparseOperator:
         c_j = space._creation_matrix(int(j))
         acc = acc + SparseOperator(space, complex(m[i, j]) * (c_i @ c_j))
     return acc
+
+
+def label_matrix(spec, pair) -> np.ndarray:
+    """The coefficient matrix of one :class:`ChainPair` or :class:`SquarePair`, built alone."""
+    n = mode_count(spec)
+    a = np.zeros((n, n), dtype=complex)
+    if isinstance(pair, ChainPair):
+        n_sites, spinful = spec.n_sites, spec.spinful
+        anchors = np.array(chain_anchors(n_sites, pair.sublattice))
+        position = phase_position(pair.sublattice, anchors)
+        spin1, spin2 = CHAIN_CHANNEL_SPINS[pair.channel]
+        a[chain_mode(n_sites, anchors, spin1, spinful),
+          chain_mode(n_sites, anchors + pair.l, spin2, spinful)] = (
+            unit_roots(n_sites)[(pair.K * position) % n_sites])
+        return a
+    lx, ly = spec.lx, spec.ly
+    x, y = (v.ravel() for v in np.meshgrid(np.arange(lx), np.arange(ly), indexing="ij"))
+    comp1, comp2 = SQUARE_PAIRING_COMPONENTS[pair.pairing]
+    a[square_mode(lx, ly, x, y, comp1), square_mode(lx, ly, x + pair.l, y + pair.m, comp2)] = (
+        unit_roots(lx)[(pair.Kx * x) % lx] * unit_roots(ly)[(pair.Ky * y) % ly])
+    return a
+
+
+def combination(spec, terms) -> np.ndarray:
+    """``sum weight * pair`` over the ``(weight, pair)`` terms, one label at a time."""
+    acc = np.zeros((mode_count(spec),) * 2, dtype=complex)
+    for weight, pair in terms:
+        acc += weight * label_matrix(spec, pair)
+    return acc
+
+
+def identity_sides(spec, h, identity):
+    """``(hA + A h^T, sum rhs)``: the coefficient matrices of both sides of an identity."""
+    lhs = commutator_with_hopping(h, combination(spec, identity.target))
+    return lhs, combination(spec, identity.rhs)
+
+
+def sequential_identity_residuals(spec, identities) -> list:
+    """:func:`pair_norm` of LHS - RHS, one identity at a time."""
+    h = hopping_matrix(spec)
+    return [pair_norm(lhs - rhs)
+            for lhs, rhs in (identity_sides(spec, h, identity) for identity in identities)]
 
 
 def pair_reconstruction_terms(n_sites: int, p: int, l: int) -> tuple:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from conftest import dense_jw_creation
 from fock_oracle import (
+    combination,
     fock_combination,
     fock_hamiltonian,
     fock_identity_residual,
@@ -22,17 +23,22 @@ from fock_oracle import (
     fock_pair_bilinear,
     fock_quadratic,
     fock_space,
+    identity_sides,
+    label_matrix,
     pair_reconstruction_terms,
+    sequential_identity_residuals,
 )
 
 from bondboson.bilinear import (
-    PairCoefficients,
+    ChainPair,
+    SquarePair,
     bond_identities,
     commutator_with_hopping,
     h_bond_commutator_residuals,
     hopping_matrix,
-    identity_sides,
+    identity_residuals,
     pair_norm,
+    pair_stack,
 )
 from bondboson.fock import FockSizeError, FockSpace, commutator, pair_bilinear
 from bondboson.interactions import (
@@ -63,10 +69,10 @@ def spec_id(spec):
     return f"dirac{spec.lx}x{spec.ly}"
 
 
-def term_scale(coefficients, h, identity):
+def term_scale(spec, h, identity):
     """Sum of the Fock norms of the terms of both sides: the size rounding scales with."""
-    lhs, _ = identity_sides(coefficients, h, identity)
-    return pair_norm(lhs) + sum(abs(w) * pair_norm(coefficients.pair(p)) for w, p in identity.rhs)
+    lhs, _ = identity_sides(spec, h, identity)
+    return pair_norm(lhs) + sum(abs(w) * pair_norm(label_matrix(spec, p)) for w, p in identity.rhs)
 
 
 def test_unit_roots_are_exact_at_quarter_turns():
@@ -87,19 +93,67 @@ def test_unit_roots_are_exact_at_quarter_turns():
 def test_identities_agree_with_the_fock_oracle_per_check(spec):
     space = fock_space(spec)
     h_fock = fock_hamiltonian(space, spec)
-    coefficients = PairCoefficients(spec)
     h = hopping_matrix(spec)
     identities = bond_identities(spec)
     residuals = h_bond_commutator_residuals(spec)
     assert [same for same, _ in residuals] == identities
     for identity, residual in residuals:
-        lhs, rhs = identity_sides(coefficients, h, identity)
+        lhs, rhs = identity_sides(spec, h, identity)
         lhs_fock, rhs_fock = fock_identity_sides(space, h_fock, identity)
-        tol = ROUNDING * term_scale(coefficients, h, identity)
+        tol = ROUNDING * term_scale(spec, h, identity)
         # each side separately, as operators, and the reported residual
         assert (pair_bilinear(space, lhs) - lhs_fock).norm() <= tol, identity
         assert (pair_bilinear(space, rhs) - rhs_fock).norm() <= tol, identity
         assert abs(residual - (lhs_fock - rhs_fock).norm()) <= tol, identity
+
+
+# -- the batched route has the bits of the one-identity-at-a-time loop -------------
+
+BIT_IDENTITY_SPECS = (
+    [ChainSpec(n, alpha_u=alpha_u) for n in range(2, 17, 2) for alpha_u in (0.0, 0.1, 0.29)]
+    + [ChainSpec(n, alpha_u=0.2, spinful=True) for n in range(2, 9, 2)]
+    + [SquareSpec(lx, ly, delta=0.7) for lx in range(1, 9) for ly in range(1, 9) if lx * ly <= 8]
+    # 1e308 is finite, but the Hamiltonian products overflow to NaN
+    + [SquareSpec(2, 3, delta=1e308), SquareSpec(2, 2, delta=1e308)]
+)
+
+
+def bit_identity_id(spec):
+    if isinstance(spec, ChainSpec):
+        return f"{spec_id(spec)}-alpha{spec.alpha_u}"
+    return f"{spec_id(spec)}-mass{spec.delta}"
+
+
+@pytest.mark.parametrize("spec", BIT_IDENTITY_SPECS, ids=bit_identity_id)
+def test_batched_residuals_have_the_bits_of_the_per_identity_loop(spec):
+    identities = bond_identities(spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = h_bond_commutator_residuals(spec)
+        expected = np.array(sequential_identity_residuals(spec, identities))
+    assert [identity for identity, _ in rows] == identities
+    batched = np.array([residual for _, residual in rows])
+    assert batched.tobytes() == expected.tobytes()
+    assert np.isnan(batched).any() == (getattr(spec, "delta", 0.0) == 1e308)
+
+
+@pytest.mark.parametrize("spec", [ChainSpec(6, alpha_u=0.1), ChainSpec(4, spinful=True),
+                                  SquareSpec(2, 3, delta=0.7), SquareSpec(1, 1)], ids=spec_id)
+def test_pair_stack_rows_have_the_bits_of_single_label_builds(spec):
+    labels = [pair for identity in bond_identities(spec) for _, pair in identity.target + identity.rhs]
+    if isinstance(spec, ChainSpec):
+        channels = ("uu", "dd", "ud", "du") if spec.spinful else ("uu",)
+        labels += [ChainPair(l, K, channel) for channel in channels
+                   for l in range(-1, spec.n_sites + 1) for K in range(-1, spec.n_sites + 1)]
+    else:
+        labels += [SquarePair(0, 0, 0, 0, pairing) for pairing in ("cc", "bb", "cb", "bc")]
+    labels = list(dict.fromkeys(labels))
+    stack = pair_stack(spec, labels)
+    assert stack.shape == (len(labels),) + label_matrix(spec, labels[0]).shape
+    assert not stack.flags.writeable
+    for label, row in zip(labels, stack):
+        assert row.tobytes() == label_matrix(spec, label).tobytes(), label
+        assert row.tobytes() == pair_stack(spec, [label])[0].tobytes(), label
+    assert pair_stack(spec, []).shape == (0,) + stack.shape[1:]
 
 
 def test_identity_momenta_are_grid_indices():
@@ -166,7 +220,6 @@ def test_identities_beyond_the_cap_raise_the_fock_size_error():
 def test_pair_reconstruction_agrees_with_the_fock_oracle():
     for n_sites in (2, 4, 6, 8):
         space = FockSpace.chain(n_sites)
-        coefficients = PairCoefficients(ChainSpec(n_sites))
         for p in range(n_sites):
             for l in range(1, n_sites):
                 terms = pair_reconstruction_terms(n_sites, p, l)
@@ -175,7 +228,7 @@ def test_pair_reconstruction_agrees_with_the_fock_oracle():
                 assert (built - creation_pair_direct(space, p, l)).norm() <= 1e-13
                 target = np.zeros((n_sites, n_sites))
                 target[p, (p + l) % n_sites] = 1.0
-                assert pair_norm(coefficients.combination(terms) - target) <= 1e-13
+                assert pair_norm(combination(ChainSpec(n_sites), terms) - target) <= 1e-13
 
 
 @pytest.mark.parametrize("n_sites", range(2, 17, 2))
@@ -183,12 +236,11 @@ def test_reconstruction_stack_has_the_bits_of_the_term_sums(n_sites):
     # the stack is one contraction summed in K order: every entry equals the
     # term-by-term combination of the reconstruction terms, bit for bit
     stack = reconstruction_stack(n_sites)
-    coefficients = PairCoefficients(ChainSpec(n_sites))
     assert stack.shape == (n_sites, n_sites - 1, n_sites, n_sites)
     assert not stack.flags.writeable
     for p in range(n_sites):
         for l in range(1, n_sites):
-            expected = coefficients.combination(pair_reconstruction_terms(n_sites, p, l))
+            expected = combination(ChainSpec(n_sites), pair_reconstruction_terms(n_sites, p, l))
             assert stack[p, l - 1].tobytes() == expected.tobytes(), (p, l)
 
 
@@ -208,10 +260,10 @@ MUTATION_SPECS = [ChainSpec(4, alpha_u=0.1), ChainSpec(8, alpha_u=0.1), ChainSpe
                   SquareSpec(2, 2, delta=0.8), SquareSpec(2, 3, delta=0.8)]
 
 
-def live_term(terms, coefficients):
+def live_term(terms, spec):
     """Index of the first term that is not the zero operator, or None."""
     for i, (weight, pair) in enumerate(terms):
-        if weight != 0 and pair_norm(coefficients.pair(pair)) > 0:
+        if weight != 0 and pair_norm(pair_stack(spec, [pair])[0]) > 0:
             return i
     return None
 
@@ -237,20 +289,16 @@ def fock_setups():
 @pytest.mark.parametrize("mutation", [wrong_sign, wrong_phase])
 @pytest.mark.parametrize("spec", MUTATION_SPECS, ids=spec_id)
 def test_a_wrong_identity_coefficient_fails_both_routes(spec, mutation, fock_setups):
-    coefficients = PairCoefficients(spec)
-    h = hopping_matrix(spec)
     # the last identity (largest momentum) with a right-hand side that is not zero
     identity = next(i for i in reversed(bond_identities(spec))
-                    if live_term(i.rhs, coefficients) is not None)
-    term = live_term(identity.rhs, coefficients)
+                    if live_term(i.rhs, spec) is not None)
+    term = live_term(identity.rhs, spec)
     mutated = dataclasses.replace(
         identity, rhs=mutate(identity.rhs, term, mutation, spec.n_sites))
     space, h_fock = fock_setups(spec)
-    lhs, rhs = identity_sides(coefficients, h, identity)
-    assert pair_norm(lhs - rhs) <= IDENTITY_BOUND
+    assert identity_residuals(spec, [identity])[0] <= IDENTITY_BOUND
     assert fock_identity_residual(space, h_fock, identity) <= IDENTITY_BOUND
-    lhs, rhs = identity_sides(coefficients, h, mutated)
-    assert pair_norm(lhs - rhs) > IDENTITY_BOUND
+    assert identity_residuals(spec, [mutated])[0] > IDENTITY_BOUND
     assert fock_identity_residual(space, h_fock, mutated) > IDENTITY_BOUND
 
 
@@ -258,12 +306,11 @@ def test_a_wrong_identity_coefficient_fails_both_routes(spec, mutation, fock_set
 @pytest.mark.parametrize("n_sites", [4, 8, 12, 16])
 def test_a_wrong_reconstruction_weight_fails_both_routes(n_sites, mutation):
     p, l = n_sites - 1, n_sites // 2 - 1
-    coefficients = PairCoefficients(ChainSpec(n_sites))
     # mutate the weight of the K = 1 bond
     terms = mutate(pair_reconstruction_terms(n_sites, p, l), 1, mutation, n_sites)
     target = np.zeros((n_sites, n_sites))
     target[p, (p + l) % n_sites] = 1.0
-    assert pair_norm(coefficients.combination(terms) - target) > RECONSTRUCTION_BOUND
+    assert pair_norm(combination(ChainSpec(n_sites), terms) - target) > RECONSTRUCTION_BOUND
     space = FockSpace.chain(n_sites)
     fock = fock_combination(space, terms) - creation_pair_direct(space, p, l)
     assert fock.norm() > RECONSTRUCTION_BOUND

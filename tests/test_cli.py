@@ -338,6 +338,18 @@ def test_commutators_at_the_16_mode_cap_stay_small(tmp_path):
 
 
 @needs_proc
+@pytest.mark.parametrize("argv", [["--model", "dirac2d", "--lx", "2", "--ly", "4"],
+                                  ["--model", "ssh", "--sites", "16", "--alpha-u", "0.1"]],
+                         ids=["dirac2x4", "ssh16"])
+def test_identities_at_the_16_mode_cap_stay_small(tmp_path, argv):
+    out = tmp_path / "report.json"
+    code, peak_mb = child_peak_mb(["verify", "identities"] + argv + ["--output", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["verdict"] == "pass"
+    assert peak_mb < 100
+
+
+@needs_proc
 def test_interactions_at_the_16_mode_cap_stay_small(tmp_path):
     out = tmp_path / "report.json"
     code, peak_mb = child_peak_mb(["verify", "interactions", "--model", "ssh", "--sites", "16",

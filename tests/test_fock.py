@@ -8,13 +8,14 @@ from conftest import dense_jw_creation
 from fock_oracle import fock_pair, fock_space
 from scipy import sparse
 
+from bondboson import bilinear
 from bondboson.bilinear import (
     ChainPair,
-    PairCoefficients,
     SquarePair,
     boson_commutator_report,
     h_bond_commutator_residuals,
     pair_commutator_table,
+    pair_stack,
     square_bond_offsets,
 )
 from bondboson.cli import main
@@ -181,11 +182,10 @@ PER_LABEL_CASES = (
                          ids=[case[0] for case in PER_LABEL_CASES])
 def test_fock_pair_matches_coefficients_and_dense_build(spec, labels):
     space = fock_space(spec)
-    coefficients = PairCoefficients(spec)
     dense = dense_jw_creation(space.n_modes)
-    for pair in labels:
+    for pair, coefficients in zip(labels, pair_stack(spec, labels)):
         built = fock_pair(space, pair)
-        from_coefficients = pair_bilinear(space, coefficients.pair(pair))
+        from_coefficients = pair_bilinear(space, coefficients)
         assert abs(built.matrix - from_coefficients.matrix).max() <= 4 * EPS, pair
         # the dense build's phase arguments are not reduced mod 2 pi
         assert np.max(np.abs(built.to_dense() - dense_pair(dense, spec, pair))) <= 32 * EPS, pair
@@ -411,18 +411,30 @@ def test_table_matches_dense_commutator(holes):
             assert abs(table[i, j] - exact) <= 64 * 6 * EPS, (i, j)
 
 
-def wrong_momentum_step(coefficients, pair, matrix):
+def wrong_momentum_step(spec, pair, matrix):
     """The coefficients of the next momentum on the grid."""
     if isinstance(pair, ChainPair):
-        return coefficients.pair(dataclasses.replace(pair, K=pair.K + 1))
-    return coefficients.pair(dataclasses.replace(pair, Ky=pair.Ky + 1))
+        return pair_stack(spec, [dataclasses.replace(pair, K=pair.K + 1)])[0]
+    return pair_stack(spec, [dataclasses.replace(pair, Ky=pair.Ky + 1)])[0]
 
 
-def flipped_sign(coefficients, pair, matrix):
+def flipped_sign(spec, pair, matrix):
     """The first nonzero coefficient negated."""
     flipped = matrix.copy()
     flipped[tuple(np.argwhere(matrix)[0])] *= -1.0
     return flipped
+
+
+def mutate_stack_row(monkeypatch, target, mutation):
+    """Make every :func:`pair_stack` the CLI builds carry ``mutation`` in the row of ``target``."""
+    def mutated(spec, labels):
+        stack = pair_stack(spec, labels).copy()
+        for row, label in enumerate(labels):
+            if label == target:
+                stack[row] = mutation(spec, label, stack[row])
+        return stack
+
+    monkeypatch.setattr(bilinear, "pair_stack", mutated)
 
 
 # the second label of each suite: (l, K) = (1, 1) on the chain
@@ -438,18 +450,30 @@ def test_one_wrong_coefficient_matrix_fails_the_unmatched_law(monkeypatch, tmp_p
     out = tmp_path / "report.json"
     command = ["verify", "commutators"] + argv + ["--output", str(out)]
     assert main(command) == 0
-    target = MUTATED_LABELS[argv[1]]
-    original = PairCoefficients.pair
-
-    def mutated(self, label):
-        matrix = original(self, label)
-        return mutation(self, label, matrix) if label == target else matrix
-
-    monkeypatch.setattr(PairCoefficients, "pair", mutated)
+    mutate_stack_row(monkeypatch, MUTATED_LABELS[argv[1]], mutation)
     assert main(command) == 1
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     assert not checks["filled_unmatched_law"]["pass"]
     assert float(checks["filled_unmatched_law"]["residual"]) > 1e-12
+
+
+# a target label of each identity suite: (l, K) = (1, 0) on sublattice A of the chain
+IDENTITY_LABELS = {"ssh": ChainPair(1, 0, "uu", "A"), "dirac2d": SquarePair(0, 1, 0, 1, "cc")}
+
+
+@pytest.mark.parametrize("argv", [["--model", "ssh", "--sites", "6", "--alpha-u", "0.1"],
+                                  ["--model", "dirac2d", "--lx", "2", "--ly", "3"]],
+                         ids=["ssh6", "dirac2x3"])
+def test_one_wrong_stack_row_fails_the_identities(monkeypatch, tmp_path, argv):
+    out = tmp_path / "report.json"
+    command = ["verify", "identities"] + argv + ["--output", str(out)]
+    assert main(command) == 0
+    mutate_stack_row(monkeypatch, IDENTITY_LABELS[argv[1]], flipped_sign)
+    assert main(command) == 1
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "fail"
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert failed and all(float(c["residual"]) > 1e-12 for c in failed)
 
 
 # -- exact H-bond commutator identities ---------------------------------------
