@@ -70,6 +70,11 @@ CASES = {
         "verify", "identities", "--model", "dirac2d", "--lx", "2", "--ly", "3",
         "--mass", "0.8",
     ],
+    # 90 coupled pairs: a quartic build long enough to cross many term blocks,
+    # with nonzero residual digits
+    "verify_interactions_ssh10.json": [
+        "verify", "interactions", "--model", "ssh", "--sites", "10", "--seed", "3",
+    ],
 }
 
 
