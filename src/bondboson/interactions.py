@@ -8,7 +8,8 @@ quadratic, so it is one stack of n x n coefficient matrices, built once
 per chain length and measured on coefficients.  The two quartic
 statements are checked on Fock operators: the density form is read from
 the basis-state bits, and the pair form and its bond assembly are each
-one stacked build of all coupled pairs (:func:`bondboson.fock.pair_products`).
+one stacked build of all coupled pairs (:func:`bondboson.fock.pair_products`,
+an ordered scatter that adds each Fock entry's terms in (n, m) order).
 
 The same pair-reconstruction mechanism would turn density couplings to
 quantized lattice vibrations or to gauge fields into interactions

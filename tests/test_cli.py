@@ -356,7 +356,7 @@ def test_interactions_at_the_16_mode_cap_stay_small(tmp_path):
                                    "--output", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["verdict"] == "pass"
-    assert peak_mb < 150
+    assert peak_mb < 90
 
 
 def test_interactions_past_the_mode_cap_are_a_resource_error(capsys):

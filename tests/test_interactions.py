@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from fock_oracle import (
+    chunked_pair_products,
     fock_pair,
     sequential_bond_assembly,
     sequential_pair_form,
@@ -9,7 +10,7 @@ from fock_oracle import (
 
 from bondboson import interactions
 from bondboson.bilinear import ChainPair
-from bondboson.fock import PRODUCT_CHUNK, FockSpace, SparseOperator, creation_op, pair_products
+from bondboson.fock import SCATTER_BLOCK, FockSpace, SparseOperator, creation_op, pair_products
 from bondboson.interactions import (
     bond_assembled_pair_form,
     coulomb_operator,
@@ -176,17 +177,22 @@ def test_stacked_builds_match_the_sequential_reference(n_sites):
             assert same_bits(assembled, reference)
 
 
-@pytest.mark.parametrize("terms", [PRODUCT_CHUNK, PRODUCT_CHUNK + 1, 2 * PRODUCT_CHUNK + 1])
-def test_pair_products_at_the_chunk_edges(terms):
+# Single-pair terms on 14 sites whose two pairs share one mode: each adds
+# 2^11 states, so a scatter block holds this many terms.
+EDGE_SITES = 14
+EDGE_PER_BLOCK = SCATTER_BLOCK >> (EDGE_SITES - 3)
+
+
+@pytest.mark.parametrize("terms", [EDGE_PER_BLOCK, EDGE_PER_BLOCK + 1, 2 * EDGE_PER_BLOCK + 1])
+def test_pair_products_at_the_block_edges(terms):
     # single-pair terms with random weights: every product entry is exact, so the
-    # stacked sum has the bits of the term-by-term sum across each chunk boundary
+    # stacked sum has the bits of the term-by-term sum across each block boundary
     rng = np.random.default_rng(terms)
-    eye = np.eye(6)
-    n, m, k = (rng.integers(0, 6, terms) for _ in range(3))
-    m, k = (n + 1 + m % 5) % 6, (n + 1 + k % 5) % 6
+    eye = np.eye(EDGE_SITES)
+    n, m, k = np.array([rng.permutation(EDGE_SITES)[:3] for _ in range(terms)]).T
     raising, lowering = eye[n, :, None] * eye[m, None, :], eye[k, :, None] * eye[n, None, :]
     weights = rng.uniform(-1.0, 1.0, terms)
-    space = FockSpace.chain(6)
+    space = FockSpace.chain(EDGE_SITES)
     stacked = pair_products(space, raising, lowering, weights)
     assert stacked.nnz > 0
     assert same_bits(stacked, sequential_pair_products(space, raising, lowering, weights))
@@ -196,7 +202,7 @@ def test_pair_products_of_dense_stacks_match_the_term_by_term_sum():
     # many pairs per term: each product sums several contributions, so the
     # orders differ and the two sums agree to rounding
     rng = np.random.default_rng(11)
-    terms = PRODUCT_CHUNK + 3
+    terms = 15
     shape = (terms, 4, 4)
     raising, lowering = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
     weights = rng.normal(size=terms) + 1j * rng.normal(size=terms)
@@ -210,11 +216,100 @@ def test_pair_products_of_dense_stacks_match_the_term_by_term_sum():
         pair_products(space, raising, lowering, weights[:-1])
 
 
-@pytest.mark.parametrize("term", [0, PRODUCT_CHUNK - 1, PRODUCT_CHUNK, -1])
+def assert_chunked_bits(space, raising, lowering, weights):
+    """The scatter build has the bits of the chunked sparse product (sorted CSR)."""
+    built = pair_products(space, raising, lowering, weights)
+    assert same_bits(built, chunked_pair_products(space, raising, lowering, weights))
+    assert built.matrix.has_canonical_format
+    return built
+
+
+@pytest.mark.parametrize("n_sites", range(2, 17, 2))
+def test_interaction_stacks_have_the_bits_of_the_chunked_product(monkeypatch, n_sites):
+    stacks = []
+    monkeypatch.setattr(interactions, "pair_products",
+                        lambda *args: stacks.append(args) or pair_products(*args))
+    space = FockSpace.chain(n_sites)
+    for seed in (0, 1, 2):
+        alpha = random_offdiag_coupling(n_sites, seed=seed)
+        coulomb_pair_form(space, alpha)
+        bond_assembled_pair_form(space, alpha)
+    assert len(stacks) == 6
+    for args in stacks:
+        assert assert_chunked_bits(*args).nnz > 0
+
+
+def random_stack(rng, terms, n_modes, density):
+    shape = (terms, n_modes, n_modes)
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < density)
+
+
+def mode_space(n_modes):
+    """A Fock space of any mode count (chain spaces have an even count)."""
+    return FockSpace("chain", n_modes, {"n_sites": n_modes, "spinful": False})
+
+
+@pytest.mark.parametrize("n_modes", range(4, 11))
+@pytest.mark.parametrize("density", [0.1, 0.4, 1.0])
+def test_random_stacks_have_the_bits_of_the_chunked_product(n_modes, density):
+    rng = np.random.default_rng([n_modes, int(10 * density)])
+    terms = int(rng.integers(1, 16 if density < 1.0 else 6))
+    weights = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+    raising, lowering = (random_stack(rng, terms, n_modes, density) for _ in range(2))
+    assert_chunked_bits(mode_space(n_modes), raising, lowering, weights)
+
+
+def test_stacks_that_straddle_scatter_blocks_have_the_chunked_bits():
+    # every combination of a pair of A_t and a pair of B_t adds 2^(n - 4) states or more
+    rng = np.random.default_rng(12)
+    n_modes, terms = 12, 5
+    raising, lowering = (random_stack(rng, terms, n_modes, 0.2) for _ in range(2))
+    weights = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+    pairs = [np.count_nonzero(np.triu(s - s.transpose(0, 2, 1), 1), axis=(1, 2))
+             for s in (raising, lowering)]
+    assert (pairs[0] * pairs[1]).sum() << (n_modes - 4) > 4 * SCATTER_BLOCK
+    assert_chunked_bits(mode_space(n_modes), raising, lowering, weights)
+
+
+def test_empty_and_pruned_stacks_give_the_zero_operator():
+    space = FockSpace.chain(6)
+    rng = np.random.default_rng(3)
+    dense = random_stack(rng, 4, 6, 1.0)
+    weights = rng.normal(size=4)
+    symmetric = dense + dense.transpose(0, 2, 1)  # no pair survives antisymmetrization
+    tiny = 1e-16 * dense  # every pair under the pruning tolerance
+    for raising, lowering in [(dense[:0], dense[:0]), (symmetric, dense), (dense, tiny),
+                              (tiny, tiny)]:
+        w = weights[:len(raising)]
+        assert assert_chunked_bits(space, raising, lowering, w).nnz == 0
+
+
+@pytest.mark.parametrize("lowered", [(0, 1), (1, 0), (1, 2), (3, 1), (2, 3), (4, 5)],
+                         ids=["same", "reversed", "shared-j", "shared-i", "disjoint", "far"])
+def test_single_pair_products_have_the_chunked_bits(lowered):
+    # A = c+_0 c+_1 and B = c+_k c+_l: equal pairs fill the diagonal, pairs that
+    # share a mode (3-mode unions) or none (4-mode unions) fill off-diagonal slots
+    space = FockSpace.chain(6)
+    eye = np.eye(6)
+    k, l = lowered
+    raising = (eye[0, :, None] * eye[1, None, :])[None] * (0.3 - 1.1j)
+    lowering = (eye[k, :, None] * eye[l, None, :])[None] * (0.7 + 0.2j)
+    built = assert_chunked_bits(space, raising, lowering, [1.5 - 0.5j])
+    rows, cols = built.matrix.nonzero()
+    assert built.nnz == 1 << (6 - len({0, 1, k, l}))
+    assert np.all((rows ^ cols) == (3 ^ (1 << k) ^ (1 << l)))
+
+
+# The reassembled stacks on 12 sites: one pair per term, 2^10 states each.
+MUTATION_SITES = 12
+MUTATION_PER_BLOCK = SCATTER_BLOCK >> (MUTATION_SITES - 2)
+
+
+@pytest.mark.parametrize("term", [0, MUTATION_PER_BLOCK - 1, MUTATION_PER_BLOCK, -1])
 @pytest.mark.parametrize("mutation", ["flip_sign", "drop"])
 def test_a_wrong_stack_term_fails_the_bond_assembled_check(monkeypatch, mutation, term):
-    space = FockSpace.chain(6)
-    alpha = random_offdiag_coupling(6, seed=3)
+    space = FockSpace.chain(MUTATION_SITES)
+    alpha = random_offdiag_coupling(MUTATION_SITES, seed=3)
     direct = coulomb_pair_form(space, alpha)
     tolerance = 1e-12 * max(direct.norm(), 1.0)  # the bound of the verify report
     assert interaction_equivalence_residual(space, alpha, direct) <= tolerance
