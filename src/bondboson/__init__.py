@@ -20,6 +20,7 @@ wavelength limit is the 2+1D Dirac equation.  For both it provides
 from .bilinear import (
     BosonCommutatorReport,
     ChainPair,
+    FockSizeError,
     Identity,
     SquarePair,
     bond_identities,
@@ -32,9 +33,7 @@ from .bilinear import (
     square_bond_offsets,
 )
 from .blocks import (
-    DiracBlock,
     SpectrumTable,
-    SSHBlock,
     correspondence_report,
     dirac_boson_block,
     dirac_boson_closed_eigs,
@@ -42,14 +41,12 @@ from .blocks import (
     ssh_boson_closed_eigs,
 )
 from .fermion_model import (
-    BandEnergy,
     dirac2d_band_energy,
     dirac2d_hopping_matrix,
     ssh_band_energy,
     ssh_hopping_matrix,
 )
 from .fock import (
-    FockSizeError,
     FockSpace,
     SparseOperator,
     chain_hamiltonian,

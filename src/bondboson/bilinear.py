@@ -39,7 +39,6 @@ import numpy as np
 from scipy import sparse
 
 from .fermion_model import dirac2d_hopping_matrix, ssh_hopping_matrix
-from .fock import CHAIN_CHANNEL_SPINS, SQUARE_PAIRING_COMPONENTS, check_mode_cap
 from .lattice import (
     ChainSpec,
     SquareSpec,
@@ -52,6 +51,24 @@ from .lattice import (
 
 _SQRT2 = float(np.sqrt(2.0))
 
+MAX_MODES = 16
+
+
+class FockSizeError(ValueError):
+    """Raised when a requested space exceeds the exact-representation cap."""
+
+
+def check_mode_cap(n_modes: int) -> None:
+    """Raise :class:`FockSizeError` if ``n_modes`` exceeds :data:`MAX_MODES`."""
+    if n_modes > MAX_MODES:
+        raise FockSizeError(f"{n_modes} modes exceed the exact-representation cap of {MAX_MODES}")
+
+
+# The spins of the two created fermions of a chain channel, and the
+# components of a square-lattice pairing (0 = c, 1 = b).
+CHAIN_CHANNEL_SPINS = {"uu": (0, 0), "dd": (1, 1), "ud": (0, 1), "du": (1, 0)}
+SQUARE_PAIRING_COMPONENTS = {"cc": (0, 0), "bb": (1, 1), "cb": (0, 1), "bc": (1, 0)}
+
 
 @dataclass(frozen=True)
 class ChainPair:
@@ -61,7 +78,7 @@ class ChainPair:
     The anchors are every site ("all"), the odd sites ("A", p(n) = n) or
     the even sites ("B", p(n) = n // 2, the cell index); on the full
     chain p(n) = n.  ``channel`` names the two spins (see
-    :data:`bondboson.fock.CHAIN_CHANNEL_SPINS`).
+    :data:`CHAIN_CHANNEL_SPINS`).
     """
 
     l: int
@@ -294,7 +311,7 @@ def _square_identities(spec: SquareSpec) -> list:
 def bond_identities(spec) -> list:
     """The H-bond identities of a chain or square-lattice spec, in report order.
 
-    Raises :class:`bondboson.fock.FockSizeError` beyond the 16-mode cap:
+    Raises :class:`FockSizeError` beyond the 16-mode cap:
     each residual is a Fock-space norm with an absolute bound.
     """
     check_mode_cap(mode_count(spec))

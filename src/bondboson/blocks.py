@@ -4,10 +4,14 @@ Each (q, k) of the chain model and each (s, p, kx, ky) of the 2D model
 carries a 4x4 Hermitian block whose eigenvalues are signed sums of two
 single-fermion band energies.  This module builds the literal blocks,
 evaluates the closed forms, and produces the table that checks the
-numeric, closed-form, and fermion-pair routes against each other.
+numeric spectrum against them.  The table's closed-form and fermion-pair
+columns evaluate the same band radicals today (the same
+:func:`ssh_band_energy` calls on the chain; in 2D one radical, scaled by
+exact powers of two), so it has two independent routes, not three.
 
 The builders and closed forms broadcast over their momentum arguments:
-scalars give one block, arrays give a stack of shape ``(..., 4, 4)``.
+scalars give one :class:`HermitianMatrix` block, arrays give a stack of
+shape ``(..., 4, 4)``.
 The correspondence table evaluates a whole momentum grid at once: one
 block stack, one stacked eigensolve, one closed-form and one band
 evaluation per table.  A one-point call runs the same formula, with the
@@ -27,54 +31,6 @@ import numpy as np
 from .fermion_model import dirac2d_band_energy, ssh_band_energy
 from .lattice import ChainSpec, SquareSpec, chain_momenta, square_momenta
 from .numerics import HermitianMatrix, hermitian_eigenvalues, max_residual, pow2
-
-
-@dataclass(frozen=True)
-class SSHBlock:
-    """4x4 chain block at fixed (q, k), or the stack over arrays of them.
-
-    cos_term  = 2 t0 cos q          (same-momentum diagonal energy)
-    sin_term  = 4 alpha_u sin q     (dimerization-induced q <-> q-pi mixing)
-    cross_term = e^{ik/2} (2 t0 cos(k/2 - q) + 4i alpha_u sin(k/2 - q))
-                                    (cross-sublattice coupling)
-
-    For a stack the terms are arrays of the momenta's broadcast shape.
-    The same-spin and mixed-spin sectors share this block because the
-    hopping is spin independent.
-    """
-
-    q: float
-    k: float
-    t0: float
-    alpha_u: float
-    cos_term: float
-    sin_term: float
-    cross_term: complex
-    matrix: HermitianMatrix
-
-
-@dataclass(frozen=True)
-class DiracBlock:
-    """4x4 square-lattice block at fixed (s, p, kx, ky) and mass m, or a stack.
-
-    sin_x_plus  = sin s + sin(kx - s)    sin_x_minus = -sin s + sin(kx - s)
-    sin_y_plus  = -sin p + sin(ky - p)   sin_y_minus =  sin p + sin(ky - p)
-
-    m here is the block mass entering the off-diagonal -2m couplings;
-    it equals the on-site splitting delta of the fermion model (twice
-    the band-parameter m of dirac2d_band_energy).
-    """
-
-    s: float
-    p: float
-    kx: float
-    ky: float
-    m: float
-    sin_x_plus: float
-    sin_x_minus: float
-    sin_y_plus: float
-    sin_y_minus: float
-    matrix: HermitianMatrix
 
 
 # The block entries are written in real arithmetic, in the order and with
@@ -99,10 +55,12 @@ def _signed_sums(r1, r2) -> np.ndarray:
     return np.array([1.0, 1.0, -1.0, -1.0]) * r1 + np.array([1.0, -1.0, 1.0, -1.0]) * r2
 
 
-def ssh_boson_block(q, k, t0: float, alpha_u: float) -> SSHBlock:
+def ssh_boson_block(q, k, t0: float, alpha_u: float) -> HermitianMatrix:
     """Chain bond-boson block at (q, k); arrays of momenta give the stack.
 
     Momenta may be arbitrary reals; q and k broadcast against each other.
+    The same-spin and mixed-spin sectors share this block because the
+    hopping is spin independent.
     """
     y = 2.0 * t0 * np.cos(q)
     x = 4.0 * alpha_u * np.sin(q)
@@ -124,12 +82,7 @@ def ssh_boson_block(q, k, t0: float, alpha_u: float) -> SSHBlock:
     re[..., 0, 2], im[..., 0, 2] = zr, -zi
     re[..., 3, 1], im[..., 3, 1] = -zr, -zi
     re[..., 1, 3], im[..., 1, 3] = -zr, zi
-    matrix = HermitianMatrix(a)
-    return SSHBlock(
-        q=q, k=k, t0=t0, alpha_u=alpha_u,
-        cos_term=y, sin_term=x, cross_term=matrix.array[..., 2, 0],
-        matrix=matrix,
-    )
+    return HermitianMatrix(a)
 
 
 def ssh_boson_closed_eigs(q, k, t0: float, alpha_u: float) -> np.ndarray:
@@ -140,15 +93,17 @@ def ssh_boson_closed_eigs(q, k, t0: float, alpha_u: float) -> np.ndarray:
     spectrum exactly (pairs of valence/valence, conduction/conduction,
     and mixed fermions).  Arrays of momenta give one row per block.
     """
-    r1 = ssh_band_energy(q, t0, alpha_u).plus_branch
-    r2 = ssh_band_energy(k / 2.0 - q, t0, alpha_u).plus_branch
+    r1 = ssh_band_energy(q, t0, alpha_u)
+    r2 = ssh_band_energy(k / 2.0 - q, t0, alpha_u)
     return np.sort(_signed_sums(r1, r2), axis=-1)
 
 
-def dirac_boson_block(s, p, kx, ky, m: float) -> DiracBlock:
+def dirac_boson_block(s, p, kx, ky, m: float) -> HermitianMatrix:
     """Square-lattice bond-boson block at (s, p) for total momentum (kx, ky).
 
-    Arrays of momenta give the stack; all four broadcast together.
+    Arrays of momenta give the stack; all four broadcast together.  m is
+    the on-site splitting delta of the fermion model, twice the band
+    parameter m of :func:`dirac2d_band_energy`.
     """
     sin_kx = np.sin(kx - s)
     sin_ky = np.sin(ky - p)
@@ -165,11 +120,7 @@ def dirac_boson_block(s, p, kx, ky, m: float) -> DiracBlock:
     re[..., 3, 0], im[..., 3, 0] = _times_real(2.0j, sm)
     re[..., 1, 2], im[..., 1, 2] = _times_real(2.0j, sp)
     re[..., 2, 1], im[..., 2, 1] = _times_real(-2.0j, sp)
-    return DiracBlock(
-        s=s, p=p, kx=kx, ky=ky, m=m,
-        sin_x_plus=sp, sin_x_minus=sm, sin_y_plus=pp, sin_y_minus=pm,
-        matrix=HermitianMatrix(a),
-    )
+    return HermitianMatrix(a)
 
 
 def dirac_boson_closed_eigs(s, p, kx, ky, m: float) -> np.ndarray:
@@ -202,8 +153,9 @@ class SpectrumTable:
     ``numeric``, ``closed_form`` and ``fermion_pairs`` are (N, 4), each
     row ascending: the numerically diagonalized block spectrum, the
     closed-form evaluation, and the reconstruction from signed pairs of
-    single-fermion band energies.  ``discrepancy`` (N,) is each block's
-    largest pointwise difference among the three.
+    single-fermion band energies, the last two one route today (see the
+    module docstring).  ``discrepancy`` (N,) is each block's largest
+    pointwise difference of the numeric column from the other two.
     """
 
     model: str
@@ -226,7 +178,7 @@ class SpectrumTable:
 
 
 def correspondence_report(spec, tolerance: float = 1e-10) -> SpectrumTable:
-    """Three-route eigenvalue table over the full momentum grid.
+    """Eigenvalue table over the full momentum grid.
 
     For every block the numeric spectrum is compared against the closed
     form and against the signed sums of single-fermion band energies at
@@ -242,8 +194,8 @@ def correspondence_report(spec, tolerance: float = 1e-10) -> SpectrumTable:
         t0, alpha_u = spec.t0, spec.alpha_u
         block = ssh_boson_block(q, k, t0, alpha_u)
         closed = ssh_boson_closed_eigs(q, k, t0, alpha_u)
-        pairs = _signed_sums(ssh_band_energy(q, t0, alpha_u).plus_branch,
-                             ssh_band_energy(k / 2.0 - q, t0, alpha_u).plus_branch)
+        pairs = _signed_sums(ssh_band_energy(q, t0, alpha_u),
+                             ssh_band_energy(k / 2.0 - q, t0, alpha_u))
         model = "ssh"
         params = {"n_sites": spec.n_sites, "t0": spec.t0, "alpha_u": spec.alpha_u}
     elif isinstance(spec, SquareSpec):
@@ -257,15 +209,15 @@ def correspondence_report(spec, tolerance: float = 1e-10) -> SpectrumTable:
         # The block mass is the on-site splitting delta; the band energies
         # use the model's m = delta/2, so each radical is one full fermion
         # band energy and the block spectrum is the signed pair sums.
-        pairs = _signed_sums(dirac2d_band_energy(s, p, spec.m).plus_branch,
-                             dirac2d_band_energy(kx - s, ky - p, spec.m).plus_branch)
+        pairs = _signed_sums(dirac2d_band_energy(s, p, spec.m),
+                             dirac2d_band_energy(kx - s, ky - p, spec.m))
         model = "dirac2d"
         params = {"lx": spec.lx, "ly": spec.ly, "delta": spec.delta}
     else:
         raise TypeError(f"expected ChainSpec or SquareSpec, got {type(spec).__name__}")
-    numeric, closed, pairs = (
-        np.sort(route, axis=-1) for route in (hermitian_eigenvalues(block.matrix), closed, pairs)
-    )
+    # eigvalsh and the closed forms are ascending already
+    numeric = hermitian_eigenvalues(block)
+    pairs = np.sort(pairs, axis=-1)
     spread = np.max(np.abs(np.concatenate((numeric - closed, numeric - pairs), axis=-1)), axis=-1)
     return SpectrumTable(
         model=model,

@@ -37,6 +37,7 @@ import numpy as np
 
 from .bilinear import (
     ChainPair,
+    FockSizeError,
     SquarePair,
     bond_self_paired,
     boson_commutator_report,
@@ -45,7 +46,7 @@ from .bilinear import (
     square_bond_offsets,
 )
 from .blocks import correspondence_report
-from .fock import FockSizeError, FockSpace
+from .fock import FockSpace
 from .interactions import (
     coulomb_operator,
     coulomb_pair_form,

@@ -11,28 +11,10 @@ closed-form bands
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .lattice import ChainSpec, SquareSpec, square_mode
 from .numerics import HermitianMatrix, pow2
-
-
-@dataclass(frozen=True)
-class BandEnergy:
-    """Conduction/valence branch pair at one momentum, or at each of an array.
-
-    The band functions broadcast: scalar momenta give floats, arrays of
-    momenta give arrays of the same shape.  ``gap`` is the
-    momentum-dependent mass parameter entering the radical:
-    ``4*alpha_u*sin K`` for the chain, ``delta`` for the square lattice.
-    """
-
-    momentum: object
-    plus_branch: float
-    minus_branch: float
-    gap: float
 
 
 def ssh_hopping_matrix(spec: ChainSpec) -> HermitianMatrix:
@@ -53,12 +35,9 @@ def ssh_hopping_matrix(spec: ChainSpec) -> HermitianMatrix:
     return HermitianMatrix(h)
 
 
-def ssh_band_energy(momentum, t0: float, alpha_u: float) -> BandEnergy:
-    """Closed-form chain band at one momentum, or elementwise over an array."""
-    eps = 2.0 * t0 * np.cos(momentum)
-    gap = 4.0 * alpha_u * np.sin(momentum)
-    e = np.hypot(eps, gap)
-    return BandEnergy(momentum=momentum, plus_branch=e, minus_branch=-e, gap=gap)
+def ssh_band_energy(momentum, t0: float, alpha_u: float):
+    """Upper chain band E >= 0 at one momentum, or elementwise over an array."""
+    return np.hypot(2.0 * t0 * np.cos(momentum), 4.0 * alpha_u * np.sin(momentum))
 
 
 def dirac2d_hopping_matrix(spec: SquareSpec) -> HermitianMatrix:
@@ -92,7 +71,6 @@ def dirac2d_hopping_matrix(spec: SquareSpec) -> HermitianMatrix:
     return HermitianMatrix(h)
 
 
-def dirac2d_band_energy(kx, ky, m: float) -> BandEnergy:
-    """Closed-form square-lattice band at one momentum, or elementwise; m = delta/2."""
-    e = 2.0 * np.sqrt(m * m + pow2(np.sin(kx)) + pow2(np.sin(ky)))
-    return BandEnergy(momentum=(kx, ky), plus_branch=e, minus_branch=-e, gap=2.0 * m)
+def dirac2d_band_energy(kx, ky, m: float):
+    """Upper square-lattice band E >= 0 at one momentum, or elementwise; m = delta/2."""
+    return 2.0 * np.sqrt(m * m + pow2(np.sin(kx)) + pow2(np.sin(ky)))

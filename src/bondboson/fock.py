@@ -33,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+from .bilinear import CHAIN_CHANNEL_SPINS, SQUARE_PAIRING_COMPONENTS, check_mode_cap
 from .lattice import (
     ChainSpec,
     SquareSpec,
@@ -44,8 +45,6 @@ from .lattice import (
 # imported for the benchmark tracer, which wraps these names where fock looks them up
 from .lattice import chain_momenta, on_grid, square_momenta  # noqa: F401
 
-MAX_MODES = 16
-
 # Entries with modulus below this are dropped from stored operators.
 PRUNE_TOL = 1e-15
 
@@ -53,22 +52,6 @@ PRUNE_TOL = 1e-15
 # least one pair combination): bounds the state arrays, which would grow
 # with the term count if built all at once.
 SCATTER_BLOCK = 1 << 13
-
-
-class FockSizeError(ValueError):
-    """Raised when a requested space exceeds the exact-representation cap."""
-
-
-def check_mode_cap(n_modes: int) -> None:
-    """Raise :class:`FockSizeError` if ``n_modes`` exceeds :data:`MAX_MODES`."""
-    if n_modes > MAX_MODES:
-        raise FockSizeError(f"{n_modes} modes exceed the exact-representation cap of {MAX_MODES}")
-
-
-# The spins of the two created fermions of a chain channel, and the
-# components of a square-lattice pairing (0 = c, 1 = b).
-CHAIN_CHANNEL_SPINS = {"uu": (0, 0), "dd": (1, 1), "ud": (0, 1), "du": (1, 0)}
-SQUARE_PAIRING_COMPONENTS = {"cc": (0, 0), "bb": (1, 1), "cb": (0, 1), "bc": (1, 0)}
 
 
 class FockSpace:

@@ -26,6 +26,8 @@ import numpy as np
 from scipy import sparse
 
 from bondboson.bilinear import (
+    CHAIN_CHANNEL_SPINS,
+    SQUARE_PAIRING_COMPONENTS,
     ChainPair,
     commutator_with_hopping,
     hopping_matrix,
@@ -33,8 +35,6 @@ from bondboson.bilinear import (
     pair_norm,
 )
 from bondboson.fock import (
-    CHAIN_CHANNEL_SPINS,
-    SQUARE_PAIRING_COMPONENTS,
     FockSpace,
     SparseOperator,
     _bond_sum,

@@ -47,7 +47,7 @@ def test_a1_closed_form_vs_numeric_ssh():
     grid = chain_momenta(3)
     for q in grid:
         for k in grid:
-            numeric = hermitian_eigenvalues(ssh_boson_block(q, k, 1.0, 0.1).matrix)
+            numeric = hermitian_eigenvalues(ssh_boson_block(q, k, 1.0, 0.1))
             closed = ssh_boson_closed_eigs(q, k, 1.0, 0.1)
             worst = max(worst, float(np.max(np.abs(numeric - closed))))
     rng = np.random.default_rng(1)
@@ -55,7 +55,7 @@ def test_a1_closed_form_vs_numeric_ssh():
         q, k = rng.uniform(0, 2 * np.pi, 2)
         t0 = float(rng.uniform(0.2, 3.0))
         alpha_u = float(rng.uniform(-1.0, 1.0))
-        numeric = hermitian_eigenvalues(ssh_boson_block(q, k, t0, alpha_u).matrix)
+        numeric = hermitian_eigenvalues(ssh_boson_block(q, k, t0, alpha_u))
         closed = ssh_boson_closed_eigs(q, k, t0, alpha_u)
         worst = max(worst, float(np.max(np.abs(numeric - closed))))
     elapsed = time.perf_counter() - start
@@ -72,10 +72,10 @@ def test_a2_one_to_one_correspondence_ssh():
     worst = 0.0
     grid = chain_momenta(3)
     for q in grid:
-        e_q = ssh_band_energy(q, 1.0, 0.1).plus_branch
+        e_q = ssh_band_energy(q, 1.0, 0.1)
         for k in grid:
-            numeric = hermitian_eigenvalues(ssh_boson_block(q, k, 1.0, 0.1).matrix)
-            e_pair = ssh_band_energy(k / 2.0 - q, 1.0, 0.1).plus_branch
+            numeric = hermitian_eigenvalues(ssh_boson_block(q, k, 1.0, 0.1))
+            e_pair = ssh_band_energy(k / 2.0 - q, 1.0, 0.1)
             combos = np.sort([s1 * e_q + s2 * e_pair for s1 in (1, -1) for s2 in (1, -1)])
             worst = max(worst, float(np.max(np.abs(numeric - combos))))
     report("A2", worst <= tol, f"max multiset mismatch = {worst:.3e} <= {tol}")
@@ -137,13 +137,13 @@ def test_a4_near_filling_commutator_and_hole_table(tmp_path):
 def test_a5_closed_form_vs_numeric_dirac():
     tol = 1e-10
     m = 0.8
-    zero = hermitian_eigenvalues(dirac_boson_block(0.0, 0.0, 0.0, 0.0, m).matrix)
+    zero = hermitian_eigenvalues(dirac_boson_block(0.0, 0.0, 0.0, 0.0, m))
     scale_ok = bool(np.allclose(zero, [-2 * m, 0.0, 0.0, 2 * m], atol=tol))
     worst = 0.0
     grid = square_momenta(4, 4)
     for s, p in grid:
         for kx, ky in grid:
-            numeric = hermitian_eigenvalues(dirac_boson_block(s, p, kx, ky, m).matrix)
+            numeric = hermitian_eigenvalues(dirac_boson_block(s, p, kx, ky, m))
             closed = dirac_boson_closed_eigs(s, p, kx, ky, m)
             worst = max(worst, float(np.max(np.abs(numeric - closed))))
     report(
@@ -222,13 +222,13 @@ def test_a8_property_suites():
 
         chain_block = ssh_boson_block(q, k, t0, alpha_u)
         dirac_block = dirac_boson_block(s, p, kx, ky, m)
-        for arr in (chain_block.matrix.array, dirac_block.matrix.array):
+        for arr in (chain_block.array, dirac_block.array):
             hermitian_ok &= bool(np.max(np.abs(arr - arr.conj().T)) == 0.0)
             eigs = np.linalg.eigvalsh(arr)
             negation_ok &= bool(np.allclose(eigs, -eigs[::-1], atol=1e-10))
 
-        zero_chain = np.abs(hermitian_eigenvalues(ssh_boson_block(q, 0.0, t0, alpha_u).matrix))
-        zero_dirac = np.abs(hermitian_eigenvalues(dirac_boson_block(s, p, 0.0, 0.0, m).matrix))
+        zero_chain = np.abs(hermitian_eigenvalues(ssh_boson_block(q, 0.0, t0, alpha_u)))
+        zero_dirac = np.abs(hermitian_eigenvalues(dirac_boson_block(s, p, 0.0, 0.0, m)))
         zero_mode_ok &= int(np.sum(zero_chain < 1e-10)) >= 2
         zero_mode_ok &= int(np.sum(zero_dirac < 1e-10)) >= 2
     report(

@@ -31,6 +31,7 @@ from fock_oracle import (
 
 from bondboson.bilinear import (
     ChainPair,
+    FockSizeError,
     SquarePair,
     bond_identities,
     commutator_with_hopping,
@@ -40,7 +41,7 @@ from bondboson.bilinear import (
     pair_norm,
     pair_stack,
 )
-from bondboson.fock import FockSizeError, FockSpace, commutator, pair_bilinear
+from bondboson.fock import FockSpace, commutator, pair_bilinear
 from bondboson.interactions import (
     creation_pair_direct,
     pair_from_bonds,

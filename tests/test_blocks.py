@@ -14,24 +14,22 @@ from bondboson.lattice import ChainSpec, SquareSpec, chain_momenta, square_momen
 from bondboson.numerics import hermitian_eigenvalues
 
 
-def block_eigs(block):
-    return hermitian_eigenvalues(block.matrix)
-
-
 def test_ssh_block_uniform_zero_momentum():
     block = ssh_boson_block(0.0, 0.0, 1.0, 0.0)
-    assert block.cos_term == pytest.approx(2.0)
-    assert block.sin_term == pytest.approx(0.0)
-    assert block.cross_term == pytest.approx(2.0)
-    assert np.allclose(block_eigs(block), [-4.0, 0.0, 0.0, 4.0], atol=1e-12)
+    a = block.array
+    assert a[0, 0] == pytest.approx(2.0)
+    assert a[1, 0].imag == pytest.approx(0.0)
+    assert a[2, 0] == pytest.approx(2.0)
+    assert np.allclose(hermitian_eigenvalues(block), [-4.0, 0.0, 0.0, 4.0], atol=1e-12)
 
 
 def test_ssh_block_dimerized_point():
     block = ssh_boson_block(np.pi / 2, 0.0, 1.0, 0.25)
-    assert block.cos_term == pytest.approx(0.0, abs=1e-15)
-    assert block.sin_term == pytest.approx(1.0)
-    assert block.cross_term == pytest.approx(-1.0j, abs=1e-15)
-    assert np.allclose(block_eigs(block), [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
+    a = block.array
+    assert a[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert a[1, 0].imag == pytest.approx(1.0)
+    assert a[2, 0] == pytest.approx(-1.0j, abs=1e-15)
+    assert np.allclose(hermitian_eigenvalues(block), [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -40,7 +38,7 @@ def test_ssh_block_hermitian_for_random_inputs(seed):
     q, k = rng.uniform(0, 2 * np.pi, 2)
     # HermitianMatrix construction inside the builder enforces the invariant
     block = ssh_boson_block(q, k, rng.uniform(0.2, 3.0), rng.uniform(-1, 1))
-    a = block.matrix.array
+    a = block.array
     assert np.max(np.abs(a - a.conj().T)) == 0.0
 
 
@@ -51,7 +49,7 @@ def test_ssh_closed_form_matches_numeric_random():
         q, k = rng.uniform(0, 2 * np.pi, 2)
         t0 = rng.uniform(0.2, 3.0)
         alpha_u = rng.uniform(-1.0, 1.0)
-        numeric = block_eigs(ssh_boson_block(q, k, t0, alpha_u))
+        numeric = hermitian_eigenvalues(ssh_boson_block(q, k, t0, alpha_u))
         closed = ssh_boson_closed_eigs(q, k, t0, alpha_u)
         worst = max(worst, float(np.max(np.abs(numeric - closed))))
     assert worst <= 1e-10
@@ -60,7 +58,7 @@ def test_ssh_closed_form_matches_numeric_random():
 def test_ssh_closed_form_zero_total_momentum():
     # at k = 0 the two radicals coincide: {-2E, 0, 0, 2E}
     for q in (0.0, 0.4, np.pi / 2):
-        e = ssh_band_energy(q, 1.0, 0.3).plus_branch
+        e = ssh_band_energy(q, 1.0, 0.3)
         closed = ssh_boson_closed_eigs(q, 0.0, 1.0, 0.3)
         assert np.allclose(closed, [-2 * e, 0.0, 0.0, 2 * e], atol=1e-12)
 
@@ -69,7 +67,7 @@ def test_ssh_spectral_negation_symmetry():
     rng = np.random.default_rng(7)
     for _ in range(50):
         q, k = rng.uniform(0, 2 * np.pi, 2)
-        eigs = block_eigs(ssh_boson_block(q, k, 1.0, 0.2))
+        eigs = hermitian_eigenvalues(ssh_boson_block(q, k, 1.0, 0.2))
         assert np.allclose(eigs, -eigs[::-1], atol=1e-10)
 
 
@@ -77,21 +75,22 @@ def test_ssh_zero_modes_at_zero_total_momentum():
     rng = np.random.default_rng(3)
     for _ in range(20):
         q = rng.uniform(0, 2 * np.pi)
-        eigs = np.abs(block_eigs(ssh_boson_block(q, 0.0, 1.0, 0.35)))
+        eigs = np.abs(hermitian_eigenvalues(ssh_boson_block(q, 0.0, 1.0, 0.35)))
         assert np.sum(eigs < 1e-10) >= 2
 
 
 def test_ssh_gauge_periodicity():
     # q has period 2*pi; the half-angle phase makes k periodic with 4*pi
     q, k = 0.7, 1.3
-    base = block_eigs(ssh_boson_block(q, k, 1.0, 0.2))
-    assert np.allclose(base, block_eigs(ssh_boson_block(q + 2 * np.pi, k, 1.0, 0.2)), atol=1e-10)
-    assert np.allclose(base, block_eigs(ssh_boson_block(q, k + 4 * np.pi, 1.0, 0.2)), atol=1e-10)
+    base, q_shift, k_shift = (hermitian_eigenvalues(ssh_boson_block(*point, 1.0, 0.2))
+                              for point in ((q, k), (q + 2 * np.pi, k), (q, k + 4 * np.pi)))
+    assert np.allclose(base, q_shift, atol=1e-10)
+    assert np.allclose(base, k_shift, atol=1e-10)
 
 
 def test_dirac_block_mass_only_point():
     block = dirac_boson_block(0.0, 0.0, 0.0, 0.0, 0.5)
-    assert np.allclose(block_eigs(block), [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
+    assert np.allclose(hermitian_eigenvalues(block), [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
     assert np.allclose(
         dirac_boson_closed_eigs(0.0, 0.0, 0.0, 0.0, 0.5), [-1.0, 0.0, 0.0, 1.0]
     )
@@ -99,9 +98,10 @@ def test_dirac_block_mass_only_point():
 
 def test_dirac_block_pure_sine_point():
     block = dirac_boson_block(np.pi / 2, 0.0, 0.0, 0.0, 0.0)
-    assert block.sin_x_plus == pytest.approx(0.0, abs=1e-15)
-    assert block.sin_x_minus == pytest.approx(-2.0)
-    assert np.allclose(block_eigs(block), [-4.0, 0.0, 0.0, 4.0], atol=1e-12)
+    a = block.array
+    assert a[1, 2].imag / 2 == pytest.approx(0.0, abs=1e-15)
+    assert -a[0, 3].imag / 2 == pytest.approx(-2.0)
+    assert np.allclose(hermitian_eigenvalues(block), [-4.0, 0.0, 0.0, 4.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -109,7 +109,7 @@ def test_dirac_block_hermitian_for_random_inputs(seed):
     rng = np.random.default_rng(100 + seed)
     s, p, kx, ky = rng.uniform(0, 2 * np.pi, 4)
     block = dirac_boson_block(s, p, kx, ky, rng.uniform(-2, 2))
-    a = block.matrix.array
+    a = block.array
     assert np.max(np.abs(a - a.conj().T)) == 0.0
 
 
@@ -119,7 +119,7 @@ def test_dirac_closed_form_matches_numeric_random():
     for _ in range(300):
         s, p, kx, ky = rng.uniform(0, 2 * np.pi, 4)
         m = rng.uniform(-2.0, 2.0)
-        numeric = block_eigs(dirac_boson_block(s, p, kx, ky, m))
+        numeric = hermitian_eigenvalues(dirac_boson_block(s, p, kx, ky, m))
         closed = dirac_boson_closed_eigs(s, p, kx, ky, m)
         worst = max(worst, float(np.max(np.abs(numeric - closed))))
     assert worst <= 1e-10
@@ -137,7 +137,7 @@ def test_dirac_zero_modes_at_zero_total_momentum():
     rng = np.random.default_rng(5)
     for _ in range(20):
         s, p = rng.uniform(0, 2 * np.pi, 2)
-        eigs = np.abs(block_eigs(dirac_boson_block(s, p, 0.0, 0.0, 0.9)))
+        eigs = np.abs(hermitian_eigenvalues(dirac_boson_block(s, p, 0.0, 0.0, 0.9)))
         assert np.sum(eigs < 1e-10) >= 2
 
 
@@ -337,14 +337,14 @@ def test_block_stack_keeps_every_entry_bit_and_one_point_calls_agree(spec):
     else:
         args = (spec.delta,)
         build, closed, oracle = dirac_boson_block, dirac_boson_closed_eigs, oracle_dirac_matrix
-    stack = build(*points, *args).matrix.array
+    stack = build(*points, *args).array
     closed_rows = closed(*points, *args)
     for i, point in enumerate(zip(*points)):
         expected = oracle(*point, *args)
         np.fill_diagonal(expected, expected.diagonal().real)
         # tobytes also tells -0.0 from +0.0
         assert stack[i].tobytes() == expected.tobytes()
-        assert build(*point, *args).matrix.array.tobytes() == expected.tobytes()
+        assert build(*point, *args).array.tobytes() == expected.tobytes()
         assert closed(*point, *args).tobytes() == closed_rows[i].tobytes()
 
 
@@ -354,12 +354,12 @@ def test_stacks_keep_the_per_block_bits_at_random_momenta():
     rng = np.random.default_rng(9)
     q, k, s, p, kx, ky = rng.uniform(-7.0, 7.0, (6, 2000))
     t0, alpha_u, m = 1.3, -0.4, 0.9
-    chain = ssh_boson_block(q, k, t0, alpha_u).matrix.array
+    chain = ssh_boson_block(q, k, t0, alpha_u).array
     chain_closed = ssh_boson_closed_eigs(q, k, t0, alpha_u)
-    dirac = dirac_boson_block(s, p, kx, ky, m).matrix.array
+    dirac = dirac_boson_block(s, p, kx, ky, m).array
     dirac_closed = dirac_boson_closed_eigs(s, p, kx, ky, m)
-    chain_band = ssh_band_energy(q, t0, alpha_u).plus_branch
-    dirac_band = dirac2d_band_energy(kx, ky, m).plus_branch
+    chain_band = ssh_band_energy(q, t0, alpha_u)
+    dirac_band = dirac2d_band_energy(kx, ky, m)
     for i in range(q.size):
         expected = oracle_ssh_matrix(q[i], k[i], t0, alpha_u)
         np.fill_diagonal(expected, expected.diagonal().real)

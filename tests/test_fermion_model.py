@@ -31,20 +31,18 @@ def test_chain_matrix_is_hermitian(n_sites, alpha_u):
 
 def test_band_energy_special_points():
     at_zero = ssh_band_energy(0.0, 2.0, 0.7)
-    assert at_zero.plus_branch == pytest.approx(4.0)
-    assert at_zero.minus_branch == pytest.approx(-4.0)
-    assert at_zero.gap == pytest.approx(0.0)
+    assert at_zero == pytest.approx(4.0)
+    assert -at_zero == pytest.approx(-4.0)
     at_half = ssh_band_energy(np.pi / 2, 2.0, 0.7)
-    assert at_half.plus_branch == pytest.approx(4 * 0.7)
-    assert at_half.gap == pytest.approx(4 * 0.7)
+    assert at_half == pytest.approx(4 * 0.7)
 
 
 def test_band_energy_frozen_value_and_matrix_membership():
     band = ssh_band_energy(2 * np.pi / 3, 1.0, 0.25)
-    assert band.plus_branch == pytest.approx(1.3228756555322954, abs=1e-12)
+    assert band == pytest.approx(1.3228756555322954, abs=1e-12)
     spectrum = hermitian_eigenvalues(ssh_hopping_matrix(ChainSpec(6, t0=1.0, alpha_u=0.25)))
-    assert np.min(np.abs(spectrum - band.plus_branch)) < 1e-9
-    assert np.min(np.abs(spectrum - band.minus_branch)) < 1e-9
+    assert np.min(np.abs(spectrum - band)) < 1e-9
+    assert np.min(np.abs(spectrum + band)) < 1e-9
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -65,13 +63,13 @@ def test_chain_band_matrix_agreement(n_sites, alpha_u):
     spectrum = hermitian_eigenvalues(ssh_hopping_matrix(spec))
     for momentum in chain_momenta(spec.n_cells):
         band = ssh_band_energy(momentum, spec.t0, spec.alpha_u)
-        assert np.min(np.abs(spectrum - band.plus_branch)) < 1e-9
-        assert np.min(np.abs(spectrum - band.minus_branch)) < 1e-9
+        assert np.min(np.abs(spectrum - band)) < 1e-9
+        assert np.min(np.abs(spectrum + band)) < 1e-9
 
 
 def test_gap_closes_at_zero_modulation():
     fine = np.linspace(0, 2 * np.pi, 481)
-    energies = [ssh_band_energy(k, 1.0, 0.0).plus_branch for k in fine]
+    energies = [ssh_band_energy(k, 1.0, 0.0) for k in fine]
     assert min(energies) == pytest.approx(min(abs(2 * np.cos(fine))), abs=1e-12)
 
 
@@ -98,14 +96,13 @@ def test_square_spectrum_matches_band_multiset():
 
 
 def test_square_band_special_points():
-    assert dirac2d_band_energy(0.0, 0.0, 0.0).plus_branch == pytest.approx(0.0)
-    assert dirac2d_band_energy(np.pi / 2, 0.0, 0.0).plus_branch == pytest.approx(2.0)
+    assert dirac2d_band_energy(0.0, 0.0, 0.0) == pytest.approx(0.0)
+    assert dirac2d_band_energy(np.pi / 2, 0.0, 0.0) == pytest.approx(2.0)
     band = dirac2d_band_energy(0.0, 0.0, 0.5)
-    assert band.plus_branch == pytest.approx(1.0)
-    assert band.gap == pytest.approx(1.0)
+    assert band == pytest.approx(1.0)
     # equals the on-site splitting of the matrix with delta = 2m = 1
     matrix_eigs = hermitian_eigenvalues(dirac2d_hopping_matrix(SquareSpec(1, 1, delta=1.0)))
-    assert np.allclose(matrix_eigs, [band.minus_branch, band.plus_branch])
+    assert np.allclose(matrix_eigs, [-band, band])
 
 
 def test_square_band_matrix_agreement():
@@ -113,13 +110,13 @@ def test_square_band_matrix_agreement():
     spectrum = hermitian_eigenvalues(dirac2d_hopping_matrix(spec))
     for kx, ky in square_momenta(spec.lx, spec.ly):
         band = dirac2d_band_energy(kx, ky, spec.m)
-        assert np.min(np.abs(spectrum - band.plus_branch)) < 1e-9
-        assert np.min(np.abs(spectrum - band.minus_branch)) < 1e-9
+        assert np.min(np.abs(spectrum - band)) < 1e-9
+        assert np.min(np.abs(spectrum + band)) < 1e-9
 
 
 def test_massless_band_value_appears_in_matrix_spectrum():
     # E(pi/2, 0) = 2 at zero mass, and (pi/2, 0) sits on the 4x4 grid
     band = dirac2d_band_energy(np.pi / 2, 0.0, 0.0)
-    assert band.plus_branch == pytest.approx(2.0)
+    assert band == pytest.approx(2.0)
     spectrum = hermitian_eigenvalues(dirac2d_hopping_matrix(SquareSpec(4, 4, delta=0.0)))
     assert np.min(np.abs(spectrum - 2.0)) < 1e-9

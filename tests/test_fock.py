@@ -11,6 +11,7 @@ from scipy import sparse
 from bondboson import bilinear
 from bondboson.bilinear import (
     ChainPair,
+    FockSizeError,
     SquarePair,
     boson_commutator_report,
     h_bond_commutator_residuals,
@@ -21,7 +22,6 @@ from bondboson.bilinear import (
 from bondboson.cli import main
 from bondboson.fermion_model import dirac2d_hopping_matrix, ssh_hopping_matrix
 from bondboson.fock import (
-    FockSizeError,
     FockSpace,
     SparseOperator,
     chain_hamiltonian,
