@@ -58,6 +58,11 @@ CASES = {
         "verify", "correspondence", "--model", "dirac2d", "--lx", "2", "--ly", "3",
         "--mass", "1.3",
     ],
+    # 400 blocks holding 1,398 distinct floats and 109 exact zeros: pins the
+    # digits of a mid-size chain table float by float
+    "spectrum_ssh40_alpha013.csv": [
+        "spectrum", "ssh", "--sites", "40", "--alpha-u", "0.13", "--format", "csv",
+    ],
     # the identities suite: one momentum label per check, chain, spinful and 2D
     "verify_identities_ssh6.json": [
         "verify", "identities", "--model", "ssh", "--sites", "6", "--alpha-u", "0.1",
