@@ -16,16 +16,18 @@ momenta (integer indices j on an n-point grid) as 2j/n reduced times pi
 NaN residual fails.  Exit codes: 0 pass, 1 I/O failure or failed verdict,
 2 usage error, 3 Fock-space resource limit.
 
-Spectrum tables (``spectrum`` and ``verify correspondence``) are streamed:
-each distinct float is formatted once into a fixed per-block template laid
-out as ``json.dumps(indent=2, sort_keys=True)`` or ``csv.writer`` would, and
-written ``CHUNK_ROWS`` blocks at a time.  ``spectrum dirac2d --lx 16 --ly 16``
-takes 0.56 s and 122 MB (2-core x86-64 host, Python 3.11, numpy 2.4).
+Spectrum tables (``spectrum`` and ``verify correspondence``) are streamed
+``CHUNK_ROWS`` blocks at a time, each chunk one string join of a per-block
+template's literal pieces and field labels, laid out as ``json.dumps(indent=2,
+sort_keys=True)`` or ``csv.writer`` would.  Each distinct float is printed once,
+in numpy with ``fmt_float``'s bytes, by ``fmt_float`` only where that is not proved.
+``spectrum dirac2d --lx 16 --ly 16`` takes about 1.0 s and 125 MB (README.md).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -291,14 +293,67 @@ def _config_from_args(args) -> RunConfig:
 MOMENTUM_COLUMNS = {"ssh": ["q", "k"], "dirac2d": ["s", "p", "kx", "ky"]}
 # Table rows (momentum blocks) filled and written per chunk.
 CHUNK_ROWS = 1024
+KERNEL_BLOCK = 4096  # distinct floats per kernel pass, bounding its scratch arrays
 
 
-def _format_distinct(values, fmt) -> np.ndarray:
-    """``fmt`` of every entry of ``values`` as an object array, called once per distinct
-    64-bit pattern: not per value, as +0.0 == -0.0 format apart and a NaN equals nothing."""
+@functools.cache
+def _pow10_rows() -> np.ndarray:
+    """Rows (hi, lo): 10^(14 - e), e = -90..90, as double-doubles by correctly rounded int
+    true division (hi the nearest float, lo the nearest to the rest), on first use."""
+    rows = []
+    for k in range(104, -77, -1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        n, d = (num / den).as_integer_ratio()
+        rows.append((num / den, (num * d - n * den) / (den * d)))
+    return np.array(rows).T
+
+
+_THREE_DIGITS = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+
+
+def _format_floats(x) -> np.ndarray:
+    """``fmt_float`` of each entry of ``x`` as an object array, printed in numpy: |x| in
+    [1e-90, 1e91) times the double-double 10^(14 - e), e = floor(log10|x|), made exact to
+    1e-15 by Dekker's split, rounded to 15 digits and printed by 3-digit lookups.  Values
+    this does not prove (remainder within 1e-6 of a half, digits off [1e14, 1e15) as log10
+    was one off), zeros, subnormals, infs and NaNs are printed by ``fmt_float``."""
+    fast = (np.abs(x) >= 1e-90) & (np.abs(x) < 1e91)
+    a = np.where(fast, np.abs(x), 1.0)
+    e = np.clip(np.floor(np.log10(a)), -90, 90).astype(np.int64)
+    hi, lo = _pow10_rows().take(e + 90, axis=1)
+    # Dekker's split of a and hi into halves of at most 26 significant bits each
+    pair = np.stack([a, hi])
+    scaled = 134217729.0 * pair
+    (a1, h1), (a2, h2) = (high := scaled - (scaled - pair)), pair - high
+    p = a * hi
+    n = np.floor(p)
+    # the remainder: p - n exactly, plus the rounding error of p, plus a * lo
+    r = (p - n) + (((((a1 * h1 - p) + a1 * h2) + a2 * h1) + a2 * h2) + a * lo)
+    n, r = n + np.floor(r), r - np.floor(r)
+    fast &= (np.abs(r - 0.5) >= 1e-6) & (n >= 1e14) & (n < 1e15)
+    n += r > 0.5
+    carry = n == 1e15
+    n[carry], e[carry] = 1e14, e[carry] + 1
+    groups = n.astype(np.int64)[:, None] // [10 ** 12, 10 ** 9, 10 ** 6, 1000, 1] % 1000
+    digits = _THREE_DIGITS.take(groups, axis=0).reshape(-1, 15)
+    text = np.empty((len(a), 22), dtype=np.uint8)
+    text[:, 0] = np.where(x < 0, ord("-"), ord("+"))
+    text[:, 1], text[:, 2], text[:, 3:17] = digits[:, 0], ord("."), digits[:, 1:]
+    text[:, 17], text[:, 18] = ord("e"), np.where(e < 0, ord("-"), ord("+"))
+    text[:, 19:21], text[:, 21] = _THREE_DIGITS.take(np.abs(e), axis=0)[:, 1:], ord("\n")
+    labels = np.array(text.tobytes().decode("ascii").split(), dtype=object)
+    labels[~fast] = [fmt_float(v) for v in x[~fast].tolist()]
+    return labels
+
+
+def _format_distinct(values) -> np.ndarray:
+    """``fmt_float`` of every entry of ``values`` as an object array, formatted once per
+    distinct 64-bit pattern: not per value, as +0.0 == -0.0 format apart and a NaN
+    equals nothing.  The kernel takes ``KERNEL_BLOCK`` distinct floats at a time."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    labels = np.array([fmt(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    labels = np.concatenate([_format_floats(distinct[start:start + KERNEL_BLOCK].view(np.float64))
+                             for start in range(0, len(distinct), KERNEL_BLOCK)])
     return labels[inverse.reshape(values.shape)]
 
 
@@ -324,15 +379,20 @@ def _table_fields(table, points, grids) -> np.ndarray:
     values = np.column_stack([table.numeric, table.closed_form, table.fermion_pairs,
                               table.discrepancy])
     return np.hstack([np.column_stack([labels[n][points[:, c]] for c, n in enumerate(grids)]),
-                      _format_distinct(values, fmt_float)])
+                      _format_distinct(values)])
 
 
 def _fill(rows, template: str, sep: str):
-    """``template`` filled with each row and joined by ``sep``, ``CHUNK_ROWS`` rows a piece."""
+    """``template`` filled with each row and joined by ``sep``: one join per ``CHUNK_ROWS``
+    rows of a grid interleaving the template's literal pieces and the row's fields."""
+    literals = template.split("%s")
+    grid = np.empty((min(len(rows), CHUNK_ROWS), 2 * len(literals) - 1), dtype=object)
+    grid[:, 0], grid[:, 2::2] = sep + literals[0], literals[1:]
     for start in range(0, len(rows), CHUNK_ROWS):
         chunk = rows[start:start + CHUNK_ROWS]
-        text = sep.join([template] * len(chunk)) % tuple(chunk.ravel().tolist())
-        yield sep + text if start else text
+        grid[0, 0] = sep + literals[0] if start else literals[0]
+        grid[:len(chunk), 1::2] = chunk
+        yield "".join(grid[:len(chunk)].ravel().tolist())
 
 
 def _table_json(table, config: RunConfig):

@@ -380,6 +380,20 @@ def test_large_grid_spectrum_is_streamed(tmp_path):
     assert peak_mb < 250
 
 
+@needs_proc
+def test_chain_spectrum_csv_formats_floats_in_blocks(tmp_path):
+    # about 30,000 distinct floats.  The table writer's peak before the numpy float
+    # kernel was 64.3-64.4 MB (VmHWM, 5 runs, x86-64, Python 3.11, numpy 2.4); the
+    # bound is that plus 5%, the benchmark's own peak RSS bound, so a kernel whose
+    # scratch arrays grow with the whole table, not a fixed block, fails here first
+    out = tmp_path / "table.csv"
+    code, peak_mb = child_peak_mb(["spectrum", "ssh", "--sites", "200", "--format", "csv",
+                                   "--output", str(out)])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 1 + 4 * 100 * 100
+    assert peak_mb < 67.7
+
+
 @pytest.mark.parametrize("args", [["--model", "ssh", "--sites", "6"],
                                   ["--model", "dirac2d", "--lx", "2", "--ly", "3"]],
                          ids=["ssh6", "dirac2x3"])

@@ -8,10 +8,14 @@ floats.  Sizes: one row, one chunk, one chunk plus a row.
 
 import dataclasses
 import json
+import math
 import types
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import table_oracle
 from bondboson import cli
@@ -130,8 +134,87 @@ def test_csv_of_injected_tables(model, size):
     assert csv_difference(table) is None
 
 
-def test_each_distinct_pattern_is_formatted_once(monkeypatch):
+def off_the_fast_path(x: float) -> bool:
+    """Whether the kernel may leave ``x`` to ``fmt_float``: a zero, subnormal, inf or
+    NaN, a decimal exponent past +-90, or, measured exactly, a 15-digit remainder
+    within 2e-6 of one half or a value within a relative 1e-14 of a power of ten."""
+    if not math.isfinite(x) or not 1e-90 <= abs(x) < 1e91:
+        return True
+    exact = abs(Decimal(x))
+    scaled = exact.scaleb(14 - exact.adjusted())
+    remainder = scaled - int(scaled)
+    return (abs(remainder - Decimal("0.5")) < Decimal("2e-6")
+            or scaled < Decimal("100000000000001") or scaled > Decimal("999999999999990"))
+
+
+def assert_formatted_as_fmt_float(values):
+    """``_format_distinct(values)`` equals ``fmt_float`` entry by entry, and calls
+    ``fmt_float`` once for each zero, subnormal, inf, NaN or |exponent| > 90 pattern
+    and otherwise only for values off the fast path."""
+    values = np.asarray(values, dtype=np.float64)
     calls = []
+    fmt_float = cli.fmt_float
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "fmt_float", lambda x: calls.append(x) or fmt_float(x))
+        got = cli._format_distinct(values).tolist()
+    want = list(map(fmt_float, values.tolist()))
+    if got != want:
+        i = next(i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1])
+        raise AssertionError((values[i], got[i], want[i]))
+    called = np.array(calls, dtype=np.float64)
+    assert len(np.unique(called.view(np.uint64))) == len(called)
+    with np.errstate(invalid="ignore"):
+        in_range = (np.abs(called) >= 1e-90) & (np.abs(called) < 1e91)
+        slow = values[~((np.abs(values) >= 1e-90) & (np.abs(values) < 1e91))]
+    assert all(off_the_fast_path(x) for x in called[in_range].tolist())
+    assert np.isin(slow.view(np.uint64), called.view(np.uint64)).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=50))
+def test_kernel_matches_fmt_float_on_hypothesis_floats(xs):
+    specials = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310]
+    assert_formatted_as_fmt_float(xs + specials)
+
+
+def test_kernel_matches_fmt_float_on_random_bit_patterns():
+    bits = np.random.default_rng(11).integers(0, 2 ** 64, size=10 ** 6, dtype=np.uint64)
+    assert_formatted_as_fmt_float(bits.view(np.float64))
+
+
+def test_kernel_matches_fmt_float_at_powers_of_ten_and_carries():
+    powers = np.array([float(f"1e{k}") for k in range(-95, 96)])
+    # and up to 9e-15 below each power, where log10 may round up to the power's exponent
+    below = np.outer(powers, 1.0 - 1e-15 * np.arange(1, 10)).ravel()
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                             below])
+    carries = [0.9999999999999999, 9.999999999999999e-05, 9.9999999999999995e89]
+    # exact ties, rounded half to even: down, then up
+    ties = [1234567890123455.0, 1234567890123465.0, 2.5e15 + 5.0, 2.0 ** -22, 3 * 2.0 ** -22]
+    assert_formatted_as_fmt_float(np.concatenate([values, -values, carries, ties]))
+    assert cli.fmt_float(9.999999999999999e-05) == "+1.00000000000000e-04"
+
+
+def test_kernel_matches_fmt_float_at_decimal_near_ties():
+    # 16-digit decimals whose last digit is 5, as floats: one rounding away from the
+    # tie of two 15-digit neighbours
+    rng = np.random.default_rng(12)
+    mantissas = rng.integers(10 ** 14, 10 ** 15, size=10 ** 5)
+    exponents = rng.integers(-105, 76, size=10 ** 5)
+    ties = np.array([float(f"{m}5e{k}") for m, k in zip(mantissas.tolist(),
+                                                          exponents.tolist())])
+    ties[rng.random(len(ties)) < 0.5] *= -1.0
+    ties[0] = float("1234567890123455e-20")
+    values = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+    assert_formatted_as_fmt_float(values)
+
+
+def test_each_distinct_pattern_is_formatted_at_most_once(monkeypatch):
+    kernel_input, calls = [], []
+    format_floats = cli._format_floats
+    monkeypatch.setattr(cli, "_format_floats",
+                        lambda x: kernel_input.append(x.copy()) or format_floats(x))
     monkeypatch.setattr(cli, "fmt_float", lambda x: calls.append(x) or f"{x:+.14e}")
     n = cli.CHUNK_ROWS + 1
     # the 6x6 grid's momenta only: a label on a grid of more than 720 cells calls fmt_float too
@@ -139,7 +222,15 @@ def test_each_distinct_pattern_is_formatted_once(monkeypatch):
     table = dataclasses.replace(injected(real, n), params=real.params, momenta=real.momenta[:n])
     "".join(cli._table_csv(table))
     values = np.concatenate([getattr(table, name).reshape(-1) for name in VALUES])
-    assert len(calls) == len(np.unique(values.view(np.uint64)))
+    formatted = np.concatenate(kernel_input).view(np.uint64)
+    assert len(np.unique(formatted)) == len(formatted)
+    assert set(formatted.tolist()) == set(values.view(np.uint64).tolist())
+    # fmt_float runs for the injected zeros, NaNs, infs and subnormals, once each
+    fallback = values[~((np.abs(values) >= 1e-90) & (np.abs(values) < 1e91))]
+    called = np.array(calls, dtype=np.float64).view(np.uint64)
+    assert len(called) == len(set(called.tolist()))
+    assert set(called.tolist()) == set(fallback.view(np.uint64).tolist())
+    assert set(SPECIAL.view(np.uint64).tolist()) <= set(called.tolist())
 
 
 def grid_table(model, n):
