@@ -136,15 +136,6 @@ def _scaled(weight, terms) -> tuple:
     return tuple((weight * w, pair) for w, pair in terms)
 
 
-def mode_count(spec) -> int:
-    """Modes of the spec's lattice: one per site (two when spinful) on the chain, two per site in 2D."""
-    if isinstance(spec, ChainSpec):
-        return spec.n_sites * (2 if spec.spinful else 1)
-    if isinstance(spec, SquareSpec):
-        return 2 * spec.lx * spec.ly
-    raise TypeError(f"expected ChainSpec or SquareSpec, got {type(spec).__name__}")
-
-
 def pair_stack(spec, labels) -> np.ndarray:
     """The ``(P, n, n)`` coefficient matrices of the pair labels, in order; read-only.
 
@@ -156,7 +147,7 @@ def pair_stack(spec, labels) -> np.ndarray:
     :func:`~bondboson.lattice.unit_roots` (a product of one per axis in
     2D), so a label's matrix has the same bits in any list.
     """
-    n = mode_count(spec)
+    n = spec.n_modes
     stack = np.zeros((len(labels), n, n), dtype=complex)
     if isinstance(spec, ChainSpec):
         n_sites, spinful = spec.n_sites, spec.spinful
@@ -314,7 +305,7 @@ def bond_identities(spec) -> list:
     Raises :class:`FockSizeError` beyond the 16-mode cap:
     each residual is a Fock-space norm with an absolute bound.
     """
-    check_mode_cap(mode_count(spec))
+    check_mode_cap(spec.n_modes)
     if isinstance(spec, ChainSpec):
         return _chain_identities(spec)
     return _square_identities(spec)
@@ -440,7 +431,7 @@ def pair_commutator_table(spec, pairs, n_holes: int = 0, seed: int = 0):
     product's order depends on the CPU kernel), so reports are
     reproducible to the last digit.
     """
-    n = mode_count(spec)
+    n = spec.n_modes
     check_mode_cap(n)
     if isinstance(spec, ChainSpec):
         modes = [chain_mode(spec.n_sites, site, 0, spec.spinful) for site in range(spec.n_sites)]

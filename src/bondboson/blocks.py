@@ -98,12 +98,13 @@ def ssh_boson_closed_eigs(q, k, t0: float, alpha_u: float) -> np.ndarray:
     return np.sort(_signed_sums(r1, r2), axis=-1)
 
 
-def dirac_boson_block(s, p, kx, ky, m: float) -> HermitianMatrix:
+def dirac_boson_block(s, p, kx, ky, delta: float) -> HermitianMatrix:
     """Square-lattice bond-boson block at (s, p) for total momentum (kx, ky).
 
-    Arrays of momenta give the stack; all four broadcast together.  m is
-    the on-site splitting delta of the fermion model, twice the band
-    parameter m of :func:`dirac2d_band_energy`.
+    Arrays of momenta give the stack; all four broadcast together.
+    ``delta`` is the on-site splitting of the fermion model
+    (:attr:`SquareSpec.delta`), twice the band parameter m of
+    :func:`dirac2d_band_energy`.
     """
     sin_kx = np.sin(kx - s)
     sin_ky = np.sin(ky - p)
@@ -113,7 +114,7 @@ def dirac_boson_block(s, p, kx, ky, m: float) -> HermitianMatrix:
     pm = np.sin(p) + sin_ky
     a = _stack(s, p, kx, ky)
     re, im = a.real, a.imag
-    re[..., 0, 1] = re[..., 1, 0] = -2.0 * m
+    re[..., 0, 1] = re[..., 1, 0] = -2.0 * delta
     re[..., 0, 2] = re[..., 2, 0] = -2.0 * pp
     re[..., 1, 3] = re[..., 3, 1] = 2.0 * pm
     re[..., 0, 3], im[..., 0, 3] = _times_real(-2.0j, sm)
@@ -123,18 +124,19 @@ def dirac_boson_block(s, p, kx, ky, m: float) -> HermitianMatrix:
     return HermitianMatrix(a)
 
 
-def dirac_boson_closed_eigs(s, p, kx, ky, m: float) -> np.ndarray:
+def dirac_boson_closed_eigs(s, p, kx, ky, delta: float) -> np.ndarray:
     """All four signed sums of the two 2D band radicals, ascending.
 
-    The radicals are ``sqrt(m^2 + 4 sin^2(.) + 4 sin^2(.))`` at (s, p)
-    and (kx - s, ky - p): the single-fermion band energies of the
-    lattice model with on-site splitting m.  The doubled sines carry
-    the lattice hopping amplitude 2; the zero-momentum limit fixes the
-    overall scale, giving {-2m, 0, 0, +2m} there.  Arrays of momenta
-    give one row per block.
+    The radicals are ``sqrt(delta^2 + 4 sin^2(.) + 4 sin^2(.))`` at
+    (s, p) and (kx - s, ky - p): the single-fermion band energies
+    ``2*sqrt(m^2 + sin^2 + sin^2)`` of the lattice model with on-site
+    splitting delta = 2m.  The doubled sines carry the lattice hopping
+    amplitude 2; the zero-momentum limit fixes the overall scale, giving
+    {-2 delta, 0, 0, +2 delta} there.  Arrays of momenta give one row
+    per block.
     """
     def radical(a, b):
-        return np.sqrt(m * m + 4.0 * pow2(np.sin(a)) + 4.0 * pow2(np.sin(b)))
+        return np.sqrt(delta * delta + 4.0 * pow2(np.sin(a)) + 4.0 * pow2(np.sin(b)))
 
     return np.sort(_signed_sums(radical(s, p), radical(kx - s, ky - p)), axis=-1)
 
@@ -147,7 +149,8 @@ def dirac_boson_closed_eigs(s, p, kx, ky, m: float) -> np.ndarray:
 class SpectrumTable:
     """Per-block eigenvalue table with a global pass/fail verdict.
 
-    One row per momentum block, held as arrays: ``momenta`` holds integer
+    ``spec`` is the lattice the table was computed on.  One row per
+    momentum block, held as arrays: ``momenta`` holds integer
     grid indices, (N, 2), (q, k) on the chain's cell grid, and (N, 4),
     (s, p, kx, ky) on the x, y, x and y axis grids, in 2D;
     ``numeric``, ``closed_form`` and ``fermion_pairs`` are (N, 4), each
@@ -158,8 +161,7 @@ class SpectrumTable:
     pointwise difference of the numeric column from the other two.
     """
 
-    model: str
-    params: dict
+    spec: ChainSpec | SquareSpec
     tolerance: float
     momenta: np.ndarray
     numeric: np.ndarray
@@ -196,8 +198,6 @@ def correspondence_report(spec, tolerance: float = 1e-10) -> SpectrumTable:
         closed = ssh_boson_closed_eigs(q, k, t0, alpha_u)
         pairs = _signed_sums(ssh_band_energy(q, t0, alpha_u),
                              ssh_band_energy(k / 2.0 - q, t0, alpha_u))
-        model = "ssh"
-        params = {"n_sites": spec.n_sites, "t0": spec.t0, "alpha_u": spec.alpha_u}
     elif isinstance(spec, SquareSpec):
         grid = square_momenta(spec.lx, spec.ly)
         # flat x-major cell indices of (s, p) and of (kx, ky)
@@ -211,8 +211,6 @@ def correspondence_report(spec, tolerance: float = 1e-10) -> SpectrumTable:
         # band energy and the block spectrum is the signed pair sums.
         pairs = _signed_sums(dirac2d_band_energy(s, p, spec.m),
                              dirac2d_band_energy(kx - s, ky - p, spec.m))
-        model = "dirac2d"
-        params = {"lx": spec.lx, "ly": spec.ly, "delta": spec.delta}
     else:
         raise TypeError(f"expected ChainSpec or SquareSpec, got {type(spec).__name__}")
     # eigvalsh and the closed forms are ascending already
@@ -220,8 +218,7 @@ def correspondence_report(spec, tolerance: float = 1e-10) -> SpectrumTable:
     pairs = np.sort(pairs, axis=-1)
     spread = np.max(np.abs(np.concatenate((numeric - closed, numeric - pairs), axis=-1)), axis=-1)
     return SpectrumTable(
-        model=model,
-        params=params,
+        spec=spec,
         tolerance=tolerance,
         momenta=momenta,
         numeric=numeric,

@@ -14,7 +14,13 @@ momenta (integer indices j on an n-point grid) as 2j/n reduced times pi
 ("2/3 pi") while its denominator is at most 720, else as the float
 2*pi*j/n.  A verdict is "pass" only if every one of its checks passes; a
 NaN residual fails.  Exit codes: 0 pass, 1 I/O failure or failed verdict,
-2 usage error, 3 Fock-space resource limit.
+2 usage error, 3 resource limit (a Fock space past 16 modes, or a table
+too large for memory).
+
+The flags are checked once, each error naming its flag, and the lattice
+and its model parameters become one :class:`~bondboson.lattice.ChainSpec`
+or :class:`~bondboson.lattice.SquareSpec`, ``RunConfig.spec``: the
+suites, the table and the report's config echo all read it.
 
 Spectrum tables (``spectrum`` and ``verify correspondence``) are streamed
 ``CHUNK_ROWS`` blocks at a time, each chunk one string join of a per-block
@@ -95,51 +101,44 @@ def fmt_momentum(j: int, n: int) -> str:
     return f"{frac} pi" if frac else "0"
 
 
+# The --model name of each lattice, and the mass of the 2D model when --mass is not given.
+MODEL_NAMES = {ChainSpec: "ssh", SquareSpec: "dirac2d"}
+DEFAULT_MASS = 0.5
+
+
 @dataclass
 class RunConfig:
-    """Validated flag bundle for one CLI invocation."""
+    """Validated flag bundle for one CLI invocation; ``spec`` holds the lattice flags."""
 
     command: str
-    model: str
+    spec: ChainSpec | SquareSpec
     suite: str = ""
-    sites: int = 0
-    lx: int = 0
-    ly: int = 0
-    t0: float = 1.0
-    alpha_u: float = 0.0
-    mass: float = 0.5
-    spinful: bool = False
     holes: int = 0
     seed: int = 0
     tolerance: float = 0.0
     fmt: str = "json"
     output: str = ""
 
-    def chain_spec(self) -> ChainSpec:
-        return ChainSpec(self.sites, t0=self.t0, alpha_u=self.alpha_u, spinful=self.spinful)
-
-    def square_spec(self) -> SquareSpec:
-        return SquareSpec(self.lx, self.ly, delta=self.mass)
-
     def echo(self) -> dict:
+        spec = self.spec
         out = {
             "command": self.command,
-            "model": self.model,
+            "model": MODEL_NAMES[type(spec)],
             "seed": self.seed,
             "tolerance": fmt_float(self.tolerance),
             "format": self.fmt,
         }
         if self.suite:
             out["suite"] = self.suite
-        if self.model == "ssh":
+        if isinstance(spec, ChainSpec):
             out.update(
-                sites=self.sites,
-                t0=fmt_float(self.t0),
-                alpha_u=fmt_float(self.alpha_u),
-                spinful=self.spinful,
+                sites=spec.n_sites,
+                t0=fmt_float(spec.t0),
+                alpha_u=fmt_float(spec.alpha_u),
+                spinful=spec.spinful,
             )
         else:
-            out.update(lx=self.lx, ly=self.ly, mass=fmt_float(self.mass))
+            out.update(lx=spec.lx, ly=spec.ly, mass=fmt_float(spec.delta))
         return out
 
 
@@ -159,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lx", type=int, help="square lattice extent along x")
         p.add_argument("--ly", type=int, help="square lattice extent along y")
         # None marks a flag not given: _config_from_args rejects flags of the
-        # other model and fills in the RunConfig defaults
+        # other model and fills in the spec defaults
         p.add_argument("--t0", type=float, help="uniform hopping (chain, default 1.0)")
         p.add_argument("--alpha-u", type=float, dest="alpha_u",
                        help="alternating hopping modulation (chain, default 0.0)")
@@ -227,9 +226,9 @@ def _config_from_args(args) -> RunConfig:
     if holes is not None and suite != "commutators":
         raise ValueError("--holes applies only to the commutators suite")
     holes = 0 if holes is None else holes
-    t0 = RunConfig.t0 if args.t0 is None else args.t0
-    alpha_u = RunConfig.alpha_u if args.alpha_u is None else args.alpha_u
-    mass = RunConfig.mass if args.mass is None else args.mass
+    t0 = ChainSpec.t0 if args.t0 is None else args.t0
+    alpha_u = ChainSpec.alpha_u if args.alpha_u is None else args.alpha_u
+    mass = DEFAULT_MASS if args.mass is None else args.mass
     tolerance = args.tolerance
     if tolerance is None:
         tolerance = DEFAULT_TOLERANCES[suite or "spectrum"]
@@ -253,44 +252,30 @@ def _config_from_args(args) -> RunConfig:
             raise ValueError("--sites is required for the chain model")
         if args.sites <= 0 or args.sites % 2 != 0:
             raise ValueError(f"--sites must be a positive even integer, got {args.sites}")
+        spec = ChainSpec(args.sites, t0=t0, alpha_u=alpha_u, spinful=spinful)
     else:
         if args.lx is None or args.ly is None:
             raise ValueError("--lx and --ly are required for the 2D model")
         for flag, extent in (("--lx", args.lx), ("--ly", args.ly)):
             if extent < 1:
                 raise ValueError(f"{flag} must be >= 1, got {extent}")
+        spec = SquareSpec(args.lx, args.ly, delta=mass)
     if holes < 0:
         raise ValueError(f"--holes must be non-negative, got {holes}")
     # each hole empties the pair-carrying mode of one site
-    n_sites = args.sites if model == "ssh" else args.lx * args.ly
-    if holes > n_sites:
-        raise ValueError(f"--holes must not exceed the {n_sites} sites, got {holes}")
+    if holes > spec.n_sites:
+        raise ValueError(f"--holes must not exceed the {spec.n_sites} sites, got {holes}")
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    return RunConfig(
-        command=command,
-        model=model,
-        suite=suite,
-        sites=args.sites or 0,
-        lx=args.lx or 0,
-        ly=args.ly or 0,
-        t0=t0,
-        alpha_u=alpha_u,
-        mass=mass,
-        spinful=spinful,
-        holes=holes,
-        seed=args.seed,
-        tolerance=tolerance,
-        fmt=args.fmt,
-        output=args.output,
-    )
+    return RunConfig(command=command, spec=spec, suite=suite, holes=holes, seed=args.seed,
+                     tolerance=tolerance, fmt=args.fmt, output=args.output)
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
-MOMENTUM_COLUMNS = {"ssh": ["q", "k"], "dirac2d": ["s", "p", "kx", "ky"]}
+MOMENTUM_COLUMNS = {ChainSpec: ["q", "k"], SquareSpec: ["s", "p", "kx", "ky"]}
 # Table rows (momentum blocks) filled and written per chunk.
 CHUNK_ROWS = 1024
 KERNEL_BLOCK = 4096  # distinct floats per kernel pass, bounding its scratch arrays
@@ -361,13 +346,11 @@ def _table_points(table):
     """The table's momentum index columns, then fermion_pair_at's, and each one's grid size.
     fermion_pair_at is the second band momentum of the signed pair sums (the first is q,
     resp. (s, p)): k/2 - q on the chain's half-step site grid, (kx - s, ky - p) in 2D."""
-    m = table.momenta
-    if table.model == "ssh":
-        n_sites = table.params["n_sites"]
-        return (np.column_stack([m, (m[:, 1] - 2 * m[:, 0]) % n_sites]),
-                [n_sites // 2, n_sites // 2, n_sites])
-    lx, ly = table.params["lx"], table.params["ly"]
-    return np.hstack([m, (m[:, 2:] - m[:, :2]) % (lx, ly)]), [lx, ly] * 3
+    m, spec = table.momenta, table.spec
+    if isinstance(spec, ChainSpec):
+        return (np.column_stack([m, (m[:, 1] - 2 * m[:, 0]) % spec.n_sites]),
+                [spec.n_cells, spec.n_cells, spec.n_sites])
+    return np.hstack([m, (m[:, 2:] - m[:, :2]) % (spec.lx, spec.ly)]), [spec.lx, spec.ly] * 3
 
 
 def _table_fields(table, points, grids) -> np.ndarray:
@@ -400,7 +383,7 @@ def _table_json(table, config: RunConfig):
     itself around one block whose leaves, the field columns, become ``"%s"`` fields
     (no label needs JSON escaping)."""
     points, grids = _table_points(table)
-    if table.model == "ssh":
+    if isinstance(table.spec, ChainSpec):
         momenta = {"q": 0, "k": 1, "fermion_pair_at": 2}
     else:
         momenta = {"s": 0, "p": 1, "kx": 2, "ky": 3, "fermion_pair_at": [4, 5]}
@@ -426,7 +409,7 @@ def _table_json(table, config: RunConfig):
 def _table_csv(table):
     """The table as CSV text pieces, one row per rank, laid out as
     ``csv.writer(lineterminator="\\n")``: no field needs quoting."""
-    columns = MOMENTUM_COLUMNS[table.model]
+    columns = MOMENTUM_COLUMNS[type(table.spec)]
     n = len(columns)
     points, grids = _table_points(table)
     # per rank: the momenta, the rank, the three spectra at it and the discrepancy
@@ -456,8 +439,7 @@ def _emit(pieces, output: str) -> int:
 
 def cmd_spectrum(config: RunConfig) -> int:
     """The table of ``spectrum``, also the report of ``verify correspondence``."""
-    spec = config.chain_spec() if config.model == "ssh" else config.square_spec()
-    table = correspondence_report(spec, tolerance=config.tolerance)
+    table = correspondence_report(config.spec, tolerance=config.tolerance)
     pieces = _table_csv(table) if config.fmt == "csv" else _table_json(table, config)
     code = _emit(pieces, config.output)
     if code != EXIT_OK:
@@ -473,7 +455,7 @@ def _k_label(spec, k):
 
 
 def _suite_identities(config: RunConfig) -> dict:
-    spec = config.chain_spec() if config.model == "ssh" else config.square_spec()
+    spec = config.spec
     residuals = h_bond_commutator_residuals(spec)
     checks = []
     for identity, residual in residuals:
@@ -498,13 +480,12 @@ def _suite_identities(config: RunConfig) -> dict:
 
 def _suite_commutators(config: RunConfig) -> dict:
     """Near-filling commutator law plus the deviation-vs-holes table."""
-    if config.model == "ssh":
-        spec = config.chain_spec()
+    spec = config.spec
+    if isinstance(spec, ChainSpec):
         pairs = [ChainPair(l, K) for l in range(1, spec.n_cells + 1)
                  for K in range(spec.n_sites)]
         as_label = lambda pair: {"l": pair.l, "k": _k_label(spec, pair.K)}
     else:
-        spec = config.square_spec()
         # one offset per {d, -d} class: the reversed offset recreates the
         # same pairs and is not an independent bond
         lengths = square_bond_offsets(spec.lx, spec.ly)
@@ -584,8 +565,8 @@ def _suite_commutators(config: RunConfig) -> dict:
 
 
 def _suite_interactions(config: RunConfig) -> dict:
-    spec = config.chain_spec()
-    space = FockSpace.chain(spec.n_sites)
+    spec = config.spec
+    space = FockSpace(spec)
     alpha = random_offdiag_coupling(spec.n_sites, seed=config.seed)
     density_form = coulomb_operator(space, alpha)
     pair_form = coulomb_pair_form(space, alpha)
@@ -657,6 +638,11 @@ def main(argv=None) -> int:
         return cmd_verify(config)
     except FockSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        flags = "--sites" if args.model == "ssh" else "--lx/--ly"
+        print(f"error: the {args.model} report does not fit in memory; lower {flags}",
+              file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,8 +15,11 @@ Fock operator of an integer-momentum pair label (a ``ChainPair`` or
 No command calls them: they are the tests' independent cross-check of
 the coefficient route.
 
-Basis state ``i`` occupies mode ``b`` iff bit ``b`` of ``i`` is set.
-Mode order is site-major:
+A space is built from the lattice's spec, ``FockSpace(ChainSpec(...))``
+or ``FockSpace(SquareSpec(...))``, which it keeps as ``space.spec``: the
+Hamiltonians and pair sums read the lattice from it.  Basis state ``i``
+occupies mode ``b`` iff bit ``b`` of ``i`` is set.  Mode order is
+site-major:
 
 * chain, spinless: ``mode = site``
 * chain, spinful:  ``mode = 2*site + spin`` (spin 0 = up, 1 = down)
@@ -34,14 +37,7 @@ import numpy as np
 from scipy import sparse
 
 from .bilinear import CHAIN_CHANNEL_SPINS, SQUARE_PAIRING_COMPONENTS, check_mode_cap
-from .lattice import (
-    ChainSpec,
-    SquareSpec,
-    chain_anchors,
-    chain_mode,
-    phase_position,
-    square_mode,
-)
+from .lattice import chain_anchors, chain_mode, phase_position, square_mode
 # imported for the benchmark tracer, which wraps these names where fock looks them up
 from .lattice import chain_momenta, on_grid, square_momenta  # noqa: F401
 
@@ -55,52 +51,27 @@ SCATTER_BLOCK = 1 << 13
 
 
 class FockSpace:
-    """Full 2^n_modes occupation basis for a chain or square lattice."""
+    """Full 2^n_modes occupation basis of the lattice of a ChainSpec or SquareSpec."""
 
-    def __init__(self, kind, n_modes, geometry):
-        check_mode_cap(n_modes)
-        self.kind = kind
-        self.n_modes = n_modes
-        self.dim = 1 << n_modes
-        self.geometry = geometry
+    def __init__(self, spec):
+        check_mode_cap(spec.n_modes)
+        self.spec = spec
+        self.n_modes = spec.n_modes
+        self.dim = 1 << self.n_modes
         self._creation_cache = {}
         # Built pair sums, keyed by their pair label; operators are
         # immutable after construction, so sharing is safe.
         self._op_cache = {}
-
-    @classmethod
-    def chain(cls, n_sites: int, spinful: bool = False) -> "FockSpace":
-        """Fock space of a periodic chain; sublattice A = odd sites, B = even."""
-        if n_sites <= 0 or n_sites % 2 != 0:
-            raise ValueError(f"n_sites must be a positive even integer, got {n_sites}")
-        return cls("chain", n_sites * (2 if spinful else 1), {"n_sites": n_sites, "spinful": spinful})
-
-    @classmethod
-    def square(cls, lx: int, ly: int) -> "FockSpace":
-        """Fock space of the two-component periodic square lattice."""
-        if lx < 1 or ly < 1:
-            raise ValueError(f"lattice dims must be >= 1, got {lx}x{ly}")
-        return cls("square", 2 * lx * ly, {"lx": lx, "ly": ly})
-
-    # -- geometry accessors -------------------------------------------------
-    @property
-    def n_sites(self) -> int:
-        if self.kind == "chain":
-            return self.geometry["n_sites"]
-        return self.geometry["lx"] * self.geometry["ly"]
-
-    @property
-    def spinful(self) -> bool:
-        return self.kind == "chain" and self.geometry["spinful"]
 
     @property
     def filled_state(self) -> int:
         return self.dim - 1
 
     def chain_mode(self, site: int, spin: int = 0) -> int:
-        if spin != 0 and not self.spinful:
+        """The mode of a site and spin of the chain spec's space."""
+        if spin != 0 and not self.spec.spinful:
             raise ValueError("spinless space has a single species")
-        return chain_mode(self.geometry["n_sites"], site, spin, self.spinful)
+        return chain_mode(self.spec.n_sites, site, spin, self.spec.spinful)
 
     def _creation_matrix(self, mode: int):
         if mode < 0 or mode >= self.n_modes:
@@ -121,7 +92,7 @@ class FockSpace:
         return mat
 
     def __repr__(self):
-        return f"FockSpace(kind={self.kind!r}, n_modes={self.n_modes})"
+        return f"FockSpace({self.spec!r})"
 
 
 class SparseOperator:
@@ -329,12 +300,9 @@ def pair_products(space: FockSpace, raising, lowering, weights) -> SparseOperato
 # Many-body Hamiltonians (mirror the single-particle builders exactly)
 # ---------------------------------------------------------------------------
 
-def chain_hamiltonian(space: FockSpace, spec: ChainSpec) -> SparseOperator:
-    """Hopping Hamiltonian of the dimerized chain on the Fock space."""
-    if space.kind != "chain" or space.geometry["n_sites"] != spec.n_sites:
-        raise ValueError("space geometry does not match the chain spec")
-    if space.spinful != spec.spinful:
-        raise ValueError("space and spec disagree on spinfulness")
+def chain_hamiltonian(space: FockSpace) -> SparseOperator:
+    """Hopping Hamiltonian of the dimerized chain of the space's :class:`ChainSpec`."""
+    spec = space.spec
     spins = (0, 1) if spec.spinful else (0,)
     acc = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
     for site in range(spec.n_sites):
@@ -347,10 +315,9 @@ def chain_hamiltonian(space: FockSpace, spec: ChainSpec) -> SparseOperator:
     return SparseOperator(space, acc)
 
 
-def dirac_hamiltonian(space: FockSpace, spec: SquareSpec) -> SparseOperator:
-    """Two-component square-lattice Hamiltonian on the Fock space."""
-    if space.kind != "square" or (space.geometry["lx"], space.geometry["ly"]) != (spec.lx, spec.ly):
-        raise ValueError("space geometry does not match the square spec")
+def dirac_hamiltonian(space: FockSpace) -> SparseOperator:
+    """Two-component Hamiltonian of the square lattice of the space's :class:`SquareSpec`."""
+    spec = space.spec
     acc = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
     lx, ly = spec.lx, spec.ly
     create = lambda x, y, comp: space._creation_matrix(square_mode(lx, ly, x, y, comp))
@@ -387,7 +354,7 @@ def _bond_sum(space: FockSpace, pair) -> SparseOperator:
     cached = space._op_cache.get(pair)
     if cached is not None:
         return cached
-    n_sites = space.geometry["n_sites"]
+    n_sites = space.spec.n_sites
     spin1, spin2 = CHAIN_CHANNEL_SPINS[pair.channel]
     acc = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
     for site in chain_anchors(n_sites, pair.sublattice):
@@ -409,7 +376,7 @@ def _square_pair_sum(space: FockSpace, pair) -> SparseOperator:
     cached = space._op_cache.get(pair)
     if cached is not None:
         return cached
-    lx, ly = space.geometry["lx"], space.geometry["ly"]
+    lx, ly = space.spec.lx, space.spec.ly
     comp1, comp2 = SQUARE_PAIRING_COMPONENTS[pair.pairing]
     acc = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
     for x in range(lx):

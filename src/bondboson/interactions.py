@@ -33,15 +33,16 @@ from .fock import _bond_sum  # noqa: F401
 from .lattice import chain_momenta  # noqa: F401
 
 
-def _check_chain_space(space: FockSpace):
-    if space.kind != "chain" or space.spinful:
+def _check_chain_space(space: FockSpace) -> int:
+    """The site count of a spinless chain space; other spaces are rejected."""
+    if not isinstance(space.spec, ChainSpec) or space.spec.spinful:
         raise ValueError("interaction rewrites are defined on spinless chain spaces")
+    return space.spec.n_sites
 
 
 def _check_coupling(space: FockSpace, alpha) -> np.ndarray:
-    _check_chain_space(space)
+    n = _check_chain_space(space)
     a = np.asarray(alpha, dtype=float)
-    n = space.geometry["n_sites"]
     if a.shape != (n, n):
         raise ValueError(f"coupling matrix shape {a.shape} does not match {n} sites")
     if not np.allclose(a, a.T, atol=1e-12):
@@ -59,8 +60,7 @@ def random_offdiag_coupling(n_sites: int, seed: int = 0, scale: float = 1.0) -> 
 
 
 def _chain_sites(space: FockSpace, anchor: int) -> int:
-    _check_chain_space(space)
-    n_sites = space.geometry["n_sites"]
+    n_sites = _check_chain_space(space)
     if not 0 <= anchor < n_sites:
         raise ValueError(f"anchor {anchor} out of range 0..{n_sites - 1}")
     return n_sites

@@ -1,4 +1,9 @@
-"""Lattice geometries and the momentum grids fixed by periodic boundaries.
+"""Lattice descriptions and the momentum grids fixed by periodic boundaries.
+
+A :class:`ChainSpec` or :class:`SquareSpec` is the package's one
+description of a lattice: its kind, its extents and its model
+parameters.  The CLI's run configuration, the spectrum table and the
+Fock space each carry one, and read sizes and mode counts from it.
 
 Conventions used throughout the package:
 
@@ -48,6 +53,11 @@ class ChainSpec:
     def n_cells(self) -> int:
         return self.n_sites // 2
 
+    @property
+    def n_modes(self) -> int:
+        """One fermion mode per site, two when spinful."""
+        return self.n_sites * (2 if self.spinful else 1)
+
     def bond_amplitude(self, n: int) -> float:
         """Hopping amplitude on the bond (n, n+1), periodic in n."""
         return -self.t0 + (-1) ** (n % self.n_sites) * 2.0 * self.alpha_u
@@ -81,6 +91,11 @@ class SquareSpec:
     def n_sites(self) -> int:
         return self.lx * self.ly
 
+    @property
+    def n_modes(self) -> int:
+        """Two fermion modes (c and b) per site."""
+        return 2 * self.lx * self.ly
+
 
 def chain_momenta(n_cells: int) -> np.ndarray:
     """Periodic momentum grid ``{2*pi*j/n_cells}`` of an n-cell ring."""
@@ -93,10 +108,8 @@ def square_momenta(lx: int, ly: int) -> np.ndarray:
     """Cartesian-product momentum grid, shape (lx*ly, 2), x-major."""
     if lx < 1 or ly < 1:
         raise ValueError(f"lattice dims must be >= 1, got {lx}x{ly}")
-    kx = chain_momenta(lx)
-    ky = chain_momenta(ly)
-    grid = [(x, y) for x in kx for y in ky]
-    return np.array(grid, dtype=float).reshape(lx * ly, 2)
+    kx, ky = np.meshgrid(chain_momenta(lx), chain_momenta(ly), indexing="ij")
+    return np.column_stack((kx.ravel(), ky.ravel()))
 
 
 def unit_roots(n: int) -> np.ndarray:

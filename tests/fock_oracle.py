@@ -31,11 +31,9 @@ from bondboson.bilinear import (
     ChainPair,
     commutator_with_hopping,
     hopping_matrix,
-    mode_count,
     pair_norm,
 )
 from bondboson.fock import (
-    FockSpace,
     SparseOperator,
     _bond_sum,
     _pair_entries,
@@ -56,16 +54,10 @@ from bondboson.lattice import (
 )
 
 
-def fock_space(spec) -> FockSpace:
-    if isinstance(spec, ChainSpec):
-        return FockSpace.chain(spec.n_sites, spec.spinful)
-    return FockSpace.square(spec.lx, spec.ly)
-
-
-def fock_hamiltonian(space, spec) -> SparseOperator:
-    if isinstance(spec, ChainSpec):
-        return chain_hamiltonian(space, spec)
-    return dirac_hamiltonian(space, spec)
+def fock_hamiltonian(space) -> SparseOperator:
+    if isinstance(space.spec, ChainSpec):
+        return chain_hamiltonian(space)
+    return dirac_hamiltonian(space)
 
 
 def fock_pair(space, pair) -> SparseOperator:
@@ -115,7 +107,7 @@ def fock_pair_bilinear(space, m) -> SparseOperator:
 
 def label_matrix(spec, pair) -> np.ndarray:
     """The coefficient matrix of one :class:`ChainPair` or :class:`SquarePair`, built alone."""
-    n = mode_count(spec)
+    n = spec.n_modes
     a = np.zeros((n, n), dtype=complex)
     if isinstance(pair, ChainPair):
         n_sites, spinful = spec.n_sites, spec.spinful
@@ -136,7 +128,7 @@ def label_matrix(spec, pair) -> np.ndarray:
 
 def combination(spec, terms) -> np.ndarray:
     """``sum weight * pair`` over the ``(weight, pair)`` terms, one label at a time."""
-    acc = np.zeros((mode_count(spec),) * 2, dtype=complex)
+    acc = np.zeros((spec.n_modes,) * 2, dtype=complex)
     for weight, pair in terms:
         acc += weight * label_matrix(spec, pair)
     return acc
@@ -167,7 +159,7 @@ def pair_reconstruction_terms(n_sites: int, p: int, l: int) -> tuple:
 
 def sequential_pair_form(space, alpha) -> SparseOperator:
     """``-(1/2) sum alpha_nm (c+_n c+_m)(c_n c_m)``, n != m, summed term by term in (n, m) order."""
-    n_sites = space.geometry["n_sites"]
+    n_sites = space.spec.n_sites
     create = [space._creation_matrix(space.chain_mode(site)) for site in range(n_sites)]
     acc = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
     for n in range(n_sites):
@@ -182,7 +174,7 @@ def sequential_pair_form(space, alpha) -> SparseOperator:
 
 def sequential_bond_assembly(space, alpha) -> SparseOperator:
     """The pair form with each pair bilinear reassembled from bonds, one product per term."""
-    n_sites = space.geometry["n_sites"]
+    n_sites = space.spec.n_sites
     assembled = SparseOperator.zero(space)
     for n in range(n_sites):
         for m in range(n_sites):

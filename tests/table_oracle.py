@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from bondboson.cli import MOMENTUM_COLUMNS, fmt_float
-from bondboson.lattice import chain_momenta
+from bondboson.lattice import ChainSpec, chain_momenta
 
 
 def float_momentum_label(x: float) -> str:
@@ -39,12 +39,12 @@ def _labels(table):
     """Per row: the labels of the momentum columns, then of fermion_pair_at, in radians
     through ``chain_momenta``; fermion_pair_at is k/2 - q at site-grid index K - 2Q,
     resp. (kx - s, ky - p) at (Kx - S, Ky - P), mod the grid."""
-    if table.model == "ssh":
-        n_sites = table.params["n_sites"]
+    if isinstance(table.spec, ChainSpec):
+        n_sites = table.spec.n_sites
         grids = [n_sites // 2] * 2 + [n_sites]
         rows = [(q, k, (k - 2 * q) % n_sites) for q, k in table.momenta.tolist()]
     else:
-        lx, ly = table.params["lx"], table.params["ly"]
+        lx, ly = table.spec.lx, table.spec.ly
         grids = [lx, ly] * 3
         rows = [(s, p, kx, ky, (kx - s) % lx, (ky - p) % ly)
                 for s, p, kx, ky in table.momenta.tolist()]
@@ -58,7 +58,7 @@ def _value_rows(table):
 
 
 def table_json(table, config) -> str:
-    if table.model == "ssh":
+    if isinstance(table.spec, ChainSpec):
         as_momenta = lambda l: {"q": l[0], "k": l[1], "fermion_pair_at": l[2]}
     else:
         as_momenta = lambda l: {"s": l[0], "p": l[1], "kx": l[2], "ky": l[3],
@@ -87,7 +87,7 @@ def table_json(table, config) -> str:
 def table_csv(table) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    columns = MOMENTUM_COLUMNS[table.model]
+    columns = MOMENTUM_COLUMNS[type(table.spec)]
     writer.writerow(columns + ["rank", "numeric", "closed_form", "fermion_pair",
                                "max_discrepancy"])
     for labels, (numeric, closed, pairs, spread) in zip(_labels(table), _value_rows(table)):

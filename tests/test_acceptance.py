@@ -173,7 +173,7 @@ def test_a6_fermion_correspondence_dirac():
 
 
 def test_a7_interaction_rewrite():
-    space = FockSpace.chain(6)
+    space = FockSpace(ChainSpec(6))
     alpha = random_offdiag_coupling(6, seed=3)
     form_distance = (coulomb_operator(space, alpha) - coulomb_pair_form(space, alpha)).norm()
     reconstruction = 0.0
@@ -203,8 +203,8 @@ def test_a8_property_suites():
     hermitian_ok = True
     negation_ok = True
     zero_mode_ok = True
-    space4 = FockSpace.chain(4)
-    space_sq = FockSpace.square(2, 2)
+    space4 = FockSpace(ChainSpec(4))
+    space_sq = FockSpace(SquareSpec(2, 2))
     for _ in range(cases):
         q, k, s, p, kx, ky = rng.uniform(0, 2 * np.pi, 6)
         t0 = float(rng.uniform(0.2, 3.0))

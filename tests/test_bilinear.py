@@ -22,7 +22,6 @@ from fock_oracle import (
     fock_identity_sides,
     fock_pair_bilinear,
     fock_quadratic,
-    fock_space,
     identity_sides,
     label_matrix,
     pair_reconstruction_terms,
@@ -92,8 +91,8 @@ def test_unit_roots_are_exact_at_quarter_turns():
 
 @pytest.mark.parametrize("spec", AGREEMENT_SPECS, ids=spec_id)
 def test_identities_agree_with_the_fock_oracle_per_check(spec):
-    space = fock_space(spec)
-    h_fock = fock_hamiltonian(space, spec)
+    space = FockSpace(spec)
+    h_fock = fock_hamiltonian(space)
     h = hopping_matrix(spec)
     identities = bond_identities(spec)
     residuals = h_bond_commutator_residuals(spec)
@@ -170,15 +169,15 @@ def test_identity_momenta_are_grid_indices():
 def test_hopping_matrix_is_the_fock_hamiltonian():
     for spec in (ChainSpec(6, alpha_u=0.2), ChainSpec(4, alpha_u=0.1, spinful=True),
                  SquareSpec(2, 3, delta=0.4), ChainSpec(2, alpha_u=0.3)):
-        space = fock_space(spec)
-        difference = fock_quadratic(space, hopping_matrix(spec)) - fock_hamiltonian(space, spec)
+        space = FockSpace(spec)
+        difference = fock_quadratic(space, hopping_matrix(spec)) - fock_hamiltonian(space)
         assert difference.norm() <= 1e-14
 
 
 @pytest.mark.parametrize("n_modes", [2, 3, 5, 7])
 def test_commutator_with_hopping_is_the_fock_commutator(n_modes):
     rng = np.random.default_rng(100 + n_modes)
-    space = FockSpace.chain(8)
+    space = FockSpace(ChainSpec(8))
     modes = space.n_modes
     h = np.zeros((modes, modes), dtype=complex)
     a = np.zeros((modes, modes), dtype=complex)
@@ -194,7 +193,7 @@ def test_commutator_with_hopping_is_the_fock_commutator(n_modes):
 @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 6, 8])
 def test_pair_norm_is_the_fock_frobenius_norm(n_modes):
     rng = np.random.default_rng(n_modes)
-    space = FockSpace.chain(n_modes) if n_modes % 2 == 0 else FockSpace.chain(n_modes + 1)
+    space = FockSpace(ChainSpec(n_modes + n_modes % 2))
     m = np.zeros((space.n_modes,) * 2, dtype=complex)
     m[:n_modes, :n_modes] = rng.normal(size=(n_modes,) * 2) + 1j * rng.normal(size=(n_modes,) * 2)
     fock = fock_pair_bilinear(space, m).norm()
@@ -203,7 +202,7 @@ def test_pair_norm_is_the_fock_frobenius_norm(n_modes):
 
 def test_pair_bilinear_matches_the_dense_oracle():
     rng = np.random.default_rng(7)
-    space = FockSpace.chain(4)
+    space = FockSpace(ChainSpec(4))
     dense = dense_jw_creation(4)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     expected = sum(m[i, j] * dense[i] @ dense[j] for i in range(4) for j in range(4))
@@ -220,7 +219,7 @@ def test_identities_beyond_the_cap_raise_the_fock_size_error():
 
 def test_pair_reconstruction_agrees_with_the_fock_oracle():
     for n_sites in (2, 4, 6, 8):
-        space = FockSpace.chain(n_sites)
+        space = FockSpace(ChainSpec(n_sites))
         for p in range(n_sites):
             for l in range(1, n_sites):
                 terms = pair_reconstruction_terms(n_sites, p, l)
@@ -280,8 +279,8 @@ def fock_setups():
 
     def setup(spec):
         if spec not in cache:
-            space = fock_space(spec)
-            cache[spec] = space, fock_hamiltonian(space, spec)
+            space = FockSpace(spec)
+            cache[spec] = space, fock_hamiltonian(space)
         return cache[spec]
 
     return setup
@@ -312,7 +311,7 @@ def test_a_wrong_reconstruction_weight_fails_both_routes(n_sites, mutation):
     target = np.zeros((n_sites, n_sites))
     target[p, (p + l) % n_sites] = 1.0
     assert pair_norm(combination(ChainSpec(n_sites), terms) - target) > RECONSTRUCTION_BOUND
-    space = FockSpace.chain(n_sites)
+    space = FockSpace(ChainSpec(n_sites))
     fock = fock_combination(space, terms) - creation_pair_direct(space, p, l)
     assert fock.norm() > RECONSTRUCTION_BOUND
 

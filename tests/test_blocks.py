@@ -143,7 +143,7 @@ def test_dirac_zero_modes_at_zero_total_momentum():
 
 def test_correspondence_report_ssh():
     table = correspondence_report(ChainSpec(6, t0=1.0, alpha_u=0.1))
-    assert table.model == "ssh"
+    assert table.spec == ChainSpec(6, t0=1.0, alpha_u=0.1)
     assert table.numeric.shape == (9, 4)
     assert table.passed
     assert table.max_discrepancy <= 1e-10
@@ -164,7 +164,7 @@ def test_correspondence_report_ssh_degenerate_chain():
 
 def test_correspondence_report_dirac():
     table = correspondence_report(SquareSpec(4, 4, delta=1.2))
-    assert table.model == "dirac2d"
+    assert table.spec == SquareSpec(4, 4, delta=1.2)
     assert table.numeric.shape == (256, 4)
     assert table.passed
     assert table.max_discrepancy <= 1e-10

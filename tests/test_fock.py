@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 from conftest import dense_jw_creation
-from fock_oracle import fock_pair, fock_space
+from fock_oracle import fock_pair
 from scipy import sparse
 
 from bondboson import bilinear
@@ -37,7 +37,7 @@ EPS = np.finfo(float).eps
 
 
 def test_single_mode_creation_matrix():
-    space = FockSpace.chain(2)
+    space = FockSpace(ChainSpec(2))
     c0 = creation_op(space, 0).to_dense()
     # mode 0 occupies bit 0; no modes sit below it, so both signs are +1
     assert c0[0b01, 0b00] == 1.0
@@ -49,7 +49,7 @@ def test_single_mode_creation_matrix():
 
 
 def test_creation_ops_match_dense_oracle():
-    space = FockSpace.chain(4)
+    space = FockSpace(ChainSpec(4))
     dense = dense_jw_creation(4)
     for mode in range(4):
         assert np.array_equal(creation_op(space, mode).to_dense(), dense[mode])
@@ -57,7 +57,7 @@ def test_creation_ops_match_dense_oracle():
 
 @pytest.mark.parametrize("n_modes", [1, 2, 3, 5])
 def test_anticommutation_relations_exact(n_modes):
-    space = FockSpace.chain(2) if n_modes <= 2 else FockSpace.chain(6)
+    space = FockSpace(ChainSpec(2)) if n_modes <= 2 else FockSpace(ChainSpec(6))
     modes = range(n_modes)
     eye = SparseOperator.identity(space)
     for i in modes:
@@ -73,39 +73,39 @@ def test_anticommutation_relations_exact(n_modes):
 
 
 def test_adjoint_of_adjoint_is_original():
-    space = FockSpace.chain(4)
+    space = FockSpace(ChainSpec(4))
     e = fock_pair(space, ChainPair(1, 0))
     assert (e.adjoint().adjoint() - e).norm() == 0.0
 
 
 def test_stored_zeros_are_pruned():
-    space = FockSpace.chain(2)
+    space = FockSpace(ChainSpec(2))
     tiny = 1e-16 * creation_op(space, 0)
     assert tiny.nnz == 0
 
 
 def test_mode_out_of_range_rejected():
-    space = FockSpace.chain(2)
+    space = FockSpace(ChainSpec(2))
     with pytest.raises(ValueError):
         creation_op(space, 2)
 
 
 def test_space_mismatch_rejected():
-    a = creation_op(FockSpace.chain(2), 0)
-    b = creation_op(FockSpace.chain(2), 0)
+    a = creation_op(FockSpace(ChainSpec(2)), 0)
+    b = creation_op(FockSpace(ChainSpec(2)), 0)
     with pytest.raises(ValueError):
         commutator(a, b)
 
 
 def test_size_cap_enforced():
     with pytest.raises(FockSizeError):
-        FockSpace.chain(18)
+        FockSpace(ChainSpec(18))
     with pytest.raises(FockSizeError):
-        FockSpace.square(3, 3)
+        FockSpace(SquareSpec(3, 3))
 
 
 def test_commutator_basics():
-    space = FockSpace.chain(4)
+    space = FockSpace(ChainSpec(4))
     c0 = creation_op(space, 0)
     n0 = c0 @ c0.adjoint()
     assert commutator(c0, c0).norm() == 0.0
@@ -114,8 +114,8 @@ def test_commutator_basics():
 
 def test_chain_hamiltonian_single_particle_sector():
     spec = ChainSpec(6, t0=1.0, alpha_u=0.2)
-    space = FockSpace.chain(6)
-    h_many = chain_hamiltonian(space, spec).matrix
+    space = FockSpace(spec)
+    h_many = chain_hamiltonian(space).matrix
     h_one = ssh_hopping_matrix(spec).array
     for i in range(6):
         for j in range(6):
@@ -124,8 +124,8 @@ def test_chain_hamiltonian_single_particle_sector():
 
 def test_dirac_hamiltonian_single_particle_sector():
     spec = SquareSpec(2, 2, delta=0.8)
-    space = FockSpace.square(2, 2)
-    h_many = dirac_hamiltonian(space, spec).matrix
+    space = FockSpace(spec)
+    h_many = dirac_hamiltonian(space).matrix
     h_one = dirac2d_hopping_matrix(spec).array
     for i in range(8):
         for j in range(8):
@@ -181,7 +181,7 @@ PER_LABEL_CASES = (
 @pytest.mark.parametrize("spec,labels", [case[1:] for case in PER_LABEL_CASES],
                          ids=[case[0] for case in PER_LABEL_CASES])
 def test_fock_pair_matches_coefficients_and_dense_build(spec, labels):
-    space = fock_space(spec)
+    space = FockSpace(spec)
     dense = dense_jw_creation(space.n_modes)
     for pair, coefficients in zip(labels, pair_stack(spec, labels)):
         built = fock_pair(space, pair)
@@ -192,7 +192,7 @@ def test_fock_pair_matches_coefficients_and_dense_build(spec, labels):
 
 
 def test_bond_adjoint_equals_independent_lowering_operator():
-    space = FockSpace.chain(6)
+    space = FockSpace(ChainSpec(6))
     k = 2 * np.pi / 6
     raised = fock_pair(space, ChainPair(2, 1))
     lowering = SparseOperator.zero(space)
@@ -214,7 +214,7 @@ def test_square_bond_offsets_canonical():
 
 
 def test_bond_operator_raises_number_by_two():
-    space = FockSpace.chain(4)
+    space = FockSpace(ChainSpec(4))
     e = fock_pair(space, ChainPair(1, 2))  # k = pi
     total = SparseOperator.zero(space)
     for mode in range(space.n_modes):
@@ -225,7 +225,7 @@ def test_bond_operator_raises_number_by_two():
 
 def test_filled_state_pair_expectation():
     # only the diagonal n = n' terms survive on the filled state
-    space = FockSpace.chain(6)
+    space = FockSpace(ChainSpec(6))
     for l in (1, 2):
         for K in range(6):
             e = fock_pair(space, ChainPair(l, K))
@@ -236,7 +236,7 @@ def test_filled_state_pair_expectation():
 def test_half_ring_bond_vanishes_on_cell_grid():
     # the l = n_cells pair sum self-pairs across the ring and cancels
     # for momenta with e^{i k n_cells} = 1 (up to phase-rounding dust)
-    space = FockSpace.chain(6)
+    space = FockSpace(ChainSpec(6))
     for K in (0, 2, 4):
         assert fock_pair(space, ChainPair(3, K)).norm() < 1e-13
 
@@ -362,7 +362,7 @@ ORACLE_SEED = 3
 def fock_near_filling(name):
     """Per hole count: the table, its hole modes and every label's Fock row and column at s."""
     spec = ORACLE_SPECS[name]
-    space = fock_space(spec)
+    space = FockSpace(spec)
     labels = near_filling_labels(spec)
     tables = {holes: pair_commutator_table(spec, labels, n_holes=holes, seed=ORACLE_SEED)
               for holes in ORACLE_HOLES}
@@ -399,7 +399,7 @@ def test_table_matches_the_fock_single_pair_route(name, holes):
 
 @pytest.mark.parametrize("holes", ORACLE_HOLES)
 def test_table_matches_dense_commutator(holes):
-    space = FockSpace.chain(6)
+    space = FockSpace(ChainSpec(6))
     labels = near_filling_labels(CHAIN6)
     table, hole_modes = pair_commutator_table(CHAIN6, labels, n_holes=holes, seed=1)
     state = holed_state(space, hole_modes)

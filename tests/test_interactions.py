@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from fock_oracle import (
@@ -20,6 +22,7 @@ from bondboson.interactions import (
     pair_from_bonds,
     random_offdiag_coupling,
 )
+from bondboson.lattice import ChainSpec
 
 EPS = np.finfo(float).eps
 
@@ -39,7 +42,7 @@ def unpruned_distance(x: SparseOperator, y: SparseOperator) -> float:
 
 
 def test_two_site_offdiagonal_coupling_spectrum():
-    space = FockSpace.chain(2)
+    space = FockSpace(ChainSpec(2))
     v = 0.8
     alpha = np.array([[0.0, v], [v, 0.0]])
     diag = coulomb_operator(space, alpha).to_dense().diagonal().real
@@ -48,7 +51,7 @@ def test_two_site_offdiagonal_coupling_spectrum():
 
 
 def test_zero_coupling_gives_zero_operator():
-    space = FockSpace.chain(4)
+    space = FockSpace(ChainSpec(4))
     assert coulomb_operator(space, np.zeros((4, 4))).nnz == 0
     assert coulomb_pair_form(space, np.zeros((4, 4))).nnz == 0
     assert bond_assembled_pair_form(space, np.zeros((4, 4))).nnz == 0
@@ -57,7 +60,7 @@ def test_zero_coupling_gives_zero_operator():
 
 def test_diagonal_coupling_is_half_total_density():
     # n^2 = n for fermions, so alpha_nn contributes alpha_nn/2 * n
-    space = FockSpace.chain(4)
+    space = FockSpace(ChainSpec(4))
     alpha = np.diag([0.4, 0.6, 0.8, 1.0])
     op = coulomb_operator(space, alpha)
     number_weighted = SparseOperator.zero(space)
@@ -68,15 +71,15 @@ def test_diagonal_coupling_is_half_total_density():
 
 
 def test_diagonal_coupling_pair_form_vanishes():
-    space = FockSpace.chain(4)
+    space = FockSpace(ChainSpec(4))
     assert coulomb_pair_form(space, np.diag([1.0, 2.0, 3.0, 4.0])).nnz == 0
 
 
 def test_pair_form_equals_density_form_offdiagonal():
-    space = FockSpace.chain(2)
+    space = FockSpace(ChainSpec(2))
     alpha = np.array([[0.0, 0.8], [0.8, 0.0]])
     assert (coulomb_operator(space, alpha) - coulomb_pair_form(space, alpha)).norm() == 0.0
-    space6 = FockSpace.chain(6)
+    space6 = FockSpace(ChainSpec(6))
     alpha6 = random_offdiag_coupling(6, seed=9)
     d = (coulomb_operator(space6, alpha6) - coulomb_pair_form(space6, alpha6)).norm()
     assert d <= 1e-12
@@ -84,7 +87,7 @@ def test_pair_form_equals_density_form_offdiagonal():
 
 def test_termwise_density_pair_identity():
     # n_n n_m + (c+_n c+_m)(c_n c_m) = 0 exactly for n != m
-    space = FockSpace.chain(4)
+    space = FockSpace(ChainSpec(4))
     for n in range(4):
         for m in range(4):
             if n == m:
@@ -96,20 +99,20 @@ def test_termwise_density_pair_identity():
 
 
 def test_both_forms_are_hermitian():
-    space = FockSpace.chain(6)
+    space = FockSpace(ChainSpec(6))
     alpha = random_offdiag_coupling(6, seed=2)
     for op in (coulomb_operator(space, alpha), coulomb_pair_form(space, alpha)):
         assert (op - op.adjoint()).norm() < 1e-13
 
 
 def test_pair_reconstruction_four_sites():
-    space = FockSpace.chain(4)
+    space = FockSpace(ChainSpec(4))
     d = (pair_from_bonds(space, 0, 1) - creation_pair_direct(space, 0, 1)).norm()
     assert d <= 1e-13
 
 
 def test_pair_reconstruction_every_pair_six_sites():
-    space = FockSpace.chain(6)
+    space = FockSpace(ChainSpec(6))
     for p in range(6):
         for l in range(1, 6):
             d = (pair_from_bonds(space, p, l) - creation_pair_direct(space, p, l)).norm()
@@ -117,14 +120,14 @@ def test_pair_reconstruction_every_pair_six_sites():
 
 
 def test_pair_reconstruction_degenerate_two_site_ring():
-    space = FockSpace.chain(2)
+    space = FockSpace(ChainSpec(2))
     d = (pair_from_bonds(space, 0, 1) - creation_pair_direct(space, 0, 1)).norm()
     assert d <= 1e-13
 
 
 def test_inverse_transform_recovers_bond_operator():
     # summing the reconstructions against e^{+ipk} returns e_{+lk}
-    space = FockSpace.chain(6)
+    space = FockSpace(ChainSpec(6))
     l = 2
     for K in (0, 1, 2):
         acc = SparseOperator.zero(space)
@@ -134,20 +137,20 @@ def test_inverse_transform_recovers_bond_operator():
 
 
 def test_equivalence_residual_seeded_random():
-    space = FockSpace.chain(6)
+    space = FockSpace(ChainSpec(6))
     alpha = random_offdiag_coupling(6, seed=5)
     direct = coulomb_pair_form(space, alpha)
     assert interaction_equivalence_residual(space, alpha, direct) <= 1e-12 * max(direct.norm(), 1.0)
 
 
 def test_equivalence_residual_zero_coupling():
-    space = FockSpace.chain(6)
+    space = FockSpace(ChainSpec(6))
     zero = np.zeros((6, 6))
     assert interaction_equivalence_residual(space, zero, coulomb_pair_form(space, zero)) == 0.0
 
 
 def test_equivalence_residual_nearest_neighbour():
-    space = FockSpace.chain(6)
+    space = FockSpace(ChainSpec(6))
     alpha = np.zeros((6, 6))
     for n in range(6):
         alpha[n, (n + 1) % 6] = alpha[(n + 1) % 6, n] = 0.7
@@ -161,7 +164,7 @@ def test_equivalence_residual_nearest_neighbour():
 def test_equivalence_residual_is_the_unpruned_distance(n_sites):
     # the `verify interactions --sites n --seed 3` check: 6 sites report 0.0
     # for an unpruned 1.1e-15, 10 sites 3.3e-15 for 1.05e-14
-    space = FockSpace.chain(n_sites)
+    space = FockSpace(ChainSpec(n_sites))
     alpha = random_offdiag_coupling(n_sites, seed=3)
     direct = coulomb_pair_form(space, alpha)
     unpruned = unpruned_distance(direct, bond_assembled_pair_form(space, alpha))
@@ -178,7 +181,7 @@ INEXACT_RECONSTRUCTION = (6, 10, 14)
 
 @pytest.mark.parametrize("n_sites", [2, 4, 6, 8, 10, 12, 14])
 def test_stacked_builds_match_the_sequential_reference(n_sites):
-    space = FockSpace.chain(n_sites)
+    space = FockSpace(ChainSpec(n_sites))
     for seed in (0, 1, 2, 7):
         alpha = random_offdiag_coupling(n_sites, seed=seed)
         direct = coulomb_pair_form(space, alpha)
@@ -206,7 +209,7 @@ def test_pair_products_at_the_block_edges(terms):
     n, m, k = np.array([rng.permutation(EDGE_SITES)[:3] for _ in range(terms)]).T
     raising, lowering = eye[n, :, None] * eye[m, None, :], eye[k, :, None] * eye[n, None, :]
     weights = rng.uniform(-1.0, 1.0, terms)
-    space = FockSpace.chain(EDGE_SITES)
+    space = FockSpace(ChainSpec(EDGE_SITES))
     stacked = pair_products(space, raising, lowering, weights)
     assert stacked.nnz > 0
     assert same_bits(stacked, sequential_pair_products(space, raising, lowering, weights))
@@ -220,7 +223,7 @@ def test_pair_products_of_dense_stacks_match_the_term_by_term_sum():
     shape = (terms, 4, 4)
     raising, lowering = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
     weights = rng.normal(size=terms) + 1j * rng.normal(size=terms)
-    space = FockSpace.chain(4)
+    space = FockSpace(ChainSpec(4))
     stacked = pair_products(space, raising, lowering, weights)
     reference = sequential_pair_products(space, raising, lowering, weights)
     assert unpruned_distance(stacked, reference) <= 64 * terms * EPS * reference.norm()
@@ -243,7 +246,7 @@ def test_interaction_stacks_have_the_bits_of_the_chunked_product(monkeypatch, n_
     stacks = []
     monkeypatch.setattr(interactions, "pair_products",
                         lambda *args: stacks.append(args) or pair_products(*args))
-    space = FockSpace.chain(n_sites)
+    space = FockSpace(ChainSpec(n_sites))
     for seed in (0, 1, 2):
         alpha = random_offdiag_coupling(n_sites, seed=seed)
         coulomb_pair_form(space, alpha)
@@ -259,8 +262,8 @@ def random_stack(rng, terms, n_modes, density):
 
 
 def mode_space(n_modes):
-    """A Fock space of any mode count (chain spaces have an even count)."""
-    return FockSpace("chain", n_modes, {"n_sites": n_modes, "spinful": False})
+    """A Fock space of any mode count (chain and square specs have an even count)."""
+    return FockSpace(types.SimpleNamespace(n_modes=n_modes))
 
 
 @pytest.mark.parametrize("n_modes", range(4, 11))
@@ -286,7 +289,7 @@ def test_stacks_that_straddle_scatter_blocks_have_the_chunked_bits():
 
 
 def test_empty_and_pruned_stacks_give_the_zero_operator():
-    space = FockSpace.chain(6)
+    space = FockSpace(ChainSpec(6))
     rng = np.random.default_rng(3)
     dense = random_stack(rng, 4, 6, 1.0)
     weights = rng.normal(size=4)
@@ -303,7 +306,7 @@ def test_empty_and_pruned_stacks_give_the_zero_operator():
 def test_single_pair_products_have_the_chunked_bits(lowered):
     # A = c+_0 c+_1 and B = c+_k c+_l: equal pairs fill the diagonal, pairs that
     # share a mode (3-mode unions) or none (4-mode unions) fill off-diagonal slots
-    space = FockSpace.chain(6)
+    space = FockSpace(ChainSpec(6))
     eye = np.eye(6)
     k, l = lowered
     raising = (eye[0, :, None] * eye[1, None, :])[None] * (0.3 - 1.1j)
@@ -322,7 +325,7 @@ MUTATION_PER_BLOCK = SCATTER_BLOCK >> (MUTATION_SITES - 2)
 @pytest.mark.parametrize("term", [0, MUTATION_PER_BLOCK - 1, MUTATION_PER_BLOCK, -1])
 @pytest.mark.parametrize("mutation", ["flip_sign", "drop"])
 def test_a_wrong_stack_term_fails_the_bond_assembled_check(monkeypatch, mutation, term):
-    space = FockSpace.chain(MUTATION_SITES)
+    space = FockSpace(ChainSpec(MUTATION_SITES))
     alpha = random_offdiag_coupling(MUTATION_SITES, seed=3)
     direct = coulomb_pair_form(space, alpha)
     tolerance = 1e-12 * max(direct.norm(), 1.0)  # the bound of the verify report
@@ -342,7 +345,7 @@ def test_a_wrong_stack_term_fails_the_bond_assembled_check(monkeypatch, mutation
 
 
 def test_validation_errors():
-    space = FockSpace.chain(4)
+    space = FockSpace(ChainSpec(4))
     with pytest.raises(ValueError):
         coulomb_operator(space, np.zeros((3, 3)))
     bad = np.zeros((4, 4))
@@ -355,6 +358,6 @@ def test_validation_errors():
         pair_from_bonds(space, 0, 0)
     with pytest.raises(ValueError):
         pair_from_bonds(space, 0, 4)
-    spinful = FockSpace.chain(4, spinful=True)
+    spinful = FockSpace(ChainSpec(4, spinful=True))
     with pytest.raises(ValueError):
         coulomb_operator(spinful, np.zeros((4, 4)))

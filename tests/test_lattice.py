@@ -53,6 +53,16 @@ def test_square_momenta_four_by_two():
     assert np.allclose(np.unique(grid[:, 0]), [0, np.pi / 2, np.pi, 3 * np.pi / 2])
 
 
+def test_square_momenta_have_the_bits_of_the_product_list():
+    for lx in range(1, 9):
+        for ly in range(1, 9):
+            listed = np.array([(x, y) for x in chain_momenta(lx) for y in chain_momenta(ly)],
+                              dtype=float).reshape(lx * ly, 2)
+            grid = square_momenta(lx, ly)
+            assert grid.shape == listed.shape
+            assert grid.tobytes() == listed.tobytes(), (lx, ly)
+
+
 def test_square_momenta_rejects_zero_extent():
     with pytest.raises(ValueError):
         square_momenta(0, 2)
@@ -66,6 +76,12 @@ def test_chain_spec_validation():
     with pytest.raises(ValueError):
         ChainSpec(6, t0=0.0)
     assert ChainSpec(6).n_cells == 3
+
+
+def test_n_modes_of_the_specs():
+    assert ChainSpec(6).n_modes == 6
+    assert ChainSpec(6, spinful=True).n_modes == 12
+    assert SquareSpec(2, 3).n_modes == 12
 
 
 def test_chain_bond_amplitude_alternates():

@@ -49,11 +49,12 @@ def injected(table, n):
     values.reshape(-1)[::2] = np.resize(SPECIAL, values.reshape(-1)[::2].shape)
     values[0::2, 0], values[1::2, 0] = 0.0, -0.0
     momenta = table.momenta[:n].copy()
-    x = [0, 1] if table.model == "ssh" else [0, 2]
+    chain = isinstance(table.spec, ChainSpec)
+    x = [0, 1] if chain else [0, 2]
     momenta[:, x] = np.random.default_rng(7).integers(0, BIG, size=(n, 2))
     momenta[0, x] = 0, BIG // 2
-    params = {**table.params, **({"n_sites": 2 * BIG} if table.model == "ssh" else {"lx": BIG})}
-    return dataclasses.replace(table, params=params, momenta=momenta, numeric=values[:, 0:4],
+    spec = dataclasses.replace(table.spec, **({"n_sites": 2 * BIG} if chain else {"lx": BIG}))
+    return dataclasses.replace(table, spec=spec, momenta=momenta, numeric=values[:, 0:4],
                                closed_form=values[:, 4:8], fermion_pairs=values[:, 8:12],
                                discrepancy=values[:, 12])
 
@@ -79,8 +80,8 @@ def csv_difference(table):
 
 
 def config(model, suite):
-    return cli.RunConfig(command="verify" if suite else "spectrum", model=model, suite=suite,
-                         sites=70, lx=6, ly=6, alpha_u=0.2, mass=1.3, tolerance=1e-10)
+    return cli.RunConfig(command="verify" if suite else "spectrum", spec=TABLES[model].spec,
+                         suite=suite, tolerance=1e-10)
 
 
 @pytest.mark.parametrize("size", list(SIZES))
@@ -218,7 +219,7 @@ def test_each_distinct_pattern_is_formatted_at_most_once(monkeypatch):
     n = cli.CHUNK_ROWS + 1
     # the 6x6 grid's momenta only: a label on a grid of more than 720 cells calls fmt_float too
     real = TABLES["dirac2d"]
-    table = dataclasses.replace(injected(real, n), params=real.params, momenta=real.momenta[:n])
+    table = dataclasses.replace(injected(real, n), spec=real.spec, momenta=real.momenta[:n])
     "".join(cli._table_csv(table))
     values = np.concatenate([getattr(table, name).reshape(-1) for name in VALUES])
     formatted = np.concatenate(kernel_input).view(np.uint64)
@@ -239,11 +240,10 @@ def grid_table(model, n):
     first, second = np.divmod(np.arange(n * n), n)
     grid = chain_momenta(n)
     if model == "ssh":
-        table = types.SimpleNamespace(model=model, params={"n_sites": 2 * n},
-                                      momenta=np.column_stack((first, second)))
+        table = types.SimpleNamespace(spec=ChainSpec(2 * n), momenta=np.column_stack((first, second)))
         return table, 2, np.mod(grid[second] / 2.0 - grid[first], TWO_PI)
     zero = np.zeros_like(first)
-    table = types.SimpleNamespace(model=model, params={"lx": n, "ly": 1},
+    table = types.SimpleNamespace(spec=SquareSpec(n, 1),
                                   momenta=np.column_stack((first, zero, second, zero)))
     return table, 4, np.mod(grid[second] - grid[first], TWO_PI)
 
@@ -278,7 +278,7 @@ def test_chain_pair_label_at_1442_sites_is_printed_from_its_index():
     # 2*5/1442 = 5/721 has no denominator of at most 720; the float route printed
     # np.mod(k/2 - q, 2*pi), one rounding off 2*pi*5/1442
     real = TABLES["ssh"]
-    table = dataclasses.replace(real, params={**real.params, "n_sites": 1442},
+    table = dataclasses.replace(real, spec=dataclasses.replace(real.spec, n_sites=1442),
                                 momenta=np.array([[2, 9]]),
                                 **{name: getattr(real, name)[:1] for name in VALUES})
     report = json.loads("".join(cli._table_json(table, config("ssh", ""))))
