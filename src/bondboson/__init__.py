@@ -15,6 +15,13 @@ wavelength limit is the 2+1D Dirac equation.  For both it provides
   sums of two fermion band energies (`blocks`),
 * the quartic-to-quadratic interaction rewrite (`interactions`),
 * a CLI emitting deterministic JSON/CSV reports (`cli`).
+
+The names below are the coefficient-matrix and spectrum API; importing
+them loads neither scipy nor the Fock route.  The Fock route is imported
+from its submodules, ``bondboson.fock`` and ``bondboson.interactions``:
+only ``verify interactions`` runs it, so the package does not load it
+for every command.  Scipy is loaded by the Fock route and by the first
+call of :func:`pair_commutator_table` (``verify commutators``).
 """
 
 from .bilinear import (
@@ -45,24 +52,6 @@ from .fermion_model import (
     dirac2d_hopping_matrix,
     ssh_band_energy,
     ssh_hopping_matrix,
-)
-from .fock import (
-    FockSpace,
-    SparseOperator,
-    chain_hamiltonian,
-    commutator,
-    creation_op,
-    dirac_hamiltonian,
-    pair_bilinear,
-)
-from .interactions import (
-    coulomb_operator,
-    coulomb_pair_form,
-    creation_pair_direct,
-    interaction_equivalence_residual,
-    pair_from_bonds,
-    pair_reconstruction_max,
-    random_offdiag_coupling,
 )
 from .lattice import ChainSpec, SquareSpec, chain_momenta, square_momenta
 from .numerics import (

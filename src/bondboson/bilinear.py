@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .fermion_model import dirac2d_hopping_matrix, ssh_hopping_matrix
 from .lattice import (
@@ -446,6 +445,8 @@ def pair_commutator_table(spec, pairs, n_holes: int = 0, seed: int = 0):
     occupied[list(holes)] = 0.0
     i, j = np.triu_indices(n, 1)
     weights = occupied[i] * occupied[j] - (1.0 - occupied[i]) * (1.0 - occupied[j])
+    from scipy import sparse  # imported at its one use: commands without this table skip it
+
     a = pair_stack(spec, pairs)
     x = sparse.csr_matrix((a - a.transpose(0, 2, 1))[:, i, j])
     return (x.multiply(weights).tocsr() @ x.conj().T).toarray(), holes

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import math
 import re
@@ -54,20 +55,45 @@ from .bilinear import (
     square_bond_offsets,
 )
 from .blocks import correspondence_report
-from .fock import FockSpace
-from .interactions import (
-    coulomb_operator,
-    coulomb_pair_form,
-    interaction_equivalence_residual,
-    pair_reconstruction_max,
-    random_offdiag_coupling,
-)
-# imported for the benchmark tracer, which wraps these names where cli looks them up;
-# the pair reconstruction is measured on coefficients, momenta are integer indices
-from .interactions import creation_pair_direct, pair_from_bonds  # noqa: F401
+# bound for the benchmark tracer, which wraps these names where cli looks them up;
+# no command calls them (momenta are integer indices)
 from .lattice import chain_momenta, square_momenta  # noqa: F401
 from .lattice import TWO_PI, ChainSpec, SquareSpec
 from .numerics import max_residual
+
+# The Fock route and scipy under it are imported on first use: only `verify
+# interactions` runs them, and their import is most of the package's start-up.
+# A name is bound into the module's globals by its first lookup from outside
+# (`__getattr__`, PEP 562) or by `_bind_fock_route` when the suite starts, so a
+# wrapper the benchmark tracer installs in its place is the one the suite calls.
+# `creation_pair_direct` and `pair_from_bonds` are bound for the tracer alone:
+# the pair reconstruction is measured on coefficients.
+_FOCK_ROUTE = {
+    "FockSpace": "fock",
+    "coulomb_operator": "interactions",
+    "coulomb_pair_form": "interactions",
+    "creation_pair_direct": "interactions",
+    "interaction_equivalence_residual": "interactions",
+    "pair_from_bonds": "interactions",
+    "pair_reconstruction_max": "interactions",
+    "random_offdiag_coupling": "interactions",
+}
+
+
+def __getattr__(name: str):
+    """Import a Fock-route name's module on the name's first lookup and bind the name."""
+    module = _FOCK_ROUTE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _bind_fock_route() -> None:
+    """Bind every Fock-route name not yet in the module's globals."""
+    for name in _FOCK_ROUTE.keys() - globals().keys():
+        __getattr__(name)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -565,6 +591,7 @@ def _suite_commutators(config: RunConfig) -> dict:
 
 
 def _suite_interactions(config: RunConfig) -> dict:
+    _bind_fock_route()
     spec = config.spec
     space = FockSpace(spec)
     alpha = random_offdiag_coupling(spec.n_sites, seed=config.seed)

@@ -291,6 +291,48 @@ def test_module_entry_point_subprocess(tmp_path):
     assert payload["verdict"] == "pass"
 
 
+# Loaded on first use, not at import: this test process may have loaded them
+# already, so the checks below run in fresh interpreters.
+LAZY_MODULES = ("scipy", "bondboson.fock", "bondboson.interactions")
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (None, []),
+    (["spectrum", "ssh", "--sites", "6"], []),
+    (["verify", "identities", "--model", "ssh", "--sites", "6"], []),
+    (["verify", "correspondence", "--model", "dirac2d", "--lx", "2", "--ly", "3"], []),
+    (["verify", "commutators", "--model", "ssh", "--sites", "6"], ["scipy"]),
+    (["verify", "interactions", "--model", "ssh", "--sites", "4"], sorted(LAZY_MODULES)),
+], ids=["setup-probe", "spectrum", "identities", "correspondence", "commutators",
+        "interactions"])
+def test_commands_load_only_what_they_run(tmp_path, argv, loaded):
+    # the first case is the benchmark's setup probe: import the CLI, build its parser
+    script = "import json, sys\nimport bondboson.cli\nbondboson.cli.build_parser()\n"
+    if argv is not None:
+        argv = argv + ["--output", str(tmp_path / "report")]
+        script += f"assert bondboson.cli.main({argv!r}) == 0\n"
+    script += f"print(json.dumps(sorted(m for m in {LAZY_MODULES!r} if m in sys.modules)))\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == loaded
+
+
+def test_interactions_bind_the_fock_route_in_a_fresh_interpreter():
+    name = "verify_interactions_ssh6.json"
+    proc = subprocess.run([sys.executable, "-m", "bondboson", *CASES[name]],
+                          capture_output=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / name).read_bytes()
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "bondboson", "verify", "interactions", "--model", "ssh",
+         "--sites", "18"], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "18 modes exceed the exact-representation cap of 16" in proc.stderr
+
+
 def test_commutators_hole_table_stops_at_the_site_count(capsys):
     # --holes may empty every site; one more is a usage error (BAD_FLAGS)
     code, out, _ = run_cli(["verify", "commutators", "--model", "ssh", "--sites", "2",
