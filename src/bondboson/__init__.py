@@ -28,7 +28,7 @@ from .bilinear import (
     BosonCommutatorReport,
     ChainPair,
     FockSizeError,
-    Identity,
+    IdentityTable,
     SquarePair,
     bond_identities,
     bond_self_paired,

@@ -15,14 +15,15 @@ on coefficients:
 
     ||P_M||_F = 2^((n-2)/2) * ||M - M^T||_F / sqrt(2).
 
-The H-bond identities are stated here once, as data: each
-:class:`Identity` lists its target bond (or combination) and the
-weighted pair sums of its right-hand side.  :func:`h_bond_commutator_residuals`
+The H-bond identities are stated here once, as data: an
+:class:`IdentityTable` whose sides are (identity, term) arrays of
+weights and of pair labels, each label one row of ints
+(:class:`ChainPair`, :class:`SquarePair`).  :func:`h_bond_commutator_residuals`
 evaluates both sides on coefficients and reports the Fock-space
-Frobenius norm of LHS - RHS; the tests evaluate the same data on Fock
+Frobenius norm of LHS - RHS; the tests evaluate the same table on Fock
 matrices as a cross-check.  All identities of a lattice are evaluated
 in one batch (:func:`identity_residuals`): one stacked build of every
-distinct pair label (:func:`pair_stack`), the weighted sums of all
+distinct label (:func:`pair_stack`), the weighted sums of all
 sides accumulated term by term at once, and ``[H, .]`` as one stacked
 product.  Each entry still adds its terms in the listed order, so the
 residuals have the bits of a one-identity-at-a-time evaluation.  Every
@@ -34,16 +35,19 @@ phase comes from one exact table per grid axis
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .fermion_model import dirac2d_hopping_matrix, ssh_hopping_matrix
 from .lattice import (
+    ALL_SITES,
+    SUBLATTICE_A,
+    SUBLATTICE_B,
     ChainSpec,
     SquareSpec,
     chain_anchors,
     chain_mode,
-    phase_position,
     square_mode,
     unit_roots,
 )
@@ -63,61 +67,54 @@ def check_mode_cap(n_modes: int) -> None:
         raise FockSizeError(f"{n_modes} modes exceed the exact-representation cap of {MAX_MODES}")
 
 
-# The spins of the two created fermions of a chain channel, and the
-# components of a square-lattice pairing (0 = c, 1 = b).
-CHAIN_CHANNEL_SPINS = {"uu": (0, 0), "dd": (1, 1), "ud": (0, 1), "du": (1, 0)}
-SQUARE_PAIRING_COMPONENTS = {"cc": (0, 0), "bb": (1, 1), "cb": (0, 1), "bc": (1, 0)}
+class ChainPair(NamedTuple):
+    """``sum_n w[K*p(n)] c+_{n,spin1} c+_{n+l,spin2}`` over the anchors n of a sublattice.
 
-
-@dataclass(frozen=True)
-class ChainPair:
-    """``sum_n w[K*p(n)] c+_{n,s1} c+_{n+l,s2}`` over the anchors n of a sublattice.
-
-    ``K`` is the momentum index on the site grid (k = 2*pi*K/n_sites).
-    The anchors are every site ("all"), the odd sites ("A", p(n) = n) or
-    the even sites ("B", p(n) = n // 2, the cell index); on the full
-    chain p(n) = n.  ``channel`` names the two spins (see
-    :data:`CHAIN_CHANNEL_SPINS`).
+    ``K`` is the momentum index on the site grid (k = 2*pi*K/n_sites);
+    spin 0 is up, 1 down.  ``sublattice`` is a code of
+    :mod:`bondboson.lattice`: the anchors are every site (``ALL_SITES``,
+    p(n) = n), the odd sites (``SUBLATTICE_A``, p(n) = n) or the even
+    sites (``SUBLATTICE_B``, p(n) = n // 2, the cell index).
     """
 
     l: int
     K: int
-    channel: str = "uu"
-    sublattice: str = "all"
+    spin1: int = 0
+    spin2: int = 0
+    sublattice: int = ALL_SITES
 
 
-@dataclass(frozen=True)
-class SquarePair:
+class SquarePair(NamedTuple):
     """``sum_r w_x[Kx*x] w_y[Ky*y] a+_r a'+_{r+(l,m)}`` on the square lattice.
 
-    ``Kx``, ``Ky`` index the two axis grids; ``pairing`` names the
-    components of the two created fermions ("cc", "bb", "cb", "bc").
+    ``Kx``, ``Ky`` index the two axis grids; ``comp1`` and ``comp2`` are
+    the components of the two created fermions (0 = c, 1 = b).
     """
 
     l: int
     m: int
     Kx: int
     Ky: int
-    pairing: str = "cc"
+    comp1: int = 0
+    comp2: int = 0
 
 
-@dataclass(frozen=True)
-class Identity:
-    """One H-bond identity ``[H, sum target] = sum rhs``.
+class IdentityTable(NamedTuple):
+    """The H-bond identities ``[H, sum target] = sum rhs`` of a lattice, one row each.
 
-    ``target`` and ``rhs`` are tuples of ``(weight, pair)`` with pairs
-    :class:`ChainPair` or :class:`SquarePair`; ``channel``,
-    ``sublattice``, ``l`` and ``k`` label the check in reports (k as
-    the integer momentum index: K on the chain's site grid, (Kx, Ky) on
-    the two axis grids).
+    Report columns: ``channel`` and ``sublattice`` (names), ``l`` and ``k`` (ints, (I,) on
+    the chain, k the index K on its site grid, and (I, 2) in 2D).  Each side: (identity,
+    term) complex weights and (identity, term, C) labels, in the order they are summed.
     """
 
-    channel: str
-    sublattice: str
-    l: object
-    k: object
-    target: tuple
-    rhs: tuple
+    channel: np.ndarray
+    sublattice: np.ndarray
+    l: np.ndarray
+    k: np.ndarray
+    target_weights: np.ndarray
+    target_labels: np.ndarray
+    rhs_weights: np.ndarray
+    rhs_labels: np.ndarray
 
 
 def commutator_with_hopping(h: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -131,44 +128,35 @@ def pair_norm(m: np.ndarray) -> float:
     return float(np.sqrt(2.0 ** (n - 3)) * np.linalg.norm(m - m.T))
 
 
-def _scaled(weight, terms) -> tuple:
-    return tuple((weight * w, pair) for w, pair in terms)
-
-
 def pair_stack(spec, labels) -> np.ndarray:
     """The ``(P, n, n)`` coefficient matrices of the pair labels, in order; read-only.
 
-    ``labels`` are :class:`ChainPair` labels of a :class:`ChainSpec` (its
-    site count and spinfulness are read) or :class:`SquarePair` labels of
-    a :class:`SquareSpec` (its extents).  Labels that share their anchors
-    are written by one fancy-index assignment: one per sublattice on the
-    chain, one for all labels in 2D.  Every phase is an entry of
+    ``labels`` is a (P, C) integer table or a list of P labels:
+    :class:`ChainPair` rows of a :class:`ChainSpec` (its site count and
+    spinfulness are read) or :class:`SquarePair` rows of a
+    :class:`SquareSpec` (its extents).  All labels are written by one
+    fancy-index assignment.  Every phase is an entry of
     :func:`~bondboson.lattice.unit_roots` (a product of one per axis in
-    2D), so a label's matrix has the same bits in any list.
+    2D), so a label's matrix has the same bits in any table.
     """
-    n = spec.n_modes
-    stack = np.zeros((len(labels), n, n), dtype=complex)
     if isinstance(spec, ChainSpec):
-        n_sites, spinful = spec.n_sites, spec.spinful
-        roots = unit_roots(n_sites)
-        for sublattice in dict.fromkeys(label.sublattice for label in labels):
-            anchors = np.array(chain_anchors(n_sites, sublattice))
-            position = phase_position(sublattice, anchors)
-            rows = [p for p, label in enumerate(labels) if label.sublattice == sublattice]
-            l, K, spin1, spin2 = np.array(
-                [(labels[p].l, labels[p].K, *CHAIN_CHANNEL_SPINS[labels[p].channel])
-                 for p in rows]).T[:, :, None]
-            stack[np.array(rows)[:, None], chain_mode(n_sites, anchors, spin1, spinful),
-                  chain_mode(n_sites, anchors + l, spin2, spinful)] = roots[(K * position) % n_sites]
+        n_sites = spec.n_sites
+        l, K, spin1, spin2, sublattice = np.asarray(labels, dtype=np.int64).reshape(
+            -1, len(ChainPair._fields)).T
+        p, site, position = chain_anchors(n_sites, sublattice)
+        entries = (p, chain_mode(n_sites, site, spin1[p], spec.spinful),
+                   chain_mode(n_sites, site + l[p], spin2[p], spec.spinful))
+        values = unit_roots(n_sites)[(K[p] * position) % n_sites]
     else:
         lx, ly = spec.lx, spec.ly
+        l, m, Kx, Ky, comp1, comp2 = np.asarray(labels, dtype=np.int64).reshape(
+            -1, len(SquarePair._fields)).T[:, :, None]
         x, y = (v.ravel() for v in np.meshgrid(np.arange(lx), np.arange(ly), indexing="ij"))
-        l, m, Kx, Ky, comp1, comp2 = np.array(
-            [(label.l, label.m, label.Kx, label.Ky, *SQUARE_PAIRING_COMPONENTS[label.pairing])
-             for label in labels], dtype=int).reshape(-1, 6).T[:, :, None]
-        stack[np.arange(len(labels))[:, None], square_mode(lx, ly, x, y, comp1),
-              square_mode(lx, ly, x + l, y + m, comp2)] = (
-            unit_roots(lx)[(Kx * x) % lx] * unit_roots(ly)[(Ky * y) % ly])
+        entries = (np.arange(len(l))[:, None], square_mode(lx, ly, x, y, comp1),
+                   square_mode(lx, ly, x + l, y + m, comp2))
+        values = unit_roots(lx)[(Kx * x) % lx] * unit_roots(ly)[(Ky * y) % ly]
+    stack = np.zeros((len(l), spec.n_modes, spec.n_modes), dtype=complex)
+    stack[entries] = values
     stack.setflags(write=False)
     return stack
 
@@ -181,7 +169,23 @@ def hopping_matrix(spec) -> np.ndarray:
     return dirac2d_hopping_matrix(spec).array
 
 
-def _chain_identities(spec: ChainSpec) -> list:
+def _rows(*fields) -> np.ndarray:
+    """The label rows ``(..., C)`` of C broadcast integer fields."""
+    return np.stack(np.broadcast_arrays(*fields), axis=-1)
+
+
+def _identity_table(channel, sublattice, l, k, weights, labels) -> IdentityTable:
+    """The table of ``weights`` (..., term, part) and ``labels`` (..., term, part, C),
+    identities in C order; term 0 is the target."""
+    n, width = len(channel), labels.shape[-1]
+    return IdentityTable(channel, sublattice, l, k,
+                         weights[..., :1, :].reshape(n, -1),
+                         labels[..., :1, :, :].reshape(n, -1, width),
+                         weights[..., 1:, :].reshape(n, -1),
+                         labels[..., 1:, :, :].reshape(n, -1, width))
+
+
+def _chain_identities(spec: ChainSpec) -> IdentityTable:
     """The exact [H, bond] identities of the dimerized chain.
 
     With hopping ``-t0 + (-1)^n 2 alpha_u`` on bond (n, n+1), sublattice
@@ -199,41 +203,48 @@ def _chain_identities(spec: ChainSpec) -> list:
     the two sublattices carry site and cell phases respectively.  With
     k = 2 pi j / n_cells, the site-grid index of k is 2j, of 2k is 4j
     and of k/2 is j.
+
+    The identities run over (channel, j, l, sublattice A then B), and the
+    terms of each side over its pair sums F, then the channel's spin pairs.
     """
     n_sites, n_cells = spec.n_sites, spec.n_cells
     roots = unit_roots(n_sites)
     t0, au = spec.t0, spec.alpha_u
-    t_l = lambda l: t0 + (-1) ** l * 2.0 * au
     t_plus, t_minus = t0 + 2.0 * au, t0 - 2.0 * au
+    t = t0 + np.where(np.arange(n_cells + 2) % 2, -2.0, 2.0) * au  # t_l, l = 0 .. n_cells + 1
+    # per channel, (spin1, spin2, sign) of each pair sum F it adds up
     if spec.spinful:
-        channels = [("E(+)", (("uu", 1), ("dd", 1))), ("E(-)", (("uu", 1), ("dd", -1))),
-                    ("D(+)", (("ud", 1), ("du", 1))), ("D(-)", (("ud", 1), ("du", -1)))]
+        channels = {"E(+)": [(0, 0, 1), (1, 1, 1)], "E(-)": [(0, 0, 1), (1, 1, -1)],
+                    "D(+)": [(0, 1, 1), (1, 0, 1)], "D(-)": [(0, 1, 1), (1, 0, -1)]}
     else:
-        channels = [("e", (("uu", 1),))]
+        channels = {"e": [(0, 0, 1)]}
+    # axes (channel, j, l, sublattice, term, spin pair); term 0 is the target
+    spin1, spin2, sign = np.moveaxis(np.array(list(channels.values())), -1, 0)[
+        :, :, None, None, None, None, :]
+    j, l = np.indices((n_cells, n_cells))
+    l, K = l + 1, 2 * j
 
-    identities = []
-    for name, parts in channels:
-        def op(weight, l, K, sublattice):
-            return tuple((weight * sign, ChainPair(l, K % n_sites, channel, sublattice))
-                         for channel, sign in parts)
+    def sides(a, b):
+        """The terms of the A identities and of the B identities, on the (j, l) grid."""
+        return np.stack([np.stack(np.broadcast_arrays(*a), -1),
+                         np.stack(np.broadcast_arrays(*b), -1)], -2)[None, ..., None]
 
-        for j in range(n_cells):
-            K = 2 * j
-            phase, phase_c = roots[K % n_sites], roots[-K % n_sites]
-            half, half_c = roots[j], roots[-j % n_sites]
-            for l in range(1, n_cells + 1):
-                identities.append(Identity(name, "A", l, K, op(1.0, l, K, "A"), (
-                    op(-t_l(l), l + 1, K, "A") + op(-t_l(l + 1), l - 1, K, "A")
-                    + op(-t_minus * phase, l + 1, 2 * K, "B")
-                    + op(-t_plus * phase_c, l - 1, 2 * K, "B"))))
-                identities.append(Identity(name, "B", l, K, op(1.0, l, K, "B"), (
-                    op(-t_l(l + 1), l + 1, K, "B") + op(-t_l(l), l - 1, K, "B")
-                    + op(-t_plus * half, l + 1, j, "A")
-                    + op(-t_minus * half_c, l - 1, j, "A"))))
-    return identities
+    # the real weights (the target's and the same-sublattice hops) and the phased
+    # ones are signed apart: a real weight times its sign is a float product
+    real = sides((1.0, -t[l], -t[l + 1]), (1.0, -t[l + 1], -t[l]))
+    phased = sides((-t_minus * roots[K % n_sites], -t_plus * roots[-K % n_sites]),
+                   (-t_plus * roots[j], -t_minus * roots[-j % n_sites]))
+    shifts = (l, l + 1, l - 1, l + 1, l - 1)
+    A, B = SUBLATTICE_A, SUBLATTICE_B
+    labels = _rows(sides(shifts, shifts), sides((K, K, K, 2 * K, 2 * K), (K, K, K, j, j)) % n_sites,
+                   spin1, spin2, np.array([[A, A, A, B, B], [B, B, B, A, A]])[:, :, None])
+    column = lambda a: np.broadcast_to(a, (len(channels), n_cells, n_cells, 2)).ravel()
+    return _identity_table(column(np.array(list(channels))[:, None, None, None]),
+                           column(np.array(["A", "B"])), column(l[:, :, None]), column(K[:, :, None]),
+                           np.concatenate([real * sign, phased * sign], axis=4), labels)
 
 
-def _square_identities(spec: SquareSpec) -> list:
+def _square_identities(spec: SquareSpec) -> IdentityTable:
     """The exact [H, combo] identities of the two-component square lattice.
 
     With E1(s) the same-component and E2(s) the mixed-component
@@ -252,53 +263,47 @@ def _square_identities(spec: SquareSpec) -> list:
     where X = e^{i kx}, Y = e^{i ky} and only the shifted index is
     written.  The mass couples E1(+) and E1(-) with weight 2*delta and
     leaves the mixed combinations alone.
+
+    The identities run over (Kx, Ky, l, m, the four rows above), and the
+    terms of each side over its combinations (the mass term last, with
+    weight zero on the E2 rows), then the two pair sums of each.
     """
     lx, ly = spec.lx, spec.ly
-    roots_x, roots_y = unit_roots(lx), unit_roots(ly)
     mass = 2.0 * spec.delta
+    Kx, Ky = np.indices((lx, ly))
+    X, Xc = unit_roots(lx)[Kx], unit_roots(lx)[-Kx % lx]
+    Y, Yc = unit_roots(ly)[Ky], unit_roots(ly)[-Ky % ly]
+    # per row E1(+), E1(-), E2(+), E2(-): the weights of the combinations shifted
+    # to l+1, l-1, m+1 and m-1; then the family (1 or 2), parity s and shift of
+    # the target, of those four and of the mass term
+    shifted = np.stack([np.stack(weights, -1) for weights in (
+        (-(1 + X), 1 + Xc, 1j * (Y - 1), -1j * (Yc - 1)),
+        (X - 1, 1 - Xc, -1j * (1 + Y), 1j * (1 + Yc)),
+        (1 - X, -(1 - Xc), 1j * (Y - 1), -1j * (Yc - 1)),
+        (1 + X, -(1 + Xc), -1j * (1 + Y), 1j * (1 + Yc)))], -2)[:, :, None, None, :, :, None]
+    family = np.array([[1, 2, 2, 2, 2, 1]] * 2 + [[2, 1, 1, 1, 1, 1]] * 2)
+    parity = np.array([[1, -1, -1, 1, 1, -1], [-1, 1, 1, -1, -1, 1],
+                       [1, -1, -1, 1, 1, 1], [-1, 1, 1, -1, -1, 1]])
+    dl, dm = np.array([0, 1, -1, 0, 0, 0]), np.array([0, 0, 0, 1, -1, 0])
+    pairs = np.stack(np.broadcast_arrays(1.0 / _SQRT2, parity / _SQRT2), -1)
 
-    identities = []
-    for Kx, Ky in np.ndindex(lx, ly):
-        X, Y = roots_x[Kx], roots_y[Ky]
-        Xc, Yc = roots_x[-Kx % lx], roots_y[-Ky % ly]
-
-        def E(family, parity, l, m):
-            first, second = ("cc", "bb") if family == 1 else ("cb", "bc")
-            return ((1.0 / _SQRT2, SquarePair(l, m, Kx, Ky, first)),
-                    (parity / _SQRT2, SquarePair(l, m, Kx, Ky, second)))
-
-        for l in range(lx):
-            for m in range(ly):
-                checks = [
-                    ("E1(+)", E(1, +1, l, m),
-                     _scaled(-(1 + X), E(2, -1, l + 1, m))
-                     + _scaled(1 + Xc, E(2, -1, l - 1, m))
-                     + _scaled(1j * (Y - 1), E(2, +1, l, m + 1))
-                     + _scaled(-1j * (Yc - 1), E(2, +1, l, m - 1))
-                     + _scaled(mass, E(1, -1, l, m))),
-                    ("E1(-)", E(1, -1, l, m),
-                     _scaled(X - 1, E(2, +1, l + 1, m))
-                     + _scaled(1 - Xc, E(2, +1, l - 1, m))
-                     + _scaled(-1j * (1 + Y), E(2, -1, l, m + 1))
-                     + _scaled(1j * (1 + Yc), E(2, -1, l, m - 1))
-                     + _scaled(mass, E(1, +1, l, m))),
-                    ("E2(+)", E(2, +1, l, m),
-                     _scaled(1 - X, E(1, -1, l + 1, m))
-                     + _scaled(-(1 - Xc), E(1, -1, l - 1, m))
-                     + _scaled(1j * (Y - 1), E(1, +1, l, m + 1))
-                     + _scaled(-1j * (Yc - 1), E(1, +1, l, m - 1))),
-                    ("E2(-)", E(2, -1, l, m),
-                     _scaled(1 + X, E(1, +1, l + 1, m))
-                     + _scaled(-(1 + Xc), E(1, +1, l - 1, m))
-                     + _scaled(-1j * (1 + Y), E(1, -1, l, m + 1))
-                     + _scaled(1j * (1 + Yc), E(1, -1, l, m - 1))),
-                ]
-                for name, target, rhs in checks:
-                    identities.append(Identity(name, "-", (l, m), (Kx, Ky), target, rhs))
-    return identities
+    # axes (Kx, Ky, l, m, row, term, pair); term 0 is the target
+    shape = (lx, ly, lx, ly, 4)
+    kx, ky, l, m, row = (a[..., None, None] for a in np.indices(shape))
+    term, pair = np.arange(6)[:, None], np.arange(2)
+    terms = lambda a, n: np.broadcast_to(a, shape + (n, 2))
+    weights = np.concatenate([terms(pairs[:, :1], 1), terms(shifted * pairs[:, 1:5], 4),
+                              terms(np.array([mass, mass, 0.0, 0.0])[:, None, None]
+                                    * pairs[:, 5:], 1)], axis=5)
+    labels = _rows(l + dl[term], m + dm[term], kx, ky, pair, pair ^ (family[row, term] == 2))
+    column = lambda a: a[..., 0, 0].ravel()
+    return _identity_table(np.array(["E1(+)", "E1(-)", "E2(+)", "E2(-)"])[column(row)],
+                           np.full(lx * ly * lx * ly * 4, "-"),
+                           np.stack([column(l), column(m)], -1),
+                           np.stack([column(kx), column(ky)], -1), weights, labels)
 
 
-def bond_identities(spec) -> list:
+def bond_identities(spec) -> IdentityTable:
     """The H-bond identities of a chain or square-lattice spec, in report order.
 
     Raises :class:`FockSizeError` beyond the 16-mode cap:
@@ -310,49 +315,43 @@ def bond_identities(spec) -> list:
     return _square_identities(spec)
 
 
-def identity_residuals(spec, identities) -> list:
+def identity_residuals(spec, identities: IdentityTable) -> np.ndarray:
     """The Fock-space Frobenius norm of LHS - RHS of each identity, in order.
 
-    One batch: the distinct labels of all identities are built once
-    (:func:`pair_stack`), each side becomes an (identity, term) table of
-    weights and stack rows, and its sums are accumulated term by term
-    over all identities at once, so every entry adds its terms in the
-    order the identity lists them.  Shorter sides are padded with zero
-    weights, which can only change the sign of a zero entry.  ``[H, .]``
-    is one stacked product (:func:`commutator_with_hopping`) and each
-    difference is measured by :func:`pair_norm`.
+    One batch: the distinct label rows of all identities are found by
+    :func:`numpy.unique` on one integer key per row and built once
+    (:func:`pair_stack`), and each side's sums are accumulated term by
+    term over all identities at once, so every entry adds its terms in
+    the order the identity lists them.  ``[H, .]`` is one stacked
+    product (:func:`commutator_with_hopping`) and each difference is
+    measured by :func:`pair_norm`.
     """
-    labels = list(dict.fromkeys(pair for identity in identities
-                                for _, pair in identity.target + identity.rhs))
-    row = {label: p for p, label in enumerate(labels)}
-    stack = pair_stack(spec, labels)
+    width = identities.target_labels.shape[-1]
+    labels = np.concatenate([identities.target_labels.reshape(-1, width),
+                             identities.rhs_labels.reshape(-1, width)])
+    # one integer key per label row, in the rows' lexicographic order
+    low = labels.min(0)
+    _, first, rows = np.unique(np.ravel_multi_index((labels - low).T, labels.max(0) - low + 1),
+                               return_index=True, return_inverse=True)
+    stack = pair_stack(spec, labels[first])
+    split = identities.target_weights.size
 
-    def summed(sides):
-        width = max(map(len, sides), default=0)
-        weights = np.zeros((len(sides), width), dtype=complex)
-        rows = np.zeros((len(sides), width), dtype=int)
-        for i, terms in enumerate(sides):
-            for t, (weight, pair) in enumerate(terms):
-                weights[i, t], rows[i, t] = weight, row[pair]
-        acc = np.zeros((len(sides),) + stack.shape[1:], dtype=complex)
-        for t in range(width):
-            acc += weights[:, t, None, None] * stack[rows[:, t]]
+    def summed(weights, rows):
+        acc = np.zeros((len(weights),) + stack.shape[1:], dtype=complex)
+        for t, column in enumerate(rows.reshape(weights.shape).T):
+            acc += weights[:, t, None, None] * stack[column]
         return acc
 
     lhs = commutator_with_hopping(hopping_matrix(spec),
-                                  summed([identity.target for identity in identities]))
-    return [pair_norm(d) for d in lhs - summed([identity.rhs for identity in identities])]
+                                  summed(identities.target_weights, rows[:split]))
+    return np.array([pair_norm(d) for d in lhs - summed(identities.rhs_weights, rows[split:])])
 
 
-def h_bond_commutator_residuals(spec) -> list:
-    """``(identity, residual)`` for each H-bond identity, in report order.
-
-    Each residual is the Frobenius norm of LHS - RHS as Fock-space
-    operators, evaluated exactly on coefficient matrices
-    (:func:`identity_residuals`).
-    """
+def h_bond_commutator_residuals(spec) -> tuple:
+    """``(identities, residuals)``: the spec's :class:`IdentityTable` and, per identity, the Fock-space
+    Frobenius norm of LHS - RHS, evaluated exactly on coefficients (:func:`identity_residuals`)."""
     identities = bond_identities(spec)
-    return list(zip(identities, identity_residuals(spec, identities)))
+    return identities, identity_residuals(spec, identities)
 
 
 # ---------------------------------------------------------------------------
@@ -387,22 +386,21 @@ def square_bond_offsets(lx: int, ly: int) -> list:
     (2d = 0 mod lattice) stay in the list and are flagged by
     :func:`bond_self_paired`.
     """
-    offsets = []
-    seen = set()
-    for l in range(lx):
-        for m in range(ly):
-            if (l, m) == (0, 0) or (l, m) in seen:
-                continue
-            seen.add(((-l) % lx, (-m) % ly))
+    offsets, seen = [], set()
+    for l, m in np.ndindex(lx, ly):
+        if (l, m) != (0, 0) and (l, m) not in seen:
+            seen.add((-l % lx, -m % ly))
             offsets.append((l, m))
     return offsets
 
 
-def bond_self_paired(spec, pair) -> bool:
-    """Whether the offset of ``pair`` wraps onto itself (2l = 0 mod the lattice)."""
+def bond_self_paired(spec, pairs) -> np.ndarray:
+    """Whether the offset of each pair label wraps onto itself (2l = 0 mod the lattice):
+    one flag per label of a list or table of them, or one for a single label."""
+    table = np.asarray(pairs)
     if isinstance(spec, ChainSpec):
-        return (2 * pair.l) % spec.n_sites == 0
-    return (2 * pair.l % spec.lx, 2 * pair.m % spec.ly) == (0, 0)
+        return 2 * table[..., 0] % spec.n_sites == 0
+    return (2 * table[..., 0] % spec.lx == 0) & (2 * table[..., 1] % spec.ly == 0)
 
 
 def pair_commutator_table(spec, pairs, n_holes: int = 0, seed: int = 0):
@@ -472,5 +470,5 @@ def boson_commutator_report(spec, pair, other, n_holes: int = 0,
         target=target,
         deviation=abs(expectation - target),
         holes=holes,
-        self_paired=matched and bond_self_paired(spec, pair),
+        self_paired=matched and bool(bond_self_paired(spec, pair)),
     )

@@ -216,8 +216,9 @@ def _check_block_bound(model: str, t0: float, alpha_u: float, mass: float) -> No
     """Reject model parameters whose 4x4 block entries overflow, naming the flag.
 
     The entries are bounded by 2|t0| + 4|alpha_u| on the chain (a bound on
-    every hopping entry too) and by 2|mass| in 2D.  Past that bound a table
-    would hold inf and NaN, so the flag whose term is largest is named instead.
+    every hopping entry too) and by 2|mass| in 2D (the mass weight of the
+    H-bond identities too).  Past that bound a table or an identity would
+    hold inf and NaN, so the flag whose term is largest is named instead.
     """
     if model == "ssh":
         terms = {"--t0": 2.0 * abs(t0), "--alpha-u": 4.0 * abs(alpha_u)}
@@ -266,8 +267,7 @@ def _config_from_args(args) -> RunConfig:
         raise ValueError(f"--tolerance must be positive, got {tolerance}")
     if model == "ssh" and t0 <= 0:
         raise ValueError(f"--t0 must be positive for the chain model, got {t0}")
-    if command == "spectrum" or suite == "correspondence" or (suite, model) == (
-            "identities", "ssh"):
+    if command == "spectrum" or suite in ("correspondence", "identities"):
         _check_block_bound(model, t0, alpha_u, mass)
     if suite == "interactions" and model != "ssh":
         raise ValueError("the interactions suite is defined on the chain model")
@@ -482,24 +482,17 @@ def _k_label(spec, k):
 
 def _suite_identities(config: RunConfig) -> dict:
     spec = config.spec
-    residuals = h_bond_commutator_residuals(spec)
-    checks = []
-    for identity, residual in residuals:
-        checks.append(
-            {
-                "channel": identity.channel,
-                "sublattice": identity.sublattice,
-                "l": list(identity.l) if isinstance(identity.l, tuple) else identity.l,
-                "k": _k_label(spec, identity.k),
-                "residual": fmt_float(residual),
-                "pass": bool(residual <= config.tolerance),
-            }
-        )
+    identities, residuals = h_bond_commutator_residuals(spec)
+    checks = [{"channel": channel, "sublattice": sublattice, "l": l, "k": _k_label(spec, k),
+               "residual": fmt_float(residual), "pass": residual <= config.tolerance}
+              for channel, sublattice, l, k, residual in zip(
+                  identities.channel.tolist(), identities.sublattice.tolist(),
+                  identities.l.tolist(), identities.k.tolist(), residuals.tolist())]
     return {
         "config": config.echo(),
         "suite": "identities",
         "checks": checks,
-        "max_residual": fmt_float(max_residual(residual for _, residual in residuals)),
+        "max_residual": fmt_float(max_residual(residuals)),
         "verdict": _verdict(checks),
     }
 
@@ -526,7 +519,7 @@ def _suite_commutators(config: RunConfig) -> dict:
     table, _ = pair_commutator_table(spec, pairs, n_holes=0, seed=config.seed)
     matched = np.diagonal(table)
     unmatched_mag = max_residual(np.abs(table[~np.eye(len(pairs), dtype=bool)]))
-    self_paired = np.array([bond_self_paired(spec, pair) for pair in pairs])
+    self_paired = bond_self_paired(spec, pairs)
     matched_dev = max_residual(np.abs(matched[~self_paired] - float(site_count)))
     self_paired_cells = []
     for pair, wraps, expectation in zip(pairs, self_paired, matched):
@@ -543,14 +536,15 @@ def _suite_commutators(config: RunConfig) -> dict:
     for holes in range(0, min(4, site_count + 1)):
         table, hole_modes = pair_commutator_table(spec, row_pairs, n_holes=holes,
                                                   seed=config.seed)
-        for pair, expectation in zip(row_pairs, map(complex, np.diagonal(table))):
+        for pair, wraps, expectation in zip(row_pairs, self_paired[::site_count].tolist(),
+                                            map(complex, np.diagonal(table))):
             entry = as_label(pair)
             entry.update(
                 holes=holes,
                 hole_modes=list(hole_modes),
                 expectation=fmt_float(expectation.real),
                 deviation=fmt_float(abs(expectation - float(site_count))),
-                self_paired=bond_self_paired(spec, pair),
+                self_paired=wraps,
             )
             holes_table.append(entry)
 

@@ -10,8 +10,9 @@ package uses them for the quartic interaction checks
 on n x n coefficient matrices in :mod:`bondboson.bilinear`.
 
 The pair sums :func:`_bond_sum` and :func:`_square_pair_sum` build the
-Fock operator of an integer-momentum pair label (a ``ChainPair`` or
-``SquarePair``) directly from creation matrices, with ``np.exp`` phases.
+Fock operator of an integer pair label (a ``ChainPair`` or
+``SquarePair``, read by its named fields) directly from creation
+matrices, with ``np.exp`` phases.
 No command calls them: they are the tests' independent cross-check of
 the coefficient route.
 
@@ -36,8 +37,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .bilinear import CHAIN_CHANNEL_SPINS, SQUARE_PAIRING_COMPONENTS, check_mode_cap
-from .lattice import chain_anchors, chain_mode, phase_position, square_mode
+from .bilinear import check_mode_cap
+from .lattice import chain_anchors, chain_mode, square_mode
 # imported for the benchmark tracer, which wraps these names where fock looks them up
 from .lattice import chain_momenta, on_grid, square_momenta  # noqa: F401
 
@@ -355,12 +356,12 @@ def _bond_sum(space: FockSpace, pair) -> SparseOperator:
     if cached is not None:
         return cached
     n_sites = space.spec.n_sites
-    spin1, spin2 = CHAIN_CHANNEL_SPINS[pair.channel]
+    _, sites, positions = chain_anchors(n_sites, pair.sublattice)
     acc = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for site in chain_anchors(n_sites, pair.sublattice):
-        c1 = space._creation_matrix(space.chain_mode(site, spin1))
-        c2 = space._creation_matrix(space.chain_mode(site + pair.l, spin2))
-        turn = (pair.K * phase_position(pair.sublattice, site)) % n_sites
+    for site, position in zip(sites.tolist(), positions.tolist()):
+        c1 = space._creation_matrix(space.chain_mode(site, pair.spin1))
+        c2 = space._creation_matrix(space.chain_mode(site + pair.l, pair.spin2))
+        turn = (pair.K * position) % n_sites
         acc = acc + np.exp(2j * np.pi * turn / n_sites) * (c1 @ c2)
     op = SparseOperator(space, acc)
     space._op_cache[pair] = op
@@ -377,12 +378,11 @@ def _square_pair_sum(space: FockSpace, pair) -> SparseOperator:
     if cached is not None:
         return cached
     lx, ly = space.spec.lx, space.spec.ly
-    comp1, comp2 = SQUARE_PAIRING_COMPONENTS[pair.pairing]
     acc = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
     for x in range(lx):
         for y in range(ly):
-            c1 = space._creation_matrix(square_mode(lx, ly, x, y, comp1))
-            c2 = space._creation_matrix(square_mode(lx, ly, x + pair.l, y + pair.m, comp2))
+            c1 = space._creation_matrix(square_mode(lx, ly, x, y, pair.comp1))
+            c2 = space._creation_matrix(square_mode(lx, ly, x + pair.l, y + pair.m, pair.comp2))
             turns = (pair.Kx * x) % lx / lx + (pair.Ky * y) % ly / ly
             acc = acc + np.exp(2j * np.pi * turns) * (c1 @ c2)
     op = SparseOperator(space, acc)

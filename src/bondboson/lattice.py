@@ -21,11 +21,18 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+# The sublattice code of a chain pair label: anchored on every site, on
+# sublattice A (the odd sites) or on sublattice B (the even sites); and
+# per code, whether it anchors on the even and on the odd sites.
+ALL_SITES, SUBLATTICE_A, SUBLATTICE_B = 0, 1, 2
+_ANCHORED = np.array([[True, True], [False, True], [True, False]])
 
 
 @dataclass(frozen=True)
@@ -112,8 +119,9 @@ def square_momenta(lx: int, ly: int) -> np.ndarray:
     return np.column_stack((kx.ravel(), ky.ravel()))
 
 
+@functools.cache
 def unit_roots(n: int) -> np.ndarray:
-    """Phase table ``w[m] = exp(2*pi*i*m/n)``, m = 0..n-1, exact at quarter turns.
+    """Phase table ``w[m] = exp(2*pi*i*m/n)``, m = 0..n-1, exact at quarter turns; read-only.
 
     A momentum on the n-point grid is an integer index K, and the phase
     of ``k*x`` is ``w[K*x mod n]``: arguments never grow with x.  Each
@@ -133,23 +141,19 @@ def unit_roots(n: int) -> np.ndarray:
     # at an eighth turn the rounded angle sits below pi/4; cos is the rounded sqrt(1/2)
     sin = np.where(2 * rest == n, cos, np.sin(angle))
     folded = np.where(low, cos + 1j * sin, sin + 1j * cos)
-    return folded * np.array([1.0, 1.0j, -1.0, -1.0j])[quarter]
+    roots = folded * np.array([1.0, 1.0j, -1.0, -1.0j])[quarter]
+    roots.setflags(write=False)
+    return roots
 
 
-def chain_anchors(n_sites: int, sublattice: str) -> range:
-    """Anchor sites of a chain pair sum: every site ("all"), A (odd) or B (even)."""
-    if sublattice == "all":
-        return range(n_sites)
-    if sublattice == "A":
-        return range(1, n_sites, 2)
-    if sublattice == "B":
-        return range(0, n_sites, 2)
-    raise ValueError(f"unknown sublattice {sublattice!r}; expected 'all', 'A' or 'B'")
-
-
-def phase_position(sublattice: str, site):
-    """What a bond phase e^{ik x} multiplies: x = the site, or on sublattice B its cell index."""
-    return site // 2 if sublattice == "B" else site
+def chain_anchors(n_sites: int, sublattices) -> tuple:
+    """``(p, site, position)``: the anchor sites of the chain pair sums with sublattice codes
+    ``sublattices``, pair by pair in ascending site order (every site, the odd sites on A,
+    the even sites on B), and what the bond phase e^{ikx} multiplies there: x = the site,
+    or on B its cell index."""
+    sublattices = np.asarray(sublattices).ravel()
+    p, site = np.nonzero(_ANCHORED[sublattices[:, None], np.arange(n_sites) % 2])
+    return p, site, np.where(sublattices[p] == SUBLATTICE_B, site // 2, site)
 
 
 def chain_mode(n_sites: int, site, spin=0, spinful: bool = False):

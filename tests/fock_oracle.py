@@ -2,9 +2,10 @@
 
 The package checks the H-bond identities and the pair reconstruction on
 n x n coefficient matrices (``bondboson.bilinear``).  Here the same
-formula data (:class:`~bondboson.bilinear.Identity` terms, the
-reconstruction terms) are evaluated on 2^n-dimensional sparse Fock
-operators instead: pair sums of the integer labels from ``_bond_sum`` /
+formula data (the rows of an :class:`~bondboson.bilinear.IdentityTable`,
+the reconstruction terms), each side a list of weights and of integer
+pair labels, are evaluated on 2^n-dimensional sparse Fock operators
+instead: pair sums of the labels from ``_bond_sum`` /
 ``_square_pair_sum`` with ``np.exp`` phases, the Hamiltonian from ``chain_hamiltonian`` /
 ``dirac_hamiltonian`` and the left-hand side from ``commutator``.
 
@@ -26,9 +27,8 @@ import numpy as np
 from scipy import sparse
 
 from bondboson.bilinear import (
-    CHAIN_CHANNEL_SPINS,
-    SQUARE_PAIRING_COMPONENTS,
     ChainPair,
+    SquarePair,
     commutator_with_hopping,
     hopping_matrix,
     pair_norm,
@@ -44,14 +44,7 @@ from bondboson.fock import (
     pair_bilinear,
 )
 from bondboson.interactions import pair_from_bonds
-from bondboson.lattice import (
-    ChainSpec,
-    chain_anchors,
-    chain_mode,
-    phase_position,
-    square_mode,
-    unit_roots,
-)
+from bondboson.lattice import ChainSpec, chain_anchors, chain_mode, square_mode, unit_roots
 
 
 def fock_hamiltonian(space) -> SparseOperator:
@@ -60,28 +53,41 @@ def fock_hamiltonian(space) -> SparseOperator:
     return dirac_hamiltonian(space)
 
 
+def as_label(spec, row):
+    """The :class:`ChainPair` or :class:`SquarePair` of the spec's lattice spelled by ``row``."""
+    label = ChainPair if isinstance(spec, ChainSpec) else SquarePair
+    return label(*(int(field) for field in row))
+
+
 def fock_pair(space, pair) -> SparseOperator:
-    """The Fock operator of one :class:`ChainPair` or :class:`SquarePair`."""
+    """The Fock operator of one pair label (a label or its row of ints)."""
+    pair = as_label(space.spec, pair)
     if isinstance(pair, ChainPair):
         return _bond_sum(space, pair)
     return _square_pair_sum(space, pair)
 
 
-def fock_combination(space, terms) -> SparseOperator:
+def fock_combination(space, weights, labels) -> SparseOperator:
     acc = SparseOperator.zero(space)
-    for weight, pair in terms:
+    for weight, pair in zip(weights, labels):
         acc = acc + complex(weight) * fock_pair(space, pair)
     return acc
 
 
-def fock_identity_sides(space, h, identity):
-    """``([H, target], sum rhs)`` as Fock operators."""
-    return (commutator(h, fock_combination(space, identity.target)),
-            fock_combination(space, identity.rhs))
+def identity_terms(identities, i) -> tuple:
+    """``((weights, labels), (weights, labels))``: the target and the right-hand side of identity i."""
+    return ((identities.target_weights[i], identities.target_labels[i]),
+            (identities.rhs_weights[i], identities.rhs_labels[i]))
 
 
-def fock_identity_residual(space, h, identity) -> float:
-    lhs, rhs = fock_identity_sides(space, h, identity)
+def fock_identity_sides(space, h, identities, i):
+    """``([H, target], sum rhs)`` of identity i of the table, as Fock operators."""
+    target, rhs = identity_terms(identities, i)
+    return commutator(h, fock_combination(space, *target)), fock_combination(space, *rhs)
+
+
+def fock_identity_residual(space, h, identities, i) -> float:
+    lhs, rhs = fock_identity_sides(space, h, identities, i)
     return (lhs - rhs).norm()
 
 
@@ -106,55 +112,54 @@ def fock_pair_bilinear(space, m) -> SparseOperator:
 
 
 def label_matrix(spec, pair) -> np.ndarray:
-    """The coefficient matrix of one :class:`ChainPair` or :class:`SquarePair`, built alone."""
+    """The coefficient matrix of one pair label (a label or its row of ints), built alone."""
+    pair = as_label(spec, pair)
     n = spec.n_modes
     a = np.zeros((n, n), dtype=complex)
     if isinstance(pair, ChainPair):
         n_sites, spinful = spec.n_sites, spec.spinful
-        anchors = np.array(chain_anchors(n_sites, pair.sublattice))
-        position = phase_position(pair.sublattice, anchors)
-        spin1, spin2 = CHAIN_CHANNEL_SPINS[pair.channel]
-        a[chain_mode(n_sites, anchors, spin1, spinful),
-          chain_mode(n_sites, anchors + pair.l, spin2, spinful)] = (
+        _, anchors, position = chain_anchors(n_sites, pair.sublattice)
+        a[chain_mode(n_sites, anchors, pair.spin1, spinful),
+          chain_mode(n_sites, anchors + pair.l, pair.spin2, spinful)] = (
             unit_roots(n_sites)[(pair.K * position) % n_sites])
         return a
     lx, ly = spec.lx, spec.ly
     x, y = (v.ravel() for v in np.meshgrid(np.arange(lx), np.arange(ly), indexing="ij"))
-    comp1, comp2 = SQUARE_PAIRING_COMPONENTS[pair.pairing]
-    a[square_mode(lx, ly, x, y, comp1), square_mode(lx, ly, x + pair.l, y + pair.m, comp2)] = (
+    a[square_mode(lx, ly, x, y, pair.comp1),
+      square_mode(lx, ly, x + pair.l, y + pair.m, pair.comp2)] = (
         unit_roots(lx)[(pair.Kx * x) % lx] * unit_roots(ly)[(pair.Ky * y) % ly])
     return a
 
 
-def combination(spec, terms) -> np.ndarray:
-    """``sum weight * pair`` over the ``(weight, pair)`` terms, one label at a time."""
+def combination(spec, weights, labels) -> np.ndarray:
+    """``sum weight * label`` over the terms, one label at a time."""
     acc = np.zeros((spec.n_modes,) * 2, dtype=complex)
-    for weight, pair in terms:
+    for weight, pair in zip(weights, labels):
         acc += weight * label_matrix(spec, pair)
     return acc
 
 
-def identity_sides(spec, h, identity):
-    """``(hA + A h^T, sum rhs)``: the coefficient matrices of both sides of an identity."""
-    lhs = commutator_with_hopping(h, combination(spec, identity.target))
-    return lhs, combination(spec, identity.rhs)
+def identity_sides(spec, h, identities, i):
+    """``(hA + A h^T, sum rhs)``: the coefficient matrices of both sides of identity i."""
+    target, rhs = identity_terms(identities, i)
+    return commutator_with_hopping(h, combination(spec, *target)), combination(spec, *rhs)
 
 
 def sequential_identity_residuals(spec, identities) -> list:
     """:func:`pair_norm` of LHS - RHS, one identity at a time."""
     h = hopping_matrix(spec)
-    return [pair_norm(lhs - rhs)
-            for lhs, rhs in (identity_sides(spec, h, identity) for identity in identities)]
+    return [pair_norm(lhs - rhs) for lhs, rhs in (identity_sides(spec, h, identities, i)
+                                                  for i in range(len(identities.channel)))]
 
 
 def pair_reconstruction_terms(n_sites: int, p: int, l: int) -> tuple:
-    """The inverse transform of ``c+_p c+_{p+l}`` as ``(weight, bond)`` terms, one per K.
+    """The inverse transform of ``c+_p c+_{p+l}`` as ``(weights, bonds)``, one term per K.
 
-    ``c+_p c+_{p+l} = (1/n_sites) sum_K e^{-ipk} e_{+lk}``: the term list
+    ``c+_p c+_{p+l} = (1/n_sites) sum_K e^{-ipk} e_{+lk}``: the terms
     that ``bondboson.interactions.reconstruction_stack`` contracts.
     """
-    roots = unit_roots(n_sites)
-    return tuple((roots[-K * p % n_sites] / n_sites, ChainPair(l, K)) for K in range(n_sites))
+    K = np.arange(n_sites)
+    return unit_roots(n_sites)[-K * p % n_sites] / n_sites, [ChainPair(l, k) for k in K.tolist()]
 
 
 def sequential_pair_form(space, alpha) -> SparseOperator:

@@ -9,12 +9,11 @@ seeded random matrices, and show that one wrong sign or phase in a
 single coefficient is rejected by both routes under the unchanged bounds.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from conftest import dense_jw_creation
 from fock_oracle import (
+    as_label,
     combination,
     fock_combination,
     fock_hamiltonian,
@@ -23,6 +22,7 @@ from fock_oracle import (
     fock_pair_bilinear,
     fock_quadratic,
     identity_sides,
+    identity_terms,
     label_matrix,
     pair_reconstruction_terms,
     sequential_identity_residuals,
@@ -31,6 +31,7 @@ from fock_oracle import (
 from bondboson.bilinear import (
     ChainPair,
     FockSizeError,
+    IdentityTable,
     SquarePair,
     bond_identities,
     commutator_with_hopping,
@@ -69,10 +70,21 @@ def spec_id(spec):
     return f"dirac{spec.lx}x{spec.ly}"
 
 
-def term_scale(spec, h, identity):
-    """Sum of the Fock norms of the terms of both sides: the size rounding scales with."""
-    lhs, _ = identity_sides(spec, h, identity)
-    return pair_norm(lhs) + sum(abs(w) * pair_norm(label_matrix(spec, p)) for w, p in identity.rhs)
+def term_scale(spec, h, identities, i):
+    """Sum of the Fock norms of the terms of both sides of identity i: the size rounding scales with."""
+    lhs, _ = identity_sides(spec, h, identities, i)
+    _, (weights, labels) = identity_terms(identities, i)
+    return pair_norm(lhs) + sum(abs(w) * pair_norm(label_matrix(spec, p))
+                                for w, p in zip(weights, labels))
+
+
+def same_table(a, b) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def one_identity(identities, i) -> IdentityTable:
+    """The table of identity i alone."""
+    return IdentityTable(*(column[i:i + 1] for column in identities))
 
 
 def test_unit_roots_are_exact_at_quarter_turns():
@@ -95,16 +107,16 @@ def test_identities_agree_with_the_fock_oracle_per_check(spec):
     h_fock = fock_hamiltonian(space)
     h = hopping_matrix(spec)
     identities = bond_identities(spec)
-    residuals = h_bond_commutator_residuals(spec)
-    assert [same for same, _ in residuals] == identities
-    for identity, residual in residuals:
-        lhs, rhs = identity_sides(spec, h, identity)
-        lhs_fock, rhs_fock = fock_identity_sides(space, h_fock, identity)
-        tol = ROUNDING * term_scale(spec, h, identity)
+    same, residuals = h_bond_commutator_residuals(spec)
+    assert same_table(same, identities)
+    for i, residual in enumerate(residuals):
+        lhs, rhs = identity_sides(spec, h, identities, i)
+        lhs_fock, rhs_fock = fock_identity_sides(space, h_fock, identities, i)
+        tol = ROUNDING * term_scale(spec, h, identities, i)
         # each side separately, as operators, and the reported residual
-        assert (pair_bilinear(space, lhs) - lhs_fock).norm() <= tol, identity
-        assert (pair_bilinear(space, rhs) - rhs_fock).norm() <= tol, identity
-        assert abs(residual - (lhs_fock - rhs_fock).norm()) <= tol, identity
+        assert (pair_bilinear(space, lhs) - lhs_fock).norm() <= tol, i
+        assert (pair_bilinear(space, rhs) - rhs_fock).norm() <= tol, i
+        assert abs(residual - (lhs_fock - rhs_fock).norm()) <= tol, i
 
 
 # -- the batched route has the bits of the one-identity-at-a-time loop -------------
@@ -128,10 +140,9 @@ def bit_identity_id(spec):
 def test_batched_residuals_have_the_bits_of_the_per_identity_loop(spec):
     identities = bond_identities(spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = h_bond_commutator_residuals(spec)
+        same, batched = h_bond_commutator_residuals(spec)
         expected = np.array(sequential_identity_residuals(spec, identities))
-    assert [identity for identity, _ in rows] == identities
-    batched = np.array([residual for _, residual in rows])
+    assert same_table(same, identities)
     assert batched.tobytes() == expected.tobytes()
     assert np.isnan(batched).any() == (getattr(spec, "delta", 0.0) == 1e308)
 
@@ -139,17 +150,23 @@ def test_batched_residuals_have_the_bits_of_the_per_identity_loop(spec):
 @pytest.mark.parametrize("spec", [ChainSpec(6, alpha_u=0.1), ChainSpec(4, spinful=True),
                                   SquareSpec(2, 3, delta=0.7), SquareSpec(1, 1)], ids=spec_id)
 def test_pair_stack_rows_have_the_bits_of_single_label_builds(spec):
-    labels = [pair for identity in bond_identities(spec) for _, pair in identity.target + identity.rhs]
+    identities = bond_identities(spec)
+    width = identities.target_labels.shape[-1]
+    rows = np.concatenate([identities.target_labels.reshape(-1, width),
+                           identities.rhs_labels.reshape(-1, width)])
+    labels = [as_label(spec, row) for row in rows]
     if isinstance(spec, ChainSpec):
-        channels = ("uu", "dd", "ud", "du") if spec.spinful else ("uu",)
-        labels += [ChainPair(l, K, channel) for channel in channels
+        spins = ((0, 0), (1, 1), (0, 1), (1, 0)) if spec.spinful else ((0, 0),)
+        labels += [ChainPair(l, K, spin1, spin2) for spin1, spin2 in spins
                    for l in range(-1, spec.n_sites + 1) for K in range(-1, spec.n_sites + 1)]
     else:
-        labels += [SquarePair(0, 0, 0, 0, pairing) for pairing in ("cc", "bb", "cb", "bc")]
+        labels += [SquarePair(0, 0, 0, 0, comp1, comp2) for comp1, comp2 in np.ndindex(2, 2)]
     labels = list(dict.fromkeys(labels))
     stack = pair_stack(spec, labels)
     assert stack.shape == (len(labels),) + label_matrix(spec, labels[0]).shape
     assert not stack.flags.writeable
+    # a list of labels is its integer table
+    assert pair_stack(spec, np.asarray(labels)).tobytes() == stack.tobytes()
     for label, row in zip(labels, stack):
         assert row.tobytes() == label_matrix(spec, label).tobytes(), label
         assert row.tobytes() == pair_stack(spec, [label])[0].tobytes(), label
@@ -159,11 +176,14 @@ def test_pair_stack_rows_have_the_bits_of_single_label_builds(spec):
 def test_identity_momenta_are_grid_indices():
     # K on the chain's site grid: k = 2*pi*j/n_cells is site index 2j
     chain = bond_identities(ChainSpec(6, alpha_u=0.1, spinful=True))
-    assert {identity.k for identity in chain} == {0, 2, 4}
+    assert set(chain.k.tolist()) == {0, 2, 4}
     square = bond_identities(SquareSpec(2, 3, delta=0.4))
-    assert {identity.k for identity in square} == set(np.ndindex(2, 3))
-    assert all(type(K) is int for identity in chain for K in [identity.k])
-    assert all(type(K) is int for identity in square for K in identity.k)
+    assert set(map(tuple, square.k.tolist())) == set(np.ndindex(2, 3))
+    # the report column and the K, Kx and Ky columns of every label are integers
+    for table, label in ((chain, ChainPair), (square, SquarePair)):
+        columns = [label._fields.index(name) for name in ("K", "Kx", "Ky") if name in label._fields]
+        for momenta in (table.k, table.target_labels[..., columns], table.rhs_labels[..., columns]):
+            assert np.issubdtype(momenta.dtype, np.integer)
 
 
 def test_hopping_matrix_is_the_fock_hamiltonian():
@@ -224,11 +244,11 @@ def test_pair_reconstruction_agrees_with_the_fock_oracle():
             for l in range(1, n_sites):
                 terms = pair_reconstruction_terms(n_sites, p, l)
                 built = pair_from_bonds(space, p, l)
-                assert (built - fock_combination(space, terms)).norm() <= 1e-13
+                assert (built - fock_combination(space, *terms)).norm() <= 1e-13
                 assert (built - creation_pair_direct(space, p, l)).norm() <= 1e-13
                 target = np.zeros((n_sites, n_sites))
                 target[p, (p + l) % n_sites] = 1.0
-                assert pair_norm(combination(ChainSpec(n_sites), terms) - target) <= 1e-13
+                assert pair_norm(combination(ChainSpec(n_sites), *terms) - target) <= 1e-13
 
 
 @pytest.mark.parametrize("n_sites", range(2, 17, 2))
@@ -240,7 +260,7 @@ def test_reconstruction_stack_has_the_bits_of_the_term_sums(n_sites):
     assert not stack.flags.writeable
     for p in range(n_sites):
         for l in range(1, n_sites):
-            expected = combination(ChainSpec(n_sites), pair_reconstruction_terms(n_sites, p, l))
+            expected = combination(ChainSpec(n_sites), *pair_reconstruction_terms(n_sites, p, l))
             assert stack[p, l - 1].tobytes() == expected.tobytes(), (p, l)
 
 
@@ -260,17 +280,19 @@ MUTATION_SPECS = [ChainSpec(4, alpha_u=0.1), ChainSpec(8, alpha_u=0.1), ChainSpe
                   SquareSpec(2, 2, delta=0.8), SquareSpec(2, 3, delta=0.8)]
 
 
-def live_term(terms, spec):
+def live_term(weights, labels, spec):
     """Index of the first term that is not the zero operator, or None."""
-    for i, (weight, pair) in enumerate(terms):
+    for i, (weight, pair) in enumerate(zip(weights, labels)):
         if weight != 0 and pair_norm(pair_stack(spec, [pair])[0]) > 0:
             return i
     return None
 
 
-def mutate(terms, i, mutation, n_sites):
-    weight, pair = terms[i]
-    return terms[:i] + ((mutation(weight, n_sites), pair),) + terms[i + 1:]
+def mutate(weights, i, mutation, n_sites):
+    """A copy of the weights with weight i (an index of the array) mutated."""
+    mutated = np.array(weights, dtype=complex)
+    mutated[i] = mutation(mutated[i], n_sites)
+    return mutated
 
 
 @pytest.fixture(scope="module")
@@ -290,16 +312,18 @@ def fock_setups():
 @pytest.mark.parametrize("spec", MUTATION_SPECS, ids=spec_id)
 def test_a_wrong_identity_coefficient_fails_both_routes(spec, mutation, fock_setups):
     # the last identity (largest momentum) with a right-hand side that is not zero
-    identity = next(i for i in reversed(bond_identities(spec))
-                    if live_term(i.rhs, spec) is not None)
-    term = live_term(identity.rhs, spec)
-    mutated = dataclasses.replace(
-        identity, rhs=mutate(identity.rhs, term, mutation, spec.n_sites))
+    identities = bond_identities(spec)
+    index = next(i for i in reversed(range(len(identities.channel)))
+                 if live_term(identities.rhs_weights[i], identities.rhs_labels[i], spec) is not None)
+    identity = one_identity(identities, index)
+    term = live_term(identity.rhs_weights[0], identity.rhs_labels[0], spec)
+    mutated = identity._replace(
+        rhs_weights=mutate(identity.rhs_weights, (0, term), mutation, spec.n_sites))
     space, h_fock = fock_setups(spec)
-    assert identity_residuals(spec, [identity])[0] <= IDENTITY_BOUND
-    assert fock_identity_residual(space, h_fock, identity) <= IDENTITY_BOUND
-    assert identity_residuals(spec, [mutated])[0] > IDENTITY_BOUND
-    assert fock_identity_residual(space, h_fock, mutated) > IDENTITY_BOUND
+    assert identity_residuals(spec, identity)[0] <= IDENTITY_BOUND
+    assert fock_identity_residual(space, h_fock, identity, 0) <= IDENTITY_BOUND
+    assert identity_residuals(spec, mutated)[0] > IDENTITY_BOUND
+    assert fock_identity_residual(space, h_fock, mutated, 0) > IDENTITY_BOUND
 
 
 @pytest.mark.parametrize("mutation", [wrong_sign, wrong_phase])
@@ -307,12 +331,13 @@ def test_a_wrong_identity_coefficient_fails_both_routes(spec, mutation, fock_set
 def test_a_wrong_reconstruction_weight_fails_both_routes(n_sites, mutation):
     p, l = n_sites - 1, n_sites // 2 - 1
     # mutate the weight of the K = 1 bond
-    terms = mutate(pair_reconstruction_terms(n_sites, p, l), 1, mutation, n_sites)
+    weights, bonds = pair_reconstruction_terms(n_sites, p, l)
+    terms = mutate(weights, 1, mutation, n_sites), bonds
     target = np.zeros((n_sites, n_sites))
     target[p, (p + l) % n_sites] = 1.0
-    assert pair_norm(combination(ChainSpec(n_sites), terms) - target) > RECONSTRUCTION_BOUND
+    assert pair_norm(combination(ChainSpec(n_sites), *terms) - target) > RECONSTRUCTION_BOUND
     space = FockSpace(ChainSpec(n_sites))
-    fock = fock_combination(space, terms) - creation_pair_direct(space, p, l)
+    fock = fock_combination(space, *terms) - creation_pair_direct(space, p, l)
     assert fock.norm() > RECONSTRUCTION_BOUND
 
 

@@ -344,21 +344,6 @@ def test_commutators_hole_table_stops_at_the_site_count(capsys):
     assert sorted({row["holes"] for row in payload["deviation_vs_holes"]}) == [0, 1, 2]
 
 
-def test_overflowing_mass_fails_the_verdict(capsys):
-    # 1e308 is finite, but the Hamiltonian products overflow: NaN residuals must fail
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, _ = run_cli(
-            ["verify", "identities", "--model", "dirac2d", "--lx", "2", "--ly", "2",
-             "--mass", "1e308"],
-            capsys,
-        )
-    assert code == 1
-    payload = json.loads(out)
-    assert payload["verdict"] == "fail"
-    assert payload["max_residual"] == "+nan"
-    assert not all(c["pass"] for c in payload["checks"])
-
-
 def test_spectrum_exits_1_on_a_failed_verdict(capsys):
     # the closed forms overflow at m*m: NaN discrepancies fail the table
     with np.errstate(over="ignore", invalid="ignore"):
@@ -545,6 +530,9 @@ BAD_FLAGS = [
     ("--t0", ["verify", "identities", "--model", "ssh", "--sites", "2", "--t0", "1e308"]),
     ("--t0", ["verify", "identities", "--model", "ssh", "--sites", "4", "--t0", "1.7e308",
               "--alpha-u", "1e307"]),
+    # and the identity weight 2*mass by the 2D bound
+    ("--mass", ["verify", "identities", "--model", "dirac2d", "--lx", "2", "--ly", "2",
+                "--mass", "1e308"]),
     # flags the model or the suite does not read
     ("--lx", ["verify", "identities", "--model", "ssh", "--sites", "4", "--holes", "3",
               "--lx", "0", "--mass", "5"]),
@@ -633,10 +621,9 @@ def must_reject(argv, numbers) -> list:
         flags.append("--tolerance")
     if numbers.get("--t0", 1.0) <= 0:
         flags.append("--t0")
-    if argv[0] == "spectrum" or argv[1] == "correspondence" or argv[1:4] == [
-            "identities", "--model", "ssh"]:
-        # the block entries, and the chain hopping entries, are bounded by
-        # 2|t0| + 4|alpha_u|, resp. 2|mass|
+    if argv[0] == "spectrum" or argv[1] in ("correspondence", "identities"):
+        # the block entries, the chain hopping entries and the identity
+        # weights are bounded by 2|t0| + 4|alpha_u|, resp. 2|mass|
         terms = {flag: factor * abs(numbers[flag])
                  for flag, factor in (("--t0", 2.0), ("--alpha-u", 4.0), ("--mass", 2.0))
                  if flag in numbers}
