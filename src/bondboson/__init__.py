@@ -20,8 +20,10 @@ The names below are the coefficient-matrix and spectrum API; importing
 them loads neither scipy nor the Fock route.  The Fock route is imported
 from its submodules, ``bondboson.fock`` and ``bondboson.interactions``:
 only ``verify interactions`` runs it, so the package does not load it
-for every command.  Scipy is loaded by the Fock route and by the first
-call of :func:`pair_commutator_table` (``verify commutators``).
+for every command.  Scipy is loaded by the Fock route alone: the
+near-filling table of :func:`pair_commutator_table` (``verify
+commutators``) is one ordered numpy scatter with the bits of scipy's
+row-by-row sparse product.
 """
 
 from .bilinear import (

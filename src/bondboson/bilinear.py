@@ -51,6 +51,7 @@ from .lattice import (
     square_mode,
     unit_roots,
 )
+from .numerics import unfused_product
 
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -423,10 +424,17 @@ def pair_commutator_table(spec, pairs, n_holes: int = 0, seed: int = 0):
     both modes occupied, ``P_B^dag P_A`` adds it first, which needs both
     empty, and the Jordan-Wigner signs of a round trip cancel.  With the
     labels' ``a_ij`` (i < j) stacked as the rows of X and the bracket as
-    the diagonal W, the table is ``X W X^H``.  It is one sparse product,
-    which adds each entry in the same order on every machine (a BLAS
-    product's order depends on the CPU kernel), so reports are
-    reproducible to the last digit.
+    the diagonal W, the table is ``X W X^H``.  It is one ordered numpy
+    scatter with the bits of the row-by-row sparse product (Gustavson,
+    ACM TOMS 4(3), 1978; scipy's ``csr_matmat``): every pair of nonzeros
+    ``x_rk``, ``x_sk`` (r <= s) of a column k of X gives
+    ``(x_rk w_k) conj(x_sk)``, formed by
+    :func:`~bondboson.numerics.unfused_product`, and each entry adds its
+    terms to zero in ascending k.  Each weight is -1, 0 or 1, so the
+    entries below the diagonal are the exact conjugates of those above.
+    The order is the same on every machine (a BLAS product's order
+    depends on the CPU kernel), so reports are reproducible to the last
+    digit.
     """
     n = spec.n_modes
     check_mode_cap(n)
@@ -443,11 +451,26 @@ def pair_commutator_table(spec, pairs, n_holes: int = 0, seed: int = 0):
     occupied[list(holes)] = 0.0
     i, j = np.triu_indices(n, 1)
     weights = occupied[i] * occupied[j] - (1.0 - occupied[i]) * (1.0 - occupied[j])
-    from scipy import sparse  # imported at its one use: commands without this table skip it
-
     a = pair_stack(spec, pairs)
-    x = sparse.csr_matrix((a - a.transpose(0, 2, 1))[:, i, j])
-    return (x.multiply(weights).tocsr() @ x.conj().T).toarray(), holes
+    x = (a - a.transpose(0, 2, 1))[:, i, j]
+    # the nonzero pattern of X column by column (k ascending, then r); each entry
+    # (r, k) gives one product per entry (s, k), s >= r, of its column, and
+    # ``partner`` holds the position of that s in the pattern
+    k, r = np.nonzero(x.T)
+    values = x[r, k]
+    entry = np.arange(len(k))
+    per = np.cumsum(np.bincount(k, minlength=len(i)))[k] - entry
+    partner = np.arange(per.sum()) + np.repeat(entry - (np.cumsum(per) - per), per)
+    # (x_rk w_k) conj(x_sk) with the sparse kernel's multiply and complex product,
+    # each entry's terms in ascending k
+    products = unfused_product(np.repeat(np.multiply(values, weights[k]), per),
+                               values.conj().take(partner))
+    upper = np.zeros((len(a), len(a)), dtype=complex)
+    np.add.at(upper.ravel(), np.repeat(r * len(a), per) + r.take(partner), products)
+    # w_k is -1, 0 or 1, so the (s, r) terms are the conjugates of the (r, s) terms
+    # and their sum is the conjugate of the (r, s) sum; adding it to +0 turns a
+    # zero part +0, as the sparse product's sum from +0 is
+    return upper + np.triu(upper, 1).conj().T, holes
 
 
 def boson_commutator_report(spec, pair, other, n_holes: int = 0,

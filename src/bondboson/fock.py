@@ -39,6 +39,7 @@ from scipy import sparse
 
 from .bilinear import check_mode_cap
 from .lattice import chain_anchors, chain_mode, square_mode
+from .numerics import unfused_product
 # imported for the benchmark tracer, which wraps these names where fock looks them up
 from .lattice import chain_momenta, on_grid, square_momenta  # noqa: F401
 
@@ -268,11 +269,8 @@ def pair_products(space: FockSpace, raising, lowering, weights) -> SparseOperato
     modes.sort(axis=1)
     modes = np.sort(np.where(np.diff(modes, axis=1, prepend=-1) == 0, n, modes), axis=1)
     # one product per combination (a sign only negates it), formed unfused as the
-    # sparse kernel does: numpy's complex product may fuse a multiply-add
-    lr, li, rr, ri = left.real[ka], left.imag[ka], right.real[kb], right.imag[kb]
-    product = np.empty(len(ka), dtype=complex)
-    product.real = lr * rr - li * ri
-    product.imag = lr * ri + li * rr
+    # sparse kernel does
+    product = unfused_product(left[ka], right[kb])
     # one slot per (shift, row) of each shift a ^ b that occurs; different union
     # sizes never share one, so each size is scattered on its own
     shifts, slot = np.unique(shift, return_inverse=True)

@@ -97,6 +97,22 @@ def pow2(x):
     return np.float_power(x, 2)
 
 
+def unfused_product(x, y) -> np.ndarray:
+    """``x * y`` of complex arrays (broadcast), each part rounded as written:
+    ``(xr*yr - xi*yi, xr*yi + xi*yr)``.
+
+    This is the complex product of a C++ sparse kernel (scipy's
+    ``csr_matmat``).  numpy's complex ``*`` may fuse a multiply-add, which
+    rounds once where this rounds twice, so a sum of such products would
+    differ from the sparse product's in the last bits.
+    """
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    product = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    product.real = x.real * y.real - x.imag * y.imag
+    product.imag = x.real * y.imag + x.imag * y.real
+    return product
+
+
 def max_residual(values) -> float:
     """Largest of the non-negative ``values`` (0.0 if there are none); NaN if any is NaN.
 

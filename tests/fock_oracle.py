@@ -21,6 +21,11 @@ against which the stacked builds of ``bondboson.interactions`` are
 checked.  The chunked sparse product (:func:`chunked_pair_products`) is
 the reference that the ordered scatter of ``bondboson.fock.pair_products``
 matches bit for bit.
+
+The near-filling table ``X W X^H`` has its sparse product here
+(:func:`sparse_commutator_table`), the reference that the ordered
+scatter of ``bondboson.bilinear.pair_commutator_table`` matches bit for
+bit.
 """
 
 import numpy as np
@@ -32,6 +37,7 @@ from bondboson.bilinear import (
     commutator_with_hopping,
     hopping_matrix,
     pair_norm,
+    pair_stack,
 )
 from bondboson.fock import (
     SparseOperator,
@@ -224,3 +230,21 @@ def chunked_pair_products(space, raising, lowering, weights) -> SparseOperator:
                                   shape=(PRODUCT_CHUNK * dim, dim))
         total = sparse.hstack([total, left], format="csr") @ sparse.vstack([eye, right], format="csr")
     return SparseOperator(space, total)
+
+
+def sparse_commutator_table(spec, pairs, holes) -> np.ndarray:
+    """``<s| [P_A, P_B^dag] |s>`` for every ordered pair of labels, as one sparse product.
+
+    s is the filled state with the modes ``holes`` empty.  The labels'
+    ``a_ij`` (i < j) are the rows of X and ``n_i n_j - (1-n_i)(1-n_j)``
+    the diagonal W; the table is scipy's ``X W X^H``, whose row-by-row
+    product adds each entry's terms in ascending column of X.
+    """
+    n = spec.n_modes
+    occupied = np.ones(n)
+    occupied[list(holes)] = 0.0
+    i, j = np.triu_indices(n, 1)
+    weights = occupied[i] * occupied[j] - (1.0 - occupied[i]) * (1.0 - occupied[j])
+    a = pair_stack(spec, pairs)
+    x = sparse.csr_matrix((a - a.transpose(0, 2, 1))[:, i, j])
+    return (x.multiply(weights).tocsr() @ x.conj().T).toarray()

@@ -301,7 +301,7 @@ LAZY_MODULES = ("scipy", "bondboson.fock", "bondboson.interactions")
     (["spectrum", "ssh", "--sites", "6"], []),
     (["verify", "identities", "--model", "ssh", "--sites", "6"], []),
     (["verify", "correspondence", "--model", "dirac2d", "--lx", "2", "--ly", "3"], []),
-    (["verify", "commutators", "--model", "ssh", "--sites", "6"], ["scipy"]),
+    (["verify", "commutators", "--model", "ssh", "--sites", "6"], []),
     (["verify", "interactions", "--model", "ssh", "--sites", "4"], sorted(LAZY_MODULES)),
 ], ids=["setup-probe", "spectrum", "identities", "correspondence", "commutators",
         "interactions"])
@@ -331,6 +331,17 @@ def test_interactions_bind_the_fock_route_in_a_fresh_interpreter():
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "18 modes exceed the exact-representation cap of 16" in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["verify_commutators_ssh6.json",
+                                  "verify_commutators_dirac2x3.json"])
+def test_commutators_run_without_scipy(name):
+    # a None entry in sys.modules makes every scipy import raise ImportError
+    script = ("import sys\nsys.modules['scipy'] = None\nimport bondboson.cli\n"
+              f"sys.exit(bondboson.cli.main({CASES[name]!r}))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / name).read_bytes()
 
 
 def test_commutators_hole_table_stops_at_the_site_count(capsys):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 from conftest import dense_jw_creation
-from fock_oracle import fock_pair
+from fock_oracle import fock_pair, sparse_commutator_table
 from scipy import sparse
 
 from bondboson import bilinear
@@ -399,6 +399,33 @@ def test_table_matches_the_fock_single_pair_route(name, holes):
     rep = boson_commutator_report(spec, labels[0], labels[-1], n_holes=holes, seed=ORACLE_SEED)
     assert rep.expectation == complex(table[0, -1])
     assert rep.holes == hole_modes
+
+
+# the ordered scatter against scipy's sparse product: every spec above, dimerized
+# and spinful chains, and both orientations of the rectangular 2D lattices
+SCATTER_SPECS = list(dict.fromkeys([
+    *ORACLE_SPECS.values(),
+    *(ChainSpec(n, alpha_u=0.13) for n in range(4, 17, 2)),
+    *(ChainSpec(n, alpha_u=0.13, spinful=True) for n in (4, 6, 8)),
+    *(SquareSpec(lx, ly) for lx, ly in ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2))),
+]))
+SCATTER_SEEDS = (7, 1, 2, 3)
+
+
+@pytest.mark.parametrize("spec", SCATTER_SPECS, ids=repr)
+def test_table_has_the_bits_of_the_sparse_product(spec):
+    labels = near_filling_labels(spec)
+    label_sets = {"all": labels, "one per bond": labels[::spec.n_sites],
+                  "two": [labels[0], labels[-1]]}
+    differing = []
+    for name, subset in label_sets.items():
+        for holes in ORACLE_HOLES:
+            for seed in SCATTER_SEEDS:
+                table, hole_modes = pair_commutator_table(spec, subset, n_holes=holes, seed=seed)
+                expected = sparse_commutator_table(spec, subset, hole_modes)
+                if table.shape != expected.shape or table.tobytes() != expected.tobytes():
+                    differing.append((name, holes, seed))
+    assert differing == []
 
 
 @pytest.mark.parametrize("holes", ORACLE_HOLES)
