@@ -4,7 +4,8 @@ The package covers two models: the dimerized (alternating-hopping)
 periodic chain and a two-component square-lattice model whose long
 wavelength limit is the 2+1D Dirac equation.  For both it provides
 
-* single-particle Hamiltonians and closed-form bands (`fermion_model`),
+* the one-body matrix h of either lattice, built by one function
+  (`hopping_matrix`), and the closed-form bands (`fermion_model`),
 * the quadratic pair algebra on n x n coefficient matrices, with the
   H-bond commutator identities and the near-filling commutator table
   (Wick's theorem on a basis state) evaluated on it (`bilinear`),
@@ -49,12 +50,7 @@ from .blocks import (
     ssh_boson_block,
     ssh_boson_closed_eigs,
 )
-from .fermion_model import (
-    dirac2d_band_energy,
-    dirac2d_hopping_matrix,
-    ssh_band_energy,
-    ssh_hopping_matrix,
-)
+from .fermion_model import dirac2d_band_energy, hopping_matrix, ssh_band_energy
 from .lattice import ChainSpec, SquareSpec, chain_momenta, square_momenta
 from .numerics import (
     HermitianMatrix,

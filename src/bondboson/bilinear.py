@@ -1,7 +1,8 @@
 """Quadratic fermion algebra on n x n coefficient matrices.
 
 A pair bilinear ``P_A = sum_ij A_ij c+_i c+_j`` and a hopping operator
-``H = sum_ij h_ij c+_i c_j`` on n modes close under commutation,
+``H = sum_ij h_ij c+_i c_j`` on n modes (h from
+:func:`bondboson.fermion_model.hopping_matrix`) close under commutation,
 
     [H, P_A] = P_{hA + A h^T},
 
@@ -39,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fermion_model import dirac2d_hopping_matrix, ssh_hopping_matrix
+from .fermion_model import hopping_matrix
 from .lattice import (
     ALL_SITES,
     SUBLATTICE_A,
@@ -160,14 +161,6 @@ def pair_stack(spec, labels) -> np.ndarray:
     stack[entries] = values
     stack.setflags(write=False)
     return stack
-
-
-def hopping_matrix(spec) -> np.ndarray:
-    """``h`` of the spec's Hamiltonian in the Fock mode order (``h (x) I_2`` when spinful)."""
-    if isinstance(spec, ChainSpec):
-        h = ssh_hopping_matrix(spec).array
-        return np.kron(h, np.eye(2)) if spec.spinful else h
-    return dirac2d_hopping_matrix(spec).array
 
 
 def _rows(*fields) -> np.ndarray:

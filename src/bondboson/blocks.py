@@ -2,19 +2,19 @@
 
 Each (q, k) of the chain model and each (s, p, kx, ky) of the 2D model
 carries a 4x4 Hermitian block whose eigenvalues are signed sums of two
-single-fermion band energies.  This module builds the literal blocks,
-evaluates the closed forms, and produces the table that checks the
-numeric spectrum against them.  The table's closed-form and fermion-pair
-columns evaluate the same band radicals today (the same
-:func:`ssh_band_energy` calls on the chain; in 2D one radical, scaled by
-exact powers of two), so it has two independent routes, not three.
+single-fermion band energies (:func:`ssh_band_energy`,
+:func:`dirac2d_band_energy`).  This module builds the literal blocks,
+evaluates those sums (the closed forms), and produces the table that
+checks the numeric spectrum against them: two independent routes, the
+eigensolver and the band formulas, so the table's closed-form and
+fermion-pair columns are one evaluation.
 
 The builders and closed forms broadcast over their momentum arguments:
 scalars give one :class:`HermitianMatrix` block, arrays give a stack of
 shape ``(..., 4, 4)``.
 The correspondence table evaluates a whole momentum grid at once: one
-block stack, one stacked eigensolve, one closed-form and one band
-evaluation per table.  A one-point call runs the same formula, with the
+block stack, one stacked eigensolve and one closed-form evaluation per
+table.  A one-point call runs the same formula, with the
 same rounding, as the table entry at that point.
 
 Chain block basis order: (A, q), (A, q - pi), (B, q), (B, q - pi).
@@ -30,7 +30,7 @@ import numpy as np
 
 from .fermion_model import dirac2d_band_energy, ssh_band_energy
 from .lattice import ChainSpec, SquareSpec, chain_momenta, square_momenta
-from .numerics import HermitianMatrix, hermitian_eigenvalues, max_residual, pow2
+from .numerics import HermitianMatrix, hermitian_eigenvalues, max_residual
 
 
 # The block entries are written in real arithmetic, in the order and with
@@ -49,10 +49,11 @@ def _stack(*momenta) -> np.ndarray:
 
 
 def _signed_sums(r1, r2) -> np.ndarray:
-    """The four signed sums +-r1 +-r2 along a new last axis, unsorted."""
+    """The four signed sums +-r1 +-r2 along a new last axis, ascending."""
     r1 = np.asarray(r1)[..., None]
     r2 = np.asarray(r2)[..., None]
-    return np.array([1.0, 1.0, -1.0, -1.0]) * r1 + np.array([1.0, -1.0, 1.0, -1.0]) * r2
+    return np.sort(np.array([1.0, 1.0, -1.0, -1.0]) * r1 + np.array([1.0, -1.0, 1.0, -1.0]) * r2,
+                   axis=-1)
 
 
 def ssh_boson_block(q, k, t0: float, alpha_u: float) -> HermitianMatrix:
@@ -93,9 +94,8 @@ def ssh_boson_closed_eigs(q, k, t0: float, alpha_u: float) -> np.ndarray:
     spectrum exactly (pairs of valence/valence, conduction/conduction,
     and mixed fermions).  Arrays of momenta give one row per block.
     """
-    r1 = ssh_band_energy(q, t0, alpha_u)
-    r2 = ssh_band_energy(k / 2.0 - q, t0, alpha_u)
-    return np.sort(_signed_sums(r1, r2), axis=-1)
+    return _signed_sums(ssh_band_energy(q, t0, alpha_u),
+                        ssh_band_energy(k / 2.0 - q, t0, alpha_u))
 
 
 def dirac_boson_block(s, p, kx, ky, delta: float) -> HermitianMatrix:
@@ -127,18 +127,15 @@ def dirac_boson_block(s, p, kx, ky, delta: float) -> HermitianMatrix:
 def dirac_boson_closed_eigs(s, p, kx, ky, delta: float) -> np.ndarray:
     """All four signed sums of the two 2D band radicals, ascending.
 
-    The radicals are ``sqrt(delta^2 + 4 sin^2(.) + 4 sin^2(.))`` at
-    (s, p) and (kx - s, ky - p): the single-fermion band energies
-    ``2*sqrt(m^2 + sin^2 + sin^2)`` of the lattice model with on-site
-    splitting delta = 2m.  The doubled sines carry the lattice hopping
-    amplitude 2; the zero-momentum limit fixes the overall scale, giving
-    {-2 delta, 0, 0, +2 delta} there.  Arrays of momenta give one row
-    per block.
+    The radicals are the single-fermion band energies
+    ``2*sqrt(m^2 + sin^2 + sin^2)`` (:func:`dirac2d_band_energy`) at
+    (s, p) and (kx - s, ky - p) of the lattice model with on-site
+    splitting delta = 2m.  The zero-momentum limit fixes the overall
+    scale, giving {-2 delta, 0, 0, +2 delta} there.  Arrays of momenta
+    give one row per block.
     """
-    def radical(a, b):
-        return np.sqrt(delta * delta + 4.0 * pow2(np.sin(a)) + 4.0 * pow2(np.sin(b)))
-
-    return np.sort(_signed_sums(radical(s, p), radical(kx - s, ky - p)), axis=-1)
+    m = delta / 2.0
+    return _signed_sums(dirac2d_band_energy(s, p, m), dirac2d_band_energy(kx - s, ky - p, m))
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +153,10 @@ class SpectrumTable:
     ``numeric``, ``closed_form`` and ``fermion_pairs`` are (N, 4), each
     row ascending: the numerically diagonalized block spectrum, the
     closed-form evaluation, and the reconstruction from signed pairs of
-    single-fermion band energies, the last two one route today (see the
-    module docstring).  ``discrepancy`` (N,) is each block's largest
-    pointwise difference of the numeric column from the other two.
+    single-fermion band energies.  The last two are one array: the
+    closed forms are those signed pairs (see the module docstring).
+    ``discrepancy`` (N,) is each block's largest pointwise difference
+    of the numeric column from the closed form.
     """
 
     spec: ChainSpec | SquareSpec
@@ -183,9 +181,9 @@ def correspondence_report(spec, tolerance: float = 1e-10) -> SpectrumTable:
     """Eigenvalue table over the full momentum grid.
 
     For every block the numeric spectrum is compared against the closed
-    form and against the signed sums of single-fermion band energies at
-    the paired momenta (q and k/2 - q on the chain; (s, p) and
-    (kx - s, ky - p) on the square lattice).  Rows exceeding the
+    form, the signed sums of single-fermion band energies at the paired
+    momenta (q and k/2 - q on the chain; (s, p) and (kx - s, ky - p) on
+    the square lattice), evaluated once.  Rows exceeding the
     tolerance (or carrying a NaN) stay in the table and flip the
     verdict; nothing is dropped.  Rows are ordered by momentum tuple.
     """
@@ -193,11 +191,8 @@ def correspondence_report(spec, tolerance: float = 1e-10) -> SpectrumTable:
         grid = chain_momenta(spec.n_cells)
         momenta = np.column_stack(np.divmod(np.arange(grid.size ** 2), grid.size))
         q, k = grid[momenta[:, 0]], grid[momenta[:, 1]]
-        t0, alpha_u = spec.t0, spec.alpha_u
-        block = ssh_boson_block(q, k, t0, alpha_u)
-        closed = ssh_boson_closed_eigs(q, k, t0, alpha_u)
-        pairs = _signed_sums(ssh_band_energy(q, t0, alpha_u),
-                             ssh_band_energy(k / 2.0 - q, t0, alpha_u))
+        block = ssh_boson_block(q, k, spec.t0, spec.alpha_u)
+        closed = ssh_boson_closed_eigs(q, k, spec.t0, spec.alpha_u)
     elif isinstance(spec, SquareSpec):
         grid = square_momenta(spec.lx, spec.ly)
         # flat x-major cell indices of (s, p) and of (kx, ky)
@@ -206,23 +201,10 @@ def correspondence_report(spec, tolerance: float = 1e-10) -> SpectrumTable:
         s, p, kx, ky = np.hstack((grid[first], grid[total])).T
         block = dirac_boson_block(s, p, kx, ky, spec.delta)
         closed = dirac_boson_closed_eigs(s, p, kx, ky, spec.delta)
-        # The block mass is the on-site splitting delta; the band energies
-        # use the model's m = delta/2, so each radical is one full fermion
-        # band energy and the block spectrum is the signed pair sums.
-        pairs = _signed_sums(dirac2d_band_energy(s, p, spec.m),
-                             dirac2d_band_energy(kx - s, ky - p, spec.m))
     else:
         raise TypeError(f"expected ChainSpec or SquareSpec, got {type(spec).__name__}")
     # eigvalsh and the closed forms are ascending already
     numeric = hermitian_eigenvalues(block)
-    pairs = np.sort(pairs, axis=-1)
-    spread = np.max(np.abs(np.concatenate((numeric - closed, numeric - pairs), axis=-1)), axis=-1)
-    return SpectrumTable(
-        spec=spec,
-        tolerance=tolerance,
-        momenta=momenta,
-        numeric=numeric,
-        closed_form=closed,
-        fermion_pairs=pairs,
-        discrepancy=spread,
-    )
+    return SpectrumTable(spec=spec, tolerance=tolerance, momenta=momenta, numeric=numeric,
+                         closed_form=closed, fermion_pairs=closed,
+                         discrepancy=np.max(np.abs(numeric - closed), axis=-1))

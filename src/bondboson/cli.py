@@ -212,13 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
 MODEL_FLAGS = {"ssh": ("--sites", "--t0", "--alpha-u"), "dirac2d": ("--lx", "--ly", "--mass")}
 
 
-def _check_block_bound(model: str, t0: float, alpha_u: float, mass: float) -> None:
+def _check_block_bound(model: str, t0: float, alpha_u: float, mass: float,
+                       table: bool) -> None:
     """Reject model parameters whose 4x4 block entries overflow, naming the flag.
 
     The entries are bounded by 2|t0| + 4|alpha_u| on the chain (a bound on
     every hopping entry too) and by 2|mass| in 2D (the mass weight of the
     H-bond identities too).  Past that bound a table or an identity would
     hold inf and NaN, so the flag whose term is largest is named instead.
+    A 2D ``table`` also squares m = mass/2 in its band energies.
     """
     if model == "ssh":
         terms = {"--t0": 2.0 * abs(t0), "--alpha-u": 4.0 * abs(alpha_u)}
@@ -229,6 +231,9 @@ def _check_block_bound(model: str, t0: float, alpha_u: float, mass: float) -> No
     if not math.isfinite(sum(terms.values())):
         flag = max(terms, key=terms.get)
         raise ValueError(f"{flag} is too large: the block entry bound {bound} overflows")
+    m = mass / 2.0
+    if table and model == "dirac2d" and not math.isfinite(m * m):
+        raise ValueError("--mass is too large: the band energies' m*m overflows (m = mass/2)")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -268,7 +273,8 @@ def _config_from_args(args) -> RunConfig:
     if model == "ssh" and t0 <= 0:
         raise ValueError(f"--t0 must be positive for the chain model, got {t0}")
     if command == "spectrum" or suite in ("correspondence", "identities"):
-        _check_block_bound(model, t0, alpha_u, mass)
+        _check_block_bound(model, t0, alpha_u, mass,
+                           table=command == "spectrum" or suite == "correspondence")
     if suite == "interactions" and model != "ssh":
         raise ValueError("the interactions suite is defined on the chain model")
     if spinful and (suite, model) != ("identities", "ssh"):

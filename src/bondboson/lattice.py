@@ -66,7 +66,7 @@ class ChainSpec:
         return self.n_sites * (2 if self.spinful else 1)
 
     def bond_amplitude(self, n: int) -> float:
-        """Hopping amplitude on the bond (n, n+1), periodic in n."""
+        """Hopping amplitude on the bond (n, n+1), periodic in n; elementwise over an array."""
         return -self.t0 + (-1) ** (n % self.n_sites) * 2.0 * self.alpha_u
 
 

@@ -35,10 +35,10 @@ from bondboson.bilinear import (
     ChainPair,
     SquarePair,
     commutator_with_hopping,
-    hopping_matrix,
     pair_norm,
     pair_stack,
 )
+from bondboson.fermion_model import hopping_matrix
 from bondboson.fock import (
     SparseOperator,
     _bond_sum,

@@ -18,7 +18,7 @@ from bondboson.blocks import (
 )
 from bondboson.bilinear import ChainPair, boson_commutator_report, h_bond_commutator_residuals
 from bondboson.cli import main
-from bondboson.fermion_model import dirac2d_hopping_matrix, ssh_band_energy
+from bondboson.fermion_model import hopping_matrix, ssh_band_energy
 from bondboson.fock import FockSpace, creation_op
 from bondboson.blocks import correspondence_report
 from bondboson.interactions import (
@@ -156,7 +156,7 @@ def test_a5_closed_form_vs_numeric_dirac():
 
 def test_a6_fermion_correspondence_dirac():
     spec = SquareSpec(4, 4, delta=1.2)
-    numeric = hermitian_eigenvalues(dirac2d_hopping_matrix(spec))
+    numeric = hermitian_eigenvalues(hopping_matrix(spec))
     analytic = []
     for kx, ky in square_momenta(4, 4):
         e = np.sqrt(spec.delta**2 + 4 * np.sin(kx) ** 2 + 4 * np.sin(ky) ** 2)

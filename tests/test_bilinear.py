@@ -36,11 +36,11 @@ from bondboson.bilinear import (
     bond_identities,
     commutator_with_hopping,
     h_bond_commutator_residuals,
-    hopping_matrix,
     identity_residuals,
     pair_norm,
     pair_stack,
 )
+from bondboson.fermion_model import hopping_matrix
 from bondboson.fock import FockSpace, commutator, pair_bilinear
 from bondboson.interactions import (
     creation_pair_direct,
@@ -187,11 +187,18 @@ def test_identity_momenta_are_grid_indices():
 
 
 def test_hopping_matrix_is_the_fock_hamiltonian():
+    # the 2-site rings and the lattices of extent 1 or 2 add terms that share an entry
     for spec in (ChainSpec(6, alpha_u=0.2), ChainSpec(4, alpha_u=0.1, spinful=True),
-                 SquareSpec(2, 3, delta=0.4), ChainSpec(2, alpha_u=0.3)):
+                 SquareSpec(2, 3, delta=0.4), ChainSpec(2, alpha_u=0.3),
+                 ChainSpec(2, alpha_u=0.3, spinful=True), SquareSpec(1, 1, delta=0.7),
+                 SquareSpec(1, 2, delta=-0.4), SquareSpec(2, 2, delta=0.9)):
         space = FockSpace(spec)
         difference = fock_quadratic(space, hopping_matrix(spec)) - fock_hamiltonian(space)
         assert difference.norm() <= 1e-14
+    # the spinful chain is the spinless one on each spin species, site-major
+    spinless = hopping_matrix(ChainSpec(6, t0=1.3, alpha_u=-0.2))
+    spinful = hopping_matrix(ChainSpec(6, t0=1.3, alpha_u=-0.2, spinful=True))
+    assert np.array_equal(spinful, np.kron(spinless, np.eye(2)))
 
 
 @pytest.mark.parametrize("n_modes", [2, 3, 5, 7])

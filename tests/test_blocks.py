@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from bondboson.bilinear import hopping_matrix
 from bondboson.blocks import (
     correspondence_report,
     dirac_boson_block,
@@ -9,7 +8,7 @@ from bondboson.blocks import (
     ssh_boson_block,
     ssh_boson_closed_eigs,
 )
-from bondboson.fermion_model import dirac2d_band_energy, ssh_band_energy
+from bondboson.fermion_model import dirac2d_band_energy, hopping_matrix, ssh_band_energy
 from bondboson.lattice import ChainSpec, SquareSpec, chain_momenta, square_momenta
 from bondboson.numerics import hermitian_eigenvalues
 
@@ -314,6 +313,15 @@ def test_table_is_bit_identical_to_the_per_block_route(spec):
         assert bits(getattr(table, name)) == bits([row[column] for row in expected]), name
     assert bits(table.max_discrepancy) == bits(max(row[4] for row in expected))
     assert table.passed
+
+
+def test_overflowing_rows_stay_in_the_table_and_fail_it():
+    # the band energies square m = delta/2, which overflows past |delta| ~ 2.68e154
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = correspondence_report(SquareSpec(2, 2, delta=1e200))
+    assert table.discrepancy.shape == (16,)
+    assert np.isnan(table.max_discrepancy)
+    assert not table.passed
 
 
 def grid_points(spec):

@@ -356,15 +356,14 @@ def test_commutators_hole_table_stops_at_the_site_count(capsys):
 
 
 def test_spectrum_exits_1_on_a_failed_verdict(capsys):
-    # the closed forms overflow at m*m: NaN discrepancies fail the table
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, _ = run_cli(
-            ["spectrum", "dirac2d", "--lx", "2", "--ly", "2", "--mass", "1e200"], capsys
-        )
+    # rounding alone exceeds a tolerance this tight (a mass whose closed
+    # forms would overflow to NaN is rejected at the flag, see BAD_FLAGS)
+    code, out, _ = run_cli(["spectrum", "dirac2d", "--lx", "2", "--ly", "2", "--mass", "0.5",
+                            "--tolerance", "1e-300"], capsys)
     assert code == 1
     payload = json.loads(out)
     assert payload["verdict"] == "fail"
-    assert payload["max_discrepancy"] == "+nan"
+    assert float(payload["max_discrepancy"]) > 1e-300
 
 
 def test_commutators_at_the_16_mode_cap(capsys):
@@ -537,6 +536,10 @@ BAD_FLAGS = [
                    "--t0", "5e307", "--alpha-u=-3e307"]),
     ("--mass", ["verify", "correspondence", "--model", "dirac2d", "--lx", "1", "--ly", "1",
                 "--mass=-1e308"]),
+    # the 2D band energies square m = mass/2 (past |mass| ~ 2.68e154)
+    ("--mass", ["spectrum", "dirac2d", "--lx", "2", "--ly", "2", "--mass", "1e200"]),
+    ("--mass", ["verify", "correspondence", "--model", "dirac2d", "--lx", "2", "--ly", "2",
+                "--mass", "1e200"]),
     # chain hopping entries are bounded by the block bound too (2 sites double one)
     ("--t0", ["verify", "identities", "--model", "ssh", "--sites", "2", "--t0", "1e308"]),
     ("--t0", ["verify", "identities", "--model", "ssh", "--sites", "4", "--t0", "1.7e308",
@@ -640,6 +643,11 @@ def must_reject(argv, numbers) -> list:
                  if flag in numbers}
         if not math.isfinite(sum(terms.values())):
             flags.append(max(terms, key=terms.get))
+    if argv[0] == "spectrum" or argv[1] == "correspondence":
+        # the 2D band energies square m = mass/2
+        m = numbers.get("--mass", 0.0) / 2.0
+        if not math.isfinite(m * m):
+            flags.append("--mass")
     return flags
 
 

@@ -19,7 +19,7 @@ from bondboson.bilinear import (
     square_bond_offsets,
 )
 from bondboson.cli import main
-from bondboson.fermion_model import dirac2d_hopping_matrix, ssh_hopping_matrix
+from bondboson.fermion_model import hopping_matrix
 from bondboson.fock import (
     FockSpace,
     SparseOperator,
@@ -115,7 +115,7 @@ def test_chain_hamiltonian_single_particle_sector():
     spec = ChainSpec(6, t0=1.0, alpha_u=0.2)
     space = FockSpace(spec)
     h_many = chain_hamiltonian(space).matrix
-    h_one = ssh_hopping_matrix(spec).array
+    h_one = hopping_matrix(spec)
     for i in range(6):
         for j in range(6):
             assert h_many[1 << i, 1 << j] == pytest.approx(h_one[i, j], abs=1e-14)
@@ -125,7 +125,7 @@ def test_dirac_hamiltonian_single_particle_sector():
     spec = SquareSpec(2, 2, delta=0.8)
     space = FockSpace(spec)
     h_many = dirac_hamiltonian(space).matrix
-    h_one = dirac2d_hopping_matrix(spec).array
+    h_one = hopping_matrix(spec)
     for i in range(8):
         for j in range(8):
             assert h_many[1 << i, 1 << j] == pytest.approx(h_one[i, j], abs=1e-14)
