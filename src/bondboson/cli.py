@@ -22,12 +22,11 @@ and its model parameters become one :class:`~bondboson.lattice.ChainSpec`
 or :class:`~bondboson.lattice.SquareSpec`, ``RunConfig.spec``: the
 suites, the table and the report's config echo all read it.
 
-Spectrum tables (``spectrum`` and ``verify correspondence``) are streamed
-``CHUNK_ROWS`` blocks at a time, each chunk one string join of a per-block
-template's literal pieces and field labels, laid out as ``json.dumps(indent=2,
-sort_keys=True)`` or ``csv.writer`` would.  Each distinct float is printed once,
-in numpy with ``fmt_float``'s bytes, by ``fmt_float`` only where that is not proved.
-``spectrum dirac2d --lx 16 --ly 16`` takes about 1.0 s and 125 MB (README.md).
+Spectrum tables (``spectrum`` and ``verify correspondence``) are written as bytes,
+``CHUNK_ROWS`` blocks at a time: each chunk is one uint8 grid of a per-block template's
+literal bytes, laid out as ``json.dumps(indent=2, sort_keys=True)`` or ``csv.writer``
+would, and labels taken by index, each distinct float printed once with ``fmt_float``'s bytes.
+``spectrum dirac2d --lx 16 --ly 16`` takes about 0.6 s and 104 MB (README.md).
 """
 
 from __future__ import annotations
@@ -220,20 +219,20 @@ def _check_block_bound(model: str, t0: float, alpha_u: float, mass: float,
     every hopping entry too) and by 2|mass| in 2D (the mass weight of the
     H-bond identities too).  Past that bound a table or an identity would
     hold inf and NaN, so the flag whose term is largest is named instead.
-    A 2D ``table`` also squares m = mass/2 in its band energies.
+    A ``table`` also adds two chain band energies, each up to
+    hypot(2 t0, 4 alpha_u), and squares m = mass/2 in its 2D band energies.
     """
     if model == "ssh":
         terms = {"--t0": 2.0 * abs(t0), "--alpha-u": 4.0 * abs(alpha_u)}
-        bound = "2*|t0| + 4*|alpha_u|"
+        bounds = [("the block entry bound 2*|t0| + 4*|alpha_u|", sum(terms.values())),
+                  ("the band energy sum 2*hypot(2*t0, 4*alpha_u)", 2 * math.hypot(*terms.values()))]
     else:
-        terms = {"--mass": 2.0 * abs(mass)}
-        bound = "2*|mass|"
-    if not math.isfinite(sum(terms.values())):
-        flag = max(terms, key=terms.get)
-        raise ValueError(f"{flag} is too large: the block entry bound {bound} overflows")
-    m = mass / 2.0
-    if table and model == "dirac2d" and not math.isfinite(m * m):
-        raise ValueError("--mass is too large: the band energies' m*m overflows (m = mass/2)")
+        terms, m = {"--mass": 2.0 * abs(mass)}, mass / 2.0
+        bounds = [("the block entry bound 2*|mass|", terms["--mass"]),
+                  ("the band energies' m*m (m = mass/2)", m * m)]
+    for bound, value in bounds[:2 if table else 1]:
+        if not math.isfinite(value):
+            raise ValueError(f"{max(terms, key=terms.get)} is too large: {bound} overflows")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -308,8 +307,7 @@ def _config_from_args(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 MOMENTUM_COLUMNS = {ChainSpec: ["q", "k"], SquareSpec: ["s", "p", "kx", "ky"]}
-# Table rows (momentum blocks) filled and written per chunk.
-CHUNK_ROWS = 1024
+CHUNK_ROWS = 1024  # table rows (momentum blocks) filled and written per chunk
 KERNEL_BLOCK = 4096  # distinct floats per kernel pass, bounding its scratch arrays
 
 
@@ -329,9 +327,9 @@ _THREE_DIGITS = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")).astyp
 
 
 def _format_floats(x) -> np.ndarray:
-    """``fmt_float`` of each entry of ``x`` as an object array, printed in numpy: |x| in
-    [1e-90, 1e91) times the double-double 10^(14 - e), e = floor(log10|x|), made exact to
-    1e-15 by Dekker's split, rounded to 15 digits and printed by 3-digit lookups.  Values
+    """``fmt_float`` of each entry of ``x`` as (N, 22) NUL-padded uint8 text, printed in numpy:
+    |x| in [1e-90, 1e91) times the double-double 10^(14 - e), e = floor(log10|x|), made exact
+    to 1e-15 by Dekker's split, rounded to 15 digits and printed by 3-digit lookups.  Values
     this does not prove (remainder within 1e-6 of a half, digits off [1e14, 1e15) as log10
     was one off), zeros, subnormals, infs and NaNs are printed by ``fmt_float``."""
     fast = (np.abs(x) >= 1e-90) & (np.abs(x) < 1e91)
@@ -357,21 +355,20 @@ def _format_floats(x) -> np.ndarray:
     text[:, 0] = np.where(x < 0, ord("-"), ord("+"))
     text[:, 1], text[:, 2], text[:, 3:17] = digits[:, 0], ord("."), digits[:, 1:]
     text[:, 17], text[:, 18] = ord("e"), np.where(e < 0, ord("-"), ord("+"))
-    text[:, 19:21], text[:, 21] = _THREE_DIGITS.take(np.abs(e), axis=0)[:, 1:], ord("\n")
-    labels = np.array(text.tobytes().decode("ascii").split(), dtype=object)
-    labels[~fast] = [fmt_float(v) for v in x[~fast].tolist()]
-    return labels
+    text[:, 19:21], text[:, 21] = _THREE_DIGITS.take(np.abs(e), axis=0)[:, 1:], 0
+    text.view("S22")[~fast, 0] = [fmt_float(v) for v in x[~fast].tolist()]
+    return text
 
 
-def _format_distinct(values) -> np.ndarray:
-    """``fmt_float`` of every entry of ``values`` as an object array, formatted once per
-    distinct 64-bit pattern: not per value, as +0.0 == -0.0 format apart and a NaN
-    equals nothing.  The kernel takes ``KERNEL_BLOCK`` distinct floats at a time."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
+def _format_distinct(values):
+    """``fmt_float`` of ``values`` as (labels, inverse): the text of each distinct 64-bit pattern
+    (not value: +0.0 == -0.0 format apart, a NaN equals nothing) once, cut to its widest label
+    (fewer NULs), and each entry's row in it.  The kernel takes ``KERNEL_BLOCK`` at a time."""
     distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
     labels = np.concatenate([_format_floats(distinct[start:start + KERNEL_BLOCK].view(np.float64))
                              for start in range(0, len(distinct), KERNEL_BLOCK)])
-    return labels[inverse.reshape(values.shape)]
+    labels = np.ascontiguousarray(labels[:, :labels.any(axis=0).nonzero()[0][-1] + 1])
+    return labels, inverse.reshape(values.shape)
 
 
 def _table_points(table):
@@ -385,44 +382,46 @@ def _table_points(table):
     return np.hstack([m, (m[:, 2:] - m[:, :2]) % (spec.lx, spec.ly)]), [spec.lx, spec.ly] * 3
 
 
-def _table_fields(table, points, grids) -> np.ndarray:
-    """(N, F) strings: ``fmt_momentum`` of each ``points`` column on its grid of
-    ``grids``, each grid point formatted once, then ``fmt_float`` of the numeric,
-    closed-form and pair spectra (4 columns each) and the discrepancy."""
-    labels = {n: np.array([fmt_momentum(j, n) for j in range(n)], dtype=object)
-              for n in set(grids)}
-    values = np.column_stack([table.numeric, table.closed_form, table.fermion_pairs,
-                              table.discrepancy])
-    return np.hstack([np.column_stack([labels[n][points[:, c]] for c, n in enumerate(grids)]),
-                      _format_distinct(values)])
+def _table_fields(table, points, grids) -> list:
+    """Each field column as (label table, index column): ``fmt_momentum`` of each ``points``
+    column on its grid of ``grids``, then ``fmt_float`` of the numeric, closed-form and pair
+    spectra and the discrepancy, each distinct float of each distinct array formatted once."""
+    momenta = {n: np.array([fmt_momentum(j, n) for j in range(n)], dtype="S") for n in set(grids)}
+    spectra = (table.numeric, table.closed_form, table.fermion_pairs, table.discrepancy[:, None])
+    distinct = {id(a): a for a in spectra}
+    labels, inverse = _format_distinct(np.hstack(list(distinct.values())))
+    first = {key: 4 * k for k, key in enumerate(distinct)}
+    return ([(momenta[n].view(np.uint8).reshape(n, -1), points[:, c]) for c, n in enumerate(grids)]
+            + [(labels, inverse[:, first[id(a)] + r]) for a in spectra for r in range(a.shape[1])])
 
 
-def _fill(rows, template: str, sep: str):
-    """``template`` filled with each row and joined by ``sep``: one join per ``CHUNK_ROWS``
-    rows of a grid interleaving the template's literal pieces and the row's fields."""
-    literals = template.split("%s")
-    grid = np.empty((min(len(rows), CHUNK_ROWS), 2 * len(literals) - 1), dtype=object)
-    grid[:, 0], grid[:, 2::2] = sep + literals[0], literals[1:]
-    for start in range(0, len(rows), CHUNK_ROWS):
-        chunk = rows[start:start + CHUNK_ROWS]
-        grid[0, 0] = sep + literals[0] if start else literals[0]
-        grid[:len(chunk), 1::2] = chunk
-        yield "".join(grid[:len(chunk)].ravel().tolist())
+def _fill(fields, order, template: str, sep: str):
+    """``template`` filled with the ``order`` columns of ``fields`` (label table, index
+    column) and joined by ``sep``, as bytes: per ``CHUNK_ROWS`` rows one uint8 grid holding
+    each row's literal bytes and, at fixed offsets, its NUL-padded labels, NULs dropped."""
+    literals = (sep + template).split("%s")
+    widths = [fields[c][0].shape[1] for c in order]
+    ends = np.cumsum([len(literal) + w for literal, w in zip(literals, widths)]).tolist()
+    row = "".join(literal + "\0" * w for literal, w in zip(literals, widths + [0])).encode()
+    grid = np.tile(np.frombuffer(row, dtype=np.uint8), (min(len(fields[0][1]), CHUNK_ROWS), 1))
+    for start in range(0, len(fields[0][1]), CHUNK_ROWS):
+        for c, end, width in zip(order, ends, widths):
+            index = fields[c][1][start:start + CHUNK_ROWS]  # every column: the chunk's rows
+            grid[:len(index), end - width:end] = fields[c][0].take(index, axis=0)
+        text = grid[:len(index)].tobytes().replace(b"\0", b"")
+        yield text if start else text[len(sep):]
 
 
 def _table_json(table, config: RunConfig):
-    """The table report as text pieces, laid out by ``json.dumps(indent=2, sort_keys=True)``
+    """The table report as byte pieces, laid out by ``json.dumps(indent=2, sort_keys=True)``
     itself around one block whose leaves, the field columns, become ``"%s"`` fields
     (no label needs JSON escaping)."""
     points, grids = _table_points(table)
-    if isinstance(table.spec, ChainSpec):
-        momenta = {"q": 0, "k": 1, "fermion_pair_at": 2}
-    else:
-        momenta = {"s": 0, "p": 1, "kx": 2, "ky": 3, "fermion_pair_at": [4, 5]}
-    v = points.shape[1]
-    block = {"momenta": momenta, "numeric": [v, v + 1, v + 2, v + 3],
-             "closed_form": [v + 4, v + 5, v + 6, v + 7],
-             "fermion_pairs": [v + 8, v + 9, v + 10, v + 11], "max_discrepancy": v + 12}
+    momenta = ({"q": 0, "k": 1, "fermion_pair_at": 2} if isinstance(table.spec, ChainSpec)
+               else {"s": 0, "p": 1, "kx": 2, "ky": 3, "fermion_pair_at": [4, 5]})
+    v = list(range(points.shape[1], points.shape[1] + 13))
+    block = {"momenta": momenta, "numeric": v[:4], "closed_form": v[4:8],
+             "fermion_pairs": v[8:12], "max_discrepancy": v[12]}
     # the column tokens are the only digits of the block's text
     tokens = json.dumps(block, indent=2, sort_keys=True).replace("\n", "\n    ")
     order = [int(c) for c in re.findall(r"\d+", tokens)]
@@ -433,13 +432,13 @@ def _table_json(table, config: RunConfig):
     if config.suite:
         report["suite"] = config.suite
     head, tail = (json.dumps(report, indent=2, sort_keys=True) + "\n").split('"<blocks>"')
-    yield head
-    yield from _fill(_table_fields(table, points, grids)[:, order], template, ",\n    ")
-    yield tail
+    yield head.encode()
+    yield from _fill(_table_fields(table, points, grids), order, template, ",\n    ")
+    yield tail.encode()
 
 
 def _table_csv(table):
-    """The table as CSV text pieces, one row per rank, laid out as
+    """The table as CSV byte pieces, one row per rank, laid out as
     ``csv.writer(lineterminator="\\n")``: no field needs quoting."""
     columns = MOMENTUM_COLUMNS[type(table.spec)]
     n = len(columns)
@@ -447,18 +446,19 @@ def _table_csv(table):
     # per rank: the momenta, the rank, the three spectra at it and the discrepancy
     order = [c for r in range(4) for c in (*range(n), n + r, n + 4 + r, n + 8 + r, n + 12)]
     template = "".join(",".join(["%s"] * n + [str(r)] + ["%s"] * 4) + "\n" for r in range(4))
-    yield ",".join(columns + ["rank", "numeric", "closed_form", "fermion_pair",
-                              "max_discrepancy"]) + "\n"
-    yield from _fill(_table_fields(table, points[:, :n], grids[:n])[:, order], template, "")
+    yield (",".join(columns + ["rank", "numeric", "closed_form", "fermion_pair",
+                               "max_discrepancy"]) + "\n").encode()
+    yield from _fill(_table_fields(table, points[:, :n], grids[:n]), order, template, "")
 
 
 def _emit(pieces, output: str) -> int:
     try:
         if output:
-            with open(output, "w", encoding="utf-8") as fh:
+            with open(output, "wb") as fh:
                 fh.writelines(pieces)
         else:
-            sys.stdout.writelines(pieces)
+            sys.stdout.flush()  # text written before the bytes stays before them
+            sys.stdout.buffer.writelines(pieces)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -646,7 +646,7 @@ def cmd_verify(config: RunConfig) -> int:
         payload = _suite_commutators(config)
     else:
         payload = _suite_interactions(config)
-    code = _emit([json.dumps(payload, indent=2, sort_keys=True) + "\n"], config.output)
+    code = _emit([(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()], config.output)
     if code != EXIT_OK:
         return code
     return EXIT_OK if payload["verdict"] == "pass" else 1

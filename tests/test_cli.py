@@ -536,6 +536,11 @@ BAD_FLAGS = [
                    "--t0", "5e307", "--alpha-u=-3e307"]),
     ("--mass", ["verify", "correspondence", "--model", "dirac2d", "--lx", "1", "--ly", "1",
                 "--mass=-1e308"]),
+    # the chain table adds two band energies, each up to hypot(2*t0, 4*alpha_u)
+    ("--t0", ["spectrum", "ssh", "--sites", "4", "--t0", "8e307"]),
+    ("--t0", ["spectrum", "ssh", "--sites", "4", "--t0", "5e307", "--alpha-u", "1e307"]),
+    ("--alpha-u", ["verify", "correspondence", "--model", "ssh", "--sites", "4",
+                   "--alpha-u", "4e307"]),
     # the 2D band energies square m = mass/2 (past |mass| ~ 2.68e154)
     ("--mass", ["spectrum", "dirac2d", "--lx", "2", "--ly", "2", "--mass", "1e200"]),
     ("--mass", ["verify", "correspondence", "--model", "dirac2d", "--lx", "2", "--ly", "2",
@@ -583,8 +588,8 @@ def test_commutators_reject_the_hopping_flags_they_never_read(capsys):
 
 
 EDGE_VALUES = {
-    "--t0": [math.nan, math.inf, -math.inf, 1e308, 1e200, 0.0, -0.5],
-    "--alpha-u": [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e200],
+    "--t0": [math.nan, math.inf, -math.inf, 1e308, 8e307, 1e200, 0.0, -0.5],
+    "--alpha-u": [math.nan, math.inf, -math.inf, 1e308, -1e308, -4e307, 1e200],
     "--mass": [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e200, -2.5],
     "--tolerance": [math.nan, math.inf, 0.0, -1.0, 1e308],
 }
@@ -644,7 +649,10 @@ def must_reject(argv, numbers) -> list:
         if not math.isfinite(sum(terms.values())):
             flags.append(max(terms, key=terms.get))
     if argv[0] == "spectrum" or argv[1] == "correspondence":
+        # the chain table adds two band energies, each up to hypot(2|t0|, 4|alpha_u|);
         # the 2D band energies square m = mass/2
+        if "--t0" in numbers and not math.isfinite(2.0 * math.hypot(*terms.values())):
+            flags.append(max(terms, key=terms.get))
         m = numbers.get("--mass", 0.0) / 2.0
         if not math.isfinite(m * m):
             flags.append("--mass")

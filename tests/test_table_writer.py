@@ -3,12 +3,17 @@
 Real tables, and tables with injected rows: +0.0 and -0.0 side by side,
 NaN of both signs, +-inf, the smallest subnormal and other subnormals,
 and momenta on an x grid of more than 720 cells, where most labels are
-floats.  Sizes: one row, one chunk, one chunk plus a row.
+floats.  Sizes: one row, one chunk, one chunk plus a row.  The CLI writes
+the same bytes to standard output and to ``--output``, in chunks of
+bounded memory.
 """
 
 import dataclasses
+import io
 import json
 import math
+import sys
+import tracemalloc
 import types
 from decimal import Decimal
 
@@ -71,12 +76,13 @@ def first_difference(got, want):
 
 
 def json_difference(table, cfg):
-    return first_difference("".join(cli._table_json(table, cfg)),
+    return first_difference(b"".join(cli._table_json(table, cfg)).decode(),
                             table_oracle.table_json(table, cfg))
 
 
 def csv_difference(table):
-    return first_difference("".join(cli._table_csv(table)), table_oracle.table_csv(table))
+    return first_difference(b"".join(cli._table_csv(table)).decode(),
+                            table_oracle.table_csv(table))
 
 
 def config(model, suite):
@@ -99,7 +105,8 @@ def test_injected_rows_hold_the_special_values(size):
 
 @pytest.mark.parametrize("model", list(TABLES))
 def test_injected_momenta_have_exact_and_float_labels(model):
-    rows = "".join(cli._table_csv(injected(TABLES[model], cli.CHUNK_ROWS))).splitlines()[1:]
+    table = injected(TABLES[model], cli.CHUNK_ROWS)
+    rows = b"".join(cli._table_csv(table)).decode().splitlines()[1:]
     x = [0, 1] if model == "ssh" else [0, 2]
     labels = {row.split(",")[c] for row in rows for c in x}
     exact = {label for label in labels if label.endswith(" pi")}
@@ -135,6 +142,64 @@ def test_csv_of_injected_tables(model, size):
     assert csv_difference(table) is None
 
 
+# the CLI flags of the TABLES specs
+MODEL_FLAGS = {"ssh": ["--sites", "70", "--alpha-u", "0.2"],
+               "dirac2d": ["--lx", "6", "--ly", "6", "--mass", "1.3"]}
+COMMANDS = {"spectrum": ["spectrum", "{model}"],
+            "spectrum-csv": ["spectrum", "{model}", "--format", "csv"],
+            "correspondence": ["verify", "correspondence", "--model", "{model}"]}
+
+
+@pytest.mark.parametrize("inject", [False, True], ids=["real", "injected"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("model", list(TABLES))
+def test_stdout_and_output_get_the_same_bytes(monkeypatch, capsysbinary, tmp_path, model,
+                                              command, inject):
+    # tables of more than one chunk; the injected one holds +-0, subnormals, +-inf, NaNs
+    # and 3-digit exponents, and fails its verdict
+    if inject:
+        table = injected(TABLES[model], cli.CHUNK_ROWS + 1)
+        monkeypatch.setattr(cli, "correspondence_report", lambda spec, tolerance: table)
+    argv = [arg.format(model=model) for arg in COMMANDS[command]] + MODEL_FLAGS[model]
+    code = cli.main(argv)
+    stdout = capsysbinary.readouterr()
+    assert cli.main(argv + ["--output", str(tmp_path / "report")]) == code == int(inject)
+    written = (tmp_path / "report").read_bytes()
+    assert stdout.out == written
+    assert stdout.err == capsysbinary.readouterr().err == b""
+    assert b"\0" not in written
+    assert written.count(b"\n") > cli.CHUNK_ROWS
+
+
+def test_table_bytes_follow_text_already_on_stdout(monkeypatch):
+    # a buffered text layer, as on a pipe: its text must reach the bytes first
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    print("text")
+    assert cli._emit([b"bytes\n"], "") == cli.EXIT_OK
+    assert stdout.buffer.getvalue() == b"text\nbytes\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_writer_memory_is_bounded_by_the_chunk(tmp_path, fmt):
+    # the 10,000-block dirac2d 10x10 table (7.4 MB of JSON, 5.8 MB of CSV): tracemalloc
+    # peaks of writing it were 7.0 MiB (JSON) and 6.9 MiB (CSV) with one string object per
+    # field, and 4.7 MiB for both with one uint8 grid per chunk (x86-64, Python 3.11,
+    # numpy 2.4); one grid of the whole table, and its bytes, would add about 14 MB
+    spec = SquareSpec(10, 10, delta=0.5)
+    table = correspondence_report(spec)
+    cfg = cli.RunConfig(command="spectrum", spec=spec, tolerance=1e-10, fmt=fmt)
+    pieces = cli._table_csv(table) if fmt == "csv" else cli._table_json(table, cfg)
+    tracemalloc.start()
+    try:
+        code = cli._emit(pieces, str(tmp_path / "report"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert peak < 6 * 2 ** 20
+
+
 def off_the_fast_path(x: float) -> bool:
     """Whether the kernel may leave ``x`` to ``fmt_float``: a zero, subnormal, inf or
     NaN, a decimal exponent past +-90, or, measured exactly, a 15-digit remainder
@@ -157,8 +222,10 @@ def assert_formatted_as_fmt_float(values):
     fmt_float = cli.fmt_float
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "fmt_float", lambda x: calls.append(x) or fmt_float(x))
-        got = cli._format_distinct(values).tolist()
-    want = list(map(fmt_float, values.tolist()))
+        labels, inverse = cli._format_distinct(values)
+    # each entry's uint8 row as bytes, its NUL padding dropped
+    got = labels[inverse].view(f"S{labels.shape[1]}").ravel().tolist()
+    want = [text.encode() for text in map(fmt_float, values.tolist())]
     if got != want:
         i = next(i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1])
         raise AssertionError((values[i], got[i], want[i]))
@@ -220,7 +287,7 @@ def test_each_distinct_pattern_is_formatted_at_most_once(monkeypatch):
     # the 6x6 grid's momenta only: a label on a grid of more than 720 cells calls fmt_float too
     real = TABLES["dirac2d"]
     table = dataclasses.replace(injected(real, n), spec=real.spec, momenta=real.momenta[:n])
-    "".join(cli._table_csv(table))
+    b"".join(cli._table_csv(table))
     values = np.concatenate([getattr(table, name).reshape(-1) for name in VALUES])
     formatted = np.concatenate(kernel_input).view(np.uint64)
     assert len(np.unique(formatted)) == len(formatted)
@@ -281,7 +348,7 @@ def test_chain_pair_label_at_1442_sites_is_printed_from_its_index():
     table = dataclasses.replace(real, spec=dataclasses.replace(real.spec, n_sites=1442),
                                 momenta=np.array([[2, 9]]),
                                 **{name: getattr(real, name)[:1] for name in VALUES})
-    report = json.loads("".join(cli._table_json(table, config("ssh", ""))))
+    report = json.loads(b"".join(cli._table_json(table, config("ssh", ""))))
     label = report["blocks"][0]["momenta"]["fermion_pair_at"]
     assert label == "+2.17863568210110e-02" == cli.fmt_float(chain_momenta(1442)[5])
     q, k = chain_momenta(721)[[2, 9]]
