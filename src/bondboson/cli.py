@@ -12,10 +12,12 @@ Reports are deterministic: canonical key order, floats rendered in
 scientific notation with an explicit sign and 15 significant digits,
 momenta (integer indices j on an n-point grid) as 2j/n reduced times pi
 ("2/3 pi") while its denominator is at most 720, else as the float
-2*pi*j/n.  A verdict is "pass" only if every one of its checks passes; a
-NaN residual fails.  Exit codes: 0 pass, 1 I/O failure or failed verdict,
-2 usage error, 3 resource limit (a Fock space past 16 modes, or a table
-too large for memory).
+2*pi*j/n.  Each suite returns its own fields and checks, each check built by
+``_check``: it passes when its residual is at most its bound (a NaN never
+passes).  ``_report`` wraps every JSON report once, with the config echo, the
+suite when one ran and the verdict, "pass" only if every check passes.  Exit
+codes: 0 pass, 1 I/O failure or failed verdict, 2 usage error, 3 resource
+limit (a Fock space past 16 modes, or a table too large for memory).
 
 The flags are checked once, each error naming its flag, and the lattice
 and its model parameters become one :class:`~bondboson.lattice.ChainSpec`
@@ -426,11 +428,8 @@ def _table_json(table, config: RunConfig):
     tokens = json.dumps(block, indent=2, sort_keys=True).replace("\n", "\n    ")
     order = [int(c) for c in re.findall(r"\d+", tokens)]
     template = re.sub(r"\d+", '"%s"', tokens)
-    report = {"blocks": ["<blocks>"], "config": config.echo(),
-              "max_discrepancy": fmt_float(table.max_discrepancy),
-              "verdict": "pass" if table.passed else "fail"}
-    if config.suite:
-        report["suite"] = config.suite
+    report = _report(config, table.passed, blocks=["<blocks>"],
+                     max_discrepancy=fmt_float(table.max_discrepancy))
     head, tail = (json.dumps(report, indent=2, sort_keys=True) + "\n").split('"<blocks>"')
     yield head.encode()
     yield from _fill(_table_fields(table, points, grids), order, template, ",\n    ")
@@ -465,18 +464,31 @@ def _emit(pieces, output: str) -> int:
     return EXIT_OK
 
 
+def _check(residual: float, bound: float, **fields) -> dict:
+    """One check of a report: its label ``fields``, the residual, and the one pass rule,
+    residual <= bound (a NaN never passes)."""
+    return {**fields, "residual": fmt_float(residual), "pass": bool(residual <= bound)}
+
+
+def _report(config: RunConfig, passed: bool, **fields) -> dict:
+    """The report around its own ``fields``: the config echo, the suite when one ran and
+    the verdict, ``pass`` exactly when ``passed``."""
+    report = {**fields, "config": config.echo(), "verdict": "pass" if passed else "fail"}
+    if config.suite:
+        report["suite"] = config.suite
+    return report
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(config: RunConfig) -> int:
-    """The table of ``spectrum``, also the report of ``verify correspondence``."""
+def cmd_spectrum(config: RunConfig):
+    """The table of ``spectrum``, also the report of ``verify correspondence``, as
+    (byte pieces, passed)."""
     table = correspondence_report(config.spec, tolerance=config.tolerance)
-    pieces = _table_csv(table) if config.fmt == "csv" else _table_json(table, config)
-    code = _emit(pieces, config.output)
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if table.passed else 1
+    return (_table_csv(table) if config.fmt == "csv" else _table_json(table, config),
+            table.passed)
 
 
 def _k_label(spec, k):
@@ -489,18 +501,12 @@ def _k_label(spec, k):
 def _suite_identities(config: RunConfig) -> dict:
     spec = config.spec
     identities, residuals = h_bond_commutator_residuals(spec)
-    checks = [{"channel": channel, "sublattice": sublattice, "l": l, "k": _k_label(spec, k),
-               "residual": fmt_float(residual), "pass": residual <= config.tolerance}
+    checks = [_check(residual, config.tolerance, channel=channel, sublattice=sublattice, l=l,
+                     k=_k_label(spec, k))
               for channel, sublattice, l, k, residual in zip(
                   identities.channel.tolist(), identities.sublattice.tolist(),
                   identities.l.tolist(), identities.k.tolist(), residuals.tolist())]
-    return {
-        "config": config.echo(),
-        "suite": "identities",
-        "checks": checks,
-        "max_residual": fmt_float(max_residual(residuals)),
-        "verdict": _verdict(checks),
-    }
+    return {"checks": checks, "max_residual": fmt_float(max_residual(residuals))}
 
 
 def _suite_commutators(config: RunConfig) -> dict:
@@ -558,23 +564,10 @@ def _suite_commutators(config: RunConfig) -> dict:
     highlight = next((pair for pair, wraps in zip(pairs, self_paired) if not wraps), pairs[0])
     highlighted = boson_commutator_report(spec, highlight, highlight,
                                           n_holes=config.holes, seed=config.seed)
-    checks = [
-        {
-            "name": "filled_matched_law",
-            "residual": fmt_float(matched_dev),
-            "pass": bool(matched_dev <= config.tolerance),
-        },
-        {
-            "name": "filled_unmatched_law",
-            "residual": fmt_float(unmatched_mag),
-            "pass": bool(unmatched_mag <= config.tolerance),
-        },
-    ]
     return {
-        "config": config.echo(),
-        "suite": "commutators",
         "site_count": site_count,
-        "checks": checks,
+        "checks": [_check(matched_dev, config.tolerance, name="filled_matched_law"),
+                   _check(unmatched_mag, config.tolerance, name="filled_unmatched_law")],
         "highlighted": {
             "holes": config.holes,
             "expectation": fmt_float(highlighted.expectation.real),
@@ -586,7 +579,6 @@ def _suite_commutators(config: RunConfig) -> dict:
         },
         "self_paired_cells": self_paired_cells,
         "deviation_vs_holes": holes_table,
-        "verdict": _verdict(checks),
     }
 
 
@@ -603,53 +595,27 @@ def _suite_interactions(config: RunConfig) -> dict:
 
     assembled_residual = interaction_equivalence_residual(space, alpha, pair_form)
     scale = pair_form.norm()
-    checks = [
-        {
-            "name": "density_vs_pair_form",
-            "residual": fmt_float(form_distance),
-            "tolerance": fmt_float(config.tolerance),
-            "pass": bool(form_distance <= config.tolerance),
-        },
-        {
-            "name": "pair_reconstruction_max",
-            "residual": fmt_float(reconstruction_max),
-            "tolerance": fmt_float(1e-13),
-            "pass": bool(reconstruction_max <= 1e-13),
-        },
-        {
-            "name": "bond_assembled_interaction",
-            "residual": fmt_float(assembled_residual),
-            "tolerance": fmt_float(config.tolerance * max(scale, 1.0)),
-            "pass": bool(assembled_residual <= config.tolerance * max(scale, 1.0)),
-        },
-    ]
-    return {
-        "config": config.echo(),
-        "suite": "interactions",
-        "interaction_norm": fmt_float(scale),
-        "checks": checks,
-        "verdict": _verdict(checks),
-    }
+    checks = [_check(residual, bound, name=name, tolerance=fmt_float(bound))
+              for name, residual, bound in (
+                  ("density_vs_pair_form", form_distance, config.tolerance),
+                  ("pair_reconstruction_max", reconstruction_max, 1e-13),
+                  ("bond_assembled_interaction", assembled_residual,
+                   config.tolerance * max(scale, 1.0)))]
+    return {"interaction_norm": fmt_float(scale), "checks": checks}
 
 
-def _verdict(checks) -> str:
-    """The verdict of a report: pass exactly when every check passes (NaN never does)."""
-    return "pass" if all(c["pass"] for c in checks) else "fail"
+SUITE_RUNS = {"commutators": _suite_commutators, "identities": _suite_identities,
+              "interactions": _suite_interactions}
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: RunConfig):
+    """The report of ``verify``, as (byte pieces, passed)."""
     if config.suite == "correspondence":
         return cmd_spectrum(config)
-    if config.suite == "identities":
-        payload = _suite_identities(config)
-    elif config.suite == "commutators":
-        payload = _suite_commutators(config)
-    else:
-        payload = _suite_interactions(config)
-    code = _emit([(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()], config.output)
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if payload["verdict"] == "pass" else 1
+    fields = SUITE_RUNS[config.suite](config)
+    passed = all(check["pass"] for check in fields["checks"])
+    report = json.dumps(_report(config, passed, **fields), indent=2, sort_keys=True) + "\n"
+    return [report.encode()], passed
 
 
 def main(argv=None) -> int:
@@ -660,9 +626,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         config = _config_from_args(args)
-        if config.command == "spectrum":
-            return cmd_spectrum(config)
-        return cmd_verify(config)
+        command = cmd_spectrum if config.command == "spectrum" else cmd_verify
+        pieces, passed = command(config)
+        return _emit(pieces, config.output) or (EXIT_OK if passed else 1)
     except FockSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

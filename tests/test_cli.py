@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from refresh_goldens import CASES
 
 import bondboson
-from bondboson.cli import fmt_float, fmt_momentum, main
+from bondboson.cli import _check, fmt_float, fmt_momentum, main
 from bondboson.fock import FockSpace
 from bondboson.lattice import chain_momenta
 from table_oracle import float_momentum_label
@@ -145,6 +145,25 @@ def test_verify_commutators_dirac(capsys):
     assert payload["site_count"] == 6
     # the highlighted bond is a genuine (non-self-paired) one
     assert float(payload["highlighted"]["expectation"]) == pytest.approx(6.0)
+
+
+# the square lattice's unit cell is one site (c and b sit on the same site), the chain's two
+two_site_cells = pytest.mark.xfail(strict=True, reason="normalized_per_cell divides by "
+                                   "site_count // 2 on both models")
+
+
+@pytest.mark.parametrize("argv, cells", [
+    (["--model", "ssh", "--sites", "6"], 3),
+    pytest.param(["--model", "dirac2d", "--lx", "1", "--ly", "3"], 3, marks=two_site_cells),
+    pytest.param(["--model", "dirac2d", "--lx", "2", "--ly", "3", "--mass", "0.8",
+                  "--holes", "1", "--seed", "5"], 6, marks=two_site_cells),
+], ids=["ssh6", "dirac1x3", "dirac2x3-golden"])
+def test_commutators_normalize_per_unit_cell(capsys, argv, cells):
+    code, out, _ = run_cli(["verify", "commutators", *argv], capsys)
+    assert code == 0
+    highlighted = json.loads(out)["highlighted"]
+    assert float(highlighted["normalized_per_cell"]) == pytest.approx(
+        float(highlighted["expectation"]) / cells)
 
 
 def test_verify_identities_dirac(capsys):
@@ -355,15 +374,33 @@ def test_commutators_hole_table_stops_at_the_site_count(capsys):
     assert sorted({row["holes"] for row in payload["deviation_vs_holes"]}) == [0, 1, 2]
 
 
-def test_spectrum_exits_1_on_a_failed_verdict(capsys):
+@pytest.mark.parametrize("argv, failing", [
     # rounding alone exceeds a tolerance this tight (a mass whose closed
     # forms would overflow to NaN is rejected at the flag, see BAD_FLAGS)
-    code, out, _ = run_cli(["spectrum", "dirac2d", "--lx", "2", "--ly", "2", "--mass", "0.5",
-                            "--tolerance", "1e-300"], capsys)
+    (["spectrum", "dirac2d", "--lx", "2", "--ly", "2", "--mass", "0.5"], None),
+    # 48 of the 72 identities have a rounding residual, the other 24 an exact zero
+    (["verify", "identities", "--model", "ssh", "--sites", "12", "--alpha-u", "0.13"], 48),
+    (["verify", "commutators", "--model", "ssh", "--sites", "6"], ["filled_unmatched_law"]),
+    # at 6 sites the pruned +0.0 residual passes even this bound (test_interactions)
+    (["verify", "interactions", "--model", "ssh", "--sites", "10", "--seed", "3"],
+     ["bond_assembled_interaction"]),
+], ids=["spectrum", "identities", "commutators", "interactions"])
+def test_spectrum_exits_1_on_a_failed_verdict(capsys, argv, failing):
+    code, out, _ = run_cli(argv + ["--tolerance", "1e-300"], capsys)
     assert code == 1
     payload = json.loads(out)
     assert payload["verdict"] == "fail"
-    assert float(payload["max_discrepancy"]) > 1e-300
+    assert _check(float("nan"), 1.0)["pass"] is False
+    if failing is None:
+        assert float(payload["max_discrepancy"]) > 1e-300
+        return
+    # the one rule: a check passes when its residual is within its bound, its own
+    # tolerance where it reports one, else the flag
+    for check in payload["checks"]:
+        bound = float(check.get("tolerance", 1e-300))
+        assert check["pass"] == (float(check["residual"]) <= bound), check
+    failed = [check.get("name") for check in payload["checks"] if not check["pass"]]
+    assert (len(failed) if isinstance(failing, int) else failed) == failing
 
 
 def test_commutators_at_the_16_mode_cap(capsys):
