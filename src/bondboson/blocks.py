@@ -12,10 +12,13 @@ fermion-pair columns are one evaluation.
 The builders and closed forms broadcast over their momentum arguments:
 scalars give one :class:`HermitianMatrix` block, arrays give a stack of
 shape ``(..., 4, 4)``.
-The correspondence table evaluates a whole momentum grid at once: one
-block stack, one stacked eigensolve and one closed-form evaluation per
-table.  A one-point call runs the same formula, with the
-same rounding, as the table entry at that point.
+The correspondence table evaluates the closed forms over the whole
+momentum grid at once, and the blocks ``CHUNK_ROWS`` rows at a time: one
+block stack and one stacked eigensolve per chunk, so their temporaries
+stay bounded on any grid.  Each block is built and diagonalized on its
+own, so the table's bits do not depend on the chunk.  A one-point call
+runs the same formula, with the same rounding, as the table entry at
+that point.
 
 Chain block basis order: (A, q), (A, q - pi), (B, q), (B, q - pi).
 2D block basis order: same-component combinations (+, -) then
@@ -31,6 +34,8 @@ import numpy as np
 from .fermion_model import dirac2d_band_energy, ssh_band_energy
 from .lattice import ChainSpec, SquareSpec, chain_momenta, square_momenta
 from .numerics import HermitianMatrix, hermitian_eigenvalues, max_residual
+
+CHUNK_ROWS = 1024  # table rows (momentum blocks) diagonalized, and written, per chunk
 
 
 # The block entries are written in real arithmetic, in the order and with
@@ -186,25 +191,32 @@ def correspondence_report(spec, tolerance: float = 1e-10) -> SpectrumTable:
     the square lattice), evaluated once.  Rows exceeding the
     tolerance (or carrying a NaN) stay in the table and flip the
     verdict; nothing is dropped.  Rows are ordered by momentum tuple.
+    The closed forms are one whole-grid evaluation; the blocks are built,
+    validated and diagonalized as one stack per ``CHUNK_ROWS`` rows, and
+    no entry's bits depend on the chunk.
     """
     if isinstance(spec, ChainSpec):
         grid = chain_momenta(spec.n_cells)
         momenta = np.column_stack(np.divmod(np.arange(grid.size ** 2), grid.size))
-        q, k = grid[momenta[:, 0]], grid[momenta[:, 1]]
-        block = ssh_boson_block(q, k, spec.t0, spec.alpha_u)
-        closed = ssh_boson_closed_eigs(q, k, spec.t0, spec.alpha_u)
+        points = grid[momenta[:, 0]], grid[momenta[:, 1]]  # q, k
+        build, closed_eigs = ssh_boson_block, ssh_boson_closed_eigs
+        params = spec.t0, spec.alpha_u
     elif isinstance(spec, SquareSpec):
         grid = square_momenta(spec.lx, spec.ly)
         # flat x-major cell indices of (s, p) and of (kx, ky)
         first, total = np.divmod(np.arange(len(grid) ** 2), len(grid))
         momenta = np.column_stack(np.divmod(first, spec.ly) + np.divmod(total, spec.ly))
-        s, p, kx, ky = np.hstack((grid[first], grid[total])).T
-        block = dirac_boson_block(s, p, kx, ky, spec.delta)
-        closed = dirac_boson_closed_eigs(s, p, kx, ky, spec.delta)
+        points = np.hstack((grid[first], grid[total])).T  # s, p, kx, ky
+        build, closed_eigs = dirac_boson_block, dirac_boson_closed_eigs
+        params = (spec.delta,)
     else:
         raise TypeError(f"expected ChainSpec or SquareSpec, got {type(spec).__name__}")
+    closed = closed_eigs(*points, *params)
     # eigvalsh and the closed forms are ascending already
-    numeric = hermitian_eigenvalues(block)
+    numeric = np.empty_like(closed)
+    for start in range(0, len(closed), CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        numeric[rows] = hermitian_eigenvalues(build(*(x[rows] for x in points), *params))
     return SpectrumTable(spec=spec, tolerance=tolerance, momenta=momenta, numeric=numeric,
                          closed_form=closed, fermion_pairs=closed,
                          discrepancy=np.max(np.abs(numeric - closed), axis=-1))

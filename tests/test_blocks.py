@@ -1,6 +1,12 @@
+import pathlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from refresh_goldens import CASES
+
+from bondboson import blocks
 from bondboson.blocks import (
     correspondence_report,
     dirac_boson_block,
@@ -8,6 +14,7 @@ from bondboson.blocks import (
     ssh_boson_block,
     ssh_boson_closed_eigs,
 )
+from bondboson.cli import main
 from bondboson.fermion_model import dirac2d_band_energy, hopping_matrix, ssh_band_energy
 from bondboson.lattice import ChainSpec, SquareSpec, chain_momenta, square_momenta
 from bondboson.numerics import hermitian_eigenvalues
@@ -411,3 +418,47 @@ def test_every_two_fermion_level_is_in_the_table(spec):
     table = correspondence_report(spec).numeric.ravel()
     distance = np.abs((energies[a] + energies[b])[:, None] - table).min(axis=1)
     assert np.count_nonzero(distance > 1e-9) == 0
+
+
+# -- row chunks: the table is diagonalized ``CHUNK_ROWS`` blocks at a time ----------
+#
+# Each block is validated and diagonalized on its own, so no bit of the table
+# depends on where the chunks start.  5 rows: ssh 40 spans 80 chunks.
+
+TABLE_GOLDENS = [name for name in CASES if name.startswith(("spectrum_", "verify_correspondence_"))]
+
+
+@pytest.mark.parametrize("chunk", [5, 10 ** 6], ids=["5-rows", "one-chunk"])
+@pytest.mark.parametrize("name", TABLE_GOLDENS)
+def test_table_goldens_do_not_depend_on_the_chunk(monkeypatch, tmp_path, name, chunk):
+    monkeypatch.setattr(blocks, "CHUNK_ROWS", chunk)
+    out = tmp_path / name
+    assert main(CASES[name] + ["--output", str(out)]) == 0
+    golden = pathlib.Path(__file__).parent / "golden" / name
+    assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("spec", [ChainSpec(70, alpha_u=0.2), SquareSpec(6, 6, delta=1.3)],
+                         ids=repr)
+def test_table_bits_do_not_depend_on_the_chunk(monkeypatch, spec):
+    monkeypatch.setattr(blocks, "CHUNK_ROWS", 7)
+    chunked = correspondence_report(spec)
+    monkeypatch.setattr(blocks, "CHUNK_ROWS", len(chunked.numeric))
+    whole = correspondence_report(spec)
+    for name in ("numeric", "closed_form", "discrepancy"):
+        got, want = getattr(chunked, name), getattr(whole, name)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+
+
+def test_table_memory_is_bounded_by_the_chunk():
+    # 10,000 blocks: the tracemalloc peak was 11.7 MB with the whole grid's block
+    # stack and its validation temporaries, and is 2.7 MB with one stack per chunk
+    # (x86-64, Python 3.11, numpy 2.4)
+    tracemalloc.start()
+    try:
+        table = correspondence_report(SquareSpec(10, 10, delta=1.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.passed
+    assert peak < 5 * 10 ** 6

@@ -482,7 +482,9 @@ def test_interactions_past_the_mode_cap_are_a_resource_error(capsys):
 
 @needs_proc
 def test_large_grid_spectrum_is_streamed(tmp_path):
-    # 65,536 blocks: the report is about 50 MB of text, never held whole
+    # 65,536 blocks: the report is about 50 MB of text, never held whole.  The peak was
+    # 104 MB with the whole grid's block stack diagonalized at once and is about 65 MB
+    # with one stack per chunk (VmHWM, x86-64, Python 3.11, numpy 2.4)
     out = tmp_path / "report.json"
     code, peak_mb = child_peak_mb(["spectrum", "dirac2d", "--lx", "16", "--ly", "16",
                                    "--output", str(out)])
@@ -491,7 +493,7 @@ def test_large_grid_spectrum_is_streamed(tmp_path):
     with out.open("rb") as fh:
         fh.seek(-len(end), os.SEEK_END)
         assert fh.read() == end
-    assert peak_mb < 250
+    assert peak_mb < 85
 
 
 @needs_proc

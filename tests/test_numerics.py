@@ -103,6 +103,15 @@ def test_max_residual_propagates_nan():
     assert np.isnan(max_residual(r for r in (0.0, float("nan"))))
 
 
+def test_max_residual_reduces_an_array_as_the_generator_route_does():
+    assert max_residual(np.array([])) == 0.0
+    assert np.isnan(max_residual(np.array([1.0, np.nan, 2.0])))
+    assert np.isnan(max_residual(np.array([np.nan, 1.0])))
+    values = np.abs(np.random.default_rng(5).normal(size=1000))
+    assert max_residual(values) == max_residual(v for v in values) == values.max()
+    assert type(max_residual(values)) is float
+
+
 def test_stack_eigenvalues_match_one_matrix_at_a_time():
     rng = np.random.default_rng(11)
     stack = np.array([random_hermitian(rng, 4) for _ in range(5)])
