@@ -28,7 +28,6 @@ row-by-row sparse product.
 """
 
 from .bilinear import (
-    BosonCommutatorReport,
     ChainPair,
     FockSizeError,
     IdentityTable,

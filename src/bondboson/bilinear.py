@@ -35,7 +35,6 @@ phase comes from one exact table per grid axis
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -352,25 +351,6 @@ def h_bond_commutator_residuals(spec) -> tuple:
 # Near-filling commutator table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BosonCommutatorReport:
-    """Expectation of one pair-operator commutator in a near-filled state.
-
-    ``target`` is the canonical-boson value (site count when the two
-    pair labels are equal, zero otherwise); ``deviation`` is the
-    distance of the measured expectation from it.  ``self_paired`` flags
-    bond lengths that wrap onto themselves (2l = 0 mod the lattice),
-    where the pair sum degenerates and the canonical value cannot be
-    expected.
-    """
-
-    expectation: complex
-    target: float
-    deviation: float
-    holes: tuple
-    self_paired: bool
-
-
 def square_bond_offsets(lx: int, ly: int) -> list:
     """One representative per {d, -d} class of nonzero lattice offsets.
 
@@ -466,25 +446,11 @@ def pair_commutator_table(spec, pairs, n_holes: int = 0, seed: int = 0):
     return upper + np.triu(upper, 1).conj().T, holes
 
 
-def boson_commutator_report(spec, pair, other, n_holes: int = 0,
-                            seed: int = 0) -> BosonCommutatorReport:
-    """Measure ``<s| [P_pair, P_other^dag] |s>`` near full filling.
+def boson_commutator_report(spec, pair, n_holes: int = 0, seed: int = 0) -> complex:
+    """``<s| [P_pair, P_pair^dag] |s>`` near full filling: the one entry of the
+    :func:`pair_commutator_table` of ``pair`` alone, with its state and bits.
 
-    The state and the expectation are those of
-    :func:`pair_commutator_table` on the two labels, so a report equals
-    the table entry for the same pair bit for bit.  Raw, un-normalised
-    expectations are reported; the near-filling target is the site
-    count when the labels are equal (momentum indices are taken on
-    their grid, 0 <= K < n).
+    The raw expectation, un-normalised; the caller compares it with the
+    canonical-boson value, the site count.
     """
-    table, holes = pair_commutator_table(spec, [pair, other], n_holes, seed)
-    matched = pair == other
-    expectation = complex(table[0, 1])
-    target = float(spec.n_sites) if matched else 0.0
-    return BosonCommutatorReport(
-        expectation=expectation,
-        target=target,
-        deviation=abs(expectation - target),
-        holes=holes,
-        self_paired=matched and bool(bond_self_paired(spec, pair)),
-    )
+    return complex(pair_commutator_table(spec, [pair], n_holes, seed)[0][0, 0])

@@ -5,9 +5,10 @@ carries a 4x4 Hermitian block whose eigenvalues are signed sums of two
 single-fermion band energies (:func:`ssh_band_energy`,
 :func:`dirac2d_band_energy`).  This module builds the literal blocks,
 evaluates those sums (the closed forms), and produces the table that
-checks the numeric spectrum against them: two independent routes, the
+measures the numeric spectrum against them: two independent routes, the
 eigensolver and the band formulas, so the table's closed-form and
-fermion-pair columns are one evaluation.
+fermion-pair columns are one evaluation.  The table holds measurements
+only; the caller judges its ``max_discrepancy`` against a bound.
 
 The builders and closed forms broadcast over their momentum arguments:
 scalars give one :class:`HermitianMatrix` block, arrays give a stack of
@@ -149,7 +150,7 @@ def dirac_boson_closed_eigs(s, p, kx, ky, delta: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
-    """Per-block eigenvalue table with a global pass/fail verdict.
+    """Per-block eigenvalue table and its discrepancies: measurements, no verdict.
 
     ``spec`` is the lattice the table was computed on.  One row per
     momentum block, held as arrays: ``momenta`` holds integer
@@ -161,11 +162,11 @@ class SpectrumTable:
     single-fermion band energies.  The last two are one array: the
     closed forms are those signed pairs (see the module docstring).
     ``discrepancy`` (N,) is each block's largest pointwise difference
-    of the numeric column from the closed form.
+    of the numeric column from the closed form, and ``max_discrepancy``
+    the largest of them, NaN if any block's is.
     """
 
     spec: ChainSpec | SquareSpec
-    tolerance: float
     momenta: np.ndarray
     numeric: np.ndarray
     closed_form: np.ndarray
@@ -176,21 +177,16 @@ class SpectrumTable:
     def max_discrepancy(self) -> float:
         return max_residual(self.discrepancy)
 
-    @property
-    def passed(self) -> bool:
-        """True if every block agrees within the tolerance (a NaN never does)."""
-        return bool(np.all(self.discrepancy <= self.tolerance))
 
-
-def correspondence_report(spec, tolerance: float = 1e-10) -> SpectrumTable:
+def correspondence_report(spec) -> SpectrumTable:
     """Eigenvalue table over the full momentum grid.
 
     For every block the numeric spectrum is compared against the closed
     form, the signed sums of single-fermion band energies at the paired
     momenta (q and k/2 - q on the chain; (s, p) and (kx - s, ky - p) on
-    the square lattice), evaluated once.  Rows exceeding the
-    tolerance (or carrying a NaN) stay in the table and flip the
-    verdict; nothing is dropped.  Rows are ordered by momentum tuple.
+    the square lattice), evaluated once.  Every row stays in the table,
+    one carrying a NaN too; nothing is dropped.  Rows are ordered by
+    momentum tuple.
     The closed forms are one whole-grid evaluation; the blocks are built,
     validated and diagonalized as one stack per ``CHUNK_ROWS`` rows, and
     no entry's bits depend on the chunk.
@@ -217,6 +213,6 @@ def correspondence_report(spec, tolerance: float = 1e-10) -> SpectrumTable:
     for start in range(0, len(closed), CHUNK_ROWS):
         rows = slice(start, start + CHUNK_ROWS)
         numeric[rows] = hermitian_eigenvalues(build(*(x[rows] for x in points), *params))
-    return SpectrumTable(spec=spec, tolerance=tolerance, momenta=momenta, numeric=numeric,
+    return SpectrumTable(spec=spec, momenta=momenta, numeric=numeric,
                          closed_form=closed, fermion_pairs=closed,
                          discrepancy=np.max(np.abs(numeric - closed), axis=-1))

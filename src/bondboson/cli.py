@@ -12,10 +12,12 @@ Reports are deterministic: canonical key order, floats rendered in
 scientific notation with an explicit sign and 15 significant digits,
 momenta (integer indices j on an n-point grid) as 2j/n reduced times pi
 ("2/3 pi") while its denominator is at most 720, else as the float
-2*pi*j/n.  Each suite returns its own fields and checks, each check built by
-``_check``: it passes when its residual is at most its bound (a NaN never
-passes).  ``_report`` wraps every JSON report once, with the config echo, the
-suite when one ran and the verdict, "pass" only if every check passes.  Exit
+2*pi*j/n.  The library returns measurements and this module judges them, by one
+rule, ``_passes``: a residual passes when it is at most its bound (a NaN never
+passes).  Each suite returns its own fields and checks, each check built by
+``_check``; a spectrum table passes when its ``max_discrepancy`` does.
+``_report`` wraps every JSON report once, with the config echo, the suite when
+one ran and the verdict, "pass" only if every check passes.  Exit
 codes: 0 pass, 1 I/O failure or failed verdict, 2 usage error, 3 resource
 limit (a Fock space past 16 modes, or a table too large for memory).
 
@@ -424,10 +426,10 @@ def _fill(fields, order, template: str, sep: str):
         yield text if start else text[len(sep):]
 
 
-def _table_json(table, config: RunConfig):
-    """The table report as byte pieces, laid out by ``json.dumps(indent=2, sort_keys=True)``
-    itself around one block whose leaves, the field columns, become ``"%s"`` fields
-    (no label needs JSON escaping)."""
+def _table_json(table, config: RunConfig, passed: bool):
+    """The table report with the verdict ``passed``, as byte pieces, laid out by
+    ``json.dumps(indent=2, sort_keys=True)`` itself around one block whose leaves, the
+    field columns, become ``"%s"`` fields (no label needs JSON escaping)."""
     points, grids = _table_points(table)
     momenta = ({"q": 0, "k": 1, "fermion_pair_at": 2} if isinstance(table.spec, ChainSpec)
                else {"s": 0, "p": 1, "kx": 2, "ky": 3, "fermion_pair_at": [4, 5]})
@@ -438,7 +440,7 @@ def _table_json(table, config: RunConfig):
     tokens = json.dumps(block, indent=2, sort_keys=True).replace("\n", "\n    ")
     order = [int(c) for c in re.findall(r"\d+", tokens)]
     template = re.sub(r"\d+", '"%s"', tokens)
-    report = _report(config, table.passed, blocks=["<blocks>"],
+    report = _report(config, passed, blocks=["<blocks>"],
                      max_discrepancy=fmt_float(table.max_discrepancy))
     head, tail = (json.dumps(report, indent=2, sort_keys=True) + "\n").split('"<blocks>"')
     yield head.encode()
@@ -474,10 +476,14 @@ def _emit(pieces, output: str) -> int:
     return EXIT_OK
 
 
+def _passes(residual: float, bound: float) -> bool:
+    """The one pass rule of every report: residual <= bound (a NaN never passes)."""
+    return bool(residual <= bound)
+
+
 def _check(residual: float, bound: float, **fields) -> dict:
-    """One check of a report: its label ``fields``, the residual, and the one pass rule,
-    residual <= bound (a NaN never passes)."""
-    return {**fields, "residual": fmt_float(residual), "pass": bool(residual <= bound)}
+    """One check of a report: its label ``fields``, the residual, and whether it passes."""
+    return {**fields, "residual": fmt_float(residual), "pass": _passes(residual, bound)}
 
 
 def _report(config: RunConfig, passed: bool, **fields) -> dict:
@@ -495,10 +501,12 @@ def _report(config: RunConfig, passed: bool, **fields) -> dict:
 
 def cmd_spectrum(config: RunConfig):
     """The table of ``spectrum``, also the report of ``verify correspondence``, as
-    (byte pieces, passed)."""
-    table = correspondence_report(config.spec, tolerance=config.tolerance)
-    return (_table_csv(table) if config.fmt == "csv" else _table_json(table, config),
-            table.passed)
+    (byte pieces, passed).  The table passes when its ``max_discrepancy`` does, so
+    exactly when every block's does (a NaN in any block fails it)."""
+    table = correspondence_report(config.spec)
+    passed = _passes(table.max_discrepancy, config.tolerance)
+    return (_table_csv(table) if config.fmt == "csv" else _table_json(table, config, passed),
+            passed)
 
 
 def _k_label(spec, k):
@@ -572,20 +580,18 @@ def _suite_commutators(config: RunConfig) -> dict:
 
     # highlight a bond that is not self-paired whenever one exists
     highlight = next((pair for pair, wraps in zip(pairs, self_paired) if not wraps), pairs[0])
-    highlighted = boson_commutator_report(spec, highlight, highlight,
-                                          n_holes=config.holes, seed=config.seed)
+    highlighted = boson_commutator_report(spec, highlight, n_holes=config.holes,
+                                          seed=config.seed)
     return {
         "site_count": site_count,
         "checks": [_check(matched_dev, config.tolerance, name="filled_matched_law"),
                    _check(unmatched_mag, config.tolerance, name="filled_unmatched_law")],
         "highlighted": {
             "holes": config.holes,
-            "expectation": fmt_float(highlighted.expectation.real),
-            "normalized_per_site": fmt_float(highlighted.expectation.real / site_count),
-            "normalized_per_cell": fmt_float(
-                highlighted.expectation.real / max(site_count // 2, 1)
-            ),
-            "deviation": fmt_float(highlighted.deviation),
+            "expectation": fmt_float(highlighted.real),
+            "normalized_per_site": fmt_float(highlighted.real / site_count),
+            "normalized_per_cell": fmt_float(highlighted.real / max(site_count // 2, 1)),
+            "deviation": fmt_float(abs(highlighted - float(site_count))),
         },
         "self_paired_cells": self_paired_cells,
         "deviation_vs_holes": holes_table,

@@ -89,6 +89,11 @@ def coulomb_operator(space: FockSpace, alpha) -> SparseOperator:
     return SparseOperator(space, sparse.diags(diagonal, format="csr"))
 
 
+def _coupled_pairs(a: np.ndarray) -> tuple:
+    """The sites (n, m), n != m, with a nonzero coupling, row-major."""
+    return np.nonzero(a - np.diag(np.diag(a)))
+
+
 def coulomb_pair_form(space: FockSpace, alpha) -> SparseOperator:
     """Pair-hopping rewrite ``-(1/2) sum alpha_nm (c+_n c+_m)(c_n c_m)``, n != m.
 
@@ -97,7 +102,7 @@ def coulomb_pair_form(space: FockSpace, alpha) -> SparseOperator:
     ``c_n c_m = (c+_m c+_n)^dag`` it is one :func:`~bondboson.fock.pair_products`.
     """
     a = _check_coupling(space, alpha)
-    n, m = np.nonzero(a - np.diag(np.diag(a)))  # the coupled pairs, row-major
+    n, m = _coupled_pairs(a)
     eye = np.eye(len(a))
     return pair_products(space, eye[n, :, None] * eye[m, None, :], eye[m, :, None] * eye[n, None, :],
                          -0.5 * a[n, m])
@@ -146,13 +151,13 @@ def pair_reconstruction_max(n_sites: int) -> float:
     eye = np.eye(n_sites)
     residuals = (reconstruction_stack(n_sites).reshape(-1, n_sites, n_sites)
                  - eye[p, :, None] * eye[(p + l + 1) % n_sites, None, :])
-    return max_residual(pair_norm(r) for r in residuals)
+    return max_residual([pair_norm(r) for r in residuals])
 
 
 def bond_assembled_pair_form(space: FockSpace, alpha) -> SparseOperator:
     """The pair form with each ``c+_n c+_m`` and ``c_n c_m`` rebuilt from bonds, as one stacked build."""
     a = _check_coupling(space, alpha)
-    n, m = np.nonzero(a - np.diag(np.diag(a)))  # the coupled pairs, row-major
+    n, m = _coupled_pairs(a)
     stack = reconstruction_stack(len(a))
     return pair_products(space, stack[n, (m - n) % len(a) - 1], stack[m, (n - m) % len(a) - 1],
                          -0.5 * a[n, m])

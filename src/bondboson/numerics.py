@@ -117,9 +117,7 @@ def max_residual(values) -> float:
     """Largest of the non-negative ``values`` (0.0 if there are none); NaN if any is NaN.
 
     The builtin ``max`` keeps its running value when compared with NaN,
-    so a NaN residual anywhere but first would vanish from a report.  An array is
-    reduced as it stands; any other iterable is read one value at a time.
+    so a NaN residual anywhere but first would vanish from a report.  ``values`` is
+    an array or a sequence.
     """
-    if not isinstance(values, np.ndarray):
-        values = np.fromiter(values, dtype=float)
     return float(np.max(np.asarray(values, dtype=float), initial=0.0))

@@ -77,7 +77,7 @@ def table_json(table, config) -> str:
         "config": config.echo(),
         "blocks": blocks,
         "max_discrepancy": fmt_float(table.max_discrepancy),
-        "verdict": "pass" if table.passed else "fail",
+        "verdict": "pass" if np.all(table.discrepancy <= config.tolerance) else "fail",
     }
     if config.suite:
         payload["suite"] = config.suite

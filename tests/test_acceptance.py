@@ -16,7 +16,13 @@ from bondboson.blocks import (
     ssh_boson_block,
     ssh_boson_closed_eigs,
 )
-from bondboson.bilinear import ChainPair, boson_commutator_report, h_bond_commutator_residuals
+from bondboson.bilinear import (
+    ChainPair,
+    bond_self_paired,
+    boson_commutator_report,
+    h_bond_commutator_residuals,
+    pair_commutator_table,
+)
 from bondboson.cli import main
 from bondboson.fermion_model import hopping_matrix, ssh_band_energy
 from bondboson.fock import FockSpace, creation_op
@@ -105,22 +111,23 @@ def test_a4_near_filling_commutator_and_hole_table(tmp_path):
     bonds = [ChainPair(l, K) for l in (1, 2, 3) for K in range(6)]
     worst = 0.0
     anomalies_ok = True
-    for first in bonds:
-        for second in bonds:
-            rep = boson_commutator_report(spec, first, second)
-            if rep.self_paired:
+    table, _ = pair_commutator_table(spec, bonds)
+    for i, first in enumerate(bonds):
+        for j, second in enumerate(bonds):
+            if i == j and bond_self_paired(spec, first):
                 # the half-ring bond self-pairs: the sum collapses to
                 # 0 or doubles to 2 * n_sites depending on e^{3ik}
                 expected = 0.0 if (3 * first.K) % 6 == 0 else 12.0
-                anomalies_ok &= abs(rep.expectation - expected) <= tol
+                anomalies_ok &= abs(table[i, j] - expected) <= tol
             else:
-                worst = max(worst, rep.deviation)
+                # the canonical-boson value: the site count on matched labels, else 0
+                worst = max(worst, abs(table[i, j] - (6.0 if i == j else 0.0)))
     hole_law_ok = True
     for holes in range(0, 4):
         for l in (1, 2):
             bond = ChainPair(l, 0)
-            rep = boson_commutator_report(spec, bond, bond, n_holes=holes, seed=7)
-            hole_law_ok &= abs(rep.expectation - (6.0 - 2.0 * holes)) <= tol
+            expectation = boson_commutator_report(spec, bond, n_holes=holes, seed=7)
+            hole_law_ok &= abs(expectation - (6.0 - 2.0 * holes)) <= tol
     out = tmp_path / "verify_commutators_ssh6.json"
     code = main(["verify", "commutators", "--model", "ssh", "--sites", "6",
                  "--holes", "0", "--output", str(out)])
@@ -162,7 +169,7 @@ def test_a6_fermion_correspondence_dirac():
         e = np.sqrt(spec.delta**2 + 4 * np.sin(kx) ** 2 + 4 * np.sin(ky) ** 2)
         analytic.extend([e, -e])
     band_gap = float(np.max(np.abs(numeric - np.sort(analytic))))
-    table = correspondence_report(spec, tolerance=1e-10)
+    table = correspondence_report(spec)
     pair_gap = float(np.max(np.abs(table.numeric - table.fermion_pairs)))
     report(
         "A6",

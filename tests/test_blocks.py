@@ -151,15 +151,14 @@ def test_correspondence_report_ssh():
     table = correspondence_report(ChainSpec(6, t0=1.0, alpha_u=0.1))
     assert table.spec == ChainSpec(6, t0=1.0, alpha_u=0.1)
     assert table.numeric.shape == (9, 4)
-    assert table.passed
+    assert np.all(table.discrepancy <= 1e-10)
     assert table.max_discrepancy <= 1e-10
-    assert np.all(table.discrepancy <= table.tolerance)
 
 
 def test_correspondence_report_ssh_degenerate_chain():
     # alpha_u = 0: every block decomposes into pure cosine-band pairs
     table = correspondence_report(ChainSpec(6, t0=1.0, alpha_u=0.0))
-    assert table.passed
+    assert np.all(table.discrepancy <= 1e-10)
     grid = chain_momenta(3)
     for (q, k), numeric in zip(grid[table.momenta], table.numeric):
         e1 = abs(2 * np.cos(q))
@@ -172,7 +171,7 @@ def test_correspondence_report_dirac():
     table = correspondence_report(SquareSpec(4, 4, delta=1.2))
     assert table.spec == SquareSpec(4, 4, delta=1.2)
     assert table.numeric.shape == (256, 4)
-    assert table.passed
+    assert np.all(table.discrepancy <= 1e-10)
     assert table.max_discrepancy <= 1e-10
 
 
@@ -319,7 +318,7 @@ def test_table_is_bit_identical_to_the_per_block_route(spec):
                                   start=1):
         assert bits(getattr(table, name)) == bits([row[column] for row in expected]), name
     assert bits(table.max_discrepancy) == bits(max(row[4] for row in expected))
-    assert table.passed
+    assert np.all(table.discrepancy <= 1e-10)
 
 
 def test_overflowing_rows_stay_in_the_table_and_fail_it():
@@ -328,7 +327,7 @@ def test_overflowing_rows_stay_in_the_table_and_fail_it():
         table = correspondence_report(SquareSpec(2, 2, delta=1e200))
     assert table.discrepancy.shape == (16,)
     assert np.isnan(table.max_discrepancy)
-    assert not table.passed
+    assert not np.all(table.discrepancy <= 1e-10)
 
 
 def grid_points(spec):
@@ -460,5 +459,5 @@ def test_table_memory_is_bounded_by_the_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.passed
+    assert np.all(table.discrepancy <= 1e-10)
     assert peak < 5 * 10 ** 6

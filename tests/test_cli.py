@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 from refresh_goldens import CASES
 
 import bondboson
+from bondboson.blocks import correspondence_report
 from bondboson.cli import _check, fmt_float, fmt_momentum, main
 from bondboson.fock import FockSpace
-from bondboson.lattice import chain_momenta
+from bondboson.lattice import ChainSpec, SquareSpec, chain_momenta
 from table_oracle import float_momentum_label
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -401,6 +402,48 @@ def test_spectrum_exits_1_on_a_failed_verdict(capsys, argv, failing):
         assert check["pass"] == (float(check["residual"]) <= bound), check
     failed = [check.get("name") for check in payload["checks"] if not check["pass"]]
     assert (len(failed) if isinstance(failing, int) else failed) == failing
+
+
+TABLE_MODELS = {"ssh": (["--sites", "6", "--alpha-u", "0.13"], ChainSpec(6, alpha_u=0.13)),
+                "dirac2d": (["--lx", "2", "--ly", "3"], SquareSpec(2, 3, delta=0.5))}
+
+
+@pytest.mark.parametrize("command", [["spectrum", "{model}"],
+                                     ["spectrum", "{model}", "--format", "csv"],
+                                     ["verify", "correspondence", "--model", "{model}"]],
+                         ids=["spectrum-json", "spectrum-csv", "correspondence"])
+@pytest.mark.parametrize("model", list(TABLE_MODELS))
+def test_table_verdict_at_its_own_max_discrepancy(capsys, command, model):
+    # a table passes exactly when its max_discrepancy is within the tolerance:
+    # at the discrepancy itself it passes, one float below it fails
+    flags, spec = TABLE_MODELS[model]
+    argv = [arg.format(model=model) for arg in command] + flags
+    discrepancy = correspondence_report(spec).max_discrepancy
+    assert discrepancy > 0
+    for tolerance, code in ((discrepancy, 0), (np.nextafter(discrepancy, 0), 1)):
+        got, out, err = run_cli(argv + ["--tolerance", repr(float(tolerance))], capsys)
+        assert (got, err) == (code, ""), tolerance
+        if "csv" not in argv:
+            assert json.loads(out)["verdict"] == ("pass" if code == 0 else "fail")
+
+
+@pytest.mark.parametrize("args", [["--model", "ssh", "--sites", "6"],
+                                  ["--model", "ssh", "--sites", "12"],
+                                  ["--model", "dirac2d", "--lx", "2", "--ly", "3"]],
+                         ids=["ssh6", "ssh12", "dirac2x3"])
+@pytest.mark.parametrize("holes", [0, 1, 2, 3])
+def test_highlight_equals_its_deviation_vs_holes_row(capsys, args, holes):
+    # the highlight is the first bond that is not self-paired, at the first grid
+    # momentum: a row of the hole table, with the same state and the same deviation
+    code, out, _ = run_cli(["verify", "commutators", *args, "--holes", str(holes)], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    row = next(row for row in payload["deviation_vs_holes"]
+               if row["holes"] == holes and not row["self_paired"])
+    assert row["k"] in ("0", ["0", "0"])
+    highlighted = payload["highlighted"]
+    assert (highlighted["expectation"], highlighted["deviation"]) == (row["expectation"],
+                                                                      row["deviation"])
 
 
 def test_commutators_at_the_16_mode_cap(capsys):

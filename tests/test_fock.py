@@ -12,6 +12,7 @@ from bondboson.bilinear import (
     ChainPair,
     FockSizeError,
     SquarePair,
+    bond_self_paired,
     boson_commutator_report,
     h_bond_commutator_residuals,
     pair_commutator_table,
@@ -256,76 +257,71 @@ CHAIN6 = ChainSpec(6)
 
 def test_filled_commutator_matched():
     bond = ChainPair(1, 0)
-    rep = boson_commutator_report(CHAIN6, bond, bond)
-    assert rep.expectation == pytest.approx(6.0, abs=1e-12)
-    assert rep.deviation == pytest.approx(0.0, abs=1e-12)
-    assert not rep.self_paired
+    expectation = boson_commutator_report(CHAIN6, bond)
+    assert expectation == pytest.approx(6.0, abs=1e-12)
+    assert abs(expectation - 6.0) == pytest.approx(0.0, abs=1e-12)
+    assert not bond_self_paired(CHAIN6, bond)
 
 
 def test_filled_commutator_four_mode_chain():
-    rep = boson_commutator_report(ChainSpec(4), ChainPair(1, 0), ChainPair(1, 0))
-    assert rep.expectation == pytest.approx(4.0, abs=1e-12)
+    expectation = boson_commutator_report(ChainSpec(4), ChainPair(1, 0))
+    assert expectation == pytest.approx(4.0, abs=1e-12)
 
 
 def test_filled_commutator_momentum_mismatch():
-    rep = boson_commutator_report(CHAIN6, ChainPair(1, 1), ChainPair(1, 2))
-    assert abs(rep.expectation) < 1e-12
-    assert rep.target == 0.0
+    table, _ = pair_commutator_table(CHAIN6, [ChainPair(1, 1), ChainPair(1, 2)])
+    assert abs(table[0, 1]) < 1e-12
 
 
 def test_filled_commutator_length_mismatch():
-    rep = boson_commutator_report(CHAIN6, ChainPair(1, 0), ChainPair(2, 0))
-    assert abs(rep.expectation) < 1e-12
+    table, _ = pair_commutator_table(CHAIN6, [ChainPair(1, 0), ChainPair(2, 0)])
+    assert abs(table[0, 1]) < 1e-12
 
 
 @pytest.mark.parametrize("holes", [0, 1, 2, 3])
 @pytest.mark.parametrize("l", [1, 2])
 def test_hole_count_drops_expectation_by_two_each(holes, l):
     bond = ChainPair(l, 0)
-    rep = boson_commutator_report(CHAIN6, bond, bond, n_holes=holes, seed=11)
-    assert rep.expectation == pytest.approx(6.0 - 2.0 * holes, abs=1e-12)
-    assert rep.deviation == pytest.approx(2.0 * holes, abs=1e-12)
+    expectation = boson_commutator_report(CHAIN6, bond, n_holes=holes, seed=11)
+    assert expectation == pytest.approx(6.0 - 2.0 * holes, abs=1e-12)
+    assert abs(expectation - 6.0) == pytest.approx(2.0 * holes, abs=1e-12)
 
 
 def test_hole_positions_do_not_matter():
     bond = ChainPair(1, 0)
-    values = [boson_commutator_report(CHAIN6, bond, bond, n_holes=2, seed=s).expectation
-              for s in range(6)]
+    values = [boson_commutator_report(CHAIN6, bond, n_holes=2, seed=s) for s in range(6)]
     assert all(v == pytest.approx(2.0, abs=1e-12) for v in values)
 
 
 def test_self_paired_bond_report():
     bond = ChainPair(3, 0)
-    rep = boson_commutator_report(CHAIN6, bond, bond)
-    assert rep.self_paired
-    assert rep.expectation == pytest.approx(0.0)  # operator vanishes at this k
+    assert bond_self_paired(CHAIN6, bond)
+    # the operator vanishes at this k
+    assert boson_commutator_report(CHAIN6, bond) == pytest.approx(0.0)
     odd_j = ChainPair(3, 1)
-    rep = boson_commutator_report(CHAIN6, odd_j, odd_j)
-    assert rep.self_paired
+    assert bond_self_paired(CHAIN6, odd_j)
     # doubled amplitudes on the surviving momenta: twice the site count
-    assert rep.expectation == pytest.approx(12.0, abs=1e-12)
+    assert boson_commutator_report(CHAIN6, odd_j) == pytest.approx(12.0, abs=1e-12)
 
 
 def test_too_many_holes_rejected():
     spec, bond = ChainSpec(4), ChainPair(1, 0)
     with pytest.raises(ValueError):
-        boson_commutator_report(spec, bond, bond, n_holes=17)
+        boson_commutator_report(spec, bond, n_holes=17)
     with pytest.raises(ValueError):
-        boson_commutator_report(spec, bond, bond, n_holes=5)
+        boson_commutator_report(spec, bond, n_holes=5)
 
 
 def test_square_filled_commutator():
     spec = SquareSpec(3, 2)
     # momentum indices (Kx, Ky): (0, 1) and (1, 0) are grid points 1 and 2
     bond = SquarePair(1, 0, 0, 1)
-    rep = boson_commutator_report(spec, bond, bond)
-    assert not rep.self_paired
-    assert rep.expectation == pytest.approx(6.0, abs=1e-12)  # site count
-    rep = boson_commutator_report(spec, bond, SquarePair(1, 0, 1, 0))
-    assert abs(rep.expectation) < 1e-12
-    wrapped = SquarePair(0, 1, 0, 1)
-    rep = boson_commutator_report(spec, wrapped, wrapped)
-    assert rep.self_paired  # 2*(0,1) wraps to (0,0) on the 3x2 torus
+    assert not bond_self_paired(spec, bond)
+    assert boson_commutator_report(spec, bond) == pytest.approx(6.0, abs=1e-12)  # site count
+    table, _ = pair_commutator_table(spec, [bond, SquarePair(1, 0, 1, 0)])
+    assert abs(table[0, 1]) < 1e-12
+    # 2*(0,1) wraps to (0,0) on the 3x2 torus
+    assert bond_self_paired(spec, SquarePair(0, 1, 0, 1))
 
 
 def near_filling_labels(spec):
@@ -396,9 +392,12 @@ def test_table_matches_the_fock_single_pair_route(name, holes):
         for j in range(len(labels)):
             expected = single_pair_expectation((rows[i], cols[i]), (rows[j], cols[j]))
             assert abs(table[i, j] - expected) <= bound, (labels[i], labels[j])
-    rep = boson_commutator_report(spec, labels[0], labels[-1], n_holes=holes, seed=ORACLE_SEED)
-    assert rep.expectation == complex(table[0, -1])
-    assert rep.holes == hole_modes
+    pair, pair_holes = pair_commutator_table(spec, [labels[0], labels[-1]], n_holes=holes,
+                                             seed=ORACLE_SEED)
+    assert complex(pair[0, 1]) == complex(table[0, -1])
+    assert pair_holes == hole_modes
+    assert boson_commutator_report(spec, labels[-1], n_holes=holes,
+                                   seed=ORACLE_SEED) == complex(table[-1, -1])
 
 
 # the ordered scatter against scipy's sparse product: every spec above, dimerized

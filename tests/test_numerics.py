@@ -100,15 +100,14 @@ def test_max_residual_propagates_nan():
     # the builtin max keeps 1.0 here and would hide the failed residual
     assert max(1.0, float("nan")) == 1.0
     assert np.isnan(max_residual([1.0, float("nan"), 2.0]))
-    assert np.isnan(max_residual(r for r in (0.0, float("nan"))))
 
 
-def test_max_residual_reduces_an_array_as_the_generator_route_does():
+def test_max_residual_reduces_an_array_as_a_list():
     assert max_residual(np.array([])) == 0.0
     assert np.isnan(max_residual(np.array([1.0, np.nan, 2.0])))
     assert np.isnan(max_residual(np.array([np.nan, 1.0])))
     values = np.abs(np.random.default_rng(5).normal(size=1000))
-    assert max_residual(values) == max_residual(v for v in values) == values.max()
+    assert max_residual(values) == max_residual(values.tolist()) == values.max()
     assert type(max_residual(values)) is float
 
 

@@ -76,7 +76,9 @@ def first_difference(got, want):
 
 
 def json_difference(table, cfg):
-    return first_difference(b"".join(cli._table_json(table, cfg)).decode(),
+    # the writer is handed the CLI's verdict; the oracle judges every block itself
+    passed = cli._passes(table.max_discrepancy, cfg.tolerance)
+    return first_difference(b"".join(cli._table_json(table, cfg, passed)).decode(),
                             table_oracle.table_json(table, cfg))
 
 
@@ -159,7 +161,7 @@ def test_stdout_and_output_get_the_same_bytes(monkeypatch, capsysbinary, tmp_pat
     # and 3-digit exponents, and fails its verdict
     if inject:
         table = injected(TABLES[model], cli.CHUNK_ROWS + 1)
-        monkeypatch.setattr(cli, "correspondence_report", lambda spec, tolerance: table)
+        monkeypatch.setattr(cli, "correspondence_report", lambda spec: table)
     argv = [arg.format(model=model) for arg in COMMANDS[command]] + MODEL_FLAGS[model]
     code = cli.main(argv)
     stdout = capsysbinary.readouterr()
@@ -189,7 +191,7 @@ def test_writer_memory_is_bounded_by_the_chunk(tmp_path, fmt):
     spec = SquareSpec(10, 10, delta=0.5)
     table = correspondence_report(spec)
     cfg = cli.RunConfig(command="spectrum", spec=spec, tolerance=1e-10, fmt=fmt)
-    pieces = cli._table_csv(table) if fmt == "csv" else cli._table_json(table, cfg)
+    pieces = cli._table_csv(table) if fmt == "csv" else cli._table_json(table, cfg, True)
     tracemalloc.start()
     try:
         code = cli._emit(pieces, str(tmp_path / "report"))
@@ -348,7 +350,7 @@ def test_chain_pair_label_at_1442_sites_is_printed_from_its_index():
     table = dataclasses.replace(real, spec=dataclasses.replace(real.spec, n_sites=1442),
                                 momenta=np.array([[2, 9]]),
                                 **{name: getattr(real, name)[:1] for name in VALUES})
-    report = json.loads(b"".join(cli._table_json(table, config("ssh", ""))))
+    report = json.loads(b"".join(cli._table_json(table, config("ssh", ""), True)))
     label = report["blocks"][0]["momenta"]["fermion_pair_at"]
     assert label == "+2.17863568210110e-02" == cli.fmt_float(chain_momenta(1442)[5])
     q, k = chain_momenta(721)[[2, 9]]
