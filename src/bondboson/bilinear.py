@@ -27,9 +27,11 @@ in one batch (:func:`identity_residuals`): one stacked build of every
 distinct label (:func:`pair_stack`), the weighted sums of all
 sides accumulated term by term at once, and ``[H, .]`` as one stacked
 product.  Each entry still adds its terms in the listed order, so the
-residuals have the bits of a one-identity-at-a-time evaluation.  Every
-phase comes from one exact table per grid axis
-(:func:`bondboson.lattice.unit_roots`), indexed by integer momentum, so
+residuals have the bits of a one-identity-at-a-time evaluation.  One
+builder gives every label's entries (:func:`pair_entries`): the stack
+writes them, and the near-filling table (:func:`pair_commutator_table`)
+takes the nonzeros of its sparse X from them.  Every phase is an entry of
+one exact table per grid axis (:func:`bondboson.lattice.unit_roots`), so
 ``e^{i pi}`` is exactly -1.
 """
 
@@ -56,6 +58,9 @@ from .numerics import unfused_product
 _SQRT2 = float(np.sqrt(2.0))
 
 MAX_MODES = 16
+
+# products per block of the near-filling scatter (:func:`pattern_table`)
+SCATTER_PRODUCTS = 1 << 16
 
 
 class FockSizeError(ValueError):
@@ -129,35 +134,39 @@ def pair_norm(m: np.ndarray) -> float:
     return float(np.sqrt(2.0 ** (n - 3)) * np.linalg.norm(m - m.T))
 
 
-def pair_stack(spec, labels) -> np.ndarray:
-    """The ``(P, n, n)`` coefficient matrices of the pair labels, in order; read-only.
+def pair_entries(spec, labels) -> tuple:
+    """The written entries ``(label, row, col, value)`` of the labels' coefficient matrices,
+    four flat arrays, label by label; no two share a (label, row, col).
 
-    ``labels`` is a (P, C) integer table or a list of P labels:
-    :class:`ChainPair` rows of a :class:`ChainSpec` (its site count and
-    spinfulness are read) or :class:`SquarePair` rows of a
-    :class:`SquareSpec` (its extents).  All labels are written by one
-    fancy-index assignment.  Every phase is an entry of
-    :func:`~bondboson.lattice.unit_roots` (a product of one per axis in
-    2D), so a label's matrix has the same bits in any table.
+    ``labels`` is a (P, C) integer table or a list of P labels: :class:`ChainPair` rows of a
+    :class:`ChainSpec` or :class:`SquarePair` rows of a :class:`SquareSpec`.  Every phase is
+    an entry of :func:`~bondboson.lattice.unit_roots` (a product of one per axis in 2D), so
+    a label's entries have the same bits in any table.
     """
     if isinstance(spec, ChainSpec):
         n_sites = spec.n_sites
         l, K, spin1, spin2, sublattice = np.asarray(labels, dtype=np.int64).reshape(
             -1, len(ChainPair._fields)).T
         p, site, position = chain_anchors(n_sites, sublattice)
-        entries = (p, chain_mode(n_sites, site, spin1[p], spec.spinful),
-                   chain_mode(n_sites, site + l[p], spin2[p], spec.spinful))
-        values = unit_roots(n_sites)[(K[p] * position) % n_sites]
-    else:
-        lx, ly = spec.lx, spec.ly
-        l, m, Kx, Ky, comp1, comp2 = np.asarray(labels, dtype=np.int64).reshape(
-            -1, len(SquarePair._fields)).T[:, :, None]
-        x, y = (v.ravel() for v in np.meshgrid(np.arange(lx), np.arange(ly), indexing="ij"))
-        entries = (np.arange(len(l))[:, None], square_mode(lx, ly, x, y, comp1),
-                   square_mode(lx, ly, x + l, y + m, comp2))
-        values = unit_roots(lx)[(Kx * x) % lx] * unit_roots(ly)[(Ky * y) % ly]
-    stack = np.zeros((len(l), spec.n_modes, spec.n_modes), dtype=complex)
-    stack[entries] = values
+        return (p, chain_mode(n_sites, site, spin1[p], spec.spinful),
+                chain_mode(n_sites, site + l[p], spin2[p], spec.spinful),
+                unit_roots(n_sites)[(K[p] * position) % n_sites])
+    lx, ly = spec.lx, spec.ly
+    l, m, Kx, Ky, comp1, comp2 = np.asarray(labels, dtype=np.int64).reshape(
+        -1, len(SquarePair._fields)).T[:, :, None]
+    x, y = np.divmod(np.arange(lx * ly), ly)
+    return tuple(a.ravel() for a in np.broadcast_arrays(
+        np.arange(len(l))[:, None], square_mode(lx, ly, x, y, comp1),
+        square_mode(lx, ly, x + l, y + m, comp2),
+        unit_roots(lx)[(Kx * x) % lx] * unit_roots(ly)[(Ky * y) % ly]))
+
+
+def pair_stack(spec, labels) -> np.ndarray:
+    """The ``(P, n, n)`` coefficient matrices of the pair labels (:func:`pair_entries`), in
+    order; read-only."""
+    label, row, col, values = pair_entries(spec, labels)
+    stack = np.zeros((len(labels), spec.n_modes, spec.n_modes), dtype=complex)
+    stack[label, row, col] = values
     stack.setflags(write=False)
     return stack
 
@@ -377,16 +386,95 @@ def bond_self_paired(spec, pairs) -> np.ndarray:
     return (2 * table[..., 0] % spec.lx == 0) & (2 * table[..., 1] % spec.ly == 0)
 
 
-def pair_commutator_table(spec, pairs, n_holes: int = 0, seed: int = 0):
-    """``<s| [P_A, P_B^dag] |s>`` for every ordered pair of the labels ``pairs``.
+def pair_carrying_modes(spec) -> np.ndarray:
+    """The modes holes are drawn from, site by site: spin-up chain modes, c modes in 2D."""
+    if isinstance(spec, ChainSpec):
+        return chain_mode(spec.n_sites, np.arange(spec.n_sites), 0, spec.spinful)
+    return square_mode(spec.lx, spec.ly, *np.divmod(np.arange(spec.lx * spec.ly), spec.ly), 0)
 
-    ``pairs`` are :class:`ChainPair` or :class:`SquarePair` labels of
-    the spec's lattice.  The state s is the filled state with
-    ``n_holes`` holes drawn deterministically (``seed``) from the
-    pair-carrying modes (chain: spin-up modes; square lattice: c
-    modes).  Returns ``(table, holes)``: a P x P complex array with
-    ``table[p, q]`` the expectation for labels p and q, and the sorted
-    hole modes.
+
+def filling_weights(spec, n_holes: int, seed: int, modes, triangle) -> tuple:
+    """``(weights, holes)``: ``n_holes`` sorted holes drawn deterministically (``seed``) from
+    ``modes`` (:func:`pair_carrying_modes`), and the filled state's bracket
+    ``n_i n_j - (1-n_i)(1-n_j)`` (-1.0, 0.0 or 1.0) at each ``triangle = np.triu_indices(n, 1)``
+    mode pair."""
+    if n_holes > len(modes):
+        raise ValueError(f"{n_holes} holes exceed the {len(modes)} pair-carrying modes")
+    rng = np.random.default_rng(seed)
+    holes = tuple(sorted(int(h) for h in rng.choice(modes, size=n_holes, replace=False)))
+    occupied = np.ones(spec.n_modes)
+    occupied[list(holes)] = 0.0
+    i, j = triangle
+    return occupied[i] * occupied[j] - (1.0 - occupied[i]) * (1.0 - occupied[j]), holes
+
+
+def pair_pattern(spec, labels) -> tuple:
+    """The nonzeros ``(k, r, values)`` of X, whose row r is label r's ``a_ij - a_ji`` over the
+    mode pairs (i, j) of ``np.triu_indices(n, 1)``, k ascending, then r.
+
+    Made from the label entries (:func:`pair_entries`) with the bits of ``np.nonzero`` on the
+    dense ``(A - A^T)[:, i, j]``: ``a_ij - a_ji`` with 0 for an unwritten entry, exact zeros
+    dropped.  A boolean grid of (k, r) keys gives the order without a sort.
+    """
+    label, row, col, values = pair_entries(spec, labels)
+    n, count = spec.n_modes, len(labels)
+    low, high = np.minimum(row, col), np.maximum(row, col)
+    # the index of (low, high) in np.triu_indices(n, 1), then the label
+    key = (low * (2 * n - 3 - low) // 2 + high - 1) * count + label
+    grid = np.zeros(n * (n - 1) // 2 * count, dtype=bool)
+    grid[key[row != col]] = True
+    pattern = np.flatnonzero(grid)
+    at = np.searchsorted(pattern, key)
+    x = np.zeros(len(pattern), dtype=complex)
+    x[at[row < col]] = values[row < col]
+    x[at[row > col]] -= values[row > col]
+    nonzero = x != 0
+    return (*np.divmod(pattern[nonzero], count), x[nonzero])
+
+
+def pattern_table(pattern, weights, count: int) -> np.ndarray:
+    """``X W X^H`` of a :func:`pair_pattern` of ``count`` labels and weights W
+    (:func:`filling_weights`): every pair of nonzeros ``x_rk``, ``x_sk`` (r <= s) of a
+    column k gives ``(x_rk w_k) conj(x_sk)`` (:func:`~bondboson.numerics.unfused_product`),
+    scattered by ``np.add.at`` in pattern order about :data:`SCATTER_PRODUCTS` at a time,
+    so each entry adds its terms to zero in ascending k."""
+    k, r, values = pattern
+    # entry e = (r, k) gives one product per entry (s, k), s >= r, of its column: itself
+    # and the ``per - 1`` after it, numbered from ``first``; product t pairs it with t - lag
+    entry = np.arange(len(k))
+    per = np.cumsum(np.bincount(k))[k] - entry
+    first = np.cumsum(per) - per
+    lag = first - entry
+    scaled, conjugates = np.multiply(values, weights[k]), values.conj()
+    table = np.zeros((count, count), dtype=complex)
+    edges = np.flatnonzero(np.diff(first // SCATTER_PRODUCTS, prepend=-1)).tolist()
+    for start, stop in zip(edges, edges[1:] + [len(k)]):
+        block = per[start:stop]
+        partner = np.arange(first[start], first[start] + block.sum())
+        partner -= np.repeat(lag[start:stop], block)
+        np.add.at(table.ravel(), np.repeat(r[start:stop] * count, block) + r.take(partner),
+                  unfused_product(np.repeat(scaled[start:stop], block), conjugates.take(partner)))
+    # w_k is real, so the (s, r) sum is +0 plus the conjugate of the (r, s) sum, as the
+    # sparse product's is; a sum from +0 holds no -0, so the +0 added above changes nothing
+    rows = max(1, SCATTER_PRODUCTS // max(count, 1))
+    for start in range(0, count, rows):
+        table[start:start + rows] += np.tril(table[:, start:start + rows].conj().T, start - 1)
+    return table
+
+
+def pattern_diagonal(pattern, weights, count: int) -> np.ndarray:
+    """The diagonal of :func:`pattern_table` alone, with its bits: each label's terms
+    ``(x_rk w_k) conj(x_rk)`` added to zero in ascending k."""
+    k, r, values = pattern
+    diagonal = np.zeros(count, dtype=complex)
+    np.add.at(diagonal, r, unfused_product(np.multiply(values, weights[k]), values.conj()))
+    return diagonal
+
+
+def pair_commutator_table(spec, pairs, n_holes: int = 0, seed: int = 0):
+    """``(table, holes)``: ``table[p, q] = <s| [P_A, P_B^dag] |s>`` for every ordered pair
+    of the :class:`ChainPair` or :class:`SquarePair` labels ``pairs`` (a P x P complex array),
+    s the filled state with the sorted hole modes ``holes`` (:func:`filling_weights`).
 
     With occupations n_i of s, ``a = A - A^T`` and ``b = B - B^T``,
     Wick's theorem gives
@@ -396,61 +484,21 @@ def pair_commutator_table(spec, pairs, n_holes: int = 0, seed: int = 0):
     ``P_A P_B^dag`` removes a pair (i, j) and puts it back, which needs
     both modes occupied, ``P_B^dag P_A`` adds it first, which needs both
     empty, and the Jordan-Wigner signs of a round trip cancel.  With the
-    labels' ``a_ij`` (i < j) stacked as the rows of X and the bracket as
-    the diagonal W, the table is ``X W X^H``.  It is one ordered numpy
-    scatter with the bits of the row-by-row sparse product (Gustavson,
-    ACM TOMS 4(3), 1978; scipy's ``csr_matmat``): every pair of nonzeros
-    ``x_rk``, ``x_sk`` (r <= s) of a column k of X gives
-    ``(x_rk w_k) conj(x_sk)``, formed by
-    :func:`~bondboson.numerics.unfused_product`, and each entry adds its
-    terms to zero in ascending k.  Each weight is -1, 0 or 1, so the
-    entries below the diagonal are the exact conjugates of those above.
-    The order is the same on every machine (a BLAS product's order
-    depends on the CPU kernel), so reports are reproducible to the last
-    digit.
+    labels' ``a_ij`` (i < j) as the rows of X and the bracket as the
+    diagonal W, the table is ``X W X^H``, with the nonzeros of X taken from
+    the labels' entries (:func:`pair_pattern`), never a dense X, and one
+    ordered numpy scatter with the bits of the row-by-row sparse product
+    (Gustavson, ACM TOMS 4(3), 1978; scipy's ``csr_matmat``)
+    (:func:`pattern_table`), the same on every machine.
     """
-    n = spec.n_modes
-    check_mode_cap(n)
-    if isinstance(spec, ChainSpec):
-        modes = [chain_mode(spec.n_sites, site, 0, spec.spinful) for site in range(spec.n_sites)]
-    else:
-        modes = [square_mode(spec.lx, spec.ly, x, y, 0)
-                 for x in range(spec.lx) for y in range(spec.ly)]
-    if n_holes > len(modes):
-        raise ValueError(f"{n_holes} holes exceed the {len(modes)} pair-carrying modes")
-    rng = np.random.default_rng(seed)
-    holes = tuple(sorted(int(h) for h in rng.choice(modes, size=n_holes, replace=False)))
-    occupied = np.ones(n)
-    occupied[list(holes)] = 0.0
-    i, j = np.triu_indices(n, 1)
-    weights = occupied[i] * occupied[j] - (1.0 - occupied[i]) * (1.0 - occupied[j])
-    a = pair_stack(spec, pairs)
-    x = (a - a.transpose(0, 2, 1))[:, i, j]
-    # the nonzero pattern of X column by column (k ascending, then r); each entry
-    # (r, k) gives one product per entry (s, k), s >= r, of its column, and
-    # ``partner`` holds the position of that s in the pattern
-    k, r = np.nonzero(x.T)
-    values = x[r, k]
-    entry = np.arange(len(k))
-    per = np.cumsum(np.bincount(k, minlength=len(i)))[k] - entry
-    partner = np.arange(per.sum()) + np.repeat(entry - (np.cumsum(per) - per), per)
-    # (x_rk w_k) conj(x_sk) with the sparse kernel's multiply and complex product,
-    # each entry's terms in ascending k
-    products = unfused_product(np.repeat(np.multiply(values, weights[k]), per),
-                               values.conj().take(partner))
-    upper = np.zeros((len(a), len(a)), dtype=complex)
-    np.add.at(upper.ravel(), np.repeat(r * len(a), per) + r.take(partner), products)
-    # w_k is -1, 0 or 1, so the (s, r) terms are the conjugates of the (r, s) terms
-    # and their sum is the conjugate of the (r, s) sum; adding it to +0 turns a
-    # zero part +0, as the sparse product's sum from +0 is
-    return upper + np.triu(upper, 1).conj().T, holes
+    check_mode_cap(spec.n_modes)
+    weights, holes = filling_weights(spec, n_holes, seed, pair_carrying_modes(spec),
+                                     np.triu_indices(spec.n_modes, 1))
+    return pattern_table(pair_pattern(spec, pairs), weights, len(pairs)), holes
 
 
 def boson_commutator_report(spec, pair, n_holes: int = 0, seed: int = 0) -> complex:
-    """``<s| [P_pair, P_pair^dag] |s>`` near full filling: the one entry of the
-    :func:`pair_commutator_table` of ``pair`` alone, with its state and bits.
-
-    The raw expectation, un-normalised; the caller compares it with the
-    canonical-boson value, the site count.
-    """
+    """``<s| [P_pair, P_pair^dag] |s>`` near full filling, un-normalised: the one entry of
+    the :func:`pair_commutator_table` of ``pair`` alone (a one-label pattern), with its state
+    and bits.  The caller compares it with the canonical-boson value, the site count."""
     return complex(pair_commutator_table(spec, [pair], n_holes, seed)[0][0, 0])

@@ -54,8 +54,13 @@ from .bilinear import (
     SquarePair,
     bond_self_paired,
     boson_commutator_report,
+    check_mode_cap,
+    filling_weights,
     h_bond_commutator_residuals,
-    pair_commutator_table,
+    pair_carrying_modes,
+    pair_pattern,
+    pattern_diagonal,
+    pattern_table,
     square_bond_offsets,
 )
 from .blocks import CHUNK_ROWS, correspondence_report
@@ -544,9 +549,14 @@ def _suite_commutators(config: RunConfig) -> dict:
                  for Kx, Ky in np.ndindex(spec.lx, spec.ly)]
         as_label = lambda pair: {"l": [pair.l, pair.m], "k": _k_label(spec, (pair.Kx, pair.Ky))}
     site_count = spec.n_sites
+    # one pattern of X, one triangle and one set of pair-carrying modes per run
+    check_mode_cap(spec.n_modes)
+    modes, triangle = pair_carrying_modes(spec), np.triu_indices(spec.n_modes, 1)
+    k, r, values = pattern = pair_pattern(spec, pairs)
 
     # grid labels are distinct, so two labels match exactly on the diagonal
-    table, _ = pair_commutator_table(spec, pairs, n_holes=0, seed=config.seed)
+    table = pattern_table(pattern, filling_weights(spec, 0, config.seed, modes, triangle)[0],
+                          len(pairs))
     matched = np.diagonal(table)
     unmatched_mag = max_residual(np.abs(table[~np.eye(len(pairs), dtype=bool)]))
     self_paired = bond_self_paired(spec, pairs)
@@ -560,14 +570,16 @@ def _suite_commutators(config: RunConfig) -> dict:
 
     holes_table = []
     # up to three holes, each on its own pair-carrying mode (one per site);
-    # the rows are the bonds at the first grid momentum, read off the
-    # diagonal of one table per hole count (one pair per bond and grid point)
+    # the rows are the bonds at the first grid momentum (labels 0, site_count, ...),
+    # each the diagonal entry of its own table, read off the rows of the pattern
     row_pairs = pairs[::site_count]
+    on_row = r % site_count == 0
+    rows = (k[on_row], r[on_row] // site_count, values[on_row])
     for holes in range(0, min(4, site_count + 1)):
-        table, hole_modes = pair_commutator_table(spec, row_pairs, n_holes=holes,
-                                                  seed=config.seed)
+        weights, hole_modes = filling_weights(spec, holes, config.seed, modes, triangle)
         for pair, wraps, expectation in zip(row_pairs, self_paired[::site_count].tolist(),
-                                            map(complex, np.diagonal(table))):
+                                            map(complex, pattern_diagonal(rows, weights,
+                                                                          len(row_pairs)))):
             entry = as_label(pair)
             entry.update(
                 holes=holes,

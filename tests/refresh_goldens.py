@@ -80,6 +80,16 @@ CASES = {
     "verify_interactions_ssh10.json": [
         "verify", "interactions", "--model", "ssh", "--sites", "10", "--seed", "3",
     ],
+    # the commutator tables at the 16-mode cap; at ssh16 the unmatched law is a
+    # rounding residue, so its digits pin the table's off-diagonal bits
+    "verify_commutators_ssh16_holes3.json": [
+        "verify", "commutators", "--model", "ssh", "--sites", "16", "--holes", "3",
+        "--seed", "4",
+    ],
+    "verify_commutators_dirac2x4.json": [
+        "verify", "commutators", "--model", "dirac2d", "--lx", "2", "--ly", "4",
+        "--mass", "0.8", "--holes", "2", "--seed", "9",
+    ],
 }
 
 

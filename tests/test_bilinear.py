@@ -27,6 +27,8 @@ from fock_oracle import (
     pair_reconstruction_terms,
     sequential_identity_residuals,
 )
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bondboson.bilinear import (
     ChainPair,
@@ -38,6 +40,7 @@ from bondboson.bilinear import (
     h_bond_commutator_residuals,
     identity_residuals,
     pair_norm,
+    pair_pattern,
     pair_stack,
 )
 from bondboson.fermion_model import hopping_matrix
@@ -48,7 +51,14 @@ from bondboson.interactions import (
     pair_reconstruction_max,
     reconstruction_stack,
 )
-from bondboson.lattice import ChainSpec, SquareSpec, unit_roots
+from bondboson.lattice import (
+    ALL_SITES,
+    SUBLATTICE_A,
+    SUBLATTICE_B,
+    ChainSpec,
+    SquareSpec,
+    unit_roots,
+)
 
 EPS = np.finfo(float).eps
 # agreement of two routes "to rounding": 16 units of roundoff of the summed term norms
@@ -171,6 +181,58 @@ def test_pair_stack_rows_have_the_bits_of_single_label_builds(spec):
         assert row.tobytes() == label_matrix(spec, label).tobytes(), label
         assert row.tobytes() == pair_stack(spec, [label])[0].tobytes(), label
     assert pair_stack(spec, []).shape == (0,) + stack.shape[1:]
+
+
+@st.composite
+def chain_label_sets(draw):
+    """A chain and a list of its labels: every spin, sublattice and offset, l = 0 and l >= n."""
+    n_sites = draw(st.sampled_from(range(2, 17, 2)))
+    spinful = n_sites <= 8 and draw(st.booleans())
+    spin = st.integers(0, int(spinful))
+    label = st.builds(ChainPair, st.integers(0, n_sites + 2), st.integers(0, n_sites - 1), spin,
+                      spin, st.sampled_from([ALL_SITES, SUBLATTICE_A, SUBLATTICE_B]))
+    return ChainSpec(n_sites, spinful=spinful), draw(st.lists(label, max_size=40))
+
+
+@st.composite
+def square_label_sets(draw):
+    """A square lattice of extents 1..4 and a list of its labels, every component pair."""
+    lx, ly = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    label = st.builds(SquarePair, st.integers(0, lx), st.integers(0, ly), st.integers(0, lx - 1),
+                      st.integers(0, ly - 1), st.integers(0, 1), st.integers(0, 1))
+    return SquareSpec(lx, ly), draw(st.lists(label, max_size=40))
+
+
+def all_chain_labels(spec):
+    spins = np.ndindex(2, 2) if spec.spinful else [(0, 0)]
+    return [ChainPair(l, K, spin1, spin2, sublattice) for spin1, spin2 in spins
+            for l in range(spec.n_sites + 2) for K in range(spec.n_sites)
+            for sublattice in (ALL_SITES, SUBLATTICE_A, SUBLATTICE_B)]
+
+
+def all_square_labels(spec):
+    return [SquarePair(*label) for label in np.ndindex(spec.lx + 1, spec.ly + 1, spec.lx, spec.ly,
+                                                       2, 2)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(chain_label_sets(), square_label_sets()))
+@example((ChainSpec(6), []))
+@example((SquareSpec(2, 3), []))
+@example((ChainSpec(4, spinful=True), all_chain_labels(ChainSpec(4, spinful=True))))
+@example((ChainSpec(6), all_chain_labels(ChainSpec(6))))
+@example((SquareSpec(2, 3), all_square_labels(SquareSpec(2, 3))))
+@example((SquareSpec(4, 1), all_square_labels(SquareSpec(4, 1))))
+def test_pattern_has_the_bits_of_the_dense_nonzeros(case):
+    spec, labels = case
+    a = pair_stack(spec, labels)
+    i, j = np.triu_indices(spec.n_modes, 1)
+    x = (a - a.transpose(0, 2, 1))[:, i, j]
+    k, r = np.nonzero(x.T)
+    pattern = pair_pattern(spec, labels)
+    for got, expected in zip(pattern, (k, r, x[r, k])):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_identity_momenta_are_grid_indices():

@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from conftest import dense_jw_creation
 from fock_oracle import fock_pair, sparse_commutator_table
 from scipy import sparse
 
-from bondboson import bilinear
+from bondboson import bilinear, cli
 from bondboson.bilinear import (
     ChainPair,
     FockSizeError,
@@ -427,6 +428,86 @@ def test_table_has_the_bits_of_the_sparse_product(spec):
     assert differing == []
 
 
+@pytest.mark.parametrize("budget", [1, 7, 100])
+def test_table_bits_do_not_depend_on_the_scatter_blocks(monkeypatch, budget):
+    # blocks of single entries, entries with more products than a block, and single fold rows
+    spec = ChainSpec(8, spinful=True)
+    labels = near_filling_labels(spec)
+    monkeypatch.setattr(bilinear, "SCATTER_PRODUCTS", budget)
+    table, hole_modes = pair_commutator_table(spec, labels, n_holes=2, seed=5)
+    assert table.tobytes() == sparse_commutator_table(spec, labels, hole_modes).tobytes()
+
+
+@pytest.mark.parametrize("spec", SCATTER_SPECS, ids=repr)
+def test_pattern_diagonal_has_the_bits_of_the_table_diagonal(spec):
+    # every grid momentum, so the phases round (the CLI's hole rows have K = 0, phase 1)
+    labels = near_filling_labels(spec)
+    pattern = bilinear.pair_pattern(spec, labels)
+    modes, triangle = bilinear.pair_carrying_modes(spec), np.triu_indices(spec.n_modes, 1)
+    for holes in ORACLE_HOLES:
+        for seed in SCATTER_SEEDS:
+            weights, _ = bilinear.filling_weights(spec, holes, seed, modes, triangle)
+            table, _ = pair_commutator_table(spec, labels, n_holes=holes, seed=seed)
+            diagonal = bilinear.pattern_diagonal(pattern, weights, len(labels))
+            assert diagonal.tobytes() == np.diagonal(table).tobytes(), (holes, seed)
+
+
+# every lattice of the CLI's commutators suite up to the 16-mode cap
+CLI_SPECS = [*(ChainSpec(n) for n in range(2, 17, 2)),
+             *(SquareSpec(lx, ly) for lx in range(1, 9) for ly in range(1, 9)
+               if 1 < lx * ly <= 8)]
+
+
+@pytest.mark.parametrize("spec", CLI_SPECS, ids=repr)
+def test_hole_rows_have_the_bits_of_their_tables(monkeypatch, tmp_path, spec):
+    # each deviation_vs_holes row is read off the run's one pattern; it must be the
+    # diagonal of the table of the row labels alone, bit for bit
+    read = []
+
+    def recorded(*args):
+        read.append(bilinear.pattern_diagonal(*args))
+        return read[-1]
+
+    monkeypatch.setattr(cli, "pattern_diagonal", recorded)
+    if isinstance(spec, ChainSpec):
+        argv = ["--model", "ssh", "--sites", str(spec.n_sites)]
+    else:
+        argv = ["--model", "dirac2d", "--lx", str(spec.lx), "--ly", str(spec.ly)]
+    row_pairs = near_filling_labels(spec)[::spec.n_sites]
+    out = tmp_path / "report.json"
+    for seed in (0, 3, 8):
+        read.clear()
+        assert main(["verify", "commutators", *argv, "--seed", str(seed),
+                     "--output", str(out)]) == 0
+        hole_counts = range(min(4, spec.n_sites + 1))
+        assert len(read) == len(hole_counts)
+        for holes, diagonal in zip(hole_counts, read):
+            table, _ = pair_commutator_table(spec, row_pairs, n_holes=holes, seed=seed)
+            assert diagonal.tobytes() == np.diagonal(table).tobytes(), (seed, holes)
+        rows = json.loads(out.read_text())["deviation_vs_holes"]
+        values = [complex(value) for diagonal in read for value in diagonal]
+        assert [row["expectation"] for row in rows] == [cli.fmt_float(v.real) for v in values]
+        assert [row["deviation"] for row in rows] == [
+            cli.fmt_float(abs(v - float(spec.n_sites))) for v in values]
+
+
+def test_table_past_the_cap_stays_within_its_nonzeros(monkeypatch):
+    # ROADMAP N1: a table's memory follows its nonzeros, not the dense (P, n, n) stack.
+    # Bound set before measuring: 16 MB; the dense route peaked at 32.1 MB here.
+    monkeypatch.setattr(bilinear, "check_mode_cap", lambda n_modes: None)
+    spec = ChainSpec(32)
+    labels = near_filling_labels(spec)
+    assert len(labels) == 512
+    tracemalloc.start()
+    try:
+        table, _ = pair_commutator_table(spec, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
+    assert table.tobytes() == sparse_commutator_table(spec, labels, ()).tobytes()
+
+
 @pytest.mark.parametrize("holes", ORACLE_HOLES)
 def test_table_matches_dense_commutator(holes):
     space = FockSpace(ChainSpec(6))
@@ -456,15 +537,26 @@ def flipped_sign(spec, pair, matrix):
 
 
 def mutate_stack_row(monkeypatch, target, mutation):
-    """Make every :func:`pair_stack` the CLI builds carry ``mutation`` in the row of ``target``."""
-    def mutated(spec, labels):
-        stack = pair_stack(spec, labels).copy()
-        for row, label in enumerate(np.asarray(labels).tolist()):
-            if tuple(label) == target:
-                stack[row] = mutation(spec, target, stack[row])
-        return stack
+    """Make every label table the CLI builds carry ``mutation`` in the coefficients of
+    ``target``: :func:`pair_entries`, under the stacked and the pattern route alike,
+    gives the nonzeros of the mutated matrix in place of the label's entries."""
+    entries = bilinear.pair_entries
 
-    monkeypatch.setattr(bilinear, "pair_stack", mutated)
+    def mutated(spec, labels):
+        label, row, col, values = entries(spec, labels)
+        for index, each in enumerate(np.asarray(labels).tolist()):
+            if tuple(each) == target:
+                own = label == index
+                matrix = np.zeros((spec.n_modes, spec.n_modes), dtype=complex)
+                matrix[row[own], col[own]] = values[own]
+                matrix = mutation(spec, target, matrix)
+                rows, cols = np.nonzero(matrix)
+                label, row, col, values = (np.concatenate([a[~own], b]) for a, b in (
+                    (label, np.full(len(rows), index)), (row, rows), (col, cols),
+                    (values, matrix[rows, cols])))
+        return label, row, col, values
+
+    monkeypatch.setattr(bilinear, "pair_entries", mutated)
 
 
 # the second label of each suite: (l, K) = (1, 1) on the chain
