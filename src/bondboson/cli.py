@@ -24,7 +24,9 @@ limit (a Fock space past 16 modes, or a table too large for memory).
 The flags are checked once, each error naming its flag, and the lattice
 and its model parameters become one :class:`~bondboson.lattice.ChainSpec`
 or :class:`~bondboson.lattice.SquareSpec`, ``RunConfig.spec``: the
-suites, the table and the report's config echo all read it.
+suites, the table and the report's config echo all read it.  The parser is
+built once per process (``build_parser`` is cached); ``main`` may be called
+repeatedly and keeps no other state between calls.
 
 Spectrum tables (``spectrum`` and ``verify correspondence``) are written as bytes,
 ``CHUNK_ROWS`` blocks at a time: each chunk is one uint8 grid of a per-block template's
@@ -44,7 +46,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -130,10 +131,11 @@ def fmt_momentum(j: int, n: int) -> str:
     """The momentum 2*pi*j/n of the n-point grid: "0", "1 pi" or "2/3 pi" while the
     reduced denominator of 2j/n is at most 720, else ``fmt_float`` of 2*pi*j/n (bit
     for bit the ``chain_momenta(n)`` entry)."""
-    frac = Fraction(2 * int(j), int(n))
-    if frac.denominator > 720:
-        return fmt_float(TWO_PI * int(j) / int(n))
-    return f"{frac} pi" if frac else "0"
+    g = math.gcd(2 * j, n)
+    num, den = 2 * j // g, n // g
+    if den > 720:
+        return fmt_float(TWO_PI * j / n)
+    return f"{num}/{den} pi" if den > 1 else f"{num} pi" if num else "0"
 
 
 # The --model name of each lattice, and the mass of the 2D model when --mass is not given.
@@ -177,7 +179,9 @@ class RunConfig:
         return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="bondboson",
         description="Bond-boson spectra and exact verification suites.",

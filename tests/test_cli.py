@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 try:
     import resource
@@ -22,7 +23,7 @@ from refresh_goldens import CASES
 
 import bondboson
 from bondboson.blocks import correspondence_report
-from bondboson.cli import _check, fmt_float, fmt_momentum, main
+from bondboson.cli import _check, build_parser, fmt_float, fmt_momentum, main
 from bondboson.fock import FockSpace
 from bondboson.lattice import ChainSpec, SquareSpec, chain_momenta
 from table_oracle import float_momentum_label
@@ -63,6 +64,16 @@ def test_fmt_momentum_matches_the_float_route_on_every_grid_to_1500():
             indices = np.unique(np.r_[0, n // 4, n // 2, n - 1, rng.integers(0, n, 46)]).tolist()
         for j in indices:
             assert fmt_momentum(j, n) == float_momentum_label(grid[j]), (j, n)
+
+
+def test_fmt_momentum_matches_fraction_on_every_grid_below_1500():
+    # Fraction reduces 2j/n the plain way; indices run a few past each end of the grid
+    for n in range(1, 1500):
+        for j in range(-3, n + 3):
+            frac = Fraction(2 * j, n)
+            want = (fmt_float(2 * math.pi * j / n) if frac.denominator > 720
+                    else f"{frac} pi" if frac else "0")
+            assert fmt_momentum(j, n) == want, (j, n)
 
 
 def test_spectrum_ssh_csv_block_count(capsys):
@@ -298,6 +309,24 @@ def test_golden_files_on_stdout(capsys, name, args):
     assert out == (GOLDEN / name).read_text()
 
 
+def test_build_parser_returns_one_parser_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_main_carries_no_state_between_calls(tmp_path, capsys):
+    # every golden twice in one process, with a usage error and --help between
+    # reports: a flag of one call must not leak into the next through the shared parser
+    for rerun in range(2):
+        for name, args in CASES.items():
+            out = tmp_path / name
+            assert main(args + ["--output", str(out)]) == 0, (rerun, name)
+            assert out.read_bytes() == (GOLDEN / name).read_bytes(), (rerun, name)
+            code, _, err = run_cli(["spectrum", "ssh", "--sites", "5"], capsys)
+            assert code == 2 and "--sites" in err, (rerun, name, err)
+            code, usage, _ = run_cli(["--help"], capsys)
+            assert code == 0 and usage.startswith("usage: bondboson"), (rerun, name)
+
+
 def test_module_entry_point_subprocess(tmp_path):
     out = tmp_path / "out.json"
     cmd = [
@@ -314,6 +343,8 @@ def test_module_entry_point_subprocess(tmp_path):
 # Loaded on first use, not at import: this test process may have loaded them
 # already, so the checks below run in fresh interpreters.
 LAZY_MODULES = ("scipy", "bondboson.fock", "bondboson.interactions")
+# Never loaded by the numpy-only commands: momentum labels reduce 2j/n by math.gcd.
+UNUSED_MODULES = ("fractions", "decimal")
 
 
 @pytest.mark.parametrize("argv,loaded", [
@@ -331,11 +362,15 @@ def test_commands_load_only_what_they_run(tmp_path, argv, loaded):
     if argv is not None:
         argv = argv + ["--output", str(tmp_path / "report")]
         script += f"assert bondboson.cli.main({argv!r}) == 0\n"
-    script += f"print(json.dumps(sorted(m for m in {LAZY_MODULES!r} if m in sys.modules)))\n"
+    script += ("print(json.dumps([sorted(m for m in names if m in sys.modules)\n"
+               f"                  for names in ({LAZY_MODULES!r}, {UNUSED_MODULES!r})]))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == loaded
+    lazy, unused = json.loads(proc.stdout)
+    assert lazy == loaded
+    # scipy, loaded by the interactions suite alone, may import them itself
+    assert unused == [] or "scipy" in loaded
 
 
 def test_interactions_bind_the_fock_route_in_a_fresh_interpreter():
