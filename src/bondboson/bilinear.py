@@ -128,10 +128,19 @@ def commutator_with_hopping(h: np.ndarray, a: np.ndarray) -> np.ndarray:
     return h @ a + a @ h.T
 
 
+def pair_norms(stack: np.ndarray) -> np.ndarray:
+    """Fock-space Frobenius norm of the pair bilinear of each matrix of the (P, n, n) stack:
+    one antisymmetrization of the stack, then per matrix the two dot products (real and
+    imaginary parts) that ``np.linalg.norm`` takes, so each norm has its bits."""
+    n = stack.shape[-1]
+    d = (stack - np.swapaxes(stack, 1, 2)).reshape(len(stack), n * n)
+    squares = [r.dot(r) + i.dot(i) for r, i in zip(d.real, d.imag)]
+    return np.sqrt(2.0 ** (n - 3)) * np.sqrt(np.array(squares, dtype=float))
+
+
 def pair_norm(m: np.ndarray) -> float:
     """Fock-space Frobenius norm of the pair bilinear of the n x n matrix m."""
-    n = m.shape[0]
-    return float(np.sqrt(2.0 ** (n - 3)) * np.linalg.norm(m - m.T))
+    return float(pair_norms(m[None])[0])
 
 
 def pair_entries(spec, labels) -> tuple:
@@ -325,8 +334,8 @@ def identity_residuals(spec, identities: IdentityTable) -> np.ndarray:
     (:func:`pair_stack`), and each side's sums are accumulated term by
     term over all identities at once, so every entry adds its terms in
     the order the identity lists them.  ``[H, .]`` is one stacked
-    product (:func:`commutator_with_hopping`) and each difference is
-    measured by :func:`pair_norm`.
+    product (:func:`commutator_with_hopping`) and the differences are
+    measured by :func:`pair_norms`.
     """
     width = identities.target_labels.shape[-1]
     labels = np.concatenate([identities.target_labels.reshape(-1, width),
@@ -346,7 +355,7 @@ def identity_residuals(spec, identities: IdentityTable) -> np.ndarray:
 
     lhs = commutator_with_hopping(hopping_matrix(spec),
                                   summed(identities.target_weights, rows[:split]))
-    return np.array([pair_norm(d) for d in lhs - summed(identities.rhs_weights, rows[split:])])
+    return pair_norms(lhs - summed(identities.rhs_weights, rows[split:]))
 
 
 def h_bond_commutator_residuals(spec) -> tuple:

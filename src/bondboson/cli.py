@@ -14,8 +14,8 @@ momenta (integer indices j on an n-point grid) as 2j/n reduced times pi
 ("2/3 pi") while its denominator is at most 720, else as the float
 2*pi*j/n.  The library returns measurements and this module judges them, by one
 rule, ``_passes``: a residual passes when it is at most its bound (a NaN never
-passes).  Each suite returns its own fields and checks, each check built by
-``_check``; a spectrum table passes when its ``max_discrepancy`` does.
+passes), entry by entry for the identity checks.  Each other suite's checks are built by
+``_check``, and a spectrum table passes when its ``max_discrepancy`` does.
 ``_report`` wraps every JSON report once, with the config echo, the suite when
 one ran and the verdict, "pass" only if every check passes.  Exit
 codes: 0 pass, 1 I/O failure or failed verdict, 2 usage error, 3 resource
@@ -28,10 +28,10 @@ suites, the table and the report's config echo all read it.  The parser is
 built once per process (``build_parser`` is cached); ``main`` may be called
 repeatedly and keeps no other state between calls.
 
-Spectrum tables (``spectrum`` and ``verify correspondence``) are written as bytes,
-``CHUNK_ROWS`` blocks at a time: each chunk is one uint8 grid of a per-block template's
-literal bytes, laid out as ``json.dumps(indent=2, sort_keys=True)`` or ``csv.writer``
-would, and labels taken by index, each distinct float printed once with ``fmt_float``'s bytes.
+Row tables (``spectrum``, ``verify correspondence`` and the checks of ``verify identities``)
+are written as bytes, ``CHUNK_ROWS`` rows at a time: each chunk is one uint8 grid of a per-row
+template's literal bytes, laid out as ``json.dumps(indent=2, sort_keys=True)`` or ``csv.writer``
+would, and labels taken by index, each label (a distinct float, a grid momentum) made once.
 The table is computed in the same ``CHUNK_ROWS`` blocks (``blocks.CHUNK_ROWS``), so
 ``spectrum dirac2d --lx 16 --ly 16`` takes under a second and peaks at 65 MB (README.md).
 """
@@ -409,12 +409,12 @@ def _table_fields(table, points, grids) -> list:
     """Each field column as (label table, index column): ``fmt_momentum`` of each ``points``
     column on its grid of ``grids``, then ``fmt_float`` of the numeric, closed-form and pair
     spectra and the discrepancy, each distinct float of each distinct array formatted once."""
-    momenta = {n: np.array([fmt_momentum(j, n) for j in range(n)], dtype="S") for n in set(grids)}
+    momenta = {n: _labels([fmt_momentum(j, n) for j in range(n)]) for n in set(grids)}
     spectra = (table.numeric, table.closed_form, table.fermion_pairs, table.discrepancy[:, None])
     distinct = {id(a): a for a in spectra}
     labels, inverse = _format_distinct(np.hstack(list(distinct.values())))
     first = {key: 4 * k for k, key in enumerate(distinct)}
-    return ([(momenta[n].view(np.uint8).reshape(n, -1), points[:, c]) for c, n in enumerate(grids)]
+    return ([(momenta[n], points[:, c]) for c, n in enumerate(grids)]
             + [(labels, inverse[:, first[id(a)] + r]) for a in spectra for r in range(a.shape[1])])
 
 
@@ -435,26 +435,35 @@ def _fill(fields, order, template: str, sep: str):
         yield text if start else text[len(sep):]
 
 
+def _labels(texts) -> np.ndarray:
+    """A label table: each of ``texts`` (ASCII, or ints) as one NUL-padded uint8 row."""
+    return np.asarray(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
+
+
+def _rows_json(report: dict, row: dict, fields):
+    """``report`` as byte pieces, laid out by ``json.dumps(indent=2, sort_keys=True)`` itself
+    around its ``"<rows>"`` entry: a ``row`` per row of ``fields``, whose column tokens (its only
+    digits) print as ``"%s"`` if text and bare if ints (int and bool columns; no JSON escapes)."""
+    tokens = json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n    ")
+    order = [int(c) for c in re.findall(r"\d+", tokens)]
+    head, tail = (json.dumps(report, indent=2, sort_keys=True) + "\n").split('"<rows>"')
+    yield head.encode()
+    yield from _fill(fields, order, re.sub(r"\d+", "%s", tokens), ",\n    ")
+    yield tail.encode()
+
+
 def _table_json(table, config: RunConfig, passed: bool):
-    """The table report with the verdict ``passed``, as byte pieces, laid out by
-    ``json.dumps(indent=2, sort_keys=True)`` itself around one block whose leaves, the
-    field columns, become ``"%s"`` fields (no label needs JSON escaping)."""
+    """The table report with the verdict ``passed``, as byte pieces (:func:`_rows_json`),
+    one text field per column of a block."""
     points, grids = _table_points(table)
-    momenta = ({"q": 0, "k": 1, "fermion_pair_at": 2} if isinstance(table.spec, ChainSpec)
-               else {"s": 0, "p": 1, "kx": 2, "ky": 3, "fermion_pair_at": [4, 5]})
-    v = list(range(points.shape[1], points.shape[1] + 13))
+    momenta = ({"q": "0", "k": "1", "fermion_pair_at": "2"} if isinstance(table.spec, ChainSpec)
+               else {"s": "0", "p": "1", "kx": "2", "ky": "3", "fermion_pair_at": ["4", "5"]})
+    v = [str(c) for c in range(points.shape[1], points.shape[1] + 13)]
     block = {"momenta": momenta, "numeric": v[:4], "closed_form": v[4:8],
              "fermion_pairs": v[8:12], "max_discrepancy": v[12]}
-    # the column tokens are the only digits of the block's text
-    tokens = json.dumps(block, indent=2, sort_keys=True).replace("\n", "\n    ")
-    order = [int(c) for c in re.findall(r"\d+", tokens)]
-    template = re.sub(r"\d+", '"%s"', tokens)
-    report = _report(config, passed, blocks=["<blocks>"],
+    report = _report(config, passed, blocks=["<rows>"],
                      max_discrepancy=fmt_float(table.max_discrepancy))
-    head, tail = (json.dumps(report, indent=2, sort_keys=True) + "\n").split('"<blocks>"')
-    yield head.encode()
-    yield from _fill(_table_fields(table, points, grids), order, template, ",\n    ")
-    yield tail.encode()
+    yield from _rows_json(report, block, _table_fields(table, points, grids))
 
 
 def _table_csv(table):
@@ -485,14 +494,14 @@ def _emit(pieces, output: str) -> int:
     return EXIT_OK
 
 
-def _passes(residual: float, bound: float) -> bool:
-    """The one pass rule of every report: residual <= bound (a NaN never passes)."""
-    return bool(residual <= bound)
+def _passes(residual, bound: float):
+    """The one pass rule of every report, entry by entry: residual <= bound (a NaN never passes)."""
+    return residual <= bound
 
 
 def _check(residual: float, bound: float, **fields) -> dict:
     """One check of a report: its label ``fields``, the residual, and whether it passes."""
-    return {**fields, "residual": fmt_float(residual), "pass": _passes(residual, bound)}
+    return {**fields, "residual": fmt_float(residual), "pass": bool(_passes(residual, bound))}
 
 
 def _report(config: RunConfig, passed: bool, **fields) -> dict:
@@ -518,22 +527,26 @@ def cmd_spectrum(config: RunConfig):
             passed)
 
 
-def _k_label(spec, k):
-    """The report label of a momentum index: K on the chain's site grid, (Kx, Ky) in 2D."""
-    if isinstance(spec, ChainSpec):
-        return fmt_momentum(k, spec.n_sites)
-    return [fmt_momentum(k[0], spec.lx), fmt_momentum(k[1], spec.ly)]
-
-
-def _suite_identities(config: RunConfig) -> dict:
+def cmd_identities(config: RunConfig):
+    """The report of ``verify identities``, as (byte pieces, passed): one row per identity
+    (:func:`_rows_json`), l and K indices into one digit table and one momentum table per grid."""
     spec = config.spec
     identities, residuals = h_bond_commutator_residuals(spec)
-    checks = [_check(residual, config.tolerance, channel=channel, sublattice=sublattice, l=l,
-                     k=_k_label(spec, k))
-              for channel, sublattice, l, k, residual in zip(
-                  identities.channel.tolist(), identities.sublattice.tolist(),
-                  identities.l.tolist(), identities.k.tolist(), residuals.tolist())]
-    return {"checks": checks, "max_residual": fmt_float(max_residual(residuals))}
+    passes = _passes(residuals, config.tolerance)
+    l, k = (a.reshape(len(residuals), -1) for a in (identities.l, identities.k))
+    grids = [spec.n_sites] if isinstance(spec, ChainSpec) else [spec.lx, spec.ly]
+    digits = _labels(range(l.max() + 1))
+    text = [np.unique(a, return_inverse=True) for a in (identities.channel, identities.sublattice)]
+    fields = ([(_labels(t), i) for t, i in text]
+              + [_format_distinct(residuals), (_labels(["false", "true"]), passes)]
+              + [(digits, c) for c in l.T]
+              + [(_labels([fmt_momentum(j, n) for j in range(n)]), c) for n, c in zip(grids, k.T)])
+    row = {"channel": "0", "sublattice": "1", "residual": "2", "pass": 3,
+           **({"l": 4, "k": "5"} if len(grids) == 1 else {"l": [4, 5], "k": ["6", "7"]})}
+    passed = bool(passes.all())
+    report = _report(config, passed, checks=["<rows>"],
+                     max_residual=fmt_float(max_residual(residuals)))
+    return _rows_json(report, row, fields), passed
 
 
 def _suite_commutators(config: RunConfig) -> dict:
@@ -542,7 +555,7 @@ def _suite_commutators(config: RunConfig) -> dict:
     if isinstance(spec, ChainSpec):
         pairs = [ChainPair(l, K) for l in range(1, spec.n_cells + 1)
                  for K in range(spec.n_sites)]
-        as_label = lambda pair: {"l": pair.l, "k": _k_label(spec, pair.K)}
+        as_label = lambda pair: {"l": pair.l, "k": fmt_momentum(pair.K, spec.n_sites)}
     else:
         # one offset per {d, -d} class: the reversed offset recreates the
         # same pairs and is not an independent bond
@@ -551,7 +564,8 @@ def _suite_commutators(config: RunConfig) -> dict:
             raise ValueError("--lx and --ly: a 1x1 lattice has no bonds to commute")
         pairs = [SquarePair(l, m, Kx, Ky) for l, m in lengths
                  for Kx, Ky in np.ndindex(spec.lx, spec.ly)]
-        as_label = lambda pair: {"l": [pair.l, pair.m], "k": _k_label(spec, (pair.Kx, pair.Ky))}
+        as_label = lambda pair: {"l": [pair.l, pair.m], "k": [fmt_momentum(pair.Kx, spec.lx),
+                                                              fmt_momentum(pair.Ky, spec.ly)]}
     site_count = spec.n_sites
     # one pattern of X, one triangle and one set of pair-carrying modes per run
     check_mode_cap(spec.n_modes)
@@ -636,15 +650,11 @@ def _suite_interactions(config: RunConfig) -> dict:
     return {"interaction_norm": fmt_float(scale), "checks": checks}
 
 
-SUITE_RUNS = {"commutators": _suite_commutators, "identities": _suite_identities,
-              "interactions": _suite_interactions}
-
-
 def cmd_verify(config: RunConfig):
     """The report of ``verify``, as (byte pieces, passed)."""
-    if config.suite == "correspondence":
-        return cmd_spectrum(config)
-    fields = SUITE_RUNS[config.suite](config)
+    if config.suite in ("correspondence", "identities"):
+        return (cmd_spectrum if config.suite == "correspondence" else cmd_identities)(config)
+    fields = (_suite_commutators if config.suite == "commutators" else _suite_interactions)(config)
     passed = all(check["pass"] for check in fields["checks"])
     report = json.dumps(_report(config, passed, **fields), indent=2, sort_keys=True) + "\n"
     return [report.encode()], passed

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 
-from .bilinear import ChainPair, pair_norm, pair_stack
+from .bilinear import ChainPair, pair_norms, pair_stack
 from .fock import FockSpace, SparseOperator, pair_bilinear, pair_products
 from .lattice import ChainSpec, unit_roots
 from .numerics import max_residual
@@ -144,14 +144,14 @@ def pair_reconstruction_max(n_sites: int) -> float:
     """Largest Fock-space distance between ``c+_p c+_{p+l}`` and its bond reconstruction.
 
     Over every anchor p and offset 1 <= l <= n_sites - 1, measured on
-    coefficients (:func:`bondboson.bilinear.pair_norm`) with no entry
+    coefficients (:func:`bondboson.bilinear.pair_norms`) with no entry
     pruned.
     """
     p, l = np.divmod(np.arange(n_sites * (n_sites - 1)), n_sites - 1)
     eye = np.eye(n_sites)
     residuals = (reconstruction_stack(n_sites).reshape(-1, n_sites, n_sites)
                  - eye[p, :, None] * eye[(p + l + 1) % n_sites, None, :])
-    return max_residual([pair_norm(r) for r in residuals])
+    return max_residual(pair_norms(residuals))
 
 
 def bond_assembled_pair_form(space: FockSpace, alpha) -> SparseOperator:

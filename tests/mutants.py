@@ -1,0 +1,76 @@
+"""Named mutants: one wrong variant of one package attribute each, and the check that kills it.
+
+A mutant is a monkeypatch of a package attribute that callers look up at call
+time.  ``tests/test_mutants.py`` patches each one in, runs its check in process
+and requires the check to fail; unpatched, the same check must pass.  So a
+test that stops seeing a defect shows as a failing mutant test.  Mutation
+testing: DeMillo, Lipton and Sayward, "Hints on test data selection", IEEE
+Computer 11(4), 1978.
+
+Each check runs at the smallest size that kills its mutant.  ``goldens`` says
+whether a golden report kills the mutant as well; a mutant that only a direct
+unit test kills is visible here.
+"""
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+import test_bilinear
+import test_identity_writer
+from bondboson import bilinear, cli
+
+_rows_json = cli._rows_json
+
+
+def einsum_pair_norms(stack):
+    """``pair_norms`` with each squared norm summed by ``np.einsum`` over the stack."""
+    d = stack - np.swapaxes(stack, 1, 2)
+    squares = np.einsum("pij,pij->p", d.real, d.real) + np.einsum("pij,pij->p", d.imag, d.imag)
+    return np.sqrt(2.0 ** (stack.shape[-1] - 3)) * np.sqrt(squares)
+
+
+def vecdot_pair_norms(stack):
+    """``pair_norms`` with each squared norm summed by ``np.vecdot`` of the flattened stack."""
+    d = (stack - np.swapaxes(stack, 1, 2)).reshape(len(stack), -1)
+    return np.sqrt(2.0 ** (stack.shape[-1] - 3)) * np.sqrt(np.vecdot(d, d).real)
+
+
+def quoted_pass(report, row, fields):
+    """``_rows_json`` with the row template's ``pass`` column quoted, like a text column."""
+    return _rows_json(report, {**row, "pass": str(row["pass"])} if "pass" in row else row, fields)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    owner: object
+    attribute: str
+    replacement: Callable
+    check: Callable  # called with a temporary directory; raises AssertionError when it kills
+    goldens: bool
+
+
+MUTANTS = {
+    # a sum in another order moves a norm by an ulp or so, which 15 printed digits
+    # seldom show: no golden changes
+    "pair_norms summed by einsum": Mutant(
+        bilinear, "pair_norms", einsum_pair_norms,
+        lambda tmp: test_bilinear.test_pair_norms_have_the_bits_of_the_norm_formula(12, 40),
+        goldens=False),
+    "pair_norms summed by vecdot": Mutant(
+        bilinear, "pair_norms", vecdot_pair_norms,
+        lambda tmp: test_bilinear.test_pair_norms_have_the_bits_of_the_norm_formula(12, 40),
+        goldens=False),
+    # no golden holds a residual at its bound
+    "_passes with <": Mutant(
+        cli, "_passes", lambda residual, bound: residual < bound,
+        lambda tmp: test_identity_writer.test_a_residual_passes_up_to_its_bound(
+            test_identity_writer.TOLERANCE, 0, tmp),
+        goldens=False),
+    "identity row template with pass quoted": Mutant(
+        cli, "_rows_json", quoted_pass,
+        lambda tmp: test_identity_writer.test_report_has_the_bytes_of_the_dict_route(
+            ["--model", "ssh", "--sites", "2", "--alpha-u", "0"], tmp),
+        goldens=True),
+}

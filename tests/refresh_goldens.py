@@ -75,6 +75,15 @@ CASES = {
         "verify", "identities", "--model", "dirac2d", "--lx", "2", "--ly", "3",
         "--mass", "0.8",
     ],
+    # the identity tables at the 16-mode cap: 256 rows with list-valued k and l, and
+    # 128 chain rows whose nonzero residual digits pin the norms' bits
+    "verify_identities_dirac2x4.json": [
+        "verify", "identities", "--model", "dirac2d", "--lx", "2", "--ly", "4",
+        "--mass", "0.8",
+    ],
+    "verify_identities_ssh16.json": [
+        "verify", "identities", "--model", "ssh", "--sites", "16", "--alpha-u", "0.13",
+    ],
     # 90 coupled pairs: a quartic build long enough to cross many term blocks,
     # with nonzero residual digits
     "verify_interactions_ssh10.json": [

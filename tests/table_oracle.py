@@ -1,6 +1,8 @@
-"""The spectrum table written the plain way: a payload dict through ``json.dumps``
+"""The row tables written the plain way: a payload dict through ``json.dumps``
 and rows through ``csv.writer``, one ``fmt_float`` call per entry, and momentum
-labels recovered from radians by :func:`float_momentum_label`.
+labels recovered from radians by :func:`float_momentum_label`.  The spectrum
+table (:func:`table_json`, :func:`table_csv`) and the checks of ``verify
+identities`` (:func:`identities_json`, one check dict per identity).
 
 The CLI streams the same bytes from fixed templates and labels momenta from
 their integer grid indices; the writer tests compare the two.
@@ -15,6 +17,7 @@ import numpy as np
 
 from bondboson.cli import MOMENTUM_COLUMNS, fmt_float
 from bondboson.lattice import ChainSpec, chain_momenta
+from bondboson.numerics import max_residual
 
 
 def float_momentum_label(x: float) -> str:
@@ -96,3 +99,29 @@ def table_csv(table) -> str:
                                                      fmt_float(closed[rank]),
                                                      fmt_float(pairs[rank]), fmt_float(spread)])
     return buf.getvalue()
+
+
+def identities_json(config, identities, residuals) -> str:
+    """The ``verify identities`` report of ``identities`` and their ``residuals``: one
+    check dict per identity, judged here (residual <= tolerance), then ``json.dumps``."""
+    spec = config.spec
+    grids = [spec.n_sites] if isinstance(spec, ChainSpec) else [spec.lx, spec.ly]
+    radians = [chain_momenta(n) for n in grids]
+
+    def k_label(k):
+        labels = [float_momentum_label(radians[c][j]) for c, j in enumerate(np.atleast_1d(k))]
+        return labels[0] if isinstance(spec, ChainSpec) else labels
+
+    checks = [{"channel": channel, "sublattice": sublattice, "l": l, "k": k_label(k),
+               "residual": fmt_float(residual), "pass": residual <= config.tolerance}
+              for channel, sublattice, l, k, residual in zip(
+                  identities.channel.tolist(), identities.sublattice.tolist(),
+                  identities.l.tolist(), identities.k.tolist(), residuals.tolist())]
+    payload = {
+        "config": config.echo(),
+        "checks": checks,
+        "max_residual": fmt_float(max_residual(residuals)),
+        "suite": config.suite,
+        "verdict": "pass" if all(check["pass"] for check in checks) else "fail",
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -24,12 +24,14 @@ from fock_oracle import (
     identity_sides,
     identity_terms,
     label_matrix,
+    pair_norm_formula,
     pair_reconstruction_terms,
     sequential_identity_residuals,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bondboson import bilinear, interactions
 from bondboson.bilinear import (
     ChainPair,
     FockSizeError,
@@ -289,6 +291,21 @@ def test_pair_norm_is_the_fock_frobenius_norm(n_modes):
     assert pair_norm(m) == pytest.approx(fock, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("n_modes,count", [(1, 5), (2, 5), (12, 40), (4, 0)],
+                         ids=["n1", "n2", "n12", "empty"])
+def test_pair_norms_have_the_bits_of_the_norm_formula(n_modes, count):
+    # per matrix, the dot products np.linalg.norm takes: a sum in another order (einsum
+    # or vecdot over the stack) differs in the last bits at n = 12
+    rng = np.random.default_rng(100 + n_modes)
+    shape = (count, n_modes, n_modes)
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    norms = bilinear.pair_norms(stack)
+    expected = np.array([pair_norm_formula(m) for m in stack], dtype=float)
+    assert norms.shape == (count,) and norms.dtype == np.float64
+    assert norms.tobytes() == expected.tobytes()
+    assert [pair_norm(m) for m in stack] == expected.tolist()
+
+
 def test_pair_bilinear_matches_the_dense_oracle():
     rng = np.random.default_rng(7)
     space = FockSpace(ChainSpec(4))
@@ -408,6 +425,15 @@ def test_a_wrong_reconstruction_weight_fails_both_routes(n_sites, mutation):
     space = FockSpace(ChainSpec(n_sites))
     fock = fock_combination(space, *terms) - creation_pair_direct(space, p, l)
     assert fock.norm() > RECONSTRUCTION_BOUND
+
+
+@pytest.mark.parametrize("n_sites", range(4, 17, 2))
+def test_pair_reconstruction_max_has_the_bits_of_the_norm_formula(n_sites):
+    # every (p, l) residual measured one matrix at a time, then the largest
+    stack, eye = reconstruction_stack(n_sites), np.eye(n_sites)
+    residuals = [pair_norm_formula(stack[p, l - 1] - np.outer(eye[p], eye[(p + l) % n_sites]))
+                 for p in range(n_sites) for l in range(1, n_sites)]
+    assert interactions.pair_reconstruction_max(n_sites) == max(residuals)
 
 
 def test_pair_reconstruction_at_the_cap():
