@@ -23,16 +23,16 @@ weights and of pair labels, each label one row of ints
 evaluates both sides on coefficients and reports the Fock-space
 Frobenius norm of LHS - RHS; the tests evaluate the same table on Fock
 matrices as a cross-check.  All identities of a lattice are evaluated
-in one batch (:func:`identity_residuals`): one stacked build of every
-distinct label (:func:`pair_stack`), the weighted sums of all
-sides accumulated term by term at once, and ``[H, .]`` as one stacked
-product.  Each entry still adds its terms in the listed order, so the
-residuals have the bits of a one-identity-at-a-time evaluation.  One
-builder gives every label's entries (:func:`pair_entries`): the stack
-writes them, and the near-filling table (:func:`pair_commutator_table`)
-takes the nonzeros of its sparse X from them.  Every phase is an entry of
-one exact table per grid axis (:func:`bondboson.lattice.unit_roots`), so
-``e^{i pi}`` is exactly -1.
+in one batch (:func:`identity_residuals`): each side one scatter of
+its labels' weighted entries into one matrix per identity, and
+``[H, .]`` as one stacked product.  Each entry still adds its terms in
+the listed order, so the residuals have the bits of a
+one-identity-at-a-time evaluation.  One builder gives every label's
+entries (:func:`pair_entries`): the identity sums and the stack
+(:func:`pair_stack`) write them, and the near-filling table
+(:func:`pair_commutator_table`) takes the nonzeros of its sparse X from
+them.  Every phase is an entry of one exact table per grid axis
+(:func:`bondboson.lattice.unit_roots`), so ``e^{i pi}`` is exactly -1.
 """
 
 from __future__ import annotations
@@ -329,33 +329,23 @@ def bond_identities(spec) -> IdentityTable:
 def identity_residuals(spec, identities: IdentityTable) -> np.ndarray:
     """The Fock-space Frobenius norm of LHS - RHS of each identity, in order.
 
-    One batch: the distinct label rows of all identities are found by
-    :func:`numpy.unique` on one integer key per row and built once
-    (:func:`pair_stack`), and each side's sums are accumulated term by
-    term over all identities at once, so every entry adds its terms in
-    the order the identity lists them.  ``[H, .]`` is one stacked
-    product (:func:`commutator_with_hopping`) and the differences are
-    measured by :func:`pair_norms`.
+    One batch: each side is one ``np.add.at`` scatter of its labels' entries
+    (:func:`pair_entries`), each times its term's weight, into one ``(I, n, n)``
+    matrix per identity.  The entries come label by label, so every entry adds
+    its terms from +0 in the order the identity lists them; an unwritten entry
+    would only add a signed zero, which leaves such a sum as it is.  ``[H, .]``
+    is one stacked product (:func:`commutator_with_hopping`) and the
+    differences are measured by :func:`pair_norms`.
     """
-    width = identities.target_labels.shape[-1]
-    labels = np.concatenate([identities.target_labels.reshape(-1, width),
-                             identities.rhs_labels.reshape(-1, width)])
-    # one integer key per label row, in the rows' lexicographic order
-    low = labels.min(0)
-    _, first, rows = np.unique(np.ravel_multi_index((labels - low).T, labels.max(0) - low + 1),
-                               return_index=True, return_inverse=True)
-    stack = pair_stack(spec, labels[first])
-    split = identities.target_weights.size
-
-    def summed(weights, rows):
-        acc = np.zeros((len(weights),) + stack.shape[1:], dtype=complex)
-        for t, column in enumerate(rows.reshape(weights.shape).T):
-            acc += weights[:, t, None, None] * stack[column]
+    def summed(weights, labels):
+        label, row, col, values = pair_entries(spec, labels.reshape(-1, labels.shape[-1]))
+        acc = np.zeros((len(weights), spec.n_modes, spec.n_modes), dtype=complex)
+        np.add.at(acc, (label // weights.shape[1], row, col), weights.ravel()[label] * values)
         return acc
 
     lhs = commutator_with_hopping(hopping_matrix(spec),
-                                  summed(identities.target_weights, rows[:split]))
-    return pair_norms(lhs - summed(identities.rhs_weights, rows[split:]))
+                                  summed(identities.target_weights, identities.target_labels))
+    return pair_norms(lhs - summed(identities.rhs_weights, identities.rhs_labels))
 
 
 def h_bond_commutator_residuals(spec) -> tuple:

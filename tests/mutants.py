@@ -18,8 +18,12 @@ from typing import Callable
 import numpy as np
 
 import test_bilinear
+import test_fock
 import test_identity_writer
-from bondboson import bilinear, cli
+import test_interactions
+from bondboson import bilinear, cli, fock
+from bondboson.fermion_model import hopping_matrix
+from bondboson.lattice import ChainSpec
 
 _rows_json = cli._rows_json
 
@@ -35,6 +39,29 @@ def vecdot_pair_norms(stack):
     """``pair_norms`` with each squared norm summed by ``np.vecdot`` of the flattened stack."""
     d = (stack - np.swapaxes(stack, 1, 2)).reshape(len(stack), -1)
     return np.sqrt(2.0 ** (stack.shape[-1] - 3)) * np.sqrt(np.vecdot(d, d).real)
+
+
+def wrong_term_identity_residuals(spec, identities):
+    """``identity_residuals`` with each term's entries scaled by the weight of the term
+    before it (cyclically): a wrong weight index in the scatter."""
+    def summed(weights, labels):
+        label, row, col, values = bilinear.pair_entries(spec, labels.reshape(-1, labels.shape[-1]))
+        acc = np.zeros((len(weights), spec.n_modes, spec.n_modes), dtype=complex)
+        shifted = np.roll(weights, 1, axis=1).ravel()
+        np.add.at(acc, (label // weights.shape[1], row, col), shifted[label] * values)
+        return acc
+
+    lhs = bilinear.commutator_with_hopping(
+        hopping_matrix(spec), summed(identities.target_weights, identities.target_labels))
+    return bilinear.pair_norms(lhs - summed(identities.rhs_weights, identities.rhs_labels))
+
+
+def fused_pattern_diagonal(pattern, weights, count):
+    """``pattern_diagonal`` with numpy's complex ``*``, which may fuse a multiply-add."""
+    k, r, values = pattern
+    diagonal = np.zeros(count, dtype=complex)
+    np.add.at(diagonal, r, np.multiply(values, weights[k]) * values.conj())
+    return diagonal
 
 
 def quoted_pass(report, row, fields):
@@ -61,6 +88,24 @@ MUTANTS = {
     "pair_norms summed by vecdot": Mutant(
         bilinear, "pair_norms", vecdot_pair_norms,
         lambda tmp: test_bilinear.test_pair_norms_have_the_bits_of_the_norm_formula(12, 40),
+        goldens=False),
+    # a wrong weight leaves residuals of order one: the identities goldens fail their verdict
+    "identity scatter with the weight of the wrong term": Mutant(
+        bilinear, "identity_residuals", wrong_term_identity_residuals,
+        lambda tmp: test_bilinear.test_batched_residuals_have_the_bits_of_the_per_identity_loop(
+            ChainSpec(4, alpha_u=0.1)),
+        goldens=True),
+    # the interactions goldens keep their bytes with the fused product
+    "pair_products with numpy's fused complex product": Mutant(
+        fock, "unfused_product", np.multiply,
+        lambda tmp: test_interactions.test_random_stacks_have_the_bits_of_the_chunked_product(
+            4, 0.1),
+        goldens=False),
+    # the CLI's hole rows are K = 0 labels, whose products are exact
+    "pattern_diagonal with numpy's fused complex product": Mutant(
+        bilinear, "pattern_diagonal", fused_pattern_diagonal,
+        lambda tmp: test_fock.test_pattern_diagonal_has_the_bits_of_the_table_diagonal(
+            ChainSpec(6)),
         goldens=False),
     # no golden holds a residual at its bound
     "_passes with <": Mutant(

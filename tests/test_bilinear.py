@@ -9,6 +9,8 @@ seeded random matrices, and show that one wrong sign or phase in a
 single coefficient is rejected by both routes under the unchanged bounds.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import dense_jw_creation
@@ -137,6 +139,9 @@ BIT_IDENTITY_SPECS = (
     [ChainSpec(n, alpha_u=alpha_u) for n in range(2, 17, 2) for alpha_u in (0.0, 0.1, 0.29)]
     + [ChainSpec(n, alpha_u=0.2, spinful=True) for n in range(2, 9, 2)]
     + [SquareSpec(lx, ly, delta=0.7) for lx in range(1, 9) for ly in range(1, 9) if lx * ly <= 8]
+    # large weights the CLI accepts: each entry is rounded as weight x entry
+    + [ChainSpec(12, alpha_u=1e4), ChainSpec(8, alpha_u=1e4, spinful=True),
+       SquareSpec(2, 3, delta=1e4)]
     # 1e308 is finite, but the Hamiltonian products overflow to NaN
     + [SquareSpec(2, 3, delta=1e308), SquareSpec(2, 2, delta=1e308)]
 )
@@ -157,6 +162,23 @@ def test_batched_residuals_have_the_bits_of_the_per_identity_loop(spec):
     assert same_table(same, identities)
     assert batched.tobytes() == expected.tobytes()
     assert np.isnan(batched).any() == (getattr(spec, "delta", 0.0) == 1e308)
+
+
+@pytest.mark.parametrize("spec", [ChainSpec(16, alpha_u=0.1),
+                                  ChainSpec(8, alpha_u=0.2, spinful=True),
+                                  SquareSpec(2, 4, delta=0.7)], ids=spec_id)
+def test_identity_residuals_peak_under_four_stacks(spec):
+    # each side is summed straight into one (I, n, n) stack; a dense copy of every
+    # label or a gathered stack per term lifts the peak to about six stacks
+    identities = bond_identities(spec)
+    stack_bytes = len(identities.channel) * spec.n_modes ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        identity_residuals(spec, identities)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * stack_bytes, peak / stack_bytes
 
 
 @pytest.mark.parametrize("spec", [ChainSpec(6, alpha_u=0.1), ChainSpec(4, spinful=True),
