@@ -639,7 +639,7 @@ def _suite_interactions(config: RunConfig) -> dict:
 
     reconstruction_max = pair_reconstruction_max(spec.n_sites)
 
-    assembled_residual = interaction_equivalence_residual(space, alpha, pair_form)
+    assembled_residual = interaction_equivalence_residual(space, alpha)
     scale = pair_form.norm()
     checks = [_check(residual, bound, name=name, tolerance=fmt_float(bound))
               for name, residual, bound in (

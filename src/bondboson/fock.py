@@ -220,6 +220,21 @@ def _pair_entries(n_modes: int, stack: np.ndarray) -> tuple:
     return np.broadcast_to(t, free.shape).ravel(), rows.ravel(), free.ravel(), data.ravel()
 
 
+def term_combinations(ta: np.ndarray, tb: np.ndarray, n_terms: int) -> tuple:
+    """``(ka, kb)``: every entry ka of A's list with every entry kb of B's list of the same term.
+
+    ``ta`` and ``tb`` are the terms of two entry lists, each grouped by
+    term (B's in ascending term order); the pairs come in A's order, each
+    A entry's B entries in B's order.
+    """
+    per_term = np.bincount(tb, minlength=n_terms)
+    count = per_term[ta]
+    ka = np.repeat(np.arange(len(ta)), count)
+    kb = (np.repeat(np.cumsum(per_term)[ta] - count, count)  # the first entry of B's term
+          + np.arange(len(ka)) - np.repeat(np.cumsum(count) - count, count))
+    return ka, kb
+
+
 def pair_bilinear(space: FockSpace, coefficients) -> SparseOperator:
     """The pair bilinear ``P(M) = sum_ij M_ij c+_i c+_j`` of an n x n coefficient matrix M."""
     m = np.asarray(coefficients, dtype=complex)
@@ -255,11 +270,7 @@ def pair_products(space: FockSpace, raising, lowering, weights) -> SparseOperato
     # descending bit-mask order
     order = np.lexsort((-ia, -ja, ta))
     ta, ia, ja, left = ta[order], ia[order], ja[order], left[order]
-    per_term = np.bincount(tb, minlength=len(w))
-    count = per_term[ta]
-    ka = np.repeat(np.arange(len(ta)), count)
-    kb = (np.repeat(np.cumsum(per_term)[ta] - count, count)  # the first pair of B_t
-          + np.arange(len(ka)) - np.repeat(np.cumsum(count) - count, count))
+    ka, kb = term_combinations(ta, tb, len(w))
     modes = np.stack([ia[ka], ja[ka], ib[kb], jb[kb]], axis=1)
     pair_a = (1 << modes[:, 0]) | (1 << modes[:, 1])
     pair_b = (1 << modes[:, 2]) | (1 << modes[:, 3])

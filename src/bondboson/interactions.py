@@ -5,11 +5,18 @@ pair-hopping form (termwise exact for distinct sites), and every pair
 bilinear in it is assembled from the momentum bond operators by an
 inverse transform over the full site grid.  The reconstruction is
 quadratic, so it is one stack of n x n coefficient matrices, built once
-per chain length and measured on coefficients.  The two quartic
-statements are checked on Fock operators: the density form is read from
-the basis-state bits, and the pair form and its bond assembly are each
-one stacked build of all coupled pairs (:func:`bondboson.fock.pair_products`,
-an ordered scatter that adds each Fock entry's terms in (n, m) order).
+per chain length and measured on coefficients.  The density form and the
+pair form are Fock operators: the density form is read from the
+basis-state bits, and the pair form is one stacked build of all coupled
+pairs (:func:`bondboson.fock.pair_products`, an ordered scatter that
+adds each Fock entry's terms in (n, m) order).
+
+The pair form's distance to its bond assembly is measured on
+coefficients, with no 2^n object: a sum of pair products is
+``sum_pq T_pq P_p P_q^dag`` for one (P, P) tensor over the P fermion
+pairs (:func:`pair_tensor`), and its Frobenius norm is a sum of squares
+of the tensor's entries (:func:`pair_tensor_norm`; the Hilbert-Schmidt
+orthogonality of fermion monomials, Bravyi and Kitaev, quant-ph/0003137).
 
 The same pair-reconstruction mechanism would turn density couplings to
 quantized lattice vibrations or to gauge fields into interactions
@@ -25,9 +32,9 @@ import numpy as np
 from scipy import sparse
 
 from .bilinear import ChainPair, pair_norms, pair_stack
-from .fock import FockSpace, SparseOperator, pair_bilinear, pair_products
+from .fock import FockSpace, SparseOperator, pair_bilinear, pair_products, term_combinations
 from .lattice import ChainSpec, unit_roots
-from .numerics import max_residual
+from .numerics import max_residual, unfused_product
 # imported for the benchmark tracer, which wraps these names where interactions looks them up
 from .fock import _bond_sum  # noqa: F401
 from .lattice import chain_momenta  # noqa: F401
@@ -94,18 +101,26 @@ def _coupled_pairs(a: np.ndarray) -> tuple:
     return np.nonzero(a - np.diag(np.diag(a)))
 
 
+def pair_form_stacks(a: np.ndarray) -> tuple:
+    """``(raising, lowering, weights)`` of the pair form of the validated coupling ``a``.
+
+    One term per coupled pair (n, m), row-major: ``c+_n c+_m`` and
+    ``c+_m c+_n`` as one-hot coefficient matrices, weight ``-alpha_nm / 2``.
+    """
+    n, m = _coupled_pairs(a)
+    eye = np.eye(len(a))
+    return eye[n, :, None] * eye[m, None, :], eye[m, :, None] * eye[n, None, :], -0.5 * a[n, m]
+
+
 def coulomb_pair_form(space: FockSpace, alpha) -> SparseOperator:
     """Pair-hopping rewrite ``-(1/2) sum alpha_nm (c+_n c+_m)(c_n c_m)``, n != m.
 
     Termwise equal to the density-density form as an exact operator
     identity; the n = m terms vanish identically and are skipped.  With
-    ``c_n c_m = (c+_m c+_n)^dag`` it is one :func:`~bondboson.fock.pair_products`.
+    ``c_n c_m = (c+_m c+_n)^dag`` it is one :func:`~bondboson.fock.pair_products`
+    of :func:`pair_form_stacks`.
     """
-    a = _check_coupling(space, alpha)
-    n, m = _coupled_pairs(a)
-    eye = np.eye(len(a))
-    return pair_products(space, eye[n, :, None] * eye[m, None, :], eye[m, :, None] * eye[n, None, :],
-                         -0.5 * a[n, m])
+    return pair_products(space, *pair_form_stacks(_check_coupling(space, alpha)))
 
 
 @lru_cache(maxsize=1)
@@ -154,15 +169,98 @@ def pair_reconstruction_max(n_sites: int) -> float:
     return max_residual(pair_norms(residuals))
 
 
-def bond_assembled_pair_form(space: FockSpace, alpha) -> SparseOperator:
-    """The pair form with each ``c+_n c+_m`` and ``c_n c_m`` rebuilt from bonds, as one stacked build."""
-    a = _check_coupling(space, alpha)
+def bond_assembled_stacks(a: np.ndarray) -> tuple:
+    """:func:`pair_form_stacks` with each ``c+_n c+_m`` the :func:`reconstruction_stack` row
+    that rebuilds it from bonds."""
     n, m = _coupled_pairs(a)
     stack = reconstruction_stack(len(a))
-    return pair_products(space, stack[n, (m - n) % len(a) - 1], stack[m, (n - m) % len(a) - 1],
-                         -0.5 * a[n, m])
+    return stack[n, (m - n) % len(a) - 1], stack[m, (n - m) % len(a) - 1], -0.5 * a[n, m]
 
 
-def interaction_equivalence_residual(space: FockSpace, alpha, direct: SparseOperator) -> float:
-    """Frobenius distance of ``direct``, the caller's :func:`coulomb_pair_form`, to its bond assembly."""
-    return (direct - bond_assembled_pair_form(space, alpha)).norm()
+def pair_tensor(raising, lowering, weights) -> np.ndarray:
+    """``T = sum_t w_t a_t b_t^H`` of two (T, n, n) coefficient stacks and T weights.
+
+    ``a_t``, ``b_t`` are the pair coefficients of A_t, B_t (the upper
+    triangle of ``A - A^T``, the pairs p = (i < j) of
+    :func:`bondboson.fock.pair_products`), so that operator is
+    ``sum_pq T_pq P_p P_q^dag`` with ``P_p = c+_i c+_j``.  Each nonzero
+    ``a_tp`` meets each nonzero ``b_tq`` in one unfused product
+    ``(w_t a_tp) conj(b_tq)``, and each entry adds its products in term
+    order (``np.bincount``); nothing is pruned.
+    """
+    a, b, w = (np.asarray(x, dtype=complex) for x in (raising, lowering, weights))
+    n = a.shape[-1]
+    if a.shape != b.shape or a.shape[1:] != (n, n) or w.shape != a.shape[:1]:
+        raise ValueError(f"stacks {a.shape}, {b.shape} and weights {w.shape} do not match")
+    i, j = np.triu_indices(n, 1)
+    x, y = a[:, i, j] - a[:, j, i], (b[:, i, j] - b[:, j, i]).conj()
+    ta, p = np.nonzero(x)
+    tb, q = np.nonzero(y)
+    ka, kb = term_combinations(ta, tb, len(w))
+    product = unfused_product(unfused_product(w[ta], x[ta, p])[ka], y[tb, q][kb])
+    slots, size = p[ka] * len(i) + q[kb], len(i) ** 2
+    tensor = np.empty((len(i), len(i)), dtype=complex)
+    tensor.real.flat = np.bincount(slots, product.real, size)
+    tensor.imag.flat = np.bincount(slots, product.imag, size)
+    return tensor
+
+
+@lru_cache(maxsize=1)
+def pair_gram_squares(n_modes: int) -> tuple:
+    """``(diagonal, by_mode, shared, signs)``: the Gram matrix of the pair operators as squares.
+
+    ``E_pq = P_p P_q^dag`` acts on the states with the bits of p u q fixed,
+    with the Jordan-Wigner sign of :func:`bondboson.fock.pair_products`, so
+    ``Tr(E_x^dag E_y)`` is nonzero only where x and y create the same modes
+    and annihilate the same modes.  Over the flat indices ``x = p P + q``
+    the Gram matrix is ``2^(n-4) (I + sum_r v_r v_r^T)``, with 0/+-1 rows:
+    per ordered (i, l), i != l, the ``E_(is)(sl)`` over the modes s they
+    share (``shared``), signed ``(-1)^[s lies between i and l]``
+    (``signs``); and, as ``n_i n_j = (1 + z_i)(1 + z_j) / 4`` in
+    orthogonal z monomials, one row of all ``E_pp`` (``diagonal``) and per
+    mode i one of the ``E_pp`` with i in p (``by_mode``).  Built once per
+    mode count; read-only.
+    """
+    i, j = np.triu_indices(n_modes, 1)
+    count = len(i)
+    pair = np.zeros((n_modes, n_modes), dtype=np.int64)
+    pair[i, j] = pair[j, i] = np.arange(count)
+    other = ~np.eye(n_modes, dtype=bool)
+    created, annihilated = np.nonzero(other)
+    shared = np.nonzero(other[created] & other[annihilated])[1]
+    shared = shared.reshape(len(created), max(n_modes - 2, 0))
+    squares = (np.arange(count) * (count + 1),
+               (pair * (count + 1))[other].reshape(n_modes, max(n_modes - 1, 0)),
+               pair[created[:, None], shared] * count + pair[shared, annihilated[:, None]],
+               np.where((shared - created[:, None]) * (shared - annihilated[:, None]) < 0, -1.0, 1.0))
+    for array in squares:
+        array.setflags(write=False)
+    return squares
+
+
+def pair_tensor_norm(tensor: np.ndarray, n_modes: int) -> float:
+    """Frobenius norm of ``sum_pq T_pq P_p P_q^dag`` on the 2^n_modes Fock space, from the tensor.
+
+    ``||.||^2 = 2^(n-4) (|T|^2 + sum_r |v_r . T|^2)`` over the rows of
+    :func:`pair_gram_squares`, real and imaginary parts apart: a sum of
+    squares, so no clamp is needed and a NaN entry gives NaN.
+    """
+    diagonal, by_mode, shared, signs = pair_gram_squares(n_modes)
+    if np.shape(tensor) != (len(diagonal),) * 2:
+        raise ValueError(f"tensor shape {np.shape(tensor)} does not match {n_modes} modes")
+    d = np.ascontiguousarray(tensor, dtype=complex).reshape(-1).view(float).reshape(-1, 2)
+    squares = (d, d[diagonal].sum(axis=0), d[by_mode].sum(axis=1),
+               (d[shared] * signs[..., None]).sum(axis=1))
+    return float(np.sqrt(np.ldexp(sum(np.sum(s * s) for s in squares), n_modes - 4)))
+
+
+def interaction_equivalence_residual(space: FockSpace, alpha) -> float:
+    """Frobenius distance of the pair form to its bond assembly, ``||Q(T_direct - T_assembled)||``.
+
+    The :func:`pair_tensor` of :func:`pair_form_stacks` and of
+    :func:`bond_assembled_stacks`, their difference measured by
+    :func:`pair_tensor_norm`: no 2^n object is built and nothing is pruned.
+    """
+    a = _check_coupling(space, alpha)
+    difference = pair_tensor(*pair_form_stacks(a)) - pair_tensor(*bond_assembled_stacks(a))
+    return pair_tensor_norm(difference, space.n_modes)

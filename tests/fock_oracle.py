@@ -20,7 +20,12 @@ too: one sparse product and one sum per coupled pair, in (n, m) order,
 against which the stacked builds of ``bondboson.interactions`` are
 checked.  The chunked sparse product (:func:`chunked_pair_products`) is
 the reference that the ordered scatter of ``bondboson.fock.pair_products``
-matches bit for bit.
+matches bit for bit.  The bond assembly of the pair form is built here as
+a Fock operator (:func:`bond_assembled_pair_form`); the package measures
+its distance to the pair form on coefficients, with the pair tensor of
+``bondboson.interactions.pair_tensor``, whose term-by-term sum
+(:func:`sequential_pair_tensor`) and unpruned Fock operator
+(:func:`pair_tensor_operator`) are here too.
 
 The near-filling table ``X W X^H`` has its sparse product here
 (:func:`sparse_commutator_table`), the reference that the ordered
@@ -47,8 +52,10 @@ from bondboson.fock import (
     commutator,
     dirac_hamiltonian,
     pair_bilinear,
+    pair_products,
 )
-from bondboson.interactions import pair_from_bonds
+from bondboson.numerics import unfused_product
+from bondboson.interactions import bond_assembled_stacks, pair_from_bonds
 from bondboson.lattice import ChainSpec, chain_anchors, chain_mode, square_mode, unit_roots
 
 
@@ -202,6 +209,41 @@ def sequential_bond_assembly(space, alpha) -> SparseOperator:
             lowering = pair_from_bonds(space, m, (n - m) % n_sites).adjoint()
             assembled = assembled + (-0.5 * alpha[n, m]) * (raising @ lowering)
     return assembled
+
+
+def bond_assembled_pair_form(space, alpha) -> SparseOperator:
+    """The pair form with each ``c+_n c+_m`` and ``c_n c_m`` rebuilt from bonds, as one stacked build."""
+    return pair_products(space, *bond_assembled_stacks(np.asarray(alpha, dtype=float)))
+
+
+def sequential_pair_tensor(raising, lowering, weights) -> np.ndarray:
+    """``sum_t w_t a_t b_t^H`` of the pair coefficients, one outer product and one sum per term.
+
+    Each product is ``(w_t a_tp) conj(b_tq)``, unfused, as in
+    ``bondboson.interactions.pair_tensor``, which adds each entry's nonzero
+    products in the same term order and so has these bits.
+    """
+    a, b = (np.asarray(x, dtype=complex) for x in (raising, lowering))
+    i, j = np.triu_indices(a.shape[-1], 1)
+    acc = np.zeros((len(i), len(i)), dtype=complex)
+    for x, y, w in zip(a - a.transpose(0, 2, 1), b - b.transpose(0, 2, 1), weights):
+        acc = acc + unfused_product(unfused_product(w, x[i, j])[:, None], y[i, j].conj()[None, :])
+    return acc
+
+
+def pair_tensor_operator(space, tensor):
+    """``sum_pq T_pq (c+_i c+_j)(c+_k c+_l)^dag`` over the pairs p = (i < j), q = (k < l), from
+    creation matrices, as a scipy matrix with no entry pruned."""
+    n = space.n_modes
+    create = [space._creation_matrix(mode) for mode in range(n)]
+    pairs = [create[i] @ create[j] for i, j in zip(*np.triu_indices(n, 1))]
+    total = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
+    for q, lowering in enumerate(pairs):
+        raising = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
+        for t, pair in zip(tensor[:, q], pairs):
+            raising = raising + complex(t) * pair
+        total = total + raising @ lowering.conj().T
+    return total
 
 
 def sequential_pair_products(space, raising, lowering, weights) -> SparseOperator:

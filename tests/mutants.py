@@ -21,11 +21,12 @@ import test_bilinear
 import test_fock
 import test_identity_writer
 import test_interactions
-from bondboson import bilinear, cli, fock
+from bondboson import bilinear, cli, fock, interactions
 from bondboson.fermion_model import hopping_matrix
 from bondboson.lattice import ChainSpec
 
 _rows_json = cli._rows_json
+_pair_gram_squares = interactions.pair_gram_squares
 
 
 def einsum_pair_norms(stack):
@@ -41,19 +42,40 @@ def vecdot_pair_norms(stack):
     return np.sqrt(2.0 ** (stack.shape[-1] - 3)) * np.sqrt(np.vecdot(d, d).real)
 
 
-def wrong_term_identity_residuals(spec, identities):
-    """``identity_residuals`` with each term's entries scaled by the weight of the term
-    before it (cyclically): a wrong weight index in the scatter."""
+def residuals_scattered_as(spec, identities, scattered):
+    """``identity_residuals`` with each side's ``np.add.at`` scatter of ``scattered(weights,
+    label, row, col, values)``, given the side's :func:`bilinear.pair_entries`, which
+    returns the entries to add in order as ``(label, row, col, term value)``."""
     def summed(weights, labels):
-        label, row, col, values = bilinear.pair_entries(spec, labels.reshape(-1, labels.shape[-1]))
+        entries = bilinear.pair_entries(spec, labels.reshape(-1, labels.shape[-1]))
+        label, row, col, values = scattered(weights, *entries)
         acc = np.zeros((len(weights), spec.n_modes, spec.n_modes), dtype=complex)
-        shifted = np.roll(weights, 1, axis=1).ravel()
-        np.add.at(acc, (label // weights.shape[1], row, col), shifted[label] * values)
+        np.add.at(acc, (label // weights.shape[1], row, col), values)
         return acc
 
     lhs = bilinear.commutator_with_hopping(
         hopping_matrix(spec), summed(identities.target_weights, identities.target_labels))
     return bilinear.pair_norms(lhs - summed(identities.rhs_weights, identities.rhs_labels))
+
+
+def wrong_term_identity_residuals(spec, identities):
+    """``identity_residuals`` with each term's entries scaled by the weight of the term
+    before it (cyclically): a wrong weight index in the scatter."""
+    return residuals_scattered_as(spec, identities, lambda weights, label, row, col, values: (
+        label, row, col, np.roll(weights, 1, axis=1).ravel()[label] * values))
+
+
+def reversed_identity_residuals(spec, identities):
+    """``identity_residuals`` with each side's entries scattered in reverse order, so each
+    entry adds its terms last to first."""
+    return residuals_scattered_as(spec, identities, lambda weights, label, row, col, values: (
+        label[::-1], row[::-1], col[::-1], (weights.ravel()[label] * values)[::-1]))
+
+
+def unsigned_pair_gram_squares(n_modes):
+    """``pair_gram_squares`` with the Jordan-Wigner sign of every shared-mode row dropped."""
+    *squares, signs = _pair_gram_squares(n_modes)
+    return (*squares, np.ones_like(signs))
 
 
 def fused_pattern_diagonal(pattern, weights, count):
@@ -95,6 +117,29 @@ MUTANTS = {
         lambda tmp: test_bilinear.test_batched_residuals_have_the_bits_of_the_per_identity_loop(
             ChainSpec(4, alpha_u=0.1)),
         goldens=True),
+    # no golden or verify_identities argv has an entry with more than two nonzero terms
+    # except dirac2d 1x1, whose four are exact: only a made-up side shows the order
+    "identity scatter in reverse term order": Mutant(
+        bilinear, "identity_residuals", reversed_identity_residuals,
+        lambda tmp: test_bilinear.test_each_entry_adds_its_terms_in_the_listed_order(),
+        goldens=False),
+    # the sign moves the bond-assembled residual's rounding: verify_interactions_ssh10.json
+    # changes, verify_interactions_ssh6.json keeps its bytes
+    "pair Gram squares without the sign parity": Mutant(
+        interactions, "pair_gram_squares", unsigned_pair_gram_squares,
+        lambda tmp: test_interactions.test_pair_tensor_norm_is_the_fock_norm(4),
+        goldens=True),
+    # one flipped term leaves a residual of order one: the interactions verdicts fail
+    "bond-assembled stacks with a wrong term": Mutant(
+        interactions, "bond_assembled_stacks",
+        test_interactions.wrong_term(interactions.bond_assembled_stacks, "flip_sign", 0),
+        lambda tmp: test_interactions.test_equivalence_residual_seeded_random(),
+        goldens=True),
+    # the interactions goldens keep their bytes with a fused product in the pair tensor too
+    "pair_tensor with numpy's fused complex product": Mutant(
+        interactions, "unfused_product", np.multiply,
+        lambda tmp: test_interactions.test_pair_tensors_have_the_bits_of_the_term_by_term_sum(6),
+        goldens=False),
     # the interactions goldens keep their bytes with the fused product
     "pair_products with numpy's fused complex product": Mutant(
         fock, "unfused_product", np.multiply,

@@ -191,7 +191,7 @@ def test_a7_interaction_rewrite():
                 (pair_from_bonds(space, p, l) - creation_pair_direct(space, p, l)).norm(),
             )
     pair_form = coulomb_pair_form(space, alpha)
-    assembled = interaction_equivalence_residual(space, alpha, pair_form)
+    assembled = interaction_equivalence_residual(space, alpha)
     scale = pair_form.norm()
     ok = form_distance <= 1e-12 and reconstruction <= 1e-13 and assembled <= 1e-12 * scale
     report(

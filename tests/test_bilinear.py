@@ -164,6 +164,24 @@ def test_batched_residuals_have_the_bits_of_the_per_identity_loop(spec):
     assert np.isnan(batched).any() == (getattr(spec, "delta", 0.0) == 1e308)
 
 
+def test_each_entry_adds_its_terms_in_the_listed_order():
+    # every right-hand side is one K = 0 label (entries 1) three times, weights 1, 2^-53
+    # and -1, against a zero target: listed, each entry sums to 0; reversed, to 2^-53
+    spec = ChainSpec(4, alpha_u=0.1)
+    table = bond_identities(spec)
+    shape = (len(table.channel), 3)
+    labels = np.broadcast_to(np.array(ChainPair(1, 0)), shape + (len(ChainPair._fields),))
+    weights = np.broadcast_to(np.array([1.0, 2.0 ** -53, -1.0], dtype=complex), shape)
+    listed = table._replace(target_weights=np.zeros_like(table.target_weights),
+                            rhs_weights=weights, rhs_labels=labels)
+    reversed_ = listed._replace(rhs_weights=weights[:, ::-1], rhs_labels=labels[:, ::-1])
+    for identities, nonzero in ((listed, False), (reversed_, True)):
+        residuals = bilinear.identity_residuals(spec, identities)  # looked up as mutants patch it
+        expected = np.array(sequential_identity_residuals(spec, identities))
+        assert residuals.tobytes() == expected.tobytes()
+        assert (residuals > 0.0).all() == nonzero and residuals.any() == nonzero
+
+
 @pytest.mark.parametrize("spec", [ChainSpec(16, alpha_u=0.1),
                                   ChainSpec(8, alpha_u=0.2, spinful=True),
                                   SquareSpec(2, 4, delta=0.7)], ids=spec_id)

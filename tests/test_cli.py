@@ -417,7 +417,7 @@ def test_commutators_hole_table_stops_at_the_site_count(capsys):
     # 48 of the 72 identities have a rounding residual, the other 24 an exact zero
     (["verify", "identities", "--model", "ssh", "--sites", "12", "--alpha-u", "0.13"], 48),
     (["verify", "commutators", "--model", "ssh", "--sites", "6"], ["filled_unmatched_law"]),
-    # at 6 sites the pruned +0.0 residual passes even this bound (test_interactions)
+    # the bond-assembled residual is a rounding distance on coefficients, never pruned to 0
     (["verify", "interactions", "--model", "ssh", "--sites", "10", "--seed", "3"],
      ["bond_assembled_interaction"]),
 ], ids=["spectrum", "identities", "commutators", "interactions"])

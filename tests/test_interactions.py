@@ -3,23 +3,29 @@ import types
 import numpy as np
 import pytest
 from fock_oracle import (
+    bond_assembled_pair_form,
     chunked_pair_products,
     fock_pair,
+    pair_tensor_operator,
     sequential_bond_assembly,
     sequential_pair_form,
     sequential_pair_products,
+    sequential_pair_tensor,
 )
 
 from bondboson import interactions
 from bondboson.bilinear import ChainPair
 from bondboson.fock import SCATTER_BLOCK, FockSpace, SparseOperator, creation_op, pair_products
 from bondboson.interactions import (
-    bond_assembled_pair_form,
+    bond_assembled_stacks,
     coulomb_operator,
     coulomb_pair_form,
     creation_pair_direct,
     interaction_equivalence_residual,
+    pair_form_stacks,
     pair_from_bonds,
+    pair_tensor,
+    pair_tensor_norm,
     random_offdiag_coupling,
 )
 from bondboson.lattice import ChainSpec
@@ -140,13 +146,13 @@ def test_equivalence_residual_seeded_random():
     space = FockSpace(ChainSpec(6))
     alpha = random_offdiag_coupling(6, seed=5)
     direct = coulomb_pair_form(space, alpha)
-    assert interaction_equivalence_residual(space, alpha, direct) <= 1e-12 * max(direct.norm(), 1.0)
+    assert interaction_equivalence_residual(space, alpha) <= 1e-12 * max(direct.norm(), 1.0)
 
 
 def test_equivalence_residual_zero_coupling():
     space = FockSpace(ChainSpec(6))
     zero = np.zeros((6, 6))
-    assert interaction_equivalence_residual(space, zero, coulomb_pair_form(space, zero)) == 0.0
+    assert interaction_equivalence_residual(space, zero) == 0.0
 
 
 def test_equivalence_residual_nearest_neighbour():
@@ -155,20 +161,19 @@ def test_equivalence_residual_nearest_neighbour():
     for n in range(6):
         alpha[n, (n + 1) % 6] = alpha[(n + 1) % 6, n] = 0.7
     direct = coulomb_pair_form(space, alpha)
-    assert interaction_equivalence_residual(space, alpha, direct) <= 1e-12 * max(direct.norm(), 1.0)
+    assert interaction_equivalence_residual(space, alpha) <= 1e-12 * max(direct.norm(), 1.0)
 
 
-@pytest.mark.xfail(strict=True, reason="the residual is the norm of a pruned operator difference: "
-                                       "entries under 1e-15 are dropped before the norm")
-@pytest.mark.parametrize("n_sites", [6, 10])
+@pytest.mark.parametrize("n_sites", [6, 8, 10])
 def test_equivalence_residual_is_the_unpruned_distance(n_sites):
-    # the `verify interactions --sites n --seed 3` check: 6 sites report 0.0
-    # for an unpruned 1.1e-15, 10 sites 3.3e-15 for 1.05e-14
+    # the `verify interactions --sites n --seed 3` check: the Fock distance of the two
+    # coefficient tensors with no entry pruned (pruned, it would read 0.0 at 6 and 8 sites)
     space = FockSpace(ChainSpec(n_sites))
     alpha = random_offdiag_coupling(n_sites, seed=3)
-    direct = coulomb_pair_form(space, alpha)
-    unpruned = unpruned_distance(direct, bond_assembled_pair_form(space, alpha))
-    reported = interaction_equivalence_residual(space, alpha, direct)
+    difference = pair_tensor(*pair_form_stacks(alpha)) - pair_tensor(*bond_assembled_stacks(alpha))
+    unpruned = float(np.linalg.norm(pair_tensor_operator(space, difference).data))
+    reported = interaction_equivalence_residual(space, alpha)
+    assert reported > 0.0
     assert reported == pytest.approx(unpruned, rel=1e-12, abs=0.0)
 
 
@@ -250,7 +255,7 @@ def test_interaction_stacks_have_the_bits_of_the_chunked_product(monkeypatch, n_
     for seed in (0, 1, 2):
         alpha = random_offdiag_coupling(n_sites, seed=seed)
         coulomb_pair_form(space, alpha)
-        bond_assembled_pair_form(space, alpha)
+        stacks.append((space, *bond_assembled_stacks(alpha)))
     assert len(stacks) == 6
     for args in stacks:
         assert assert_chunked_bits(*args).nnz > 0
@@ -315,33 +320,113 @@ def test_single_pair_products_have_the_chunked_bits(lowered):
     rows, cols = built.matrix.nonzero()
     assert built.nnz == 1 << (6 - len({0, 1, k, l}))
     assert np.all((rows ^ cols) == (3 ^ (1 << k) ^ (1 << l)))
+    tensor = pair_tensor(raising, lowering, [1.5 - 0.5j])
+    assert pair_tensor_norm(tensor, 6) == pytest.approx(built.norm(), rel=1e-15)
 
 
-# The reassembled stacks on 12 sites: one pair per term, 2^10 states each.
+def wrong_term(build, mutation, term):
+    """``build`` (a stack builder such as ``bond_assembled_stacks``) with the weight of one
+    term negated (``"flip_sign"``) or the term left out (``"drop"``)."""
+    def mutated(a):
+        raising, lowering, weights = build(a)
+        if mutation == "flip_sign":
+            weights = weights.copy()
+            weights[term] = -weights[term]
+            return raising, lowering, weights
+        keep = np.arange(len(weights)) != term % len(weights)
+        return raising[keep], lowering[keep], weights[keep]
+
+    return mutated
+
+
 MUTATION_SITES = 12
-MUTATION_PER_BLOCK = SCATTER_BLOCK >> (MUTATION_SITES - 2)
 
 
-@pytest.mark.parametrize("term", [0, MUTATION_PER_BLOCK - 1, MUTATION_PER_BLOCK, -1])
+@pytest.mark.parametrize("term", [0, 7, 8, -1])
 @pytest.mark.parametrize("mutation", ["flip_sign", "drop"])
 def test_a_wrong_stack_term_fails_the_bond_assembled_check(monkeypatch, mutation, term):
     space = FockSpace(ChainSpec(MUTATION_SITES))
     alpha = random_offdiag_coupling(MUTATION_SITES, seed=3)
-    direct = coulomb_pair_form(space, alpha)
-    tolerance = 1e-12 * max(direct.norm(), 1.0)  # the bound of the verify report
-    assert interaction_equivalence_residual(space, alpha, direct) <= tolerance
-    built = interactions.pair_products
+    tolerance = 1e-12 * max(coulomb_pair_form(space, alpha).norm(), 1.0)  # the verify bound
+    assert interaction_equivalence_residual(space, alpha) <= tolerance
+    monkeypatch.setattr(interactions, "bond_assembled_stacks",
+                        wrong_term(bond_assembled_stacks, mutation, term))
+    assert interaction_equivalence_residual(space, alpha) > tolerance
 
-    def mutated(space, raising, lowering, weights):
-        weights = np.array(weights)
-        if mutation == "flip_sign":
-            weights[term] = -weights[term]
-            return built(space, raising, lowering, weights)
-        keep = np.arange(len(weights)) != term % len(weights)
-        return built(space, raising[keep], lowering[keep], weights[keep])
 
-    monkeypatch.setattr(interactions, "pair_products", mutated)
-    assert interaction_equivalence_residual(space, alpha, direct) > tolerance
+def random_terms(rng, terms, n_modes, density=1.0):
+    """Two random complex stacks and weights of ``terms`` terms."""
+    raising, lowering = (random_stack(rng, terms, n_modes, density) for _ in range(2))
+    return raising, lowering, rng.normal(size=terms) + 1j * rng.normal(size=terms)
+
+
+@pytest.mark.parametrize("n_modes", range(2, 13))
+def test_pair_tensor_norm_is_the_fock_norm(n_modes):
+    # every E_pq = P_p P_q^dag occurs, with shared modes or none, so every row of the
+    # Gram matrix's squares counts
+    rng = np.random.default_rng([n_modes, 29])
+    for terms in (1, 3):
+        args = random_terms(rng, terms, n_modes)
+        fock = pair_products(mode_space(n_modes), *args).norm()
+        assert pair_tensor_norm(pair_tensor(*args), n_modes) == pytest.approx(fock, rel=1e-14)
+
+
+@pytest.mark.parametrize("n_sites", range(2, 13, 2))
+def test_pair_tensor_norm_of_the_one_hot_pair_form(n_sites):
+    space = FockSpace(ChainSpec(n_sites))
+    for seed in (0, 3):
+        alpha = random_offdiag_coupling(n_sites, seed=seed)
+        tensor = pair_tensor(*pair_form_stacks(alpha))
+        assert pair_tensor_norm(tensor, n_sites) == pytest.approx(
+            coulomb_pair_form(space, alpha).norm(), rel=1e-14)
+
+
+def test_empty_stacks_have_a_zero_tensor_norm():
+    for n_modes in (2, 5, 12):
+        empty = np.zeros((0, n_modes, n_modes))
+        assert pair_tensor_norm(pair_tensor(empty, empty, []), n_modes) == 0.0
+    symmetric = np.ones((2, 4, 4))  # no pair survives antisymmetrization
+    assert pair_tensor_norm(pair_tensor(symmetric, symmetric, [1.0, 2.0]), 4) == 0.0
+    with pytest.raises(ValueError):
+        pair_tensor_norm(np.zeros((3, 3)), 4)
+    with pytest.raises(ValueError):
+        pair_tensor(np.zeros((2, 4, 4)), np.zeros((2, 4, 4)), [1.0])
+
+
+@pytest.mark.parametrize("n_modes", [2, 4, 7])
+def test_a_nan_coefficient_gives_a_nan_norm(n_modes):
+    rng = np.random.default_rng(n_modes)
+    raising, lowering, weights = random_terms(rng, 2, n_modes)
+    raising[1, 0, 1] = np.nan
+    assert np.isnan(pair_tensor_norm(pair_tensor(raising, lowering, weights), n_modes))
+    tensor = np.zeros((n_modes * (n_modes - 1) // 2,) * 2, dtype=complex)
+    tensor[0, -1] = complex(0.0, np.nan)
+    assert np.isnan(pair_tensor_norm(tensor, n_modes))
+
+
+def test_a_nan_assembled_coefficient_fails_the_bond_assembled_check(monkeypatch):
+    space = FockSpace(ChainSpec(6))
+    alpha = random_offdiag_coupling(6, seed=3)
+
+    def with_nan(a):
+        raising, lowering, weights = bond_assembled_stacks(a)
+        raising = raising.copy()
+        raising[-1, 0, 0] = np.nan  # a diagonal entry, which no pair reads
+        lowering = lowering.copy()
+        lowering[-1, 2, 3] = np.nan
+        return raising, lowering, weights
+
+    monkeypatch.setattr(interactions, "bond_assembled_stacks", with_nan)
+    assert np.isnan(interaction_equivalence_residual(space, alpha))
+
+
+@pytest.mark.parametrize("n_sites", [2, 6, 12])
+def test_pair_tensors_have_the_bits_of_the_term_by_term_sum(n_sites):
+    rng = np.random.default_rng(n_sites)
+    alpha = random_offdiag_coupling(n_sites, seed=7)
+    for args in (pair_form_stacks(alpha), bond_assembled_stacks(alpha),
+                 random_terms(rng, 4, n_sites, 0.3)):
+        assert pair_tensor(*args).tobytes() == sequential_pair_tensor(*args).tobytes()
 
 
 def test_validation_errors():
