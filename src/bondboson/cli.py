@@ -76,16 +76,19 @@ from .numerics import max_residual
 # A name is bound into the module's globals by its first lookup from outside
 # (`__getattr__`, PEP 562) or by `_bind_fock_route` when the suite starts, so a
 # wrapper the benchmark tracer installs in its place is the one the suite calls.
-# `creation_pair_direct` and `pair_from_bonds` are bound for the tracer alone:
-# the pair reconstruction is measured on coefficients.
+# `coulomb_operator`, `coulomb_pair_form`, `creation_pair_direct` and
+# `pair_from_bonds` are bound for the tracer alone: the suite builds no Fock space.
 _FOCK_ROUTE = {
-    "FockSpace": "fock",
     "coulomb_operator": "interactions",
     "coulomb_pair_form": "interactions",
     "creation_pair_direct": "interactions",
+    "density_tensor": "interactions",
     "interaction_equivalence_residual": "interactions",
+    "pair_form_stacks": "interactions",
     "pair_from_bonds": "interactions",
     "pair_reconstruction_max": "interactions",
+    "pair_tensor": "interactions",
+    "pair_tensor_norm": "interactions",
     "random_offdiag_coupling": "interactions",
 }
 
@@ -631,16 +634,15 @@ def _suite_commutators(config: RunConfig) -> dict:
 def _suite_interactions(config: RunConfig) -> dict:
     _bind_fock_route()
     spec = config.spec
-    space = FockSpace(spec)
+    check_mode_cap(spec.n_modes)
     alpha = random_offdiag_coupling(spec.n_sites, seed=config.seed)
-    density_form = coulomb_operator(space, alpha)
-    pair_form = coulomb_pair_form(space, alpha)
-    form_distance = (density_form - pair_form).norm()
+    pair = pair_tensor(*pair_form_stacks(alpha))
+    scale = pair_tensor_norm(pair, spec.n_modes)
+    form_distance = pair_tensor_norm(pair - density_tensor(alpha), spec.n_modes)
 
     reconstruction_max = pair_reconstruction_max(spec.n_sites)
 
-    assembled_residual = interaction_equivalence_residual(space, alpha)
-    scale = pair_form.norm()
+    assembled_residual = interaction_equivalence_residual(alpha, pair)
     checks = [_check(residual, bound, name=name, tolerance=fmt_float(bound))
               for name, residual, bound in (
                   ("density_vs_pair_form", form_distance, config.tolerance),

@@ -5,18 +5,14 @@ pair-hopping form (termwise exact for distinct sites), and every pair
 bilinear in it is assembled from the momentum bond operators by an
 inverse transform over the full site grid.  The reconstruction is
 quadratic, so it is one stack of n x n coefficient matrices, built once
-per chain length and measured on coefficients.  The density form and the
-pair form are Fock operators: the density form is read from the
-basis-state bits, and the pair form is one stacked build of all coupled
-pairs (:func:`bondboson.fock.pair_products`, an ordered scatter that
-adds each Fock entry's terms in (n, m) order).
+per chain length and measured on coefficients.
 
-The pair form's distance to its bond assembly is measured on
-coefficients, with no 2^n object: a sum of pair products is
-``sum_pq T_pq P_p P_q^dag`` for one (P, P) tensor over the P fermion
-pairs (:func:`pair_tensor`), and its Frobenius norm is a sum of squares
-of the tensor's entries (:func:`pair_tensor_norm`; the Hilbert-Schmidt
-orthogonality of fermion monomials, Bravyi and Kitaev, quant-ph/0003137).
+The density form, the pair form and its bond assembly are (P, P) tensors
+over the P fermion pairs, ``sum_pq T_pq P_p P_q^dag`` (:func:`pair_tensor`,
+:func:`density_tensor`), measured with no 2^n object: the Frobenius norm
+is a sum of squares of the tensor's entries (:func:`pair_tensor_norm`;
+Hilbert-Schmidt orthogonality of fermion monomials, Bravyi and Kitaev,
+quant-ph/0003137).  The Fock builds of the two forms are the tests' oracle.
 
 The same pair-reconstruction mechanism would turn density couplings to
 quantized lattice vibrations or to gauge fields into interactions
@@ -47,9 +43,10 @@ def _check_chain_space(space: FockSpace) -> int:
     return space.spec.n_sites
 
 
-def _check_coupling(space: FockSpace, alpha) -> np.ndarray:
-    n = _check_chain_space(space)
+def _check_coupling(alpha, space: FockSpace | None = None) -> np.ndarray:
+    """``alpha`` as a symmetric square float array, one row per site of ``space``."""
     a = np.asarray(alpha, dtype=float)
+    n = _check_chain_space(space) if space is not None else a.shape[0] if a.ndim else 0
     if a.shape != (n, n):
         raise ValueError(f"coupling matrix shape {a.shape} does not match {n} sites")
     if not np.allclose(a, a.T, atol=1e-12):
@@ -88,7 +85,7 @@ def coulomb_operator(space: FockSpace, alpha) -> SparseOperator:
     occupied bits, in row-major (n, m) order.  The occupations are read
     from the state bits, a route independent of the creation matrices.
     """
-    a = _check_coupling(space, alpha)
+    a = _check_coupling(alpha, space)
     occupied = (np.arange(space.dim) >> np.arange(space.n_modes)[:, None]) & 1 == 1
     diagonal = np.zeros(space.dim)
     for n, m in zip(*np.nonzero(a)):
@@ -120,7 +117,7 @@ def coulomb_pair_form(space: FockSpace, alpha) -> SparseOperator:
     ``c_n c_m = (c+_m c+_n)^dag`` it is one :func:`~bondboson.fock.pair_products`
     of :func:`pair_form_stacks`.
     """
-    return pair_products(space, *pair_form_stacks(_check_coupling(space, alpha)))
+    return pair_products(space, *pair_form_stacks(_check_coupling(alpha, space)))
 
 
 @lru_cache(maxsize=1)
@@ -254,13 +251,24 @@ def pair_tensor_norm(tensor: np.ndarray, n_modes: int) -> float:
     return float(np.sqrt(np.ldexp(sum(np.sum(s * s) for s in squares), n_modes - 4)))
 
 
-def interaction_equivalence_residual(space: FockSpace, alpha) -> float:
-    """Frobenius distance of the pair form to its bond assembly, ``||Q(T_direct - T_assembled)||``.
+def density_tensor(alpha) -> np.ndarray:
+    """The :func:`pair_tensor` of ``(1/2) sum_nm alpha_nm n_n n_m``, alpha's diagonal zero.
 
-    The :func:`pair_tensor` of :func:`pair_form_stacks` and of
-    :func:`bond_assembled_stacks`, their difference measured by
-    :func:`pair_tensor_norm`: no 2^n object is built and nothing is pruned.
+    As ``n_i n_j = P_p P_p^dag``, it is diagonal: ``0.5 alpha_ij + 0.5 alpha_ji``
+    (the form's sum in (n, m) order) on the pair p = (i < j).
     """
-    a = _check_coupling(space, alpha)
-    difference = pair_tensor(*pair_form_stacks(a)) - pair_tensor(*bond_assembled_stacks(a))
-    return pair_tensor_norm(difference, space.n_modes)
+    a = _check_coupling(alpha)
+    if np.any(np.diagonal(a)):
+        raise ValueError("a diagonal coupling is a one-body term, not a pair operator")
+    i, j = np.triu_indices(len(a), 1)
+    return np.diag((0.5 * a[i, j] + 0.5 * a[j, i]).astype(complex))
+
+
+def interaction_equivalence_residual(alpha, pair) -> float:
+    """Frobenius distance of the pair form, of :func:`pair_tensor` ``pair``, to its bond assembly.
+
+    The :func:`pair_tensor_norm` of ``pair`` less the tensor of
+    :func:`bond_assembled_stacks`: nothing is pruned.
+    """
+    a = _check_coupling(alpha)
+    return pair_tensor_norm(pair - pair_tensor(*bond_assembled_stacks(a)), len(a))

@@ -27,6 +27,7 @@ from bondboson.lattice import ChainSpec
 
 _rows_json = cli._rows_json
 _pair_gram_squares = interactions.pair_gram_squares
+_pair_form_stacks = interactions.pair_form_stacks
 
 
 def einsum_pair_norms(stack):
@@ -76,6 +77,27 @@ def unsigned_pair_gram_squares(n_modes):
     """``pair_gram_squares`` with the Jordan-Wigner sign of every shared-mode row dropped."""
     *squares, signs = _pair_gram_squares(n_modes)
     return (*squares, np.ones_like(signs))
+
+
+def modeless_pair_gram_squares(n_modes):
+    """``pair_gram_squares`` with no ``by_mode`` rows, so ``pair_tensor_norm`` drops the
+    squares of the per-mode sums of the ``E_pp``."""
+    diagonal, by_mode, shared, signs = _pair_gram_squares(n_modes)
+    return diagonal, by_mode[:, :0], shared, signs
+
+
+def negated_pair_form_stacks(a):
+    """``pair_form_stacks`` with every weight's sign flipped."""
+    raising, lowering, weights = _pair_form_stacks(a)
+    return raising, lowering, -weights
+
+
+def upper_density_tensor(alpha):
+    """``density_tensor`` with entry ``alpha_ij`` on the pair (i < j), not the half-sum
+    of ``alpha_ij`` and ``alpha_ji``."""
+    a = np.asarray(alpha, dtype=float)
+    i, j = np.triu_indices(len(a), 1)
+    return np.diag(a[i, j].astype(complex))
 
 
 def fused_pattern_diagonal(pattern, weights, count):
@@ -129,6 +151,22 @@ MUTANTS = {
         interactions, "pair_gram_squares", unsigned_pair_gram_squares,
         lambda tmp: test_interactions.test_pair_tensor_norm_is_the_fock_norm(4),
         goldens=True),
+    # the E_pp rows carry the pair form's norm: interaction_norm and the bond check's
+    # tolerance change in every interactions golden
+    "pair_tensor_norm without its by_mode rows": Mutant(
+        interactions, "pair_gram_squares", modeless_pair_gram_squares,
+        lambda tmp: test_interactions.test_suite_numbers_are_the_fock_oracle(4, tmp),
+        goldens=True),
+    # the pair form of -alpha: density_vs_pair_form and bond_assembled_interaction fail
+    "pair_form_stacks with the weights' sign flipped": Mutant(
+        interactions, "pair_form_stacks", negated_pair_form_stacks,
+        lambda tmp: test_interactions.test_density_tensor_is_the_pair_form_tensor(0.0),
+        goldens=True),
+    # every golden coupling is exactly symmetric, where alpha_ij is the half-sum's bits
+    "density tensor without the half-sum": Mutant(
+        interactions, "density_tensor", upper_density_tensor,
+        lambda tmp: test_interactions.test_density_tensor_is_the_pair_form_tensor(1e-13),
+        goldens=False),
     # one flipped term leaves a residual of order one: the interactions verdicts fail
     "bond-assembled stacks with a wrong term": Mutant(
         interactions, "bond_assembled_stacks",

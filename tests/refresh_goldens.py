@@ -89,6 +89,10 @@ CASES = {
     "verify_interactions_ssh10.json": [
         "verify", "interactions", "--model", "ssh", "--sites", "10", "--seed", "3",
     ],
+    # the interaction checks at the 16-mode cap, 240 coupled pairs
+    "verify_interactions_ssh16.json": [
+        "verify", "interactions", "--model", "ssh", "--sites", "16", "--seed", "3",
+    ],
     # the commutator tables at the 16-mode cap; at ssh16 the unmatched law is a
     # rounding residue, so its digits pin the table's off-diagonal bits
     "verify_commutators_ssh16_holes3.json": [

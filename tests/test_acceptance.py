@@ -32,7 +32,9 @@ from bondboson.interactions import (
     coulomb_pair_form,
     creation_pair_direct,
     interaction_equivalence_residual,
+    pair_form_stacks,
     pair_from_bonds,
+    pair_tensor,
     random_offdiag_coupling,
 )
 from bondboson.lattice import ChainSpec, SquareSpec, chain_momenta, square_momenta
@@ -191,7 +193,8 @@ def test_a7_interaction_rewrite():
                 (pair_from_bonds(space, p, l) - creation_pair_direct(space, p, l)).norm(),
             )
     pair_form = coulomb_pair_form(space, alpha)
-    assembled = interaction_equivalence_residual(space, alpha)
+    pair = pair_tensor(*pair_form_stacks(alpha))
+    assembled = interaction_equivalence_residual(alpha, pair)
     scale = pair_form.norm()
     ok = form_distance <= 1e-12 and reconstruction <= 1e-13 and assembled <= 1e-12 * scale
     report(

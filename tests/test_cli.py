@@ -24,6 +24,7 @@ from refresh_goldens import CASES
 import bondboson
 from bondboson.blocks import correspondence_report
 from bondboson.cli import _check, build_parser, fmt_float, fmt_momentum, main
+from bondboson import fock
 from bondboson.fock import FockSpace
 from bondboson.lattice import ChainSpec, SquareSpec, chain_momenta
 from table_oracle import float_momentum_label
@@ -169,7 +170,8 @@ two_site_cells = pytest.mark.xfail(strict=True, reason="normalized_per_cell divi
     pytest.param(["--model", "dirac2d", "--lx", "1", "--ly", "3"], 3, marks=two_site_cells),
     pytest.param(["--model", "dirac2d", "--lx", "2", "--ly", "3", "--mass", "0.8",
                   "--holes", "1", "--seed", "5"], 6, marks=two_site_cells),
-], ids=["ssh6", "dirac1x3", "dirac2x3-golden"])
+    pytest.param(CASES["verify_commutators_dirac2x4.json"][2:], 8, marks=two_site_cells),
+], ids=["ssh6", "dirac1x3", "dirac2x3-golden", "dirac2x4-golden"])
 def test_commutators_normalize_per_unit_cell(capsys, argv, cells):
     code, out, _ = run_cli(["verify", "commutators", *argv], capsys)
     assert code == 0
@@ -599,6 +601,22 @@ def test_commutators_build_no_fock_space(monkeypatch, capsys, args):
     code, out, _ = run_cli(["verify", "commutators"] + args, capsys)
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
+
+
+def test_interactions_build_no_fock_operator(monkeypatch, capsys):
+    # every number is taken on coefficients; the 16-mode cap needs no Fock space either
+    def refuse(*_):
+        raise AssertionError("verify interactions built a Fock object")
+
+    monkeypatch.setattr(fock.FockSpace, "__init__", refuse)
+    monkeypatch.setattr(fock.SparseOperator, "__init__", refuse)
+    code, out, _ = run_cli(["verify", "interactions", "--model", "ssh", "--sites", "16",
+                            "--seed", "3"], capsys)
+    assert code == 0
+    assert out == (GOLDEN / "verify_interactions_ssh16.json").read_text()
+    code, out, err = run_cli(["verify", "interactions", "--model", "ssh", "--sites", "18"], capsys)
+    assert (code, out) == (3, "")
+    assert "18 modes exceed the exact-representation cap of 16" in err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import json
 import types
 
 import numpy as np
@@ -13,7 +14,7 @@ from fock_oracle import (
     sequential_pair_tensor,
 )
 
-from bondboson import interactions
+from bondboson import cli, interactions
 from bondboson.bilinear import ChainPair
 from bondboson.fock import SCATTER_BLOCK, FockSpace, SparseOperator, creation_op, pair_products
 from bondboson.interactions import (
@@ -45,6 +46,11 @@ def same_bits(x: SparseOperator, y: SparseOperator) -> bool:
 def unpruned_distance(x: SparseOperator, y: SparseOperator) -> float:
     """Frobenius distance with no entry pruned (``SparseOperator`` arithmetic prunes)."""
     return float(np.linalg.norm((x.matrix - y.matrix).data))
+
+
+def equivalence_residual(alpha):
+    """The suite's ``bond_assembled_interaction`` residual of the coupling ``alpha``."""
+    return interaction_equivalence_residual(alpha, pair_tensor(*pair_form_stacks(alpha)))
 
 
 def test_two_site_offdiagonal_coupling_spectrum():
@@ -146,13 +152,11 @@ def test_equivalence_residual_seeded_random():
     space = FockSpace(ChainSpec(6))
     alpha = random_offdiag_coupling(6, seed=5)
     direct = coulomb_pair_form(space, alpha)
-    assert interaction_equivalence_residual(space, alpha) <= 1e-12 * max(direct.norm(), 1.0)
+    assert equivalence_residual(alpha) <= 1e-12 * max(direct.norm(), 1.0)
 
 
 def test_equivalence_residual_zero_coupling():
-    space = FockSpace(ChainSpec(6))
-    zero = np.zeros((6, 6))
-    assert interaction_equivalence_residual(space, zero) == 0.0
+    assert equivalence_residual(np.zeros((6, 6))) == 0.0
 
 
 def test_equivalence_residual_nearest_neighbour():
@@ -161,7 +165,7 @@ def test_equivalence_residual_nearest_neighbour():
     for n in range(6):
         alpha[n, (n + 1) % 6] = alpha[(n + 1) % 6, n] = 0.7
     direct = coulomb_pair_form(space, alpha)
-    assert interaction_equivalence_residual(space, alpha) <= 1e-12 * max(direct.norm(), 1.0)
+    assert equivalence_residual(alpha) <= 1e-12 * max(direct.norm(), 1.0)
 
 
 @pytest.mark.parametrize("n_sites", [6, 8, 10])
@@ -172,7 +176,7 @@ def test_equivalence_residual_is_the_unpruned_distance(n_sites):
     alpha = random_offdiag_coupling(n_sites, seed=3)
     difference = pair_tensor(*pair_form_stacks(alpha)) - pair_tensor(*bond_assembled_stacks(alpha))
     unpruned = float(np.linalg.norm(pair_tensor_operator(space, difference).data))
-    reported = interaction_equivalence_residual(space, alpha)
+    reported = equivalence_residual(alpha)
     assert reported > 0.0
     assert reported == pytest.approx(unpruned, rel=1e-12, abs=0.0)
 
@@ -348,10 +352,10 @@ def test_a_wrong_stack_term_fails_the_bond_assembled_check(monkeypatch, mutation
     space = FockSpace(ChainSpec(MUTATION_SITES))
     alpha = random_offdiag_coupling(MUTATION_SITES, seed=3)
     tolerance = 1e-12 * max(coulomb_pair_form(space, alpha).norm(), 1.0)  # the verify bound
-    assert interaction_equivalence_residual(space, alpha) <= tolerance
+    assert equivalence_residual(alpha) <= tolerance
     monkeypatch.setattr(interactions, "bond_assembled_stacks",
                         wrong_term(bond_assembled_stacks, mutation, term))
-    assert interaction_equivalence_residual(space, alpha) > tolerance
+    assert equivalence_residual(alpha) > tolerance
 
 
 def random_terms(rng, terms, n_modes, density=1.0):
@@ -405,7 +409,6 @@ def test_a_nan_coefficient_gives_a_nan_norm(n_modes):
 
 
 def test_a_nan_assembled_coefficient_fails_the_bond_assembled_check(monkeypatch):
-    space = FockSpace(ChainSpec(6))
     alpha = random_offdiag_coupling(6, seed=3)
 
     def with_nan(a):
@@ -417,7 +420,7 @@ def test_a_nan_assembled_coefficient_fails_the_bond_assembled_check(monkeypatch)
         return raising, lowering, weights
 
     monkeypatch.setattr(interactions, "bond_assembled_stacks", with_nan)
-    assert np.isnan(interaction_equivalence_residual(space, alpha))
+    assert np.isnan(equivalence_residual(alpha))
 
 
 @pytest.mark.parametrize("n_sites", [2, 6, 12])
@@ -427,6 +430,44 @@ def test_pair_tensors_have_the_bits_of_the_term_by_term_sum(n_sites):
     for args in (pair_form_stacks(alpha), bond_assembled_stacks(alpha),
                  random_terms(rng, 4, n_sites, 0.3)):
         assert pair_tensor(*args).tobytes() == sequential_pair_tensor(*args).tobytes()
+
+
+@pytest.mark.parametrize("n_sites", range(2, 17, 2))
+def test_suite_numbers_are_the_fock_oracle(n_sites, tmp_path):
+    # the report's interaction_norm and density_vs_pair_form, taken on the pair form's
+    # tensor, against the Fock builds of the two forms
+    space = FockSpace(ChainSpec(n_sites))
+    for seed in (0, 3, 77):
+        out = tmp_path / f"seed{seed}.json"
+        assert cli.main(["verify", "interactions", "--model", "ssh", "--sites", str(n_sites),
+                         "--seed", str(seed), "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        alpha = random_offdiag_coupling(n_sites, seed=seed)
+        density_form, pair_form = coulomb_operator(space, alpha), coulomb_pair_form(space, alpha)
+        assert float(report["interaction_norm"]) == pytest.approx(pair_form.norm(), rel=1e-14)
+        check = next(c for c in report["checks"] if c["name"] == "density_vs_pair_form")
+        assert float(check["residual"]) == (density_form - pair_form).norm() == 0.0
+
+
+@pytest.mark.parametrize("skew", [0.0, 1e-13], ids=["symmetric", "skewed"])
+def test_density_tensor_is_the_pair_form_tensor(skew):
+    # a coupling asymmetric within the 1e-12 that _check_coupling allows: the pair form
+    # adds alpha_ij / 2 and alpha_ji / 2, which the density tensor's half-sum matches
+    rng = np.random.default_rng(5)
+    alpha = random_offdiag_coupling(6, seed=3) + skew * np.triu(rng.uniform(size=(6, 6)), 1)
+    pair = interactions.pair_tensor(*interactions.pair_form_stacks(alpha))
+    density = interactions.density_tensor(alpha)
+    assert interactions.pair_tensor_norm(pair - density, 6) == 0.0
+    assert interactions.pair_tensor_norm(density, 6) > 0.0
+
+
+def test_a_diagonal_coupling_has_no_density_tensor():
+    alpha = random_offdiag_coupling(4, seed=1)
+    alpha[2, 2] = 0.5
+    with pytest.raises(ValueError, match="one-body"):
+        interactions.density_tensor(alpha)
+    with pytest.raises(ValueError):
+        interactions.density_tensor(np.zeros((4, 3)))
 
 
 def test_validation_errors():

@@ -64,8 +64,10 @@ def test_traced_commands_run_and_uninstall(tmp_path):
     assert metrics["blocks.closed_form.calls"] == 1
     assert metrics["numerics.hermitian_eigenvalues.calls"] == 1
     assert metrics["fock.boson_commutator_report.calls"] > 0
-    # verify interactions passes through the wrapped interaction builders
-    assert {"interactions.coulomb", "interactions.equivalence"} <= {s[3] for s in tracer.spans}
+    # verify interactions takes its residual in the wrapped equivalence span, and no
+    # command builds a sparse Fock operator
+    assert "interactions.equivalence" in {s[3] for s in tracer.spans}
+    assert metrics["fock.sparse_operator.calls"] == 0
     # uninstall puts every original back: no wrapper is left in the package
     assert not hasattr(cli.fmt_float, "__wrapped__")
     assert not hasattr(fock.SparseOperator.norm, "__wrapped__")
