@@ -9,20 +9,19 @@ wavelength limit is the 2+1D Dirac equation.  For both it provides
 * the quadratic pair algebra on n x n coefficient matrices, with the
   H-bond commutator identities and the near-filling commutator table
   (Wick's theorem on a basis state) evaluated on it (`bilinear`),
-* exact many-body operators on bitset Fock spaces: the engine of the
-  quartic interaction checks, and the pair sums of integer pair labels
-  that the tests use as an independent oracle (`fock`),
+* exact many-body operators on bitset Fock spaces, the tests'
+  independent oracle of the coefficient route (`fock`),
 * 4x4 momentum-space bond-boson blocks whose eigenvalues are signed
   sums of two fermion band energies (`blocks`),
-* the quartic-to-quadratic interaction rewrite (`interactions`),
+* the quartic-to-quadratic interaction rewrite, measured on pair
+  tensors (`interactions`),
 * a CLI emitting deterministic JSON/CSV reports (`cli`).
 
-The names below are the coefficient-matrix and spectrum API; importing
-them loads neither scipy nor the Fock route.  The Fock route is imported
-from its submodules, ``bondboson.fock`` and ``bondboson.interactions``:
-only ``verify interactions`` runs it, so the package does not load it
-for every command.  Scipy is loaded by the Fock route alone: the
-near-filling table of :func:`pair_commutator_table` (``verify
+The names below are the coefficient-matrix and spectrum API; the
+interaction checks are imported from ``bondboson.interactions``.  No
+command loads scipy or ``bondboson.fock``: scipy is imported by ``fock``
+and by the Fock builders of ``interactions`` that the tests call, and
+the near-filling table of :func:`pair_commutator_table` (``verify
 commutators``) is one ordered numpy scatter with the bits of scipy's
 row-by-row sparse product.
 """

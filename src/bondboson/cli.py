@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import json
 import math
 import re
@@ -65,48 +64,22 @@ from .bilinear import (
     square_bond_offsets,
 )
 from .blocks import CHUNK_ROWS, correspondence_report
+from .interactions import (
+    density_tensor,
+    interaction_equivalence_residual,
+    pair_form_stacks,
+    pair_reconstruction_max,
+    pair_tensor,
+    pair_tensor_norm,
+    random_offdiag_coupling,
+)
 # bound for the benchmark tracer, which wraps these names where cli looks them up;
-# no command calls them (momenta are integer indices)
+# no command calls them (momenta are integer indices, and no suite builds a Fock space)
+from .interactions import (  # noqa: F401
+    coulomb_operator, coulomb_pair_form, creation_pair_direct, pair_from_bonds)
 from .lattice import chain_momenta, square_momenta  # noqa: F401
 from .lattice import TWO_PI, ChainSpec, SquareSpec
 from .numerics import max_residual
-
-# The Fock route and scipy under it are imported on first use: only `verify
-# interactions` runs them, and their import is most of the package's start-up.
-# A name is bound into the module's globals by its first lookup from outside
-# (`__getattr__`, PEP 562) or by `_bind_fock_route` when the suite starts, so a
-# wrapper the benchmark tracer installs in its place is the one the suite calls.
-# `coulomb_operator`, `coulomb_pair_form`, `creation_pair_direct` and
-# `pair_from_bonds` are bound for the tracer alone: the suite builds no Fock space.
-_FOCK_ROUTE = {
-    "coulomb_operator": "interactions",
-    "coulomb_pair_form": "interactions",
-    "creation_pair_direct": "interactions",
-    "density_tensor": "interactions",
-    "interaction_equivalence_residual": "interactions",
-    "pair_form_stacks": "interactions",
-    "pair_from_bonds": "interactions",
-    "pair_reconstruction_max": "interactions",
-    "pair_tensor": "interactions",
-    "pair_tensor_norm": "interactions",
-    "random_offdiag_coupling": "interactions",
-}
-
-
-def __getattr__(name: str):
-    """Import a Fock-route name's module on the name's first lookup and bind the name."""
-    module = _FOCK_ROUTE.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __package__), name)
-    globals()[name] = value
-    return value
-
-
-def _bind_fock_route() -> None:
-    """Bind every Fock-route name not yet in the module's globals."""
-    for name in _FOCK_ROUTE.keys() - globals().keys():
-        __getattr__(name)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -632,7 +605,6 @@ def _suite_commutators(config: RunConfig) -> dict:
 
 
 def _suite_interactions(config: RunConfig) -> dict:
-    _bind_fock_route()
     spec = config.spec
     check_mode_cap(spec.n_modes)
     alpha = random_offdiag_coupling(spec.n_sites, seed=config.seed)

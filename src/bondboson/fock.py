@@ -4,10 +4,11 @@ Creation operators, sparse operator algebra, hopping Hamiltonians and
 the Fock-space builds from coefficient matrices: a pair bilinear
 ``P(M)``, and a weighted sum of pair products ``P(A) P(B)^dag`` built
 from whole stacks of coefficient matrices by one ordered scatter of
-their state-by-state contributions, with no sparse product.  The
-package uses them for the quartic interaction checks
-(:mod:`bondboson.interactions`); every quadratic statement is evaluated
-on n x n coefficient matrices in :mod:`bondboson.bilinear`.
+their state-by-state contributions, with no sparse product.  No
+command imports this module or scipy: it is the tests' oracle of the
+coefficient route, which takes the quartic interaction checks on pair
+tensors (:mod:`bondboson.interactions`) and every quadratic statement
+on n x n coefficient matrices (:mod:`bondboson.bilinear`).
 
 The pair sums :func:`_bond_sum` and :func:`_square_pair_sum` build the
 Fock operator of an integer pair label (a ``ChainPair`` or
@@ -38,6 +39,7 @@ import numpy as np
 from scipy import sparse
 
 from .bilinear import check_mode_cap
+from .interactions import term_combinations
 from .lattice import chain_anchors, chain_mode, square_mode
 from .numerics import unfused_product
 # imported for the benchmark tracer, which wraps these names where fock looks them up
@@ -218,21 +220,6 @@ def _pair_entries(n_modes: int, stack: np.ndarray) -> tuple:
     data = weights * (1.0 - 2.0 * (below & 1))
     rows = free | (1 << i) | (1 << j)
     return np.broadcast_to(t, free.shape).ravel(), rows.ravel(), free.ravel(), data.ravel()
-
-
-def term_combinations(ta: np.ndarray, tb: np.ndarray, n_terms: int) -> tuple:
-    """``(ka, kb)``: every entry ka of A's list with every entry kb of B's list of the same term.
-
-    ``ta`` and ``tb`` are the terms of two entry lists, each grouped by
-    term (B's in ascending term order); the pairs come in A's order, each
-    A entry's B entries in B's order.
-    """
-    per_term = np.bincount(tb, minlength=n_terms)
-    count = per_term[ta]
-    ka = np.repeat(np.arange(len(ta)), count)
-    kb = (np.repeat(np.cumsum(per_term)[ta] - count, count)  # the first entry of B's term
-          + np.arange(len(ka)) - np.repeat(np.cumsum(count) - count, count))
-    return ka, kb
 
 
 def pair_bilinear(space: FockSpace, coefficients) -> SparseOperator:

@@ -14,6 +14,12 @@ is a sum of squares of the tensor's entries (:func:`pair_tensor_norm`;
 Hilbert-Schmidt orthogonality of fermion monomials, Bravyi and Kitaev,
 quant-ph/0003137).  The Fock builds of the two forms are the tests' oracle.
 
+No command loads :mod:`bondboson.fock` or scipy: the Fock builders
+(:func:`creation_pair_direct`, :func:`coulomb_operator`,
+:func:`coulomb_pair_form`, :func:`pair_from_bonds`) import them when
+called.  ``_bond_sum`` is looked up here by the benchmark tracer alone;
+the module ``__getattr__`` imports it from ``fock`` on lookup.
+
 The same pair-reconstruction mechanism would turn density couplings to
 quantized lattice vibrations or to gauge fields into interactions
 between those bosons and the bond bosons; only the density-density case
@@ -23,17 +29,26 @@ is implemented here.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .bilinear import ChainPair, pair_norms, pair_stack
-from .fock import FockSpace, SparseOperator, pair_bilinear, pair_products, term_combinations
 from .lattice import ChainSpec, unit_roots
 from .numerics import max_residual, unfused_product
 # imported for the benchmark tracer, which wraps these names where interactions looks them up
-from .fock import _bond_sum  # noqa: F401
 from .lattice import chain_momenta  # noqa: F401
+
+if TYPE_CHECKING:
+    from .fock import FockSpace, SparseOperator
+
+
+def __getattr__(name: str):
+    """``_bond_sum``, for the benchmark tracer, imported from :mod:`bondboson.fock` on lookup."""
+    if name != "_bond_sum":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .fock import _bond_sum
+    return _bond_sum
 
 
 def _check_chain_space(space: FockSpace) -> int:
@@ -49,7 +64,7 @@ def _check_coupling(alpha, space: FockSpace | None = None) -> np.ndarray:
     n = _check_chain_space(space) if space is not None else a.shape[0] if a.ndim else 0
     if a.shape != (n, n):
         raise ValueError(f"coupling matrix shape {a.shape} does not match {n} sites")
-    if not np.allclose(a, a.T, atol=1e-12):
+    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
         raise ValueError("coupling matrix must be symmetric")
     return a
 
@@ -72,6 +87,8 @@ def _chain_sites(space: FockSpace, anchor: int) -> int:
 
 def creation_pair_direct(space: FockSpace, p: int, l: int) -> SparseOperator:
     """``c+_p c+_{p+l}`` built directly; the reconstruction target."""
+    from .fock import SparseOperator
+
     _chain_sites(space, p)
     c1 = space._creation_matrix(space.chain_mode(p))
     c2 = space._creation_matrix(space.chain_mode(p + l))
@@ -85,6 +102,10 @@ def coulomb_operator(space: FockSpace, alpha) -> SparseOperator:
     occupied bits, in row-major (n, m) order.  The occupations are read
     from the state bits, a route independent of the creation matrices.
     """
+    from scipy import sparse
+
+    from .fock import SparseOperator
+
     a = _check_coupling(alpha, space)
     occupied = (np.arange(space.dim) >> np.arange(space.n_modes)[:, None]) & 1 == 1
     diagonal = np.zeros(space.dim)
@@ -117,6 +138,8 @@ def coulomb_pair_form(space: FockSpace, alpha) -> SparseOperator:
     ``c_n c_m = (c+_m c+_n)^dag`` it is one :func:`~bondboson.fock.pair_products`
     of :func:`pair_form_stacks`.
     """
+    from .fock import pair_products
+
     return pair_products(space, *pair_form_stacks(_check_coupling(alpha, space)))
 
 
@@ -146,6 +169,8 @@ def reconstruction_stack(n_sites: int) -> np.ndarray:
 
 def pair_from_bonds(space: FockSpace, p: int, l: int) -> SparseOperator:
     """Reassemble ``c+_p c+_{p+l}`` from bond operators (:func:`reconstruction_stack`)."""
+    from .fock import pair_bilinear
+
     n_sites = _chain_sites(space, p)
     if not 1 <= l <= n_sites - 1:
         raise ValueError(f"offset {l} out of range 1..{n_sites - 1}")
@@ -172,6 +197,21 @@ def bond_assembled_stacks(a: np.ndarray) -> tuple:
     n, m = _coupled_pairs(a)
     stack = reconstruction_stack(len(a))
     return stack[n, (m - n) % len(a) - 1], stack[m, (n - m) % len(a) - 1], -0.5 * a[n, m]
+
+
+def term_combinations(ta: np.ndarray, tb: np.ndarray, n_terms: int) -> tuple:
+    """``(ka, kb)``: every entry ka of A's list with every entry kb of B's list of the same term.
+
+    ``ta`` and ``tb`` are the terms of two entry lists, each grouped by
+    term (B's in ascending term order); the pairs come in A's order, each
+    A entry's B entries in B's order.
+    """
+    per_term = np.bincount(tb, minlength=n_terms)
+    count = per_term[ta]
+    ka = np.repeat(np.arange(len(ta)), count)
+    kb = (np.repeat(np.cumsum(per_term)[ta] - count, count)  # the first entry of B's term
+          + np.arange(len(ka)) - np.repeat(np.cumsum(count) - count, count))
+    return ka, kb
 
 
 def pair_tensor(raising, lowering, weights) -> np.ndarray:

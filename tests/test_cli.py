@@ -342,9 +342,9 @@ def test_module_entry_point_subprocess(tmp_path):
     assert payload["verdict"] == "pass"
 
 
-# Loaded on first use, not at import: this test process may have loaded them
-# already, so the checks below run in fresh interpreters.
-LAZY_MODULES = ("scipy", "bondboson.fock", "bondboson.interactions")
+# Loaded by no command, only by the tests' Fock oracle: this test process may have
+# loaded them already, so the checks below run in fresh interpreters.
+LAZY_MODULES = ("scipy", "bondboson.fock")
 # Never loaded by the numpy-only commands: momentum labels reduce 2j/n by math.gcd.
 UNUSED_MODULES = ("fractions", "decimal")
 
@@ -355,7 +355,7 @@ UNUSED_MODULES = ("fractions", "decimal")
     (["verify", "identities", "--model", "ssh", "--sites", "6"], []),
     (["verify", "correspondence", "--model", "dirac2d", "--lx", "2", "--ly", "3"], []),
     (["verify", "commutators", "--model", "ssh", "--sites", "6"], []),
-    (["verify", "interactions", "--model", "ssh", "--sites", "4"], sorted(LAZY_MODULES)),
+    (["verify", "interactions", "--model", "ssh", "--sites", "4"], []),
 ], ids=["setup-probe", "spectrum", "identities", "correspondence", "commutators",
         "interactions"])
 def test_commands_load_only_what_they_run(tmp_path, argv, loaded):
@@ -369,13 +369,10 @@ def test_commands_load_only_what_they_run(tmp_path, argv, loaded):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
-    lazy, unused = json.loads(proc.stdout)
-    assert lazy == loaded
-    # scipy, loaded by the interactions suite alone, may import them itself
-    assert unused == [] or "scipy" in loaded
+    assert json.loads(proc.stdout) == [loaded, []]
 
 
-def test_interactions_bind_the_fock_route_in_a_fresh_interpreter():
+def test_interactions_run_in_a_fresh_interpreter():
     name = "verify_interactions_ssh6.json"
     proc = subprocess.run([sys.executable, "-m", "bondboson", *CASES[name]],
                           capture_output=True, env=child_env())
@@ -391,8 +388,11 @@ def test_interactions_bind_the_fock_route_in_a_fresh_interpreter():
 
 
 @pytest.mark.parametrize("name", ["verify_commutators_ssh6.json",
-                                  "verify_commutators_dirac2x3.json"])
-def test_commutators_run_without_scipy(name):
+                                  "verify_commutators_dirac2x3.json",
+                                  "verify_interactions_ssh6.json",
+                                  "verify_interactions_ssh10.json",
+                                  "verify_interactions_ssh16.json"])
+def test_commands_run_without_scipy(name):
     # a None entry in sys.modules makes every scipy import raise ImportError
     script = ("import sys\nsys.modules['scipy'] = None\nimport bondboson.cli\n"
               f"sys.exit(bondboson.cli.main({CASES[name]!r}))\n")

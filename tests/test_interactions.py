@@ -14,7 +14,7 @@ from fock_oracle import (
     sequential_pair_tensor,
 )
 
-from bondboson import cli, interactions
+from bondboson import cli, fock, interactions
 from bondboson.bilinear import ChainPair
 from bondboson.fock import SCATTER_BLOCK, FockSpace, SparseOperator, creation_op, pair_products
 from bondboson.interactions import (
@@ -253,7 +253,7 @@ def assert_chunked_bits(space, raising, lowering, weights):
 @pytest.mark.parametrize("n_sites", range(2, 17, 2))
 def test_interaction_stacks_have_the_bits_of_the_chunked_product(monkeypatch, n_sites):
     stacks = []
-    monkeypatch.setattr(interactions, "pair_products",
+    monkeypatch.setattr(fock, "pair_products",
                         lambda *args: stacks.append(args) or pair_products(*args))
     space = FockSpace(ChainSpec(n_sites))
     for seed in (0, 1, 2):
@@ -371,8 +371,9 @@ def test_pair_tensor_norm_is_the_fock_norm(n_modes):
     rng = np.random.default_rng([n_modes, 29])
     for terms in (1, 3):
         args = random_terms(rng, terms, n_modes)
-        fock = pair_products(mode_space(n_modes), *args).norm()
-        assert pair_tensor_norm(pair_tensor(*args), n_modes) == pytest.approx(fock, rel=1e-14)
+        fock_norm = pair_products(mode_space(n_modes), *args).norm()
+        assert pair_tensor_norm(pair_tensor(*args), n_modes) == pytest.approx(fock_norm,
+                                                                              rel=1e-14)
 
 
 @pytest.mark.parametrize("n_sites", range(2, 13, 2))
@@ -468,6 +469,13 @@ def test_a_diagonal_coupling_has_no_density_tensor():
         interactions.density_tensor(alpha)
     with pytest.raises(ValueError):
         interactions.density_tensor(np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("skew", [2e-12, 5e-6])
+def test_a_coupling_asymmetric_past_1e_12_is_rejected(skew):
+    # 1e-12 is the only bound: a relative tolerance of 1e-5 would let 5e-6 through
+    with pytest.raises(ValueError, match="symmetric"):
+        interactions.density_tensor([[0.0, 1.0], [1.0 + skew, 0.0]])
 
 
 def test_validation_errors():

@@ -10,7 +10,8 @@ def test_mutant_is_killed_by_its_check(name, monkeypatch, tmp_path):
     mutant = MUTANTS[name]
     mutant.check(tmp_path)
     with monkeypatch.context() as patch:
-        patch.setattr(mutant.owner, mutant.attribute, mutant.replacement)
+        for owner in mutant.owners:
+            patch.setattr(owner, mutant.attribute, mutant.replacement)
         with pytest.raises(AssertionError):
             mutant.check(tmp_path)
     mutant.check(tmp_path)
