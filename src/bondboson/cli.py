@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mass", type=float,
                        help="on-site mass splitting of the 2D model (default 0.5)")
         p.add_argument("--tolerance", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
         p.add_argument("--output", default="", help="output path (default stdout)")
 
@@ -247,6 +247,9 @@ def _config_from_args(args) -> RunConfig:
     if holes is not None and suite != "commutators":
         raise ValueError("--holes applies only to the commutators suite")
     holes = 0 if holes is None else holes
+    if args.seed is not None and suite not in ("commutators", "interactions"):
+        raise ValueError("--seed applies only to the commutators and interactions suites")
+    seed = 0 if args.seed is None else args.seed
     t0 = ChainSpec.t0 if args.t0 is None else args.t0
     alpha_u = ChainSpec.alpha_u if args.alpha_u is None else args.alpha_u
     mass = DEFAULT_MASS if args.mass is None else args.mass
@@ -286,9 +289,9 @@ def _config_from_args(args) -> RunConfig:
     # each hole empties the pair-carrying mode of one site
     if holes > spec.n_sites:
         raise ValueError(f"--holes must not exceed the {spec.n_sites} sites, got {holes}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    return RunConfig(command=command, spec=spec, suite=suite, holes=holes, seed=args.seed,
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
+    return RunConfig(command=command, spec=spec, suite=suite, holes=holes, seed=seed,
                      tolerance=tolerance, fmt=args.fmt, output=args.output)
 
 

@@ -2,9 +2,8 @@
 
 Creation operators, sparse operator algebra, hopping Hamiltonians and
 the Fock-space builds from coefficient matrices: a pair bilinear
-``P(M)``, and a weighted sum of pair products ``P(A) P(B)^dag`` built
-from whole stacks of coefficient matrices by one ordered scatter of
-their state-by-state contributions, with no sparse product.  No
+``P(M)``, and a weighted sum of pair products ``P(A) P(B)^dag`` of two
+stacks of coefficient matrices, one sparse product per term.  No
 command imports this module or scipy: it is the tests' oracle of the
 coefficient route, which takes the quartic interaction checks on pair
 tensors (:mod:`bondboson.interactions`) and every quadratic statement
@@ -39,19 +38,12 @@ import numpy as np
 from scipy import sparse
 
 from .bilinear import check_mode_cap
-from .interactions import term_combinations
 from .lattice import chain_anchors, chain_mode, square_mode
-from .numerics import unfused_product
 # imported for the benchmark tracer, which wraps these names where fock looks them up
 from .lattice import chain_momenta, on_grid, square_momenta  # noqa: F401
 
 # Entries with modulus below this are dropped from stored operators.
 PRUNE_TOL = 1e-15
-
-# Contributions per scatter block in :func:`pair_products` (a block holds at
-# least one pair combination): bounds the state arrays, which would grow
-# with the term count if built all at once.
-SCATTER_BLOCK = 1 << 13
 
 
 class FockSpace:
@@ -192,105 +184,47 @@ def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     return SparseOperator(a.space, a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
-def _pairs(stack: np.ndarray) -> tuple:
-    """The pairs ``(term, i, j, weight)``, i < j, of the pair bilinears of a (T, n, n) stack.
-
-    ``sum_ij M_ij c+_i c+_j = sum_{i<j} (M_ij - M_ji) c+_i c+_j``.  Pairs
-    whose weight is below the pruning tolerance are dropped, as pruning
-    the built operator would do.
-    """
-    weights = np.triu(stack - stack.transpose(0, 2, 1), 1)
-    t, i, j = np.nonzero(np.abs(weights) >= PRUNE_TOL)
-    return t, i, j, weights[t, i, j]
-
-
-def _pair_entries(n_modes: int, stack: np.ndarray) -> tuple:
-    """COO entries ``(term, row, col, value)`` of the pair bilinears of a (T, n, n) stack.
-
-    Each pair of :func:`_pairs` has one entry per basis state s with modes
-    i and j empty, at row ``s | 2^i | 2^j``, with a Jordan-Wigner sign;
-    all are built in one vectorized pass.
-    """
-    t, i, j, weights = (x[:, None] for x in _pairs(stack))
-    # the states with modes i < j empty: insert a zero bit at i, then at j
-    free = np.arange(1 << (n_modes - 2), dtype=np.int64)[None, :]
-    free = ((free >> i) << (i + 1)) | (free & ((1 << i) - 1))
-    free = ((free >> j) << (j + 1)) | (free & ((1 << j) - 1))
-    below = np.bitwise_count(free & ((1 << i) - 1)) + np.bitwise_count(free & ((1 << j) - 1))
-    data = weights * (1.0 - 2.0 * (below & 1))
-    rows = free | (1 << i) | (1 << j)
-    return np.broadcast_to(t, free.shape).ravel(), rows.ravel(), free.ravel(), data.ravel()
-
-
 def pair_bilinear(space: FockSpace, coefficients) -> SparseOperator:
-    """The pair bilinear ``P(M) = sum_ij M_ij c+_i c+_j`` of an n x n coefficient matrix M."""
+    """The pair bilinear ``P(M) = sum_ij M_ij c+_i c+_j`` of an n x n coefficient matrix M.
+
+    ``P(M) = sum_{i<j} (M_ij - M_ji) c+_i c+_j``; pairs whose weight is below
+    the pruning tolerance are dropped, as pruning the operator would do.
+    Each pair has one entry per basis state s with modes i and j empty, at
+    row ``s | 2^i | 2^j``, with a Jordan-Wigner sign; all are built in one
+    vectorized pass.
+    """
     m = np.asarray(coefficients, dtype=complex)
     n = space.n_modes
     if m.shape != (n, n):
         raise ValueError(f"coefficient shape {m.shape} does not match {n} modes")
-    _, rows, cols, data = _pair_entries(n, m[None])
-    return SparseOperator(space, sparse.csr_matrix((data, (rows, cols)), shape=(space.dim,) * 2))
+    weights = np.triu(m - m.T, 1)
+    i, j = (x[:, None] for x in np.nonzero(np.abs(weights) >= PRUNE_TOL))
+    # the states with modes i < j empty: insert a zero bit at i, then at j
+    free = np.arange(1 << (n - 2), dtype=np.int64)[None, :]
+    free = ((free >> i) << (i + 1)) | (free & ((1 << i) - 1))
+    free = ((free >> j) << (j + 1)) | (free & ((1 << j) - 1))
+    below = np.bitwise_count(free & ((1 << i) - 1)) + np.bitwise_count(free & ((1 << j) - 1))
+    data = weights[i, j] * (1.0 - 2.0 * (below & 1))
+    rows = free | (1 << i) | (1 << j)
+    return SparseOperator(space, sparse.csr_matrix((data.ravel(), (rows.ravel(), free.ravel())),
+                                                   shape=(space.dim,) * 2))
 
 
 def pair_products(space: FockSpace, raising, lowering, weights) -> SparseOperator:
     """``sum_t w_t P(A_t) P(B_t)^dag`` of two (T, n, n) coefficient stacks and T weights.
 
-    One ordered scatter, with the bits of the row-by-row sparse product
-    ``[w_1 P(A_1) | ...] @ [P(B_1)^dag ; ...]``.  Each combination of a
-    pair a of A_t and a pair b of B_t adds, in every state m with the
-    modes of both empty, ``(w_t A_a) conj(B_b)`` times a Jordan-Wigner
-    sign at row ``r = m | a`` and column ``r ^ a ^ b``.  Each Fock entry
-    adds its contributions to zero one by one, in term order and then
-    ascending m (a term's pairs a in descending bit-mask order), and each
-    product is formed as ``(w A) B^dag`` with the unfused complex
-    product of the sparse kernel.  No entry is pruned before the sum is
-    complete; exact zeros are dropped.
+    One sparse product ``P(A_t) P(B_t)^dag`` per term, times ``w_t``, added
+    in term order to one sum; no entry is pruned before the sum is complete.
     """
     a, b, w = (np.asarray(x, dtype=complex) for x in (raising, lowering, weights))
     n, dim = space.n_modes, space.dim
     if a.shape != b.shape or a.shape[1:] != (n, n) or w.shape != a.shape[:1]:
         raise ValueError(f"stacks {a.shape}, {b.shape}, weights {w.shape} do not fit {n} modes")
-    ta, ia, ja, left = _pairs(a)
-    tb, ib, jb, right = _pairs(b)
-    left, right = w[ta] * left, right.conj()
-    # every pair ka of A_t with every pair kb of B_t, a term's pairs of A in
-    # descending bit-mask order
-    order = np.lexsort((-ia, -ja, ta))
-    ta, ia, ja, left = ta[order], ia[order], ja[order], left[order]
-    ka, kb = term_combinations(ta, tb, len(w))
-    modes = np.stack([ia[ka], ja[ka], ib[kb], jb[kb]], axis=1)
-    pair_a = (1 << modes[:, 0]) | (1 << modes[:, 1])
-    pair_b = (1 << modes[:, 2]) | (1 << modes[:, 3])
-    shift, size = pair_a ^ pair_b, np.bitwise_count(pair_a | pair_b)
-    flip = np.bitwise_xor.reduce((1 << modes) - 1, axis=1)  # m's bits below each mode
-    # each union's distinct modes first, in ascending order
-    modes.sort(axis=1)
-    modes = np.sort(np.where(np.diff(modes, axis=1, prepend=-1) == 0, n, modes), axis=1)
-    # one product per combination (a sign only negates it), formed unfused as the
-    # sparse kernel does
-    product = unfused_product(left[ka], right[kb])
-    # one slot per (shift, row) of each shift a ^ b that occurs; different union
-    # sizes never share one, so each size is scattered on its own
-    shifts, slot = np.unique(shift, return_inverse=True)
-    sums = np.zeros(len(shifts) * dim, dtype=complex)
-    for union in (2, 3, 4):
-        combos = np.flatnonzero(size == union)
-        if not len(combos):
-            continue
-        per_block = max(1, SCATTER_BLOCK >> (n - union))
-        for start in range(0, len(combos), per_block):
-            c = combos[start:start + per_block]
-            # the states with the union's modes empty: insert a zero bit at each
-            m = np.arange(1 << (n - union), dtype=np.int64)[None, :]
-            for u in modes[c, :union].T[:, :, None]:
-                m = ((m >> u) << (u + 1)) | (m & ((1 << u) - 1))
-            sign = 1.0 - 2.0 * (np.bitwise_count(m & flip[c, None]) & 1)
-            np.add.at(sums, (slot[c, None] * dim + (m | pair_a[c, None])).ravel(),
-                      (product[c, None] * sign).ravel())
-    keys = np.flatnonzero(sums)
-    rows = keys % dim
-    return SparseOperator(space, sparse.csr_matrix((sums[keys], (rows, rows ^ shifts[keys // dim])),
-                                                   shape=(dim, dim)))
+    total = sparse.csr_matrix((dim, dim), dtype=complex)
+    for x, y, weight in zip(a, b, w):
+        product = pair_bilinear(space, x).matrix @ pair_bilinear(space, y).matrix.conj().T
+        total = total + complex(weight) * product
+    return SparseOperator(space, total)
 
 
 # ---------------------------------------------------------------------------

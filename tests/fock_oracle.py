@@ -16,16 +16,17 @@ build and the batched identity evaluation of ``bondboson.bilinear`` are
 checked bit for bit.
 
 The quartic interaction builds have their term-by-term references here
-too: one sparse product and one sum per coupled pair, in (n, m) order,
-against which the stacked builds of ``bondboson.interactions`` are
-checked.  The chunked sparse product (:func:`chunked_pair_products`) is
-the reference that the ordered scatter of ``bondboson.fock.pair_products``
-matches bit for bit.  The bond assembly of the pair form is built here as
-a Fock operator (:func:`bond_assembled_pair_form`); the package measures
-its distance to the pair form on coefficients, with the pair tensor of
-``bondboson.interactions.pair_tensor``, whose term-by-term sum
-(:func:`sequential_pair_tensor`) and unpruned Fock operator
-(:func:`pair_tensor_operator`) are here too.
+too: one sparse product and one pruned sum per coupled pair, in (n, m)
+order, from creation matrices (:func:`sequential_pair_form`) and from the
+bonds (:func:`sequential_bond_assembly`), whose bits the builds of
+``bondboson.fock.pair_products`` have.  The bond assembly of the pair
+form is built here as a Fock operator (:func:`bond_assembled_pair_form`);
+the package measures its distance to the pair form on coefficients, with
+the pair tensor of ``bondboson.interactions.pair_tensor``, whose
+term-by-term sum (:func:`sequential_pair_tensor`) and unpruned Fock
+operator (:func:`pair_tensor_operator`) are here too.  That operator,
+built from creation matrices, is also the second construction of
+``pair_products``.
 
 The near-filling table ``X W X^H`` has its sparse product here
 (:func:`sparse_commutator_table`), the reference that the ordered
@@ -46,12 +47,10 @@ from bondboson.fermion_model import hopping_matrix
 from bondboson.fock import (
     SparseOperator,
     _bond_sum,
-    _pair_entries,
     _square_pair_sum,
     chain_hamiltonian,
     commutator,
     dirac_hamiltonian,
-    pair_bilinear,
     pair_products,
 )
 from bondboson.numerics import unfused_product
@@ -244,41 +243,6 @@ def pair_tensor_operator(space, tensor):
             raising = raising + complex(t) * pair
         total = total + raising @ lowering.conj().T
     return total
-
-
-def sequential_pair_products(space, raising, lowering, weights) -> SparseOperator:
-    """``sum_t w_t P(A_t) P(B_t)^dag`` as one product and one pruned sum per term."""
-    acc = SparseOperator.zero(space)
-    for a, b, w in zip(raising, lowering, weights):
-        acc = acc + complex(w) * (pair_bilinear(space, a) @ pair_bilinear(space, b).adjoint())
-    return acc
-
-
-# Terms per sparse product in :func:`chunked_pair_products`.
-PRODUCT_CHUNK = 12
-
-
-def chunked_pair_products(space, raising, lowering, weights) -> SparseOperator:
-    """``sum_t w_t P(A_t) P(B_t)^dag`` as one sparse product per :data:`PRODUCT_CHUNK` terms.
-
-    ``[S | w_1 P(A_1) | ...] @ [I ; P(B_1)^dag ; ...]`` carries the running
-    sum S in as its leading term, so each Fock entry adds its terms to S
-    one by one in stack order.  The stacked build of ``bondboson.fock``
-    has the bits of this product.
-    """
-    a, b, w = (np.asarray(x, dtype=complex) for x in (raising, lowering, weights))
-    n, dim = space.n_modes, space.dim
-    eye = sparse.identity(dim, dtype=complex, format="csr")
-    total = sparse.csr_matrix((dim, dim), dtype=complex)
-    for start in range(0, len(w), PRODUCT_CHUNK):
-        t, rows, cols, data = _pair_entries(n, a[start:start + PRODUCT_CHUNK])
-        left = sparse.csr_matrix((w[start + t] * data, (rows, t * dim + cols)),
-                                 shape=(dim, PRODUCT_CHUNK * dim))
-        t, rows, cols, data = _pair_entries(n, b[start:start + PRODUCT_CHUNK])
-        right = sparse.csr_matrix((data.conj(), (t * dim + cols, rows)),
-                                  shape=(PRODUCT_CHUNK * dim, dim))
-        total = sparse.hstack([total, left], format="csr") @ sparse.vstack([eye, right], format="csr")
-    return SparseOperator(space, total)
 
 
 def sparse_commutator_table(spec, pairs, holes) -> np.ndarray:

@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+import fock_oracle
 import test_bilinear
 import test_fock
 import test_identity_writer
@@ -32,6 +33,7 @@ import test_table_writer
 from bondboson import bilinear, cli, fock, interactions
 from bondboson.fermion_model import hopping_matrix
 from bondboson.lattice import ChainSpec
+from refresh_goldens import CASES, GOLDEN
 
 _rows_json = cli._rows_json
 _pair_gram_squares = interactions.pair_gram_squares
@@ -140,6 +142,16 @@ def fused_pattern_diagonal(pattern, weights, count):
     return diagonal
 
 
+def goldens_from_one_process(tmp):
+    """Every golden written by ``cli.main`` in one process, from a freshly built parser, with
+    the bytes of its file."""
+    cli.build_parser.cache_clear()
+    for name, argv in CASES.items():
+        out = tmp / name
+        assert cli.main(argv + ["--output", str(out)]) == 0, name
+        assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
 def quoted_pass(report, row, fields):
     """``_rows_json`` with the row template's ``pass`` column quoted, like a text column."""
     return _rows_json(report, {**row, "pass": str(row["pass"])} if "pass" in row else row, fields)
@@ -210,11 +222,12 @@ MUTANTS = {
         (interactions,), "unfused_product", np.multiply,
         lambda tmp: test_interactions.test_pair_tensors_have_the_bits_of_the_term_by_term_sum(6),
         goldens=False),
-    # the interactions goldens keep their bytes with the fused product
-    "pair_products with numpy's fused complex product": Mutant(
-        (fock,), "unfused_product", np.multiply,
-        lambda tmp: test_interactions.test_random_stacks_have_the_bits_of_the_chunked_product(
-            4, 0.1),
+    # the oracle's lowering pairs unconjugated: only complex stacks see it, and no
+    # command builds a Fock operator; patched wherever a caller binds the name
+    "pair_products with the lowering pairs transposed, not adjoined": Mutant(
+        (fock, fock_oracle, test_interactions), "pair_products",
+        recompiled(fock.pair_products, ".matrix.conj().T", ".matrix.T"),
+        lambda tmp: test_interactions.test_pair_tensor_norm_is_the_fock_norm(2),
         goldens=False),
     # the CLI's hole rows are K = 0 labels, whose products are exact
     "pattern_diagonal with numpy's fused complex product": Mutant(
@@ -257,6 +270,14 @@ MUTANTS = {
         lambda tmp: test_identity_writer.test_a_residual_passes_up_to_its_bound(
             test_identity_writer.TOLERANCE, 0, tmp),
         goldens=False),
+    # a flag of one call becomes a default of every later call through the shared parser:
+    # in one process the interactions suite leaks into both spectrum_dirac2x3 goldens
+    "main keeping each call's flags as the parser's defaults": Mutant(
+        (cli,), "main",
+        recompiled(cli.main, "args = parser.parse_args(argv)",
+                   "args = parser.parse_args(argv); parser.set_defaults(**vars(args))"),
+        goldens_from_one_process,
+        goldens=True),
     "identity row template with pass quoted": Mutant(
         (cli,), "_rows_json", quoted_pass,
         lambda tmp: test_identity_writer.test_report_has_the_bytes_of_the_dict_route(

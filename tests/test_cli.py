@@ -700,6 +700,11 @@ BAD_FLAGS = [
     ("--holes", ["verify", "identities", "--model", "ssh", "--sites", "4", "--holes", "3"]),
     ("--holes", ["verify", "correspondence", "--model", "dirac2d", "--lx", "2", "--ly", "2",
                  "--holes", "0"]),
+    # only the commutators and interactions suites draw random numbers
+    ("--seed", ["spectrum", "ssh", "--sites", "4", "--seed", "1"]),
+    ("--seed", ["verify", "correspondence", "--model", "dirac2d", "--lx", "2", "--ly", "2",
+                "--seed", "0"]),
+    ("--seed", ["verify", "identities", "--model", "ssh", "--sites", "4", "--seed", "3"]),
     # verify writes JSON only
     ("--format", ["verify", "identities", "--model", "ssh", "--sites", "4", "--format", "csv"]),
 ]

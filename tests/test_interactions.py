@@ -5,18 +5,16 @@ import numpy as np
 import pytest
 from fock_oracle import (
     bond_assembled_pair_form,
-    chunked_pair_products,
     fock_pair,
     pair_tensor_operator,
     sequential_bond_assembly,
     sequential_pair_form,
-    sequential_pair_products,
     sequential_pair_tensor,
 )
 
 from bondboson import cli, fock, interactions
 from bondboson.bilinear import ChainPair
-from bondboson.fock import SCATTER_BLOCK, FockSpace, SparseOperator, creation_op, pair_products
+from bondboson.fock import FockSpace, SparseOperator, creation_op, pair_products
 from bondboson.interactions import (
     bond_assembled_stacks,
     coulomb_operator,
@@ -43,9 +41,9 @@ def same_bits(x: SparseOperator, y: SparseOperator) -> bool:
             and x.data.tobytes() == y.data.tobytes())
 
 
-def unpruned_distance(x: SparseOperator, y: SparseOperator) -> float:
-    """Frobenius distance with no entry pruned (``SparseOperator`` arithmetic prunes)."""
-    return float(np.linalg.norm((x.matrix - y.matrix).data))
+def relative_distance(x: SparseOperator, reference) -> float:
+    """Frobenius distance to a scipy matrix, relative to its norm, with no entry pruned."""
+    return float(np.linalg.norm((x.matrix - reference).data) / np.linalg.norm(reference.data))
 
 
 def equivalence_residual(alpha):
@@ -181,13 +179,6 @@ def test_equivalence_residual_is_the_unpruned_distance(n_sites):
     assert reported == pytest.approx(unpruned, rel=1e-12, abs=0.0)
 
 
-# Sizes whose reconstructed pair coefficients are not all exactly +-1 (moduli of
-# 0.9999999999999999 at 6 and 10 sites, 0.9999999999999997 at 14): there the stacked
-# product (w a) b and the sequential w (a b) round apart, so the assemblies agree to
-# rounding, not bit for bit.  Elsewhere every product is exact.
-INEXACT_RECONSTRUCTION = (6, 10, 14)
-
-
 @pytest.mark.parametrize("n_sites", [2, 4, 6, 8, 10, 12, 14])
 def test_stacked_builds_match_the_sequential_reference(n_sites):
     space = FockSpace(ChainSpec(n_sites))
@@ -195,38 +186,13 @@ def test_stacked_builds_match_the_sequential_reference(n_sites):
         alpha = random_offdiag_coupling(n_sites, seed=seed)
         direct = coulomb_pair_form(space, alpha)
         assert same_bits(direct, sequential_pair_form(space, alpha))
-        assembled = bond_assembled_pair_form(space, alpha)
-        reference = sequential_bond_assembly(space, alpha)
-        if n_sites in INEXACT_RECONSTRUCTION:
-            assert unpruned_distance(assembled, reference) <= 1e-15 * direct.norm()
-        else:
-            assert same_bits(assembled, reference)
-
-
-# Single-pair terms on 14 sites whose two pairs share one mode: each adds
-# 2^11 states, so a scatter block holds this many terms.
-EDGE_SITES = 14
-EDGE_PER_BLOCK = SCATTER_BLOCK >> (EDGE_SITES - 3)
-
-
-@pytest.mark.parametrize("terms", [EDGE_PER_BLOCK, EDGE_PER_BLOCK + 1, 2 * EDGE_PER_BLOCK + 1])
-def test_pair_products_at_the_block_edges(terms):
-    # single-pair terms with random weights: every product entry is exact, so the
-    # stacked sum has the bits of the term-by-term sum across each block boundary
-    rng = np.random.default_rng(terms)
-    eye = np.eye(EDGE_SITES)
-    n, m, k = np.array([rng.permutation(EDGE_SITES)[:3] for _ in range(terms)]).T
-    raising, lowering = eye[n, :, None] * eye[m, None, :], eye[k, :, None] * eye[n, None, :]
-    weights = rng.uniform(-1.0, 1.0, terms)
-    space = FockSpace(ChainSpec(EDGE_SITES))
-    stacked = pair_products(space, raising, lowering, weights)
-    assert stacked.nnz > 0
-    assert same_bits(stacked, sequential_pair_products(space, raising, lowering, weights))
+        assert same_bits(bond_assembled_pair_form(space, alpha),
+                         sequential_bond_assembly(space, alpha))
 
 
 def test_pair_products_of_dense_stacks_match_the_term_by_term_sum():
-    # many pairs per term: each product sums several contributions, so the
-    # orders differ and the two sums agree to rounding
+    # many pairs per term: the creation-matrix route sums each entry's terms in
+    # another order, so the two sums agree to rounding
     rng = np.random.default_rng(11)
     terms = 15
     shape = (terms, 4, 4)
@@ -234,35 +200,12 @@ def test_pair_products_of_dense_stacks_match_the_term_by_term_sum():
     weights = rng.normal(size=terms) + 1j * rng.normal(size=terms)
     space = FockSpace(ChainSpec(4))
     stacked = pair_products(space, raising, lowering, weights)
-    reference = sequential_pair_products(space, raising, lowering, weights)
-    assert unpruned_distance(stacked, reference) <= 64 * terms * EPS * reference.norm()
+    reference = pair_tensor_operator(space, pair_tensor(raising, lowering, weights))
+    assert relative_distance(stacked, reference) <= 64 * terms * EPS
     with pytest.raises(ValueError):
         pair_products(space, raising, lowering[:-1], weights)
     with pytest.raises(ValueError):
         pair_products(space, raising, lowering, weights[:-1])
-
-
-def assert_chunked_bits(space, raising, lowering, weights):
-    """The scatter build has the bits of the chunked sparse product (sorted CSR)."""
-    built = pair_products(space, raising, lowering, weights)
-    assert same_bits(built, chunked_pair_products(space, raising, lowering, weights))
-    assert built.matrix.has_canonical_format
-    return built
-
-
-@pytest.mark.parametrize("n_sites", range(2, 17, 2))
-def test_interaction_stacks_have_the_bits_of_the_chunked_product(monkeypatch, n_sites):
-    stacks = []
-    monkeypatch.setattr(fock, "pair_products",
-                        lambda *args: stacks.append(args) or pair_products(*args))
-    space = FockSpace(ChainSpec(n_sites))
-    for seed in (0, 1, 2):
-        alpha = random_offdiag_coupling(n_sites, seed=seed)
-        coulomb_pair_form(space, alpha)
-        stacks.append((space, *bond_assembled_stacks(alpha)))
-    assert len(stacks) == 6
-    for args in stacks:
-        assert assert_chunked_bits(*args).nnz > 0
 
 
 def random_stack(rng, terms, n_modes, density):
@@ -275,28 +218,6 @@ def mode_space(n_modes):
     return FockSpace(types.SimpleNamespace(n_modes=n_modes))
 
 
-@pytest.mark.parametrize("n_modes", range(4, 11))
-@pytest.mark.parametrize("density", [0.1, 0.4, 1.0])
-def test_random_stacks_have_the_bits_of_the_chunked_product(n_modes, density):
-    rng = np.random.default_rng([n_modes, int(10 * density)])
-    terms = int(rng.integers(1, 16 if density < 1.0 else 6))
-    weights = rng.normal(size=terms) + 1j * rng.normal(size=terms)
-    raising, lowering = (random_stack(rng, terms, n_modes, density) for _ in range(2))
-    assert_chunked_bits(mode_space(n_modes), raising, lowering, weights)
-
-
-def test_stacks_that_straddle_scatter_blocks_have_the_chunked_bits():
-    # every combination of a pair of A_t and a pair of B_t adds 2^(n - 4) states or more
-    rng = np.random.default_rng(12)
-    n_modes, terms = 12, 5
-    raising, lowering = (random_stack(rng, terms, n_modes, 0.2) for _ in range(2))
-    weights = rng.normal(size=terms) + 1j * rng.normal(size=terms)
-    pairs = [np.count_nonzero(np.triu(s - s.transpose(0, 2, 1), 1), axis=(1, 2))
-             for s in (raising, lowering)]
-    assert (pairs[0] * pairs[1]).sum() << (n_modes - 4) > 4 * SCATTER_BLOCK
-    assert_chunked_bits(mode_space(n_modes), raising, lowering, weights)
-
-
 def test_empty_and_pruned_stacks_give_the_zero_operator():
     space = FockSpace(ChainSpec(6))
     rng = np.random.default_rng(3)
@@ -307,12 +228,12 @@ def test_empty_and_pruned_stacks_give_the_zero_operator():
     for raising, lowering in [(dense[:0], dense[:0]), (symmetric, dense), (dense, tiny),
                               (tiny, tiny)]:
         w = weights[:len(raising)]
-        assert assert_chunked_bits(space, raising, lowering, w).nnz == 0
+        assert pair_products(space, raising, lowering, w).nnz == 0
 
 
 @pytest.mark.parametrize("lowered", [(0, 1), (1, 0), (1, 2), (3, 1), (2, 3), (4, 5)],
                          ids=["same", "reversed", "shared-j", "shared-i", "disjoint", "far"])
-def test_single_pair_products_have_the_chunked_bits(lowered):
+def test_single_pair_products_fill_their_jordan_wigner_slots(lowered):
     # A = c+_0 c+_1 and B = c+_k c+_l: equal pairs fill the diagonal, pairs that
     # share a mode (3-mode unions) or none (4-mode unions) fill off-diagonal slots
     space = FockSpace(ChainSpec(6))
@@ -320,7 +241,7 @@ def test_single_pair_products_have_the_chunked_bits(lowered):
     k, l = lowered
     raising = (eye[0, :, None] * eye[1, None, :])[None] * (0.3 - 1.1j)
     lowering = (eye[k, :, None] * eye[l, None, :])[None] * (0.7 + 0.2j)
-    built = assert_chunked_bits(space, raising, lowering, [1.5 - 0.5j])
+    built = pair_products(space, raising, lowering, [1.5 - 0.5j])
     rows, cols = built.matrix.nonzero()
     assert built.nnz == 1 << (6 - len({0, 1, k, l}))
     assert np.all((rows ^ cols) == (3 ^ (1 << k) ^ (1 << l)))
@@ -374,6 +295,18 @@ def test_pair_tensor_norm_is_the_fock_norm(n_modes):
         fock_norm = pair_products(mode_space(n_modes), *args).norm()
         assert pair_tensor_norm(pair_tensor(*args), n_modes) == pytest.approx(fock_norm,
                                                                               rel=1e-14)
+
+
+@pytest.mark.parametrize("n_modes", range(2, 10))
+def test_pair_products_are_the_pair_tensor_operator(n_modes):
+    # a second construction: each P_p P_q^dag from creation matrices, so every pair
+    # entry's Jordan-Wigner sign and slot is built anew
+    rng = np.random.default_rng([n_modes, 31])
+    space = mode_space(n_modes)
+    for terms in (1, 3):
+        args = random_terms(rng, terms, n_modes)
+        reference = pair_tensor_operator(space, pair_tensor(*args))
+        assert relative_distance(pair_products(space, *args), reference) <= 4 * EPS
 
 
 @pytest.mark.parametrize("n_sites", range(2, 13, 2))
